@@ -73,7 +73,9 @@ from .tomography import (
     TomographySet,
     canonical_input_states,
     direct_liouvillian,
+    mean_log_liouvillian,
     reconstruct_process,
+    reconstruct_processes,
     stepwise_processes,
     symmetrize,
 )

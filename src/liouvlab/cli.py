@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .dynamics import principal_log
 from .estimation import (
     FitReport,
     bootstrap,
@@ -41,7 +40,12 @@ from .exceptions import (
 )
 from .superop import Superoperator
 from .synthlab import NoiseSpec, generate_dataset, make_scenario
-from .tomography import TomographySet, reconstruct_process, stepwise_processes
+from .tomography import (
+    TomographySet,
+    mean_log_liouvillian,
+    reconstruct_processes,
+    stepwise_processes,
+)
 
 SCHEMA_VERSION = 1
 
@@ -89,14 +93,16 @@ def _read_json(path: Path) -> dict:
         return json.load(fh)
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args) -> int | None:
+    """The seed, with ``QPT_SEED`` overriding ``--seed``; None if it is invalid."""
     env = os.environ.get("QPT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(EXIT_CONFIG)
-    return args.seed
+    if env is None:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        print(f"{args.command}: QPT_SEED must be an integer, got {env!r}", file=sys.stderr)
+        return None
 
 
 def _artifact(obj: dict, seed: int) -> dict:
@@ -141,6 +147,8 @@ def _scenario_params_from_args(args) -> dict:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
+    if seed is None:
+        return EXIT_CONFIG
     try:
         if args.scenario_file:
             spec = _read_json(Path(args.scenario_file))
@@ -216,8 +224,8 @@ def cmd_reconstruct(args) -> int:
     try:
         if args.mode == "process":
             rows = []
-            for k, t in enumerate(dataset.times):
-                pm = reconstruct_process(dataset, t)
+            for k, pm in enumerate(reconstruct_processes(dataset)):
+                t = pm.duration_s
                 _write_json(outdir / f"process_{k:03d}.json", _artifact(pm.to_json(), seed))
                 df = (
                     frobenius_distance(pm.matrix, scipy.linalg.expm(reference.matrix * t))
@@ -227,19 +235,15 @@ def cmd_reconstruct(args) -> int:
                 rows.append([t, df])
             _write_csv(outdir / "df.csv", ["time_s", "df"], rows)
         elif args.mode == "liouvillian":
-            logs = []
-            pms = {}
-            for t in dataset.times:
-                pm = reconstruct_process(dataset, t)
-                pms[t] = pm
-                logs.append(principal_log(pm).matrix / t)
-            l_hat = Superoperator(dim=dataset.dim, matrix=np.mean(logs, axis=0))
+            pms = reconstruct_processes(dataset)
+            l_hat = mean_log_liouvillian(pms)
             _write_json(outdir / "liouvillian.json", _artifact(l_hat.to_json(), seed))
             rows = []
-            for t in dataset.times:
-                df = frobenius_distance(pms[t].matrix, scipy.linalg.expm(l_hat.matrix * t))
+            for pm in pms:
+                t = pm.duration_s
+                df = frobenius_distance(pm.matrix, scipy.linalg.expm(l_hat.matrix * t))
                 df_ref = (
-                    frobenius_distance(pms[t].matrix, scipy.linalg.expm(reference.matrix * t))
+                    frobenius_distance(pm.matrix, scipy.linalg.expm(reference.matrix * t))
                     if reference is not None
                     else ""
                 )
@@ -299,9 +303,12 @@ def _scenario_kwargs(params: dict) -> dict:
 
 
 def _direct_relaxation_params(dataset: TomographySet) -> np.ndarray:
-    logs = [principal_log(reconstruct_process(dataset, t)).matrix / t for t in dataset.times]
-    rt_hat = Superoperator(dim=dataset.dim, matrix=-np.mean(logs, axis=0))
-    return fit_relaxation_model(rt_hat).params
+    l_hat = mean_log_liouvillian(reconstruct_processes(dataset))
+    return fit_relaxation_model(Superoperator(dim=dataset.dim, matrix=-l_hat.matrix)).params
+
+
+def _pmeas(dataset: TomographySet) -> list:
+    return [(pm.duration_s, pm) for pm in reconstruct_processes(dataset)]
 
 
 def cmd_fit(args) -> int:
@@ -320,14 +327,13 @@ def cmd_fit(args) -> int:
     seed = raw.get("seed", 0)
     outdir = Path(args.out)
     extra_rows = None
+    df_times = dataset.times
 
     try:
         if args.model == "mle":
-            pmeas = [(t, reconstruct_process(dataset, t)) for t in dataset.times]
-            report = mle_liouvillian(pmeas, dissipator=rt, form="free")
+            report = mle_liouvillian(_pmeas(dataset), dissipator=rt, form="free")
         elif args.model == "relaxation":
-            pmeas = [(t, reconstruct_process(dataset, t)) for t in dataset.times]
-            mle = mle_liouvillian(pmeas, form="free")
+            mle = mle_liouvillian(_pmeas(dataset), form="free")
             rt_hat = Superoperator(dim=dataset.dim, matrix=-mle.estimate.matrix)
             report = fit_relaxation_model(rt_hat)
             report.df_per_time = mle.df_per_time
@@ -335,8 +341,7 @@ def cmd_fit(args) -> int:
             report.iterations = mle.iterations
         elif args.model == "hermitian":
             if args.method == "mle":
-                pmeas = [(t, reconstruct_process(dataset, t)) for t in dataset.times]
-                report = mle_liouvillian(pmeas, dissipator=rt, form="hermitian")
+                report = mle_liouvillian(_pmeas(dataset), dissipator=rt, form="hermitian")
             else:
                 report = direct_hamiltonian(dataset, rt, dataset.times)
         elif args.model == "fields":
@@ -346,6 +351,7 @@ def cmd_fit(args) -> int:
                 steps, grid, rt, known_form=args.known_form, method=args.method
             )
             report = track.report
+            df_times = track.times  # interval midpoints, as in fields.csv
             if track.known_form:
                 extra_rows = (
                     "fields.csv",
@@ -379,15 +385,10 @@ def cmd_fit(args) -> int:
     report.seed = seed
     _write_json(outdir / "fit_report.json", _artifact(report.to_json(), seed))
     if report.df_per_time is not None and len(report.df_per_time) > 0:
-        times = (
-            dataset.times
-            if len(report.df_per_time) == len(dataset.times)
-            else _grid_of(dataset).midpoints
-        )
         _write_csv(
             outdir / "df.csv",
             ["time_s", "df"],
-            [[t, d] for t, d in zip(times, report.df_per_time)],
+            [[t, d] for t, d in zip(df_times, report.df_per_time)],
         )
     if extra_rows is not None:
         name, header, rows = extra_rows

@@ -187,50 +187,82 @@ def evolve(v: BlochVector, p: ProcessMatrix) -> BlochVector:
     return BlochVector(dim=v.dim, coords=p.matrix @ v.coords)
 
 
-def principal_log(p: ProcessMatrix) -> Superoperator:
-    """Real principal matrix logarithm of a process matrix.
+def principal_log(p):
+    """Real principal matrix logarithm of one process matrix or a sequence.
 
-    Dividing the result by ``p.duration_s`` yields the generator estimate.
-    Eigenvalues are screened first so branch ambiguity surfaces as an error
-    instead of a silently wrong sheet.  When the matrix is safely
-    diagonalizable (eigenvector condition below 1e6 and a faithful
-    reconstruction residual) the log is taken on the eigendecomposition,
-    which is bit-reproducible across runs; otherwise it falls back to the
-    inverse scaling-and-squaring algorithm on the Schur form.
+    Dividing a result by its ``duration_s`` yields the generator estimate.
+    A sequence is handled as one (T, n, n) stack, with batched
+    eigendecomposition, conditioning and solves, and gives a list of logs
+    in the same order; a single matrix is a stack of one.  Every guard
+    holds per matrix.  Eigenvalues are screened first so branch ambiguity
+    surfaces as an error instead of a silently wrong sheet.  When a matrix
+    is safely diagonalizable (eigenvector condition below 1e6 and a
+    faithful reconstruction residual) its log is taken on the
+    eigendecomposition, which is bit-reproducible across runs; otherwise it
+    falls back to the inverse scaling-and-squaring algorithm on the Schur
+    form.  Errors name the ``duration_s`` of the offending matrix.
 
     Raises:
-        SingularProcessError: if the process matrix is numerically singular.
+        SingularProcessError: if a process matrix is numerically singular.
         BranchCutError: if an eigenvalue lies within BRANCH_TOL radians of
             the negative real axis; reduce the evolution time so that
             |Omega * t| stays below pi.
+        DimensionError: if a sequence mixes dimensions.
     """
-    eigs, vecs = np.linalg.eig(p.matrix)
-    scale = np.abs(eigs).max()
-    if scale == 0 or np.abs(eigs).min() < 1e-12 * scale:
-        raise SingularProcessError(
-            "process matrix is singular; the generator cannot be recovered"
-        )
-    angles = np.abs(np.angle(eigs))
-    worst = float((np.pi - angles).min())
-    if worst < BRANCH_TOL:
-        raise BranchCutError(
-            f"eigenvalue within {worst:.2e} rad of the branch cut; reduce the "
-            "evolution time so rotation angles stay below pi"
-        )
-    log = None
-    if np.linalg.cond(vecs) < 1e6:
-        candidate = np.linalg.solve(vecs.T, (vecs * np.log(eigs)).T).T
-        rebuilt = np.linalg.solve(vecs.T, (vecs * eigs).T).T
-        if np.abs(rebuilt - p.matrix).max() < 1e-11 * max(1.0, scale):
-            log = candidate
-    if log is None:
-        log = scipy.linalg.logm(p.matrix)
-    if np.iscomplexobj(log):
-        resid = np.abs(log.imag).max()
-        if resid > 1e-9 * max(1.0, np.abs(log.real).max()):
-            raise BranchCutError(
-                f"matrix logarithm has imaginary residue {resid:.3e}; the "
-                "principal branch is not real here"
+    single = isinstance(p, ProcessMatrix)
+    pms = [p] if single else list(p)
+    if not pms:
+        raise ValueError("need at least one process matrix")
+    if any(pm.dim != pms[0].dim for pm in pms):
+        raise DimensionError("process matrices have mixed dimensions")
+    logs = _principal_logs(
+        np.stack([pm.matrix for pm in pms]), [pm.duration_s for pm in pms]
+    )
+    out = [Superoperator(dim=pm.dim, matrix=log) for pm, log in zip(pms, logs)]
+    return out[0] if single else out
+
+
+def _principal_logs(mats: np.ndarray, durations: Sequence[float]) -> np.ndarray:
+    """Guarded real logs of a (T, n, n) stack; ``durations`` label errors."""
+    eigs, vecs = np.linalg.eig(mats)
+    mags = np.abs(eigs)
+    scale = mags.max(axis=1)
+    singular = (scale == 0) | (mags.min(axis=1) < 1e-12 * scale)
+    margin = (np.pi - np.abs(np.angle(eigs))).min(axis=1)
+    bad = np.flatnonzero(singular | (margin < BRANCH_TOL))
+    if bad.size:
+        k = bad[0]
+        if singular[k]:
+            raise SingularProcessError(
+                f"process matrix at t = {durations[k]} s is singular; the "
+                "generator cannot be recovered"
             )
-        log = np.ascontiguousarray(log.real)
-    return Superoperator(dim=p.dim, matrix=log)
+        raise BranchCutError(
+            f"process matrix at t = {durations[k]} s has an eigenvalue within "
+            f"{margin[k]:.2e} rad of the branch cut; reduce the evolution time "
+            "so rotation angles stay below pi"
+        )
+    logs = np.empty(mats.shape, dtype=complex)
+    fallback = np.ones(len(mats), dtype=bool)
+    diag = np.flatnonzero(np.linalg.cond(vecs) < 1e6)
+    if diag.size:
+        v, e = vecs[diag], eigs[diag, None, :]
+        # log(P) = V log(E) V^-1 and the rebuilt P = V E V^-1 in one solve
+        rhs = np.concatenate([v * np.log(e), v * e], axis=1).transpose(0, 2, 1)
+        sol = np.linalg.solve(v.transpose(0, 2, 1), rhs).transpose(0, 2, 1)
+        n = mats.shape[1]
+        resid = np.abs(sol[:, n:] - mats[diag]).max(axis=(1, 2))
+        faithful = resid < 1e-11 * np.maximum(1.0, scale[diag])
+        logs[diag[faithful]] = sol[faithful, :n]
+        fallback[diag[faithful]] = False
+    for k in np.flatnonzero(fallback):
+        logs[k] = scipy.linalg.logm(mats[k])
+    resid = np.abs(logs.imag).max(axis=(1, 2))
+    bad = np.flatnonzero(resid > 1e-9 * np.maximum(1.0, np.abs(logs.real).max(axis=(1, 2))))
+    if bad.size:
+        k = bad[0]
+        raise BranchCutError(
+            f"matrix logarithm at t = {durations[k]} s has imaginary residue "
+            f"{resid[k]:.3e}; the principal branch is not real here"
+        )
+    return np.ascontiguousarray(logs.real)

@@ -23,6 +23,7 @@ noisy datasets.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -38,6 +39,7 @@ from .exceptions import (
     BootstrapError,
     BranchCutError,
     DimensionError,
+    LiouvlabError,
     SingularProcessError,
     ZeroReferenceError,
 )
@@ -50,7 +52,7 @@ from .superop import (
     params_from_superop,
     spin1_operators,
 )
-from .tomography import TomographySet, direct_liouvillian, reconstruct_process
+from .tomography import TomographySet, reconstruct_processes
 
 __all__ = [
     "RelaxationModel",
@@ -256,21 +258,23 @@ def _cost_and_matrix_grad(lmat: np.ndarray, pmeas) -> tuple[float, np.ndarray]:
     return cost, grad
 
 
+@functools.cache
 def _hermitian_design() -> np.ndarray:
     cols = [
         explicit_qutrit_superop(HermitianParams(h=np.eye(9)[k])).matrix.ravel()
         for k in range(9)
     ]
-    return np.column_stack(cols)
+    return _frozen_array(np.column_stack(cols))
 
 
 def _field_design(generators: Sequence[Superoperator]) -> np.ndarray:
     return np.column_stack([g.matrix.ravel() for g in generators])
 
 
-def _spin_generators() -> list[Superoperator]:
+@functools.cache
+def _spin_generators() -> tuple[Superoperator, ...]:
     basis = build_basis(3)
-    return [hamiltonian_superop(f, basis) for f in spin1_operators()]
+    return tuple(hamiltonian_superop(f, basis) for f in spin1_operators())
 
 
 def _direct_init(pmeas, rt_mat: np.ndarray | None, dim: int) -> np.ndarray:
@@ -401,7 +405,11 @@ def mle_liouvillian(
         rng = np.random.default_rng([1898, attempt])
         scale = 1e-3 * (np.linalg.norm(x0) + 1.0)
         res, hist = _run_lbfgs(fun, x0 + rng.normal(size=n_params) * scale, max_iters)
-        if res.fun < best_res.fun:
+        # a converged restart at the best cost (within tolerance) also counts
+        if res.fun < best_res.fun or (
+            res.fun - best_res.fun <= CONVERGENCE_RTOL * abs(best_res.fun)
+            and _is_converged(res, hist, max_iters)
+        ):
             best_res, best_hist = res, hist
         converged = _is_converged(best_res, best_hist, max_iters)
         attempt += 1
@@ -438,6 +446,7 @@ def mle_liouvillian(
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _relaxation_design() -> np.ndarray:
     f = spin1_operators()
     basis = build_basis(3)
@@ -446,7 +455,7 @@ def _relaxation_design() -> np.ndarray:
     iso = np.eye(9)
     iso[8, 8] = 0.0
     cols.append(iso.ravel())
-    return np.column_stack(cols)
+    return _frozen_array(np.column_stack(cols))
 
 
 def fit_relaxation_model(rt: Superoperator) -> FitReport:
@@ -490,17 +499,26 @@ def direct_hamiltonian(
     the per-time estimates are averaged; a final least-squares projection
     onto the Hermitian parametrization enforces physicality.  Times where
     the logarithm hits the branch cut are skipped with a warning.
+
+    Raises:
+        KeyError: if no outputs were measured at one of ``times``.
     """
+    processes = {pm.duration_s: pm for pm in reconstruct_processes(ts)}
+    missing = [t for t in times if float(t) not in processes]
+    if missing:
+        raise KeyError(
+            f"no outputs measured at t = {missing[0]}; available times: {list(ts.times)}"
+        )
     per_time = []
     skipped = []
     for t in times:
         try:
-            l_est = direct_liouvillian(ts, t)
+            log = principal_log(processes[float(t)])
         except (BranchCutError, SingularProcessError) as err:
             warnings.warn(f"skipping t = {t}: {err}", stacklevel=2)
             skipped.append((float(t), str(err)))
             continue
-        per_time.append(l_est.matrix + rt.matrix)
+        per_time.append(log.matrix / float(t) + rt.matrix)
     if not per_time:
         raise BranchCutError("no evolution time admits a principal logarithm")
     mean_superop = Superoperator(dim=ts.dim, matrix=np.mean(per_time, axis=0))
@@ -508,11 +526,9 @@ def direct_hamiltonian(
     k_hat = explicit_qutrit_superop(fit.params).matrix
     dfs = []
     for t in times:
-        if float(t) not in ts.outputs:
-            continue
         # df against the model-predicted propagator at this time
         p_hat = scipy.linalg.expm((k_hat - rt.matrix) * t)
-        dfs.append(frobenius_distance(reconstruct_process(ts, t).matrix, p_hat))
+        dfs.append(frobenius_distance(processes[float(t)].matrix, p_hat))
     return FitReport(
         model="direct-hamiltonian",
         estimate=fit.params,
@@ -616,9 +632,8 @@ def estimate_fields(
     dfs = []
     iterations = 0
     converged = True
-    for p in psteps:
+    for p, log in zip(psteps, principal_log(psteps)):
         dt = p.duration_s
-        log = principal_log(p)
         k_direct = log.matrix / dt + rt.matrix
         if known_form:
             theta0, _, _, _ = np.linalg.lstsq(gen_design, k_direct.ravel(), rcond=None)
@@ -724,6 +739,9 @@ def bootstrap(
         BootstrapResult with asymmetric 16th/84th-percentile bounds, the
         raw samples, and the recorded failures.
 
+    Only numeric failures (package errors and LinAlgError) count as failed
+    draws; any other exception is a bug and propagates.
+
     Raises:
         BootstrapError: if more than 10% of draws fail.
     """
@@ -735,7 +753,7 @@ def bootstrap(
         spec = dataclasses.replace(noise, seed=derive_seed(noise.seed, draw))
         try:
             samples.append(np.asarray(fit(dataset_factory(spec)), dtype=float))
-        except Exception as err:  # noqa: BLE001 - recorded, bounded below
+        except (LiouvlabError, np.linalg.LinAlgError) as err:
             failures.append(f"draw {draw}: {err}")
     if len(failures) > 0.1 * n_draws:
         raise BootstrapError(

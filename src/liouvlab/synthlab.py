@@ -18,18 +18,24 @@ NoiseSpec regardless of evaluation order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .basis import DensityMatrix, build_basis, coords_of
-from .dynamics import ProcessMatrix, TimeGrid, principal_log
+from .basis import DensityMatrix, _frozen_array, build_basis, coords_of
+from .dynamics import ProcessMatrix, TimeGrid
 from .estimation import RelaxationModel, frobenius_distance
 from .exceptions import DimensionError
 from .superop import Superoperator, hamiltonian_superop, zeeman_hamiltonian
-from .tomography import TomographySet, canonical_input_states, reconstruct_process
+from .tomography import (
+    TomographySet,
+    canonical_input_states,
+    mean_log_liouvillian,
+    reconstruct_processes,
+)
 
 __all__ = [
     "NoiseSpec",
@@ -139,7 +145,8 @@ class Scenario:
     Either ``static_hamiltonian`` (a fixed 3x3 Hermitian matrix, possibly
     zero) or ``waveforms`` (per-axis Larmor drives, optionally multiplied
     by a linear supply-settling ramp) defines the controlled Hamiltonian;
-    ``relaxation`` is always present.
+    ``relaxation`` is always present.  The noiseless propagators and the
+    input Bloch coordinates are computed once per scenario and cached.
     """
 
     name: str
@@ -151,6 +158,12 @@ class Scenario:
     waveforms: Optional[tuple] = None
     ramp_s: Optional[float] = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # frozen, so the cached propagators cannot go stale
+        if self.static_hamiltonian is not None:
+            h = _frozen_array(np.asarray(self.static_hamiltonian))
+            object.__setattr__(self, "static_hamiltonian", h)
 
     @property
     def is_static(self) -> bool:
@@ -185,20 +198,31 @@ class Scenario:
 
     def propagators(self) -> list[ProcessMatrix]:
         """Cumulative ground-truth propagators, one per grid time."""
+        return [
+            ProcessMatrix(dim=3, matrix=m, duration_s=float(t))
+            for m, t in zip(self._propagator_stack, self.grid.times)
+        ]
+
+    @functools.cached_property
+    def _propagator_stack(self) -> np.ndarray:
         if self.is_static:
             lmat = self.liouvillian(0.0).matrix
-            return [
-                ProcessMatrix(dim=3, matrix=scipy.linalg.expm(lmat * t), duration_s=float(t))
-                for t in self.grid.times
-            ]
-        out = []
-        total = np.eye(9)
-        for l, dt, t in zip(
-            self.interval_liouvillians(), self.grid.durations, self.grid.times
-        ):
-            total = scipy.linalg.expm(l.matrix * dt) @ total
-            out.append(ProcessMatrix(dim=3, matrix=total, duration_s=float(t)))
-        return out
+            mats = [scipy.linalg.expm(lmat * t) for t in self.grid.times]
+        else:
+            mats = []
+            total = np.eye(9)
+            for l, dt in zip(self.interval_liouvillians(), self.grid.durations):
+                total = scipy.linalg.expm(l.matrix * dt) @ total
+                mats.append(total)
+        return _frozen_array(np.array(mats))
+
+    @functools.cached_property
+    def _input_coords(self) -> np.ndarray:
+        """Bloch coordinates of the input states, one column per state."""
+        basis = build_basis(3)
+        return _frozen_array(
+            np.column_stack([coords_of(s.entries, basis) for s in self.input_states])
+        )
 
     def to_json(self) -> dict:
         return {
@@ -351,8 +375,7 @@ def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:
     with sub-seeds derived from (seed, time index) so any evaluation order
     yields the same dataset.
     """
-    basis = build_basis(3)
-    pure = np.column_stack([coords_of(s.entries, basis) for s in scenario.input_states])
+    pure = scenario._input_coords
     mm = np.zeros(9)
     mm[-1] = np.sqrt(1.0 / 6.0)
     prepared = noise.prep_fidelity * pure + (1.0 - noise.prep_fidelity) * mm[:, None]
@@ -361,8 +384,8 @@ def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:
     inputs_meas = _perturb(prepared, noise.bloch_sigma, rng_in, dim=3)
 
     outputs = {}
-    for k, (t, pm) in enumerate(zip(scenario.grid.times, scenario.propagators())):
-        evolved = pm.matrix @ prepared
+    for k, (t, p) in enumerate(zip(scenario.grid.times, scenario._propagator_stack)):
+        evolved = p @ prepared
         rng_t = np.random.default_rng([noise.seed, k + 1])
         outputs[float(t)] = _perturb(evolved, noise.bloch_sigma, rng_t, dim=3)
 
@@ -399,16 +422,11 @@ def state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def _direct_max_df(dataset: TomographySet) -> float:
     """Max relative process error of the averaged direct estimate."""
-    logs = []
-    pms = {}
-    for t in dataset.times:
-        pm = reconstruct_process(dataset, t)
-        pms[t] = pm
-        logs.append(principal_log(pm).matrix / t)
-    l_hat = np.mean(logs, axis=0)
+    pms = reconstruct_processes(dataset)
+    l_hat = mean_log_liouvillian(pms).matrix
     return max(
-        frobenius_distance(pms[t].matrix, scipy.linalg.expm(l_hat * t))
-        for t in dataset.times
+        frobenius_distance(pm.matrix, scipy.linalg.expm(l_hat * pm.duration_s))
+        for pm in pms
     )
 
 

@@ -12,7 +12,9 @@ and does not project onto the physical set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,6 +30,8 @@ __all__ = [
     "canonical_input_states",
     "symmetrize",
     "reconstruct_process",
+    "reconstruct_processes",
+    "mean_log_liouvillian",
     "direct_liouvillian",
     "stepwise_processes",
 ]
@@ -108,6 +112,15 @@ class TomographySet:
         """Condition number of the symmetrized input matrix."""
         return float(np.linalg.cond(self.inputs @ self.inputs.T))
 
+    @functools.cached_property
+    def _gram_factor(self):
+        """Checked Cholesky factor of the symmetrized input matrix.
+
+        The inputs are shared by every time, so the rank check, the
+        condition check and the factorization run once per set.
+        """
+        return _checked_gram_factor(self.inputs, self.dim, "inputs")
+
     @classmethod
     def from_states(
         cls,
@@ -167,10 +180,9 @@ def symmetrize(ts: TomographySet, t: float) -> tuple[np.ndarray, np.ndarray]:
     return mi_sym, mo_sym
 
 
-def _solve_process(mi: np.ndarray, mo: np.ndarray, dim: int, label: str) -> np.ndarray:
-    """P from  mo_sym = P mi_sym  via Cholesky on the Gram matrix."""
+def _checked_gram_factor(mi: np.ndarray, dim: int, label: str):
+    """Cholesky factor of mi mi^T after the rank and condition checks."""
     mi_sym = mi @ mi.T
-    mo_sym = mo @ mi.T
     rank = int(np.linalg.matrix_rank(mi))
     if rank < dim * dim:
         raise CompletenessError(
@@ -183,15 +195,21 @@ def _solve_process(mi: np.ndarray, mo: np.ndarray, dim: int, label: str) -> np.n
             f"{MAX_CONDITION:.0e}; refusing inversion",
             cond=cond,
         )
-    return cho_solve(cho_factor(mi_sym), mo_sym.T).T
+    return cho_factor(mi_sym)
+
+
+def _solve_process(mi: np.ndarray, mo: np.ndarray, dim: int, label: str) -> np.ndarray:
+    """P from  mo_sym = P mi_sym  via Cholesky on the Gram matrix."""
+    return cho_solve(_checked_gram_factor(mi, dim, label), (mo @ mi.T).T).T
 
 
 def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
     """Linear-inversion estimate of the process matrix at time t.
 
     Solves the symmetrized system as a positive-definite linear solve
-    (never by forming an explicit inverse).  Exact on noiseless data for
-    any full-rank input set.
+    (never by forming an explicit inverse), with the input Gram matrix
+    checked and factored once per TomographySet.  Exact on noiseless data
+    for any full-rank input set.
 
     Raises:
         CompletenessError: if the input states are rank-deficient.
@@ -200,8 +218,42 @@ def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
         KeyError: if no outputs were measured at ``t``.
     """
     mo = _output_at(ts, t)
-    p = _solve_process(ts.inputs, mo, ts.dim, f"t = {t}")
+    p = cho_solve(ts._gram_factor, (mo @ ts.inputs.T).T).T
     return ProcessMatrix(dim=ts.dim, matrix=p, duration_s=float(t))
+
+
+def reconstruct_processes(ts: TomographySet) -> list[ProcessMatrix]:
+    """:func:`reconstruct_process` at every measured time, in time order.
+
+    All times share one Gram factor and one Cholesky solve, whose
+    right-hand sides are the symmetrized outputs side by side.
+
+    Raises:
+        CompletenessError, IllConditionedError: as reconstruct_process.
+    """
+    times = ts.times
+    if not times.size:
+        return []
+    n2 = ts.dim * ts.dim
+    mo = np.stack([ts.outputs[t] for t in times])  # (T, d**2, N)
+    # column block k of the right-hand side is (mo_k inputs^T)^T
+    rhs = ts.inputs @ mo.transpose(2, 0, 1).reshape(ts.n_states, -1)
+    sol = cho_solve(ts._gram_factor, rhs).reshape(n2, len(times), n2)
+    return [
+        ProcessMatrix(dim=ts.dim, matrix=sol[:, k, :].T, duration_s=float(t))
+        for k, t in enumerate(times)
+    ]
+
+
+def mean_log_liouvillian(processes: Sequence[ProcessMatrix]) -> Superoperator:
+    """Averaged direct generator estimate, the mean of log(P_t) / t.
+
+    Each process matrix contributes its principal log divided by its
+    ``duration_s``; branch-cut and singularity errors propagate.
+    """
+    logs = principal_log(processes)
+    mean = np.mean([log.matrix / p.duration_s for log, p in zip(logs, processes)], axis=0)
+    return Superoperator(dim=processes[0].dim, matrix=mean)
 
 
 def direct_liouvillian(ts: TomographySet, t: float) -> Superoperator:
@@ -209,9 +261,7 @@ def direct_liouvillian(ts: TomographySet, t: float) -> Superoperator:
 
     Propagates branch-ambiguity and singularity errors from the logarithm.
     """
-    p = reconstruct_process(ts, t)
-    log = principal_log(p)
-    return Superoperator(dim=ts.dim, matrix=log.matrix / float(t))
+    return mean_log_liouvillian([reconstruct_process(ts, t)])
 
 
 def stepwise_processes(ts: TomographySet) -> list[ProcessMatrix]:

@@ -64,6 +64,14 @@ def test_qpt_seed_env_override(tmp_path, monkeypatch):
     assert _read(out / "dataset.json")["seed"] == 1234
 
 
+def test_qpt_seed_not_an_integer_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QPT_SEED", "abc")
+    rc = main(["simulate", "--kind", "relaxation_only", "-o", str(tmp_path / "run")])
+    assert rc == 2
+    assert "QPT_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_scenario_file_input(tmp_path):
     spec = {
         "kind": "static_quadratic_zeeman",
@@ -201,6 +209,33 @@ def test_fit_fields_known_and_unknown(tmp_path):
     assert rc == 0
     header = (unknown / "fields.csv").read_text().splitlines()[0]
     assert header.startswith("time_s,h1,h2")
+
+
+def test_fit_fields_df_labelled_with_midpoints(tmp_path):
+    out = _simulate(tmp_path, "--n-steps", "8", kind="three_axis_time_dependent")
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    fit = tmp_path / "fit"
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "fields",
+               "--known-form", "--fixed-dissipator", str(rt_path), "-o", str(fit)])
+    assert rc == 0
+
+    def time_column(name):
+        return [r.split(",")[0] for r in (fit / name).read_text().splitlines()[1:]]
+
+    assert time_column("df.csv") == time_column("fields.csv")
+    midpoints = make_scenario("three_axis_time_dependent", n_steps=8).grid.midpoints
+    np.testing.assert_allclose([float(t) for t in time_column("df.csv")], midpoints)
+
+
+def test_fit_relaxation_converged_when_restarts_agree(tmp_path):
+    # the first L-BFGS run ends in an abnormal line search; every restart
+    # converges to the same cost, so the fit is converged
+    out = _simulate(tmp_path, "--sigma", "0.004214459123596145", seed=44)
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
+               "-o", str(tmp_path / "fit")])
+    assert rc == 0
+    assert _read(tmp_path / "fit" / "fit_report.json")["converged"] is True
 
 
 def test_fit_bootstrap_requires_provenance(tmp_path):

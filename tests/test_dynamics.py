@@ -323,3 +323,36 @@ def test_singular_process_rejected():
     m[3, 3] = 0.0
     with pytest.raises(SingularProcessError):
         principal_log(ProcessMatrix(dim=3, matrix=m, duration_s=1.0))
+
+
+def test_stacked_log_matches_per_matrix_calls(monkeypatch):
+    rng = np.random.default_rng(38)
+    defective = np.eye(9)
+    defective[0, 1] = 0.5  # a Jordan block: eigenvectors are parallel
+    stack = [
+        propagator(random_stable_liouvillian(rng), 1e-4),
+        ProcessMatrix(dim=3, matrix=defective, duration_s=2e-4),
+        propagator(random_stable_liouvillian(rng), 3e-4),
+    ]
+    singles = [principal_log(pm).matrix for pm in stack]
+    logm_calls = []
+    logm = scipy.linalg.logm
+    monkeypatch.setattr(scipy.linalg, "logm", lambda m: logm_calls.append(m) or logm(m))
+    stacked = principal_log(stack)
+    assert len(stacked) == 3
+    for got, want in zip(stacked, singles):
+        np.testing.assert_allclose(got.matrix, want, rtol=1e-12, atol=1e-12)
+    # only the defective matrix takes the Schur-form fallback
+    assert len(logm_calls) == 1 and np.array_equal(logm_calls[0], defective)
+    expected = np.zeros((9, 9))
+    expected[0, 1] = 0.5
+    np.testing.assert_allclose(stacked[1].matrix, expected, atol=1e-12)
+
+
+def test_stacked_log_names_the_time_at_the_cut(basis3):
+    f = spin1_operators()
+    t = 50e-6
+    at_cut = propagator(hamiltonian_superop(np.pi / t * f.fz, basis3), t)
+    fine = propagator(hamiltonian_superop(1000.0 * f.fz, basis3), 1e-4)
+    with pytest.raises(BranchCutError, match=r"t = 5e-05 s"):
+        principal_log([fine, at_cut, fine])

@@ -14,7 +14,12 @@ from liouvlab.estimation import (
     frobenius_distance,
     mle_liouvillian,
 )
-from liouvlab.exceptions import BootstrapError, DimensionError, ZeroReferenceError
+from liouvlab.exceptions import (
+    BootstrapError,
+    DimensionError,
+    SingularProcessError,
+    ZeroReferenceError,
+)
 from liouvlab.superop import (
     Superoperator,
     explicit_qutrit_superop,
@@ -396,12 +401,27 @@ def test_bootstrap_deterministic(calibrated_sigma):
 
 def test_bootstrap_failure_budget():
     def failing_fit(ds):
-        raise RuntimeError("fit exploded")
+        raise SingularProcessError("fit exploded")
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(BootstrapError):
         bootstrap(
             failing_fit,
+            lambda spec: generate_dataset(sc, spec),
+            NoiseSpec(seed=82),
+            n_draws=10,
+        )
+
+
+def test_bootstrap_propagates_programming_errors():
+    # only numeric failures count against the budget; a bug is not a draw
+    def buggy_fit(ds):
+        raise TypeError("unsupported operand")
+
+    sc = make_scenario("relaxation_only", n_times=2)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        bootstrap(
+            buggy_fit,
             lambda spec: generate_dataset(sc, spec),
             NoiseSpec(seed=82),
             n_draws=10,

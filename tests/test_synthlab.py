@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from liouvlab.basis import DensityMatrix
+from liouvlab.basis import DensityMatrix, build_basis, coords_of
 from liouvlab.exceptions import ZeroReferenceError
 from liouvlab.estimation import frobenius_distance
 from liouvlab.synthlab import (
@@ -114,6 +114,54 @@ def test_noiseless_closed_loop():
     t = ds.times[2]
     truth = scipy.linalg.expm(sc.liouvillian(0.0).matrix * t)
     np.testing.assert_allclose(reconstruct_process(ds, t).matrix, truth, atol=1e-10)
+
+
+def _uncached_propagators(sc):
+    if sc.is_static:
+        lmat = sc.liouvillian(0.0).matrix
+        return [scipy.linalg.expm(lmat * t) for t in sc.grid.times]
+    out, total = [], np.eye(9)
+    for l, dt in zip(sc.interval_liouvillians(), sc.grid.durations):
+        total = scipy.linalg.expm(l.matrix * dt) @ total
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("static_quadratic_zeeman", {}), ("three_axis_time_dependent", {"n_steps": 6, "ramp": True})],
+)
+def test_dataset_bit_identical_to_uncached_propagation(kind, params):
+    sc = make_scenario(kind, **params)
+    noise = NoiseSpec(bloch_sigma=0.004, prep_fidelity=0.97, seed=31)
+    datasets = [generate_dataset(sc, noise) for _ in range(2)]  # cold, then cached
+    basis = build_basis(3)
+    pure = np.column_stack([coords_of(s.entries, basis) for s in sc.input_states])
+    mixed = np.zeros(9)
+    mixed[-1] = np.sqrt(1.0 / 6.0)
+    prepared = noise.prep_fidelity * pure + (1.0 - noise.prep_fidelity) * mixed[:, None]
+
+    def noisy(columns, stream):
+        out = columns.copy()
+        rng = np.random.default_rng([noise.seed, stream])
+        out[:-1, :] += rng.normal(size=(8, columns.shape[1])) * noise.bloch_sigma
+        out[-1, :] = np.sqrt(1.0 / 6.0)
+        return out
+
+    for ds in datasets:
+        assert np.array_equal(ds.inputs, noisy(prepared, 0))
+        for k, (t, p) in enumerate(zip(sc.grid.times, _uncached_propagators(sc))):
+            assert np.array_equal(ds.outputs[float(t)], noisy(p @ prepared, k + 1))
+
+
+def test_scenario_propagates_once(monkeypatch):
+    sc = make_scenario("relaxation_only", n_times=4)
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    for seed in range(3):
+        generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, seed=seed))
+    assert len(calls) == 4
 
 
 def test_prep_fidelity_band():

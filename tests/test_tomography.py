@@ -6,14 +6,16 @@ import scipy.linalg
 
 from liouvlab.basis import coords_of
 from liouvlab.dynamics import propagator
-from liouvlab.exceptions import CompletenessError
+from liouvlab.exceptions import CompletenessError, IllConditionedError
 from liouvlab.superop import LindbladModel
 from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
 from liouvlab.tomography import (
     TomographySet,
     canonical_input_states,
     direct_liouvillian,
+    mean_log_liouvillian,
     reconstruct_process,
+    reconstruct_processes,
     stepwise_processes,
     symmetrize,
 )
@@ -185,6 +187,52 @@ def test_rank_deficient_inputs_rejected(basis3):
     with pytest.raises(CompletenessError) as err:
         reconstruct_process(ts, 1.0)
     assert err.value.rank == 1
+
+
+def test_reconstruct_processes_matches_per_time():
+    sc = make_scenario("relaxation_only", n_times=7)
+    ds = generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, prep_fidelity=0.95, seed=12))
+    pms = reconstruct_processes(ds)
+    assert [pm.duration_s for pm in pms] == list(ds.times)
+    for pm in pms:
+        single = reconstruct_process(ds, pm.duration_s).matrix
+        np.testing.assert_allclose(pm.matrix, single, rtol=0, atol=1e-12)
+
+
+def test_reconstruct_processes_rejects_rank_deficient(basis3):
+    states = canonical_input_states()
+    cols = _bloch_columns([states[0]] * 9, basis3)
+    ts = TomographySet(dim=3, inputs=cols, outputs={1.0: cols, 2.0: cols})
+    with pytest.raises(CompletenessError) as err:
+        reconstruct_processes(ts)
+    assert err.value.rank == 1
+
+
+def test_reconstruct_processes_rejects_ill_conditioned(basis3):
+    # nine independent states, the last moved to within 1e-5 of another:
+    # full rank, but the Gram condition is about 1e10
+    cols = _bloch_columns(canonical_input_states(), basis3)
+    chosen = []
+    for k in range(cols.shape[1]):
+        if np.linalg.matrix_rank(cols[:, chosen + [k]]) == len(chosen) + 1:
+            chosen.append(k)
+    m = cols[:, chosen[:9]].copy()
+    m[:, 8] = m[:, 7] + 1e-5 * (m[:, 8] - m[:, 7])
+    ts = TomographySet(dim=3, inputs=m, outputs={1.0: m})
+    assert ts.input_rank == 9
+    with pytest.raises(IllConditionedError) as err:
+        reconstruct_processes(ts)
+    assert err.value.cond > 1e8
+    with pytest.raises(IllConditionedError):
+        reconstruct_process(ts, 1.0)
+
+
+def test_mean_log_liouvillian_averages_direct_estimates():
+    sc = make_scenario("relaxation_only", n_times=5)
+    ds = generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, seed=13))
+    mean = mean_log_liouvillian(reconstruct_processes(ds)).matrix
+    singles = [direct_liouvillian(ds, t).matrix for t in ds.times]
+    np.testing.assert_allclose(mean, np.mean(singles, axis=0), rtol=1e-12, atol=1e-9)
 
 
 def test_too_few_states_rejected(basis3):
