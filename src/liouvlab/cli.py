@@ -339,6 +339,7 @@ def cmd_fit(args) -> int:
             report.df_per_time = mle.df_per_time
             report.converged = mle.converged
             report.iterations = mle.iterations
+            report.extras["optimizer"] = mle.extras["optimizer"]
         elif args.model == "hermitian":
             if args.method == "mle":
                 report = mle_liouvillian(_pmeas(dataset), dissipator=rt, form="hermitian")

@@ -13,8 +13,13 @@ Two complementary estimators are provided throughout:
 
   over a constrained parameter set, so physical structure (fixed
   dissipator, Hermitian Hamiltonian, parametric field form) holds by
-  construction.  Gradients are exact, using the integral (Frechet)
-  representation of the matrix-exponential derivative.
+  construction.  The cost is a Pade ``expm`` per time.  The gradient is
+  exact: for two or more times it comes from one eigendecomposition
+  L = V diag(lambda) V^-1 per evaluation through Daleckii-Krein divided
+  differences; for a single time, or when cond(V) >= 1e6, it falls back to
+  ``scipy.linalg.expm_frechet`` per time.  The cost stays on Pade because
+  a cost taken from the eigendecomposition rounds noisily near the optimum,
+  which makes L-BFGS line searches fail and restart.
 
 Uncertainty is quantified by a percentile bootstrap over re-simulated
 noisy datasets.
@@ -71,6 +76,9 @@ CONVERGENCE_RTOL = 1e-10
 CONVERGENCE_WINDOW = 5
 DEFAULT_MAX_ITERS = 2000
 N_RESTARTS = 3
+# eigenvector-condition limit of the eigendecomposition gradient, the same
+# guard principal_log puts on its eigendecomposition log
+EIGVEC_COND_MAX = 1e6
 
 RELAXATION_PARAM_NAMES = (
     "omega_x",
@@ -154,7 +162,10 @@ class FitReport:
     ``estimate`` is the model-specific object (Superoperator,
     HermitianParams, RelaxationModel, ...); ``params`` is the flat
     parameter vector behind it; ``ci_low``/``ci_high`` are filled only
-    after a bootstrap run.
+    after a bootstrap run.  ``extras["optimizer"]``, set by
+    ``mle_liouvillian``, counts cost evaluations, restarts and the
+    evaluations whose gradient took the ``expm_frechet`` path; ``to_json``
+    writes it only when present.
     """
 
     model: str
@@ -185,7 +196,7 @@ class FitReport:
                 name: [float(lo), float(hi)]
                 for name, lo, hi in zip(names, self.ci_low, self.ci_high)
             }
-        return {
+        out = {
             "model": self.model,
             "estimate": _estimate_json(self.estimate),
             "params": np.asarray(self.params, dtype=float).tolist(),
@@ -198,6 +209,9 @@ class FitReport:
             "ci": ci,
             "seed": self.seed,
         }
+        if "optimizer" in self.extras:
+            out["optimizer"] = self.extras["optimizer"]
+        return out
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -241,21 +255,97 @@ def _normalize_pmeas(pmeas) -> list[tuple[float, np.ndarray]]:
     return sorted(out, key=lambda tp: tp[0])
 
 
-def _cost_and_matrix_grad(lmat: np.ndarray, pmeas) -> tuple[float, np.ndarray]:
+def _cost_and_matrix_grad(
+    lmat: np.ndarray, ts: np.ndarray, ps: np.ndarray
+) -> tuple[float, np.ndarray, bool]:
     """Cost sum_n ||exp(L t_n) - P_n||_F^2 and its gradient w.r.t. L.
 
-    The gradient uses the adjoint of the Frechet derivative of expm:
-    grad_L = sum_n 2 t_n D_exp((L t_n)^T)[exp(L t_n) - P_n].
+    ``ts`` (T,) are the times and ``ps`` (T, n, n) the measured matrices.
+    The cost is always a Pade ``expm`` per time, summed in time order: a
+    cost taken from the eigendecomposition rounds noisily near the optimum
+    (about 1e-17 along a line search, where Pade is smooth), and L-BFGS
+    then ends line searches abnormally and restarts.
+
+    The gradient is the adjoint of the Frechet derivative of expm.  For
+    T >= 2 it comes from one eigendecomposition L = V diag(lambda) V^-1
+    (Daleckii-Krein; Najfeld & Havel, Adv. Appl. Math. 16 (1995)):
+
+        grad_L = 2 Re[V^-H (sum_n conj(Phi_n) o (V^H E_n V^-H)) V^H],
+
+    with E_n = exp(L t_n) - P_n and the divided differences
+    Phi_n,ij = (e^{lambda_i t_n} - e^{lambda_j t_n}) / (lambda_i - lambda_j).
+    For T = 1, where one eigendecomposition costs more than it saves, or
+    when cond(V) >= EIGVEC_COND_MAX (near-defective L), it is
+    grad_L = sum_n 2 t_n D_exp((L t_n)^T)[E_n] from ``expm_frechet``.
+
+    Returns:
+        (cost, grad, used_frechet), the last True when the gradient came
+        from ``expm_frechet``.
     """
+    eig = _eig(lmat) if len(ts) > 1 else None
+    if eig is not None and np.linalg.cond(eig[1]) < EIGVEC_COND_MAX:
+        errs = scipy.linalg.expm(lmat * ts[:, None, None]) - ps
+        cost = 0.0
+        for err in errs:
+            cost += float((err * err).sum())
+        return cost, _daleckii_krein_grad(*eig, ts, errs), False
     cost = 0.0
     grad = np.zeros_like(lmat)
-    for t, p in pmeas:
+    for t, p in zip(ts, ps):
         a = lmat * t
         err = scipy.linalg.expm(a) - p
         cost += float((err * err).sum())
         _, fre = scipy.linalg.expm_frechet(a.T, err)
         grad += (2.0 * t) * fre
-    return cost, grad
+    return cost, grad, True
+
+
+_dggev = scipy.linalg.lapack.get_lapack_funcs("ggev", dtype=np.float64)
+
+
+def _eig(lmat: np.ndarray):
+    """Eigenvalues and unit-norm eigenvectors of a real matrix, unscaled.
+
+    ``np.linalg.eig`` balances with a diagonal scaling first.  A non-unital
+    generator has a last (trace) row of rounding noise beside an O(1) last
+    column; the scaling then spans about 2**27 and leaves eigenvector
+    residuals near 1e-9, which reach the gradient.  The QZ algorithm on the
+    pencil (L, I) only permutes.  Returns None for a non-finite L (say,
+    from a user's x0), which LAPACK does not check, or when QZ does not
+    converge.
+    """
+    if not np.isfinite(lmat).all():
+        return None
+    n = len(lmat)
+    alphar, alphai, beta, _, vr, _, info = _dggev(lmat, np.eye(n), compute_vl=0)
+    if info != 0:
+        return None
+    lam = (alphar + 1j * alphai) / beta
+    # a conjugate pair j, j+1 (alphai[j] > 0) is stored as VR[:, j] +- i VR[:, j+1]
+    v = vr.astype(complex)
+    first = np.flatnonzero(alphai > 0)
+    v[:, first] += 1j * vr[:, first + 1]
+    v[:, first + 1] = v[:, first].conj()
+    return lam, v / np.linalg.norm(v, axis=0)
+
+
+def _daleckii_krein_grad(lam, v, ts, errs) -> np.ndarray:
+    """Gradient of the MLE cost from the eigendecomposition of L.
+
+    t_n Phi_n,ij is evaluated as t_n e^{(z_i + z_j)/2} sinh(delta)/delta with
+    z = lambda t_n and delta = (z_i - z_j)/2, which does not cancel for
+    close eigenvalues; sinh(delta)/delta is 1 at delta = 0 (the diagonal
+    and equal eigenvalues).
+    """
+    z = ts[:, None] * lam
+    zi, zj = z[:, :, None], z[:, None, :]
+    delta = 0.5 * (zi - zj)
+    sinhc = np.divide(np.sinh(delta), delta, out=np.ones_like(delta), where=delta != 0)
+    t_phi = ts[:, None, None] * np.exp(0.5 * (zi + zj)) * sinhc
+    vh = v.conj().T
+    vinv_h = np.linalg.inv(v).conj().T
+    inner = (t_phi.conj() * (vh @ errs @ vinv_h)).sum(axis=0)
+    return 2.0 * (vinv_h @ inner @ vh).real
 
 
 @functools.cache
@@ -383,8 +473,14 @@ def mle_liouvillian(
         b = theta.reshape(n2, n2) if design is None else (design @ theta).reshape(n2, n2)
         return b - rt_mat if rt_mat is not None else b
 
+    ts = np.array([t for t, _ in pmeas])
+    ps = np.stack([p for _, p in pmeas])
+    counts = {"evaluations": 0, "expm_frechet_evaluations": 0}
+
     def fun(theta):
-        cost, grad_l = _cost_and_matrix_grad(build(theta), pmeas)
+        cost, grad_l, used_frechet = _cost_and_matrix_grad(build(theta), ts, ps)
+        counts["evaluations"] += 1
+        counts["expm_frechet_evaluations"] += used_frechet
         grad = grad_l.ravel() if design is None else design.T @ grad_l.ravel()
         return cost, grad
 
@@ -422,7 +518,7 @@ def mle_liouvillian(
             for t, p in pmeas
         ]
     )
-    extras = {}
+    extras = {"optimizer": {**counts, "restarts": attempt}}
     if rt_mat is not None:
         extras["hamiltonian_superop"] = Superoperator(
             dim=dim, matrix=l_hat + rt_mat

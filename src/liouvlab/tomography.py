@@ -148,14 +148,23 @@ class TomographySet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TomographySet":
-        return cls(
-            dim=int(obj["dim"]),
-            inputs=np.asarray(obj["inputs"], dtype=float).T,
-            outputs={
-                float(t): np.asarray(cols, dtype=float).T
-                for t, cols in obj["outputs"].items()
-            },
-        )
+        """Read a set written by ``to_json``.
+
+        Raises:
+            ValueError: if ``inputs`` or an ``outputs[t]`` matrix holds a
+                NaN or an infinity (checked here, where data enters, rather
+                than for every set built in memory).
+        """
+        inputs = np.asarray(obj["inputs"], dtype=float).T
+        outputs = {
+            float(t): np.asarray(cols, dtype=float).T for t, cols in obj["outputs"].items()
+        }
+        for name, mat in [("inputs", inputs)] + [
+            (f"outputs[{t}]", o) for t, o in outputs.items()
+        ]:
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} has a non-finite entry")
+        return cls(dim=int(obj["dim"]), inputs=inputs, outputs=outputs)
 
 
 def _output_at(ts: TomographySet, t: float) -> np.ndarray:

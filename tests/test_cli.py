@@ -146,6 +146,31 @@ def test_reconstruct_rank_failure_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("matrix", ["inputs", "outputs"])
+@pytest.mark.parametrize(
+    "command",
+    [["reconstruct", "--mode", "liouvillian"], ["fit", "--model", "relaxation"]],
+)
+def test_non_finite_dataset_is_bad_input(tmp_path, capsys, command, matrix):
+    out = _simulate(tmp_path)
+    data = _read(out / "dataset.json")
+    if matrix == "inputs":
+        data["inputs"][2][0] = float("inf")
+        name = "inputs"
+    else:
+        key = sorted(data["outputs"], key=float)[3]
+        data["outputs"][key][0][0] = float("nan")
+        name = f"outputs[{float(key)}]"
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([command[0], "--dataset", str(broken), *command[1:], "-o", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad input" in err
+    assert f"{name} has a non-finite entry" in err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -162,6 +187,7 @@ def test_fit_relaxation_noiseless_matches_defaults(tmp_path):
     assert rel.max() < 1e-3
     assert report["converged"] is True
     assert report["seed"] == 7
+    assert report["optimizer"]["expm_frechet_evaluations"] == 0
 
 
 def test_fit_hermitian_requires_dissipator(tmp_path):

@@ -481,3 +481,30 @@ def test_fit_report_json_round_trip():
     assert obj["seed"] == 5
     assert set(obj["ci"]) == set(RELAXATION_PARAM_NAMES)
     np.testing.assert_allclose(obj["params"], report.params)
+
+
+def test_mle_reports_optimizer_counts():
+    ds = generate_dataset(make_scenario("relaxation_only"), NoiseSpec(bloch_sigma=0.004, seed=64))
+    report = mle_liouvillian(_pmeas_of(ds), form="free")
+    counts = report.extras["optimizer"]
+    assert counts["evaluations"] > report.iterations
+    assert counts["expm_frechet_evaluations"] == 0
+    assert counts["restarts"] >= 0
+    assert json.loads(json.dumps(report.to_json()))["optimizer"] == counts
+
+
+def test_mle_single_time_counts_every_evaluation_as_frechet():
+    ds = generate_dataset(make_scenario("relaxation_only"), NoiseSpec(bloch_sigma=0.004, seed=65))
+    report = mle_liouvillian(_pmeas_of(ds)[:1], form="free")
+    counts = report.extras["optimizer"]
+    assert counts["evaluations"] > 0
+    assert counts["expm_frechet_evaluations"] == counts["evaluations"]
+
+
+def test_fields_report_has_no_optimizer_key():
+    sc = make_scenario("three_axis_time_dependent", n_steps=4)
+    ds = generate_dataset(sc, NoiseSpec(seed=66))
+    track = estimate_fields(
+        stepwise_processes(ds), sc.grid, DEFAULT_RELAXATION.superoperator(), method="mle"
+    )
+    assert "optimizer" not in track.report.to_json()
