@@ -66,6 +66,20 @@ class OperatorBasis:
     def size(self) -> int:
         return self.dim * self.dim
 
+    @functools.cached_property
+    def _product_tensor(self) -> np.ndarray:
+        """Product tensor Z_abc = (1/2) Tr(sigma_a sigma_b sigma_c).
+
+        sigma_a sigma_b = sum_c Z_abc sigma_c; F = Im Z is totally
+        antisymmetric and D = Re Z totally symmetric (Bertlmann & Krammer,
+        J. Phys. A 41, 235303 (2008)).  d**6 entries, built once per basis,
+        so once per dimension for :func:`build_basis`.
+        """
+        s, n = self.elements, self.size
+        pairs = np.matmul(s[:, None], s[None, :]).reshape(n * n, -1)
+        z = 0.5 * pairs @ s.transpose(0, 2, 1).reshape(n, -1).T
+        return _frozen_array(z.reshape(n, n, n))
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -188,13 +202,18 @@ def build_basis(d: int) -> OperatorBasis:
     return OperatorBasis(dim=int(d), elements=np.array(ordered))
 
 
+def _raw_coords(m: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Complex coordinates (1/2) Tr(M sigma_i) of one matrix or a stack."""
+    return 0.5 * np.einsum("...ab,iba->...i", m, basis.elements)
+
+
 def coords_of(matrix: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Raw Bloch coordinates (1/2) Tr(M sigma_i) of a Hermitian matrix.
 
     Array-level helper used by the tomography pipelines; the imaginary
     residue is checked and discarded.
     """
-    raw = 0.5 * np.einsum("ab,iba->i", matrix, basis.elements)
+    raw = _raw_coords(matrix, basis)
     if np.abs(raw.imag).max() > HERMITICITY_TOL:
         raise NonHermitianError(
             "non-negligible imaginary residue in Bloch coordinates "

@@ -442,6 +442,11 @@ def _attach_bootstrap(args, raw, dataset, rt, report: FitReport) -> FitReport:
     result = bootstrap(fit, factory, base_noise, n_draws=args.bootstrap)
     report.ci_low = result.low
     report.ci_high = result.high
+    report.extras["bootstrap"] = {
+        "n_draws": args.bootstrap,
+        "n_failed": result.n_failed,
+        "failures": result.failures[:3],
+    }
     return report
 
 

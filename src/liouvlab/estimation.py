@@ -51,6 +51,7 @@ from .exceptions import (
 from .superop import (
     HermitianParams,
     Superoperator,
+    _hermitian_design,
     dissipator_superop,
     explicit_qutrit_superop,
     hamiltonian_superop,
@@ -122,16 +123,9 @@ class RelaxationModel:
         Hamiltonian generator because R_T is subtracted from the full
         generator: L = -R_T when no controlled field is applied.
         """
-        f = spin1_operators()
-        basis = build_basis(3)
-        h_res = sum(self.omega_residual[k] * f[k] for k in range(3))
-        rt = -hamiltonian_superop(h_res, basis).matrix
-        for k in range(3):
-            rt = rt + self.gamma_dephase[k] * dissipator_superop([f[k]], basis).matrix
-        iso = np.eye(9)
-        iso[8, 8] = 0.0
-        rt = rt + self.gamma_iso * iso
-        return Superoperator(dim=3, matrix=rt)
+        return Superoperator(
+            dim=3, matrix=(_relaxation_design() @ self.params).reshape(9, 9)
+        )
 
     @property
     def params(self) -> np.ndarray:
@@ -164,8 +158,10 @@ class FitReport:
     parameter vector behind it; ``ci_low``/``ci_high`` are filled only
     after a bootstrap run.  ``extras["optimizer"]``, set by
     ``mle_liouvillian``, counts cost evaluations, restarts and the
-    evaluations whose gradient took the ``expm_frechet`` path; ``to_json``
-    writes it only when present.
+    evaluations whose gradient took the ``expm_frechet`` path.
+    ``extras["bootstrap"]``, set by the CLI, records the draw count, the
+    failed draws and the first few failure messages.  ``to_json`` writes
+    each of the two only when present.
     """
 
     model: str
@@ -209,8 +205,9 @@ class FitReport:
             "ci": ci,
             "seed": self.seed,
         }
-        if "optimizer" in self.extras:
-            out["optimizer"] = self.extras["optimizer"]
+        for key in ("optimizer", "bootstrap"):
+            if key in self.extras:
+                out[key] = self.extras[key]
         return out
 
 
@@ -346,15 +343,6 @@ def _daleckii_krein_grad(lam, v, ts, errs) -> np.ndarray:
     vinv_h = np.linalg.inv(v).conj().T
     inner = (t_phi.conj() * (vh @ errs @ vinv_h)).sum(axis=0)
     return 2.0 * (vinv_h @ inner @ vh).real
-
-
-@functools.cache
-def _hermitian_design() -> np.ndarray:
-    cols = [
-        explicit_qutrit_superop(HermitianParams(h=np.eye(9)[k])).matrix.ravel()
-        for k in range(9)
-    ]
-    return _frozen_array(np.column_stack(cols))
 
 
 def _field_design(generators: Sequence[Superoperator]) -> np.ndarray:
@@ -544,13 +532,10 @@ def mle_liouvillian(
 
 @functools.cache
 def _relaxation_design() -> np.ndarray:
-    f = spin1_operators()
     basis = build_basis(3)
-    cols = [-hamiltonian_superop(fk, basis).matrix.ravel() for fk in f]
-    cols += [dissipator_superop([fk], basis).matrix.ravel() for fk in f]
-    iso = np.eye(9)
-    iso[8, 8] = 0.0
-    cols.append(iso.ravel())
+    cols = [-g.matrix.ravel() for g in _spin_generators()]
+    cols += [dissipator_superop([f], basis).matrix.ravel() for f in spin1_operators()]
+    cols.append(np.diag([1.0] * 8 + [0.0]).ravel())
     return _frozen_array(np.column_stack(cols))
 
 
@@ -559,8 +544,10 @@ def fit_relaxation_model(rt: Superoperator) -> FitReport:
 
     Linear least squares over (Omega_x, Omega_y, Omega_z, gamma_x, gamma_y,
     gamma_z, gamma_iso): the model matrix is linear in all seven
-    parameters.  Rates are constrained non-negative; the residual norm of
-    the non-representable component is reported, never raised.
+    parameters.  Rates are constrained non-negative by the exact
+    active-set solver (BVLS): the iterative default stops short, by about
+    1e-6 relative, when a rate sits on its bound.  The residual norm of the
+    non-representable component is reported, never raised.
     """
     if rt.dim != 3:
         raise DimensionError("relaxation model is defined for qutrits only")
@@ -568,7 +555,7 @@ def fit_relaxation_model(rt: Superoperator) -> FitReport:
     b = rt.matrix.ravel()
     lb = np.array([-np.inf] * 3 + [0.0] * 4)
     ub = np.full(7, np.inf)
-    sol = scipy.optimize.lsq_linear(a, b, bounds=(lb, ub))
+    sol = scipy.optimize.lsq_linear(a, b, bounds=(lb, ub), method="bvls")
     residual = float(np.linalg.norm(a @ sol.x - b))
     model = RelaxationModel(
         omega_residual=sol.x[:3], gamma_dephase=sol.x[3:6], gamma_iso=float(sol.x[6])
@@ -669,14 +656,10 @@ class FieldTrack:
     def hamiltonian_superops(self) -> list[Superoperator]:
         """Reconstructed Hamiltonian generator per interval."""
         if self.known_form:
-            gens = _spin_generators()
-            return [
-                Superoperator(
-                    dim=3, matrix=sum(om[k] * gens[k].matrix for k in range(3))
-                )
-                for om in self.omegas
-            ]
-        return [explicit_qutrit_superop(HermitianParams(h=h)) for h in self.params]
+            design, rows = _field_design(_spin_generators()), self.omegas
+        else:
+            design, rows = _hermitian_design(), self.params
+        return [Superoperator(dim=3, matrix=(design @ r).reshape(9, 9)) for r in rows]
 
     def as_rows(self) -> list[tuple]:
         """(t_n, Omega_x, Omega_y, Omega_z) rows (known form only)."""
@@ -721,8 +704,7 @@ def estimate_fields(
         raise ValueError(f"unknown method {method!r}")
 
     gens = _spin_generators()
-    gen_design = _field_design(gens)
-    herm_design = _hermitian_design()
+    design = _field_design(gens) if known_form else _hermitian_design()
     rows = []
     costs = []
     dfs = []
@@ -731,12 +713,7 @@ def estimate_fields(
     for p, log in zip(psteps, principal_log(psteps)):
         dt = p.duration_s
         k_direct = log.matrix / dt + rt.matrix
-        if known_form:
-            theta0, _, _, _ = np.linalg.lstsq(gen_design, k_direct.ravel(), rcond=None)
-            design = gen_design
-        else:
-            theta0, _, _, _ = np.linalg.lstsq(herm_design, k_direct.ravel(), rcond=None)
-            design = herm_design
+        theta0, _, _, _ = np.linalg.lstsq(design, k_direct.ravel(), rcond=None)
         if method == "direct":
             theta = theta0
             resid = float(np.linalg.norm(design @ theta - k_direct.ravel()))
@@ -763,9 +740,7 @@ def estimate_fields(
     if known_form:
         magnitudes = np.linalg.norm(rows, axis=1)
     else:
-        magnitudes = np.array(
-            [np.linalg.norm((herm_design @ h).reshape(9, 9)) for h in rows]
-        )
+        magnitudes = np.linalg.norm(rows @ design.T, axis=1)
     if magnitudes.max() > 0:
         flagged = magnitudes < 0.1 * magnitudes.max()
     else:

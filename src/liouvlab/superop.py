@@ -13,8 +13,12 @@ Bloch vectors.  Conventions used throughout the package:
   the last row of R vanish.
 * A full generator is assembled as L = K - R (``assemble_liouvillian``).
 
-All outputs are real; construction verifies that the imaginary residue is
-below 1e-10.
+Every map comes from the product tensor Z of the basis (F = Im Z): K_ij =
+2 sum_k h_k F_kji, and R and the Kossakowski generator share one GKS
+contraction with Z, into which a jump set enters as c = sum_mu l_mu l_mu^+.
+
+All outputs are real: K by construction, and the GKS contraction verifies
+that its imaginary residue is below 1e-10.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .basis import OperatorBasis, build_basis, _frozen_array
+from .basis import OperatorBasis, build_basis, _frozen_array, _raw_coords
 from .exceptions import DimensionError, NonHermitianError
 
 __all__ = [
@@ -205,50 +209,66 @@ def _real_part(m: np.ndarray, what: str) -> np.ndarray:
     return np.ascontiguousarray(m.real) if np.iscomplexobj(m) else m
 
 
+def _hermitian_coords(matrix, basis: OperatorBasis, what: str) -> np.ndarray:
+    """Real Bloch coordinates h_k = (1/2) Tr(H sigma_k) of a Hermitian H."""
+    h = np.asarray(matrix, dtype=complex)
+    _check_square(h, basis.dim, what)
+    if np.linalg.norm(h - h.conj().T) > _HERM_TOL * max(1.0, np.linalg.norm(h)):
+        raise NonHermitianError(f"{what} is not Hermitian")
+    return _raw_coords(h, basis).real
+
+
+def _gks_action(c: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Bloch matrix of rho -> sum_ab c_ab (2 s_a rho s_b - s_b s_a rho - rho s_b s_a).
+
+    Entry (i, j) is sum_ab c_ab (2 T_ajbi - T_baji - T_jbai) with
+    T_pqrs = (1/2) Tr(s_p s_q s_r s_s) = sum_e Z_pqe Z_ers (Gorini,
+    Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)).  Contracting c
+    into Z first keeps every intermediate at d**6 entries.
+    """
+    z = basis._product_tensor
+    x = np.tensordot(c, z, axes=(0, 0))  # x_bje = sum_a c_ab Z_aje
+    first = np.tensordot(z, x, axes=([0, 1], [2, 0]))  # sum_be Z_ebi x_bje
+    w = np.tensordot(c, z, axes=([0, 1], [1, 0]))
+    wz = np.tensordot(w, z, axes=(0, 0))  # sum_e w_e Z_epq
+    return 2.0 * first - wz - wz.T
+
+
 def hamiltonian_superop(hamiltonian, basis: OperatorBasis) -> Superoperator:
     """Real Bloch-frame generator of -i[H, .].
 
-    Entries are K_ij = -(i/2) Tr([H, sigma_j] sigma_i).  The output is
-    antisymmetric, has zero diagonal, and zero last row and column (the
-    identity component neither drives nor is driven).
+    Entries are K_ij = -(i/2) Tr([H, sigma_j] sigma_i) = 2 sum_k h_k F_kji
+    with h the Bloch coordinates of H.  The output is antisymmetric, has
+    zero diagonal, and zero last row and column (the identity component
+    neither drives nor is driven).
 
     Raises:
         NonHermitianError: if H is not Hermitian.
         DimensionError: on shape mismatch with the basis.
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    _check_square(h, basis.dim, "Hamiltonian")
-    if np.linalg.norm(h - h.conj().T) > _HERM_TOL * max(1.0, np.linalg.norm(h)):
-        raise NonHermitianError("Hamiltonian is not Hermitian")
-    comm = np.einsum("ab,jbc->jac", h, basis.elements) - np.einsum(
-        "jab,bc->jac", basis.elements, h
-    )
-    k = -0.5j * np.einsum("jab,iba->ij", comm, basis.elements)
-    return Superoperator(dim=basis.dim, matrix=_real_part(k, "Hamiltonian superoperator"))
+    h = _hermitian_coords(hamiltonian, basis, "Hamiltonian")
+    n = basis.size
+    k = -2.0 * h @ basis._product_tensor.imag.reshape(n, n * n)
+    return Superoperator(dim=basis.dim, matrix=k.reshape(n, n))
 
 
 def dissipator_superop(jumps: Sequence, basis: OperatorBasis) -> Superoperator:
     """Bloch-frame relaxation matrix R of a set of jump operators.
 
     R_ij = (1/2) sum_mu Tr([ (1/2){L+L, sigma_j} - L sigma_j L+ ] sigma_i);
-    the generated evolution contains -R |rho>>.  The last row vanishes
-    because the jump terms conserve the trace.
+    the generated evolution contains -R |rho>>.  R is minus one half of the
+    GKS form of :func:`kossakowski_generator` with c = sum_mu l_mu l_mu^+,
+    l_mu the complex coordinates of L_mu.  The last row vanishes because
+    the jump terms conserve the trace.
 
     Raises:
         DimensionError: if any jump operator has the wrong shape.
     """
     d = basis.dim
-    r = np.zeros((d * d, d * d), dtype=complex)
     for mu, jump in enumerate(jumps):
-        l = np.asarray(jump, dtype=complex)
-        _check_square(l, d, f"jump operator {mu}")
-        ldl = l.conj().T @ l
-        anti = 0.5 * (
-            np.einsum("ab,jbc->jac", ldl, basis.elements)
-            + np.einsum("jab,bc->jac", basis.elements, ldl)
-        )
-        sandwich = np.einsum("ab,jbc,cd->jad", l, basis.elements, l.conj().T)
-        r += 0.5 * np.einsum("jab,iba->ij", anti - sandwich, basis.elements)
+        _check_square(np.asarray(jump), d, f"jump operator {mu}")
+    lc = _raw_coords(np.array(jumps, dtype=complex).reshape(-1, d, d), basis)
+    r = -0.5 * _gks_action(lc.T @ lc.conj(), basis)
     return Superoperator(dim=d, matrix=_real_part(r, "dissipator superoperator"))
 
 
@@ -263,41 +283,29 @@ def assemble_liouvillian(hc: Superoperator, rt: Superoperator) -> Superoperator:
     return Superoperator(dim=hc.dim, matrix=hc.matrix - rt.matrix)
 
 
-def explicit_qutrit_superop(params: HermitianParams) -> Superoperator:
-    """Closed-form qutrit Hamiltonian generator, entry by entry.
+@functools.cache
+def _hermitian_design() -> np.ndarray:
+    """81 x 9 map from ``HermitianParams.h`` to the flattened generator.
 
-    Returns the same matrix as ``hamiltonian_superop(params.to_matrix())``
-    but written out explicitly; it exists as an independent cross-check of
-    the generic trace construction and as the linear parametrization used
-    by the Hermitian-constrained fits.
+    2F contracted with the fixed map from the nine parameters to Bloch
+    coordinates, one column per unit parameter.
     """
-    h1, h2, h3, h4, h5, h6, h7, h8, h9 = params.h
-    r3 = np.sqrt(3.0)
-    m = np.array(
-        [
-            [0, h6 - h1, 2 * h3, -h8, h7, -h5, h4, 0, 0],
-            [h1 - h6, 0, -2 * h2, -h7, -h8, h4, h5, 0, 0],
-            [-2 * h3, 2 * h2, 0, -h5, h4, h8, -h7, 0, 0],
-            [h8, h7, h5, 0, h9 - h1, -h3, -h2, r3 * h5, 0],
-            [-h7, h8, -h4, h1 - h9, 0, h2, -h3, -r3 * h4, 0],
-            [h5, -h4, -h8, h3, -h2, 0, h9 - h6, r3 * h8, 0],
-            [-h4, -h5, h7, h2, h3, h6 - h9, 0, -r3 * h7, 0],
-            [0, 0, 0, -r3 * h5, r3 * h4, -r3 * h8, r3 * h7, 0, 0],
-            [0, 0, 0, 0, 0, 0, 0, 0, 0],
-        ],
-        dtype=float,
-    )
-    return Superoperator(dim=3, matrix=m)
-
-
-@functools.lru_cache(maxsize=1)
-def _explicit_design_matrix() -> np.ndarray:
-    """81 x 9 matrix whose columns are the flattened unit-parameter generators."""
+    basis = build_basis(3)
     cols = [
-        explicit_qutrit_superop(HermitianParams(h=np.eye(9)[k])).matrix.ravel()
-        for k in range(9)
+        hamiltonian_superop(HermitianParams(h=e).to_matrix(), basis).matrix.ravel()
+        for e in np.eye(9)
     ]
-    return np.column_stack(cols)
+    return _frozen_array(np.column_stack(cols))
+
+
+def explicit_qutrit_superop(params: HermitianParams) -> Superoperator:
+    """Qutrit Hamiltonian generator as a linear function of the nine parameters.
+
+    The same matrix as ``hamiltonian_superop(params.to_matrix())``, taken as
+    one product with the cached design matrix; the Hermitian-constrained
+    fits use this linear parametrization.
+    """
+    return Superoperator(dim=3, matrix=(_hermitian_design() @ params.h).reshape(9, 9))
 
 
 class ParamsFit(NamedTuple):
@@ -308,7 +316,7 @@ class ParamsFit(NamedTuple):
 def params_from_superop(hs: Superoperator) -> ParamsFit:
     """Least-squares Hermitian parameters of a 9x9 generator.
 
-    Equates ``hs`` with the explicit qutrit form over all 81 entries and
+    Equates ``hs`` with the linear qutrit form over all 81 entries and
     solves the overdetermined linear system; the returned residual is the
     Frobenius norm of the non-representable component.  Never raises on a
     poor fit -- the residual carries that information.
@@ -320,17 +328,10 @@ def params_from_superop(hs: Superoperator) -> ParamsFit:
     """
     if hs.dim != 3:
         raise DimensionError("Hermitian parametrization is defined for dim 3 only")
-    a = _explicit_design_matrix()
+    a = _hermitian_design()
     sol, _, _, _ = np.linalg.lstsq(a, hs.matrix.ravel(), rcond=None)
     resid = float(np.linalg.norm(a @ sol - hs.matrix.ravel()))
     return ParamsFit(params=HermitianParams(h=sol), residual=resid)
-
-
-@functools.lru_cache(maxsize=8)
-def _triple_products(d: int):
-    """sigma_a sigma_j sigma_b for all basis triples, cached per dimension."""
-    s = build_basis(d).elements
-    return np.einsum("axy,jyz,bzw->ajbxw", s, s, s)
 
 
 def kossakowski_generator(
@@ -345,19 +346,9 @@ def kossakowski_generator(
     """
     if c.dim != basis.dim:
         raise DimensionError(f"dimension mismatch: {c.dim} vs {basis.dim}")
-    d = basis.dim
-    p3 = _triple_products(d)
-    # action on basis element sigma_j: sum_ab c_ab (2 s_a s_j s_b - s_b s_a s_j - s_j s_b s_a)
-    term = (
-        2.0 * np.einsum("ab,ajbxy->jxy", c.c, p3)
-        - np.einsum("ab,bajxy->jxy", c.c, p3)
-        - np.einsum("ab,jbaxy->jxy", c.c, p3)
-    )
-    g = 0.5 * np.einsum("jxy,iyx->ij", term, basis.elements)
-    h = np.asarray(hamiltonian, dtype=complex)
-    _check_square(h, d, "Hamiltonian")
-    out = _real_part(g, "Kossakowski generator") + hamiltonian_superop(h, basis).matrix
-    return Superoperator(dim=d, matrix=out)
+    g = _real_part(_gks_action(c.c, basis), "Kossakowski generator")
+    k = hamiltonian_superop(hamiltonian, basis)
+    return Superoperator(dim=basis.dim, matrix=g + k.matrix)
 
 
 def kossakowski_shift(
@@ -375,21 +366,12 @@ def kossakowski_shift(
     shifted matrix mixes coherent and dissipative parts and is generally
     neither Hermitian nor positive semi-definite.
     """
-    h = np.asarray(hr, dtype=complex)
-    _check_square(h, basis.dim, "residual Hamiltonian")
-    if np.linalg.norm(h - h.conj().T) > _HERM_TOL * max(1.0, np.linalg.norm(h)):
-        raise NonHermitianError("residual Hamiltonian is not Hermitian")
-    d = basis.dim
-    hvec = np.einsum("ab,kba->k", h, basis.elements)
-    hvec = _real_part(hvec, "Hamiltonian coefficients")
-    hvec = hvec.copy()
-    hvec[-1] = 0.0
-    n = d * d
-    delta = np.zeros((n, n), dtype=complex)
-    coef = 1j * np.sqrt(d) / (2.0 * np.sqrt(2.0))
-    delta[:, n - 1] = -coef * hvec
-    # the delta_{i,d^2} term only ever multiplies h_{d^2}, which was dropped
-    return KossakowskiMatrix(dim=d, c=c.c + delta)
+    h = 2.0 * _hermitian_coords(hr, basis, "residual Hamiltonian")
+    # the delta_{i,d^2} term only ever multiplies h_{d^2}, which is dropped
+    h[-1] = 0.0
+    shifted = np.array(c.c, dtype=complex)
+    shifted[:, -1] -= 1j * np.sqrt(basis.dim) / (2.0 * np.sqrt(2.0)) * h
+    return KossakowskiMatrix(dim=basis.dim, c=shifted)
 
 
 def spin1_operators() -> SpinOperators:

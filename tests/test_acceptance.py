@@ -30,7 +30,6 @@ from liouvlab.superop import (
     KossakowskiMatrix,
     LindbladModel,
     Superoperator,
-    explicit_qutrit_superop,
     hamiltonian_superop,
     kossakowski_generator,
     kossakowski_shift,
@@ -49,6 +48,7 @@ from liouvlab.tomography import (
 )
 
 from conftest import random_hermitian
+from qutrit_table import explicit_qutrit_superop
 from test_basis import GM3
 
 

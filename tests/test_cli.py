@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liouvlab.cli
 from liouvlab.cli import main
 from liouvlab.estimation import frobenius_distance
+from liouvlab.exceptions import BranchCutError
 from liouvlab.superop import Superoperator
 from liouvlab.synthlab import DEFAULT_RELAXATION, make_scenario
 
@@ -291,6 +293,29 @@ def test_fit_bootstrap_attaches_ci(tmp_path):
     for name, value in zip(names, report["params"]):
         lo, hi = report["ci"][name]
         assert lo <= value <= hi
+
+
+def test_fit_bootstrap_records_failed_draws(tmp_path, monkeypatch):
+    real = liouvlab.cli._direct_relaxation_params
+    calls = []
+
+    def flaky(dataset):
+        calls.append(None)
+        if len(calls) in (5, 17):
+            raise BranchCutError(f"injected at call {len(calls)}")
+        return real(dataset)
+
+    monkeypatch.setattr(liouvlab.cli, "_direct_relaxation_params", flaky)
+    out = _simulate(tmp_path, "--sigma", "0.004")
+    fit = tmp_path / "fit"
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
+               "--bootstrap", "40", "-o", str(fit)])
+    assert rc == 0
+    assert _read(fit / "fit_report.json")["bootstrap"] == {
+        "n_draws": 40,
+        "n_failed": 2,
+        "failures": ["draw 4: injected at call 5", "draw 16: injected at call 17"],
+    }
 
 
 def test_report_relaxation_gate_row(tmp_path, calibrated_sigma, capsys):

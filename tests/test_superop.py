@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from liouvlab.basis import build_basis
+from liouvlab.basis import OperatorBasis, build_basis
 from liouvlab.exceptions import DimensionError, NonHermitianError
 from liouvlab.superop import (
     HermitianParams,
@@ -23,6 +24,7 @@ from liouvlab.superop import (
 )
 
 from conftest import random_hermitian
+from qutrit_table import explicit_qutrit_superop as hand_written_table
 
 
 def brute_force_hamiltonian_superop(h, elements):
@@ -142,6 +144,19 @@ def test_explicit_h3_only_entries():
     np.testing.assert_allclose(
         m, hamiltonian_superop(HermitianParams(h=p).to_matrix(), basis).matrix, atol=1e-14
     )
+
+
+def test_explicit_matches_hand_written_table():
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        p = HermitianParams(h=rng.normal(size=9))
+        table = hand_written_table(p).matrix
+        np.testing.assert_allclose(explicit_qutrit_superop(p).matrix, table, atol=1e-12)
+    # the design reproduces every structural zero of the table
+    for k in range(9):
+        unit = HermitianParams(h=np.eye(9)[k])
+        zeros = hand_written_table(unit).matrix == 0.0
+        assert np.abs(explicit_qutrit_superop(unit).matrix[zeros]).max() < 1e-15
 
 
 def _traceless(h: np.ndarray) -> np.ndarray:
@@ -354,6 +369,53 @@ def test_kossakowski_psd_generates_decay(basis3):
     p = scipy.linalg.expm(g.matrix * 1e-3)
     assert np.abs(np.linalg.eigvals(p)).max() <= 1.0 + 1e-9
     assert np.abs(g.matrix[-1]).max() < 1e-8 * np.abs(g.matrix).max()
+
+
+def brute_force_kossakowski(c, h, elements):
+    """Entry-by-entry (1/2) Tr(sigma_i G(sigma_j)) of the basis-form generator."""
+    n = len(elements)
+    out = np.zeros((n, n))
+    for j, sj in enumerate(elements):
+        act = -1j * (h @ sj - sj @ h)
+        for a, sa in enumerate(elements):
+            for b, sb in enumerate(elements):
+                act = act + c[a, b] * (2 * sa @ sj @ sb - sb @ sa @ sj - sj @ sb @ sa)
+        for i, si in enumerate(elements):
+            val = 0.5 * np.trace(act @ si)
+            assert abs(val.imag) < 1e-10 * max(1.0, abs(val))
+            out[i, j] = val.real
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_kossakowski_generator_trace_oracle(d):
+    rng = np.random.default_rng(25 + d)
+    basis = build_basis(d)
+    n = d * d
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    c = KossakowskiMatrix(dim=d, c=5.0 * (g @ g.conj().T) / n)
+    hr = random_hermitian(rng, d=d, scale=10.0)
+    for cm in (c, kossakowski_shift(c, hr, basis)):
+        got = kossakowski_generator(cm, hr, basis).matrix
+        oracle = brute_force_kossakowski(cm.c, hr, basis.elements)
+        np.testing.assert_allclose(got, oracle, atol=1e-11 * np.abs(oracle).max())
+
+
+def test_kossakowski_generator_memory_d6():
+    # a fresh basis object starts without its cached product tensor
+    d = 6
+    n = d * d
+    basis = OperatorBasis(dim=d, elements=build_basis(d).elements)
+    rng = np.random.default_rng(26)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    c = KossakowskiMatrix(dim=d, c=(g @ g.conj().T) / n)
+    tracemalloc.start()
+    try:
+        kossakowski_generator(c, np.zeros((d, d)), basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
