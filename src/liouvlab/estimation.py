@@ -21,6 +21,17 @@ Two complementary estimators are provided throughout:
   a cost taken from the eigendecomposition rounds noisily near the optimum,
   which makes L-BFGS line searches fail and restart.
 
+Time-resolved field tracking fits one generator per grid interval, each to
+a single process matrix.  Those small, nearly zero-residual problems are
+solved all at once by lockstep Gauss-Newton on stacked arrays (one batched
+eigendecomposition per iteration, Jacobian columns from the same divided
+differences as the gradient, a batched pseudo-inverse step, and the same
+Pade cost, which no step may raise); an interval stops when a step lowers
+its cost by less than CONVERGENCE_RTOL relative.  An interval with a
+near-defective generator (cond(V) >= EIGVEC_COND_MAX), a first step that
+does not lower its cost, or no stop within GN_MAX_ITERS steps is fitted by
+the L-BFGS path above from the same start.
+
 Uncertainty is quantified by a percentile bootstrap over re-simulated
 noisy datasets.
 """
@@ -80,6 +91,10 @@ N_RESTARTS = 3
 # eigenvector-condition limit of the eigendecomposition gradient, the same
 # guard principal_log puts on its eigendecomposition log
 EIGVEC_COND_MAX = 1e6
+# Gauss-Newton steps per interval before estimate_fields falls back to L-BFGS
+GN_MAX_ITERS = 8
+# relative singular-value cut of the Gauss-Newton step
+GN_PINV_RCOND = 1e-10
 
 RELAXATION_PARAM_NAMES = (
     "omega_x",
@@ -158,7 +173,9 @@ class FitReport:
     parameter vector behind it; ``ci_low``/``ci_high`` are filled only
     after a bootstrap run.  ``extras["optimizer"]``, set by
     ``mle_liouvillian``, counts cost evaluations, restarts and the
-    evaluations whose gradient took the ``expm_frechet`` path.
+    evaluations whose gradient took the ``expm_frechet`` path; set by
+    ``estimate_fields(method="mle")``, it counts the Gauss-Newton steps
+    and the intervals that fell back to L-BFGS.
     ``extras["bootstrap"]``, set by the CLI, records the draw count, the
     failed draws and the first few failure messages.  ``to_json`` writes
     each of the two only when present.
@@ -252,12 +269,19 @@ def _normalize_pmeas(pmeas) -> list[tuple[float, np.ndarray]]:
     return sorted(out, key=lambda tp: tp[0])
 
 
+def _squared_norms(errs: np.ndarray) -> np.ndarray:
+    """||E_n||_F^2 per matrix of a (T, n, n) stack."""
+    flat = errs.reshape(len(errs), -1)
+    return (flat * flat).sum(axis=1)
+
+
 def _cost_and_matrix_grad(
-    lmat: np.ndarray, ts: np.ndarray, ps: np.ndarray
+    lmat: np.ndarray, ts: np.ndarray, ps: np.ndarray, exps: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, bool]:
     """Cost sum_n ||exp(L t_n) - P_n||_F^2 and its gradient w.r.t. L.
 
-    ``ts`` (T,) are the times and ``ps`` (T, n, n) the measured matrices.
+    ``ts`` (T,) are the times and ``ps`` (T, n, n) the measured matrices;
+    ``exps``, the stacked Pade exp(L t_n), is computed here when not given.
     The cost is always a Pade ``expm`` per time, summed in time order: a
     cost taken from the eigendecomposition rounds noisily near the optimum
     (about 1e-17 along a line search, where Pade is smooth), and L-BFGS
@@ -279,20 +303,18 @@ def _cost_and_matrix_grad(
         (cost, grad, used_frechet), the last True when the gradient came
         from ``expm_frechet``.
     """
+    if exps is None:
+        exps = scipy.linalg.expm(lmat * ts[:, None, None])
+    errs = exps - ps
+    cost = 0.0
+    for sq in _squared_norms(errs):
+        cost += float(sq)
     eig = _eig(lmat) if len(ts) > 1 else None
     if eig is not None and np.linalg.cond(eig[1]) < EIGVEC_COND_MAX:
-        errs = scipy.linalg.expm(lmat * ts[:, None, None]) - ps
-        cost = 0.0
-        for err in errs:
-            cost += float((err * err).sum())
         return cost, _daleckii_krein_grad(*eig, ts, errs), False
-    cost = 0.0
     grad = np.zeros_like(lmat)
-    for t, p in zip(ts, ps):
-        a = lmat * t
-        err = scipy.linalg.expm(a) - p
-        cost += float((err * err).sum())
-        _, fre = scipy.linalg.expm_frechet(a.T, err)
+    for t, err in zip(ts, errs):
+        _, fre = scipy.linalg.expm_frechet((lmat * t).T, err)
         grad += (2.0 * t) * fre
     return cost, grad, True
 
@@ -326,19 +348,27 @@ def _eig(lmat: np.ndarray):
     return lam, v / np.linalg.norm(v, axis=0)
 
 
-def _daleckii_krein_grad(lam, v, ts, errs) -> np.ndarray:
-    """Gradient of the MLE cost from the eigendecomposition of L.
+def _t_phi(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Divided differences t Phi_ij = (e^{lambda_i t} - e^{lambda_j t}) / (lambda_i - lambda_j).
 
-    t_n Phi_n,ij is evaluated as t_n e^{(z_i + z_j)/2} sinh(delta)/delta with
-    z = lambda t_n and delta = (z_i - z_j)/2, which does not cancel for
-    close eigenvalues; sinh(delta)/delta is 1 at delta = 0 (the diagonal
-    and equal eigenvalues).
+    ``ts`` has shape (T,) and ``lam`` shape (n,) or (T, n), one spectrum
+    per time; the result is (T, n, n).  The kernel of the Frechet derivative
+    of exp(L t) in the eigenbasis of L.  It is evaluated as
+    t e^{(z_i + z_j)/2} sinh(delta)/delta with z = lambda t and
+    delta = (z_i - z_j)/2, which does not cancel for close eigenvalues;
+    sinh(delta)/delta is 1 at delta = 0 (the diagonal and equal
+    eigenvalues).
     """
     z = ts[:, None] * lam
     zi, zj = z[:, :, None], z[:, None, :]
     delta = 0.5 * (zi - zj)
     sinhc = np.divide(np.sinh(delta), delta, out=np.ones_like(delta), where=delta != 0)
-    t_phi = ts[:, None, None] * np.exp(0.5 * (zi + zj)) * sinhc
+    return ts[:, None, None] * np.exp(0.5 * (zi + zj)) * sinhc
+
+
+def _daleckii_krein_grad(lam, v, ts, errs) -> np.ndarray:
+    """Gradient of the MLE cost from the eigendecomposition of L."""
+    t_phi = _t_phi(lam, ts)
     vh = v.conj().T
     vinv_h = np.linalg.inv(v).conj().T
     inner = (t_phi.conj() * (vh @ errs @ vinv_h)).sum(axis=0)
@@ -464,9 +494,13 @@ def mle_liouvillian(
     ts = np.array([t for t, _ in pmeas])
     ps = np.stack([p for _, p in pmeas])
     counts = {"evaluations": 0, "expm_frechet_evaluations": 0}
+    last = {}  # theta and Pade matrices of the latest evaluation
 
     def fun(theta):
-        cost, grad_l, used_frechet = _cost_and_matrix_grad(build(theta), ts, ps)
+        lmat = build(theta)
+        exps = scipy.linalg.expm(lmat * ts[:, None, None])
+        last.update(theta=np.array(theta), exps=exps)
+        cost, grad_l, used_frechet = _cost_and_matrix_grad(lmat, ts, ps, exps)
         counts["evaluations"] += 1
         counts["expm_frechet_evaluations"] += used_frechet
         grad = grad_l.ravel() if design is None else design.T @ grad_l.ravel()
@@ -500,12 +534,11 @@ def mle_liouvillian(
 
     theta = best_res.x
     l_hat = build(theta)
-    dfs = np.array(
-        [
-            frobenius_distance(p, scipy.linalg.expm(l_hat * t))
-            for t, p in pmeas
-        ]
-    )
+    if np.array_equal(last["theta"], theta):
+        exps = last["exps"]
+    else:
+        exps = scipy.linalg.expm(l_hat * ts[:, None, None])
+    dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
     extras = {"optimizer": {**counts, "restarts": attempt}}
     if rt_mat is not None:
         extras["hamiltonian_superop"] = Superoperator(
@@ -668,6 +701,74 @@ class FieldTrack:
         return [(t, *om) for t, om in zip(self.times, self.omegas)]
 
 
+def _interval_generators(design, rt, thetas) -> np.ndarray:
+    """Generators (design @ theta_k) - rt, one per row of ``thetas``."""
+    n = rt.shape[0]
+    return (thetas @ design.T).reshape(-1, n, n) - rt
+
+
+def _gauss_newton_intervals(design, rt, dts, ps, theta0):
+    """Lockstep Gauss-Newton fits of one generator per interval.
+
+    Interval k minimizes the Pade cost ||exp(G_k dt_k) - P_k||_F^2 of
+    ``mle_liouvillian`` for one time, with G_k = (design @ theta_k) - rt,
+    starting from ``theta0[k]``; all intervals step together on stacked
+    arrays.  Each iteration takes one batched eigendecomposition
+    G = V diag(lambda) V^-1 of the running intervals, the Jacobian columns
+    D exp[G_p dt] = V (t Phi o V^-1 G_p V) V^-1 for the design columns G_p,
+    and the step -pinv(J) r (a pseudo-inverse, as the unknown form's design
+    has the trace of H as an exact null direction).  A step is taken only
+    if its Pade cost does not rise.  An interval stops when a step lowers
+    its cost by less than CONVERGENCE_RTOL relative (a step that raises it
+    included).  It is marked for fallback when cond(V) >= EIGVEC_COND_MAX,
+    when its first step does not lower the cost, or when it is still
+    running after GN_MAX_ITERS steps.
+
+    Returns:
+        (thetas, costs, exps, steps, fallback): parameters (K, P), Pade
+        costs (K,) and exponentials (K, n, n) at the last taken step, the
+        steps tried summed over intervals and the boolean fallback mask.
+    """
+    n_int, n = len(ps), rt.shape[0]
+    gen_cols = design.T.reshape(-1, n, n)
+    thetas = np.array(theta0, dtype=float)
+    gens = _interval_generators(design, rt, thetas)
+    exps = scipy.linalg.expm(gens * dts[:, None, None])
+    costs = _squared_norms(exps - ps)
+    steps = 0
+    fallback = np.zeros(n_int, dtype=bool)
+    running = np.ones(n_int, dtype=bool)
+    for it in range(GN_MAX_ITERS):
+        idx = np.flatnonzero(running)
+        lam, v = np.linalg.eig(gens[idx])
+        ok = np.linalg.cond(v) < EIGVEC_COND_MAX
+        fallback[idx[~ok]] = True
+        running[idx[~ok]] = False
+        idx, lam, v = idx[ok], lam[ok], v[ok]
+        if not idx.size:
+            break
+        vinv = np.linalg.inv(v)[:, None]
+        t_phi = _t_phi(lam, dts[idx])[:, None]
+        jac = (v[:, None] @ (t_phi * (vinv @ gen_cols @ v[:, None])) @ vinv).real
+        jac = jac.reshape(len(idx), len(gen_cols), -1).transpose(0, 2, 1)
+        resid = (exps[idx] - ps[idx]).reshape(len(idx), -1, 1)
+        trial = thetas[idx] - (np.linalg.pinv(jac, rcond=GN_PINV_RCOND) @ resid)[..., 0]
+        trial_gens = _interval_generators(design, rt, trial)
+        trial_exps = scipy.linalg.expm(trial_gens * dts[idx, None, None])
+        trial_costs = _squared_norms(trial_exps - ps[idx])
+        steps += len(idx)
+        drop = costs[idx] - trial_costs
+        if it == 0:
+            fallback[idx[~(drop > 0)]] = True
+        running[idx[~(drop >= CONVERGENCE_RTOL * costs[idx])]] = False
+        take = drop >= 0
+        took = idx[take]
+        thetas[took], costs[took] = trial[take], trial_costs[take]
+        gens[took], exps[took] = trial_gens[take], trial_exps[take]
+    fallback |= running
+    return thetas, costs, exps, steps, fallback
+
+
 def estimate_fields(
     psteps: Sequence[ProcessMatrix],
     grid: TimeGrid,
@@ -691,6 +792,21 @@ def estimate_fields(
             (per-interval cost minimization, Hermitian or field-parametric
             by construction).
 
+    Both methods start from the direct estimate: the principal log of each
+    step, with ``rt`` added back, projected onto the parameters by least
+    squares.  ``"mle"`` then minimizes each interval's Pade cost
+    ||exp(G dt) - P||_F^2 by Gauss-Newton, all intervals in lockstep
+    (``_gauss_newton_intervals``); an interval stops when a step lowers its
+    cost by less than CONVERGENCE_RTOL relative.  An interval whose
+    generator has an eigenvector condition >= EIGVEC_COND_MAX, whose first
+    step does not lower the cost, or that does not stop within
+    GN_MAX_ITERS steps is fitted by ``mle_liouvillian`` (L-BFGS) from the
+    same start instead.  ``report.extras["optimizer"]`` then holds
+    ``gauss_newton_iterations`` (steps summed over intervals),
+    ``fallbacks`` and ``fallback_intervals`` (their indices), and
+    ``report.iterations`` is the Gauss-Newton steps plus the fallback
+    L-BFGS iterations.
+
     Branch-cut errors propagate per step; steps with nearly vanishing
     total field are flagged in the result.
     """
@@ -705,38 +821,33 @@ def estimate_fields(
 
     gens = _spin_generators()
     design = _field_design(gens) if known_form else _hermitian_design()
-    rows = []
-    costs = []
-    dfs = []
-    iterations = 0
-    converged = True
-    for p, log in zip(psteps, principal_log(psteps)):
-        dt = p.duration_s
-        k_direct = log.matrix / dt + rt.matrix
-        theta0, _, _, _ = np.linalg.lstsq(design, k_direct.ravel(), rcond=None)
-        if method == "direct":
-            theta = theta0
-            resid = float(np.linalg.norm(design @ theta - k_direct.ravel()))
-            costs.append(resid**2)
-        else:
-            sub = mle_liouvillian(
-                [(dt, p)],
+    dts = np.array([p.duration_s for p in psteps])
+    ps = np.stack([p.matrix for p in psteps])
+    logs = np.stack([log.matrix for log in principal_log(psteps)])
+    k_direct = (logs / dts[:, None, None] + rt.matrix).reshape(len(ps), -1)
+    theta0 = np.linalg.lstsq(design, k_direct.T, rcond=None)[0].T
+    subs = {}  # interval -> FitReport of its L-BFGS fallback
+    if method == "direct":
+        rows = theta0
+        costs = np.linalg.norm(rows @ design.T - k_direct, axis=1) ** 2
+        gens_hat = _interval_generators(design, rt.matrix, rows)
+        exps = scipy.linalg.expm(gens_hat * dts[:, None, None])
+    else:
+        rows, costs, exps, steps, fallback = _gauss_newton_intervals(
+            design, rt.matrix, dts, ps, theta0
+        )
+        for k in np.flatnonzero(fallback):
+            subs[int(k)] = mle_liouvillian(
+                [(dts[k], psteps[k])],
                 dissipator=rt,
                 form="fields" if known_form else "hermitian",
                 field_generators=gens if known_form else None,
-                x0=theta0,
+                x0=theta0[k],
             )
-            theta = sub.params
-            costs.append(sub.cost)
-            iterations += sub.iterations
-            converged = converged and sub.converged
-        rows.append(theta)
-        k_hat = (design @ theta).reshape(9, 9)
-        dfs.append(
-            frobenius_distance(p.matrix, scipy.linalg.expm((k_hat - rt.matrix) * dt))
-        )
+    dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
+    for k, sub in subs.items():
+        rows[k], costs[k], dfs[k] = sub.params, sub.cost, sub.df_per_time[0]
 
-    rows = np.array(rows)
     if known_form:
         magnitudes = np.linalg.norm(rows, axis=1)
     else:
@@ -750,10 +861,17 @@ def estimate_fields(
         estimate=rows,
         params=rows.ravel(),
         cost=float(np.sum(costs)),
-        df_per_time=np.array(dfs),
-        iterations=iterations if method == "mle" else 1,
-        converged=converged,
+        df_per_time=dfs,
+        iterations=1,
     )
+    if method == "mle":
+        report.iterations = steps + sum(s.iterations for s in subs.values())
+        report.converged = all(s.converged for s in subs.values())
+        report.extras["optimizer"] = {
+            "gauss_newton_iterations": steps,
+            "fallbacks": len(subs),
+            "fallback_intervals": list(subs),
+        }
     return FieldTrack(
         times=grid.midpoints,
         known_form=known_form,

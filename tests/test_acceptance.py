@@ -43,7 +43,9 @@ from liouvlab.synthlab import (
 from liouvlab.tomography import (
     TomographySet,
     canonical_input_states,
+    mean_log_liouvillian,
     reconstruct_process,
+    reconstruct_processes,
     stepwise_processes,
 )
 
@@ -132,12 +134,8 @@ def test_criterion_4_relaxation_pipeline(calibrated_sigma):
     fit = fit_relaxation_model(rt_hat)
 
     def draw_fit(dataset):
-        logs = [
-            principal_log(reconstruct_process(dataset, t)).matrix / t
-            for t in dataset.times
-        ]
-        rt = Superoperator(dim=3, matrix=-np.mean(logs, axis=0))
-        return fit_relaxation_model(rt).params
+        l_hat = mean_log_liouvillian(reconstruct_processes(dataset))
+        return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat.matrix)).params
 
     result = bootstrap(
         draw_fit, lambda spec: generate_dataset(scenario, spec), noise, n_draws=1000

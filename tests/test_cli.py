@@ -239,6 +239,25 @@ def test_fit_fields_known_and_unknown(tmp_path):
     assert header.startswith("time_s,h1,h2")
 
 
+def test_fit_fields_mle_writes_gauss_newton_counts(tmp_path):
+    out = _simulate(tmp_path, "--n-steps", "8", kind="three_axis_time_dependent")
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    for form in (["--known-form"], []):
+        fit = tmp_path / f"fit{len(form)}"
+        rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "fields",
+                   *form, "--method", "mle", "--fixed-dissipator", str(rt_path),
+                   "-o", str(fit)])
+        assert rc == 0
+        report = _read(fit / "fit_report.json")
+        counts = report["optimizer"]
+        assert set(counts) == {"gauss_newton_iterations", "fallbacks", "fallback_intervals"}
+        assert counts["gauss_newton_iterations"] >= 8
+        assert counts["fallbacks"] == len(counts["fallback_intervals"])
+        assert all(0 <= k < 8 for k in counts["fallback_intervals"])
+        assert report["iterations"] >= counts["gauss_newton_iterations"]
+
+
 def test_fit_fields_df_labelled_with_midpoints(tmp_path):
     out = _simulate(tmp_path, "--n-steps", "8", kind="three_axis_time_dependent")
     rt_path = tmp_path / "rt.json"

@@ -501,10 +501,34 @@ def test_mle_single_time_counts_every_evaluation_as_frechet():
     assert counts["expm_frechet_evaluations"] == counts["evaluations"]
 
 
-def test_fields_report_has_no_optimizer_key():
+def test_fields_mle_reports_gauss_newton_counts():
     sc = make_scenario("three_axis_time_dependent", n_steps=4)
     ds = generate_dataset(sc, NoiseSpec(seed=66))
-    track = estimate_fields(
-        stepwise_processes(ds), sc.grid, DEFAULT_RELAXATION.superoperator(), method="mle"
-    )
-    assert "optimizer" not in track.report.to_json()
+    steps, rt = stepwise_processes(ds), DEFAULT_RELAXATION.superoperator()
+    track = estimate_fields(steps, sc.grid, rt, method="mle")
+    counts = json.loads(json.dumps(track.report.to_json()))["optimizer"]
+    assert counts == track.report.extras["optimizer"]
+    assert set(counts) == {"gauss_newton_iterations", "fallbacks", "fallback_intervals"}
+    assert counts["gauss_newton_iterations"] >= 4
+    assert counts["fallbacks"] == len(counts["fallback_intervals"])
+    assert track.report.iterations >= counts["gauss_newton_iterations"]
+    direct = estimate_fields(steps, sc.grid, rt, method="direct")
+    assert "optimizer" not in direct.report.to_json()
+
+
+def test_mle_df_per_time_reuses_the_last_evaluation(monkeypatch):
+    # one stacked expm per cost evaluation and at most one more for
+    # df_per_time, which stays bit-identical to a separate expm per time
+    ds = generate_dataset(make_scenario("relaxation_only"), NoiseSpec(bloch_sigma=0.004, seed=67))
+    pmeas = _pmeas_of(ds)
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    report = mle_liouvillian(pmeas, form="free")
+    monkeypatch.undo()
+    assert report.extras["optimizer"]["evaluations"] <= len(calls)
+    assert len(calls) <= report.extras["optimizer"]["evaluations"] + 1
+    assert all(shape == (len(pmeas), 9, 9) for shape in calls)
+    l_hat = report.estimate.matrix
+    separate = [frobenius_distance(p, scipy.linalg.expm(l_hat * t)) for t, p in pmeas]
+    assert np.array_equal(report.df_per_time, separate)
