@@ -76,7 +76,8 @@ def _write_atomic(path: Path, text: str):
 
 
 def _write_json(path: Path, obj: dict):
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # compact output keeps json on its C encoder (indent forces the Python one)
+    _write_atomic(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):

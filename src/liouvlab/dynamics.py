@@ -211,15 +211,19 @@ def principal_log(p):
     """
     single = isinstance(p, ProcessMatrix)
     pms = [p] if single else list(p)
+    out = [Superoperator(dim=pm.dim, matrix=log) for pm, log in zip(pms, _log_stack(pms))]
+    return out[0] if single else out
+
+
+def _log_stack(pms: Sequence[ProcessMatrix]) -> np.ndarray:
+    """``principal_log`` of a sequence as one (T, n, n) array of log matrices."""
     if not pms:
         raise ValueError("need at least one process matrix")
     if any(pm.dim != pms[0].dim for pm in pms):
         raise DimensionError("process matrices have mixed dimensions")
-    logs = _principal_logs(
+    return _principal_logs(
         np.stack([pm.matrix for pm in pms]), [pm.duration_s for pm in pms]
     )
-    out = [Superoperator(dim=pm.dim, matrix=log) for pm, log in zip(pms, logs)]
-    return out[0] if single else out
 
 
 def _principal_logs(mats: np.ndarray, durations: Sequence[float]) -> np.ndarray:

@@ -50,7 +50,7 @@ import scipy.optimize
 from numpy.typing import NDArray
 
 from .basis import build_basis, _frozen_array
-from .dynamics import ProcessMatrix, TimeGrid, principal_log
+from .dynamics import ProcessMatrix, TimeGrid, _log_stack, principal_log
 from .exceptions import (
     BootstrapError,
     BranchCutError,
@@ -465,7 +465,9 @@ def mle_liouvillian(
     Returns:
         FitReport whose ``estimate`` is the fitted generator L; a
         non-converged fit is reported (``converged=False``), never raised.
-        Restarts from perturbed initial points are attempted first.
+        Restarts from perturbed initial points are attempted first; the
+        perturbation is kept out of the null space of the ``hermitian`` and
+        ``fields`` designs, which the cost does not see.
     """
     pmeas = _normalize_pmeas(pmeas)
     n2 = pmeas[0][1].shape[0]
@@ -518,11 +520,18 @@ def mle_liouvillian(
 
     best_res, best_hist = _run_lbfgs(fun, x0, max_iters)
     converged = _is_converged(best_res, best_hist, max_iters)
+    # a restart step along the design's null space (the trace of H in the
+    # Hermitian form) moves no generator entry: the cost cannot see it and
+    # L-BFGS never takes it back, so restarts perturb the row space only
+    null = None if converged or design is None else scipy.linalg.null_space(design)
     attempt = 0
     while not converged and attempt < N_RESTARTS:
         rng = np.random.default_rng([1898, attempt])
         scale = 1e-3 * (np.linalg.norm(x0) + 1.0)
-        res, hist = _run_lbfgs(fun, x0 + rng.normal(size=n_params) * scale, max_iters)
+        step = rng.normal(size=n_params) * scale
+        if null is not None:
+            step -= null @ (null.T @ step)
+        res, hist = _run_lbfgs(fun, x0 + step, max_iters)
         # a converged restart at the best cost (within tolerance) also counts
         if res.fun < best_res.fun or (
             res.fun - best_res.fun <= CONVERGENCE_RTOL * abs(best_res.fun)
@@ -823,7 +832,7 @@ def estimate_fields(
     design = _field_design(gens) if known_form else _hermitian_design()
     dts = np.array([p.duration_s for p in psteps])
     ps = np.stack([p.matrix for p in psteps])
-    logs = np.stack([log.matrix for log in principal_log(psteps)])
+    logs = _log_stack(psteps)
     k_direct = (logs / dts[:, None, None] + rt.matrix).reshape(len(ps), -1)
     theta0 = np.linalg.lstsq(design, k_direct.T, rcond=None)[0].T
     subs = {}  # interval -> FitReport of its L-BFGS fallback

@@ -4,8 +4,11 @@ A tomography run pairs an informationally complete set of N >= d**2 input
 states (Bloch vectors as the columns of a d**2 x N matrix) with the
 measured output states at one or more evolution times.  Overcompleteness
 is handled by symmetrization -- multiplying both state matrices by the
-transposed input matrix -- after which the process matrix follows from a
-single positive-definite solve.  The reconstruction is purely
+transposed input matrix -- after which the process matrix follows from one
+linear solve against the input Gram matrix.  Every reconstruction, the
+per-time ones and the per-interval stepwise ones alike, goes through one
+kernel that checks a whole stack of input matrices from one batched SVD
+and solves all their Gram systems at once.  The reconstruction is purely
 linear-algebraic: it is exact for any full-rank input set, pure or mixed,
 and does not project onto the physical set.
 """
@@ -14,14 +17,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
 
 from .basis import DensityMatrix, OperatorBasis, build_basis, coords_of, _frozen_array
-from .dynamics import ProcessMatrix, principal_log
+from .dynamics import ProcessMatrix, _log_stack, principal_log
 from .exceptions import CompletenessError, DimensionError, IllConditionedError
 from .superop import Superoperator
 
@@ -105,21 +107,20 @@ class TomographySet:
 
     @property
     def input_rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.inputs))
+        return int(self._input_health[0][0])
 
     @property
     def input_condition(self) -> float:
         """Condition number of the symmetrized input matrix."""
-        return float(np.linalg.cond(self.inputs @ self.inputs.T))
+        return float(self._input_health[1][0])
 
     @functools.cached_property
-    def _gram_factor(self):
-        """Checked Cholesky factor of the symmetrized input matrix.
+    def _input_health(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_gram_health`` of the inputs, a stack of one.
 
-        The inputs are shared by every time, so the rank check, the
-        condition check and the factorization run once per set.
+        The inputs are shared by every time, so their SVD runs once per set.
         """
-        return _checked_gram_factor(self.inputs, self.dim, "inputs")
+        return _gram_health(self.inputs[None])
 
     @classmethod
     def from_states(
@@ -189,36 +190,81 @@ def symmetrize(ts: TomographySet, t: float) -> tuple[np.ndarray, np.ndarray]:
     return mi_sym, mo_sym
 
 
-def _checked_gram_factor(mi: np.ndarray, dim: int, label: str):
-    """Cholesky factor of mi mi^T after the rank and condition checks."""
-    mi_sym = mi @ mi.T
-    rank = int(np.linalg.matrix_rank(mi))
-    if rank < dim * dim:
-        raise CompletenessError(
-            f"{label}: input states span only rank {rank} < {dim * dim}", rank=rank
-        )
-    cond = float(np.linalg.cond(mi_sym))
-    if cond > MAX_CONDITION:
+def _gram_health(mi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of each matrix M_k of a (K, d**2, N) stack and cond(M_k M_k^T).
+
+    Both come from one batched SVD without vectors: the rank counts the
+    singular values above numpy's ``matrix_rank`` tolerance
+    sigma_max * max(d**2, N) * eps, and the Gram condition is
+    (sigma_max / sigma_min)**2 (infinite for sigma_min = 0).
+    """
+    sv = np.linalg.svd(mi, compute_uv=False)
+    tol = sv[:, :1] * max(mi.shape[1:]) * np.finfo(sv.dtype).eps
+    rank = np.count_nonzero(sv > tol, axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = (sv[:, 0] / sv[:, -1]) ** 2
+    return rank, cond
+
+
+def _checked_gram_solve(
+    mi: np.ndarray,
+    rhs: np.ndarray,
+    dim: int,
+    label: Callable[[int], str],
+    health: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Solutions X_k of (M_k M_k^T) X_k = rhs_k for a (K, d**2, N) stack M.
+
+    ``health`` is ``_gram_health(mi)``, computed here when not given.  The
+    first matrix that is rank-deficient or whose Gram condition exceeds
+    MAX_CONDITION raises, named by ``label(k)``.  All K systems then go
+    through one batched solve; no inverse is formed.
+
+    Raises:
+        CompletenessError: rank below d**2 (``rank`` attribute set).
+        IllConditionedError: Gram condition above MAX_CONDITION (``cond``
+            attribute set).
+    """
+    rank, cond = _gram_health(mi) if health is None else health
+    n2 = dim * dim
+    bad = np.flatnonzero((rank < n2) | (cond > MAX_CONDITION))
+    if bad.size:
+        k = bad[0]
+        if rank[k] < n2:
+            raise CompletenessError(
+                f"{label(k)}: input states span only rank {rank[k]} < {n2}",
+                rank=int(rank[k]),
+            )
         raise IllConditionedError(
-            f"{label}: symmetrized input matrix condition {cond:.3e} exceeds "
+            f"{label(k)}: symmetrized input matrix condition {cond[k]:.3e} exceeds "
             f"{MAX_CONDITION:.0e}; refusing inversion",
-            cond=cond,
+            cond=float(cond[k]),
         )
-    return cho_factor(mi_sym)
+    return np.linalg.solve(mi @ mi.transpose(0, 2, 1), rhs)
 
 
-def _solve_process(mi: np.ndarray, mo: np.ndarray, dim: int, label: str) -> np.ndarray:
-    """P from  mo_sym = P mi_sym  via Cholesky on the Gram matrix."""
-    return cho_solve(_checked_gram_factor(mi, dim, label), (mo @ mi.T).T).T
+def _reconstruct(ts: TomographySet, times) -> list[ProcessMatrix]:
+    """Process matrices at ``times`` from one Gram solve of the set's inputs."""
+    n2 = ts.dim * ts.dim
+    mo = np.stack([_output_at(ts, t) for t in times])  # (T, d**2, N)
+    # column block k of the right-hand side is (mo_k inputs^T)^T
+    rhs = ts.inputs @ mo.transpose(2, 0, 1).reshape(ts.n_states, -1)
+    sol = _checked_gram_solve(
+        ts.inputs[None], rhs[None], ts.dim, lambda k: "inputs", ts._input_health
+    )[0].reshape(n2, len(mo), n2)
+    return [
+        ProcessMatrix(dim=ts.dim, matrix=sol[:, k, :].T, duration_s=float(t))
+        for k, t in enumerate(times)
+    ]
 
 
 def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
     """Linear-inversion estimate of the process matrix at time t.
 
-    Solves the symmetrized system as a positive-definite linear solve
-    (never by forming an explicit inverse), with the input Gram matrix
-    checked and factored once per TomographySet.  Exact on noiseless data
-    for any full-rank input set.
+    Solves the symmetrized system by a linear solve (never by forming an
+    explicit inverse), with the input rank and Gram condition checked
+    from one SVD per TomographySet.  Exact on noiseless data for any
+    full-rank input set.
 
     Raises:
         CompletenessError: if the input states are rank-deficient.
@@ -226,42 +272,31 @@ def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
             MAX_CONDITION.
         KeyError: if no outputs were measured at ``t``.
     """
-    mo = _output_at(ts, t)
-    p = cho_solve(ts._gram_factor, (mo @ ts.inputs.T).T).T
-    return ProcessMatrix(dim=ts.dim, matrix=p, duration_s=float(t))
+    return _reconstruct(ts, [t])[0]
 
 
 def reconstruct_processes(ts: TomographySet) -> list[ProcessMatrix]:
     """:func:`reconstruct_process` at every measured time, in time order.
 
-    All times share one Gram factor and one Cholesky solve, whose
-    right-hand sides are the symmetrized outputs side by side.
+    All times share one solve, whose right-hand sides are the symmetrized
+    outputs side by side.
 
     Raises:
         CompletenessError, IllConditionedError: as reconstruct_process.
     """
     times = ts.times
-    if not times.size:
-        return []
-    n2 = ts.dim * ts.dim
-    mo = np.stack([ts.outputs[t] for t in times])  # (T, d**2, N)
-    # column block k of the right-hand side is (mo_k inputs^T)^T
-    rhs = ts.inputs @ mo.transpose(2, 0, 1).reshape(ts.n_states, -1)
-    sol = cho_solve(ts._gram_factor, rhs).reshape(n2, len(times), n2)
-    return [
-        ProcessMatrix(dim=ts.dim, matrix=sol[:, k, :].T, duration_s=float(t))
-        for k, t in enumerate(times)
-    ]
+    return _reconstruct(ts, times) if times.size else []
 
 
 def mean_log_liouvillian(processes: Sequence[ProcessMatrix]) -> Superoperator:
     """Averaged direct generator estimate, the mean of log(P_t) / t.
 
     Each process matrix contributes its principal log divided by its
-    ``duration_s``; branch-cut and singularity errors propagate.
+    ``duration_s``, averaged over the stacked logs; branch-cut, singularity
+    and mixed-dimension errors propagate.
     """
-    logs = principal_log(processes)
-    mean = np.mean([log.matrix / p.duration_s for log, p in zip(logs, processes)], axis=0)
+    durations = np.array([p.duration_s for p in processes])
+    mean = np.mean(_log_stack(processes) / durations[:, None, None], axis=0)
     return Superoperator(dim=processes[0].dim, matrix=mean)
 
 
@@ -270,7 +305,8 @@ def direct_liouvillian(ts: TomographySet, t: float) -> Superoperator:
 
     Propagates branch-ambiguity and singularity errors from the logarithm.
     """
-    return mean_log_liouvillian([reconstruct_process(ts, t)])
+    pm = reconstruct_process(ts, t)
+    return Superoperator(dim=ts.dim, matrix=principal_log(pm).matrix / pm.duration_s)
 
 
 def stepwise_processes(ts: TomographySet) -> list[ProcessMatrix]:
@@ -280,33 +316,33 @@ def stepwise_processes(ts: TomographySet) -> list[ProcessMatrix]:
     consecutive state matrices are related by M_{n+1} = P_n M_n; each P_n is
     recovered by the same symmetrized inversion, always using the measured
     matrix at the earlier time (evolution can degrade completeness, so each
-    step is rank-checked individually).
+    step is rank- and condition-checked individually).  All steps are
+    checked and solved as one stack.
 
     Returns one process matrix per grid interval; ``duration_s`` is the
     interval length.
+
+    Raises:
+        CompletenessError, IllConditionedError: for the first failing step,
+            named in the message as ``step n (t = a -> b)``.
     """
     times = ts.times
-    matrices = [ts.inputs] + [ts.outputs[t] for t in times]
+    if not times.size:
+        return []
     boundaries = np.concatenate([[0.0], times])
-    steps = []
-    for n in range(len(times)):
-        label = f"step {n} (t = {boundaries[n]} -> {boundaries[n + 1]})"
-        try:
-            p = _solve_process(matrices[n], matrices[n + 1], ts.dim, label)
-        except (CompletenessError, IllConditionedError) as err:
-            raise type(err)(
-                f"stepwise reconstruction failed at {label}: {err}",
-                **(
-                    {"rank": err.rank}
-                    if isinstance(err, CompletenessError)
-                    else {"cond": err.cond}
-                ),
-            ) from err
-        steps.append(
-            ProcessMatrix(
-                dim=ts.dim,
-                matrix=p,
-                duration_s=float(boundaries[n + 1] - boundaries[n]),
-            )
-        )
-    return steps
+    later = np.stack([ts.outputs[t] for t in times])  # (T, d**2, N)
+    earlier = np.concatenate([ts.inputs[None], later[:-1]])
+    # (M_n M_n^T) P_n^T = M_n M_{n+1}^T
+    sol = _checked_gram_solve(
+        earlier,
+        earlier @ later.transpose(0, 2, 1),
+        ts.dim,
+        lambda n: (
+            f"stepwise reconstruction failed at step {n} "
+            f"(t = {boundaries[n]} -> {boundaries[n + 1]})"
+        ),
+    )
+    return [
+        ProcessMatrix(dim=ts.dim, matrix=p.T, duration_s=float(dt))
+        for p, dt in zip(sol, np.diff(boundaries))
+    ]

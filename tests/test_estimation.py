@@ -532,3 +532,31 @@ def test_mle_df_per_time_reuses_the_last_evaluation(monkeypatch):
     l_hat = report.estimate.matrix
     separate = [frobenius_distance(p, scipy.linalg.expm(l_hat * t)) for t, p in pmeas]
     assert np.array_equal(report.df_per_time, separate)
+
+
+def test_mle_restarts_keep_the_null_space_component_of_x0(monkeypatch):
+    # the Hermitian design has the trace of H as an exact null direction,
+    # which the cost cannot see: a restart must not move it
+    from liouvlab import estimation
+    from liouvlab.superop import _hermitian_design
+
+    design = _hermitian_design()
+    _, s, vt = np.linalg.svd(design)
+    null = vt[s < 1e-10 * s[0]]
+    assert null.shape == (1, 9)
+    rng = np.random.default_rng(69)
+    theta = rng.normal(size=9)
+    lmat = (design @ theta).reshape(9, 9)
+    pmeas = [(t, scipy.linalg.expm(lmat * t)) for t in (0.1, 0.2, 0.3)]
+    x0 = theta + 0.3 * rng.normal(size=9)
+    starts = []
+    run = estimation._run_lbfgs
+    monkeypatch.setattr(
+        estimation, "_run_lbfgs", lambda fun, x, m: starts.append(np.array(x)) or run(fun, x, m)
+    )
+    report = mle_liouvillian(pmeas, form="hermitian", x0=x0, max_iters=2)
+    assert report.extras["optimizer"]["restarts"] == estimation.N_RESTARTS
+    assert len(starts) == 1 + estimation.N_RESTARTS
+    assert not any(np.array_equal(start, x0) for start in starts[1:])
+    for start in starts:
+        np.testing.assert_allclose(null @ start, null @ x0, rtol=0, atol=1e-12)
