@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -22,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
+from . import __version__
 from .estimation import (
     FitReport,
     bootstrap,
@@ -110,6 +113,16 @@ def _artifact(obj: dict, seed: int) -> dict:
     return {"schema_version": SCHEMA_VERSION, "seed": seed, **obj}
 
 
+def _versions() -> dict:
+    """Versions of Python and of the libraries that computed the artifacts."""
+    return {
+        "liouvlab": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "scipy": scipy.__version__,
+    }
+
+
 def _manifest(outdir: Path, command: str, config: dict, seed: int):
     _write_json(
         outdir / "manifest.json",
@@ -118,6 +131,7 @@ def _manifest(outdir: Path, command: str, config: dict, seed: int):
             "command": command,
             "config": config,
             "seed": seed,
+            "versions": _versions(),
         },
     )
 
@@ -519,7 +533,9 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (``parse_args`` keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="liouvlab",
         description="Liouvillian reconstruction pipeline for d-level systems",

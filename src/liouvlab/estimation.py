@@ -13,24 +13,29 @@ Two complementary estimators are provided throughout:
 
   over a constrained parameter set, so physical structure (fixed
   dissipator, Hermitian Hamiltonian, parametric field form) holds by
-  construction.  The cost is a Pade ``expm`` per time.  The gradient is
-  exact: for two or more times it comes from one eigendecomposition
-  L = V diag(lambda) V^-1 per evaluation through Daleckii-Krein divided
-  differences; for a single time, or when cond(V) >= 1e6, it falls back to
-  ``scipy.linalg.expm_frechet`` per time.  The cost stays on Pade because
-  a cost taken from the eigendecomposition rounds noisily near the optimum,
-  which makes L-BFGS line searches fail and restart.
+  construction.  The cost is a Pade ``expm`` per time.
 
-Time-resolved field tracking fits one generator per grid interval, each to
-a single process matrix.  Those small, nearly zero-residual problems are
-solved all at once by lockstep Gauss-Newton on stacked arrays (one batched
-eigendecomposition per iteration, Jacobian columns from the same divided
-differences as the gradient, a batched pseudo-inverse step, and the same
-Pade cost, which no step may raise); an interval stops when a step lowers
-its cost by less than CONVERGENCE_RTOL relative.  An interval with a
-near-defective generator (cond(V) >= EIGVEC_COND_MAX), a first step that
-does not lower its cost, or no stop within GN_MAX_ITERS steps is fitted by
-the L-BFGS path above from the same start.
+One Gauss-Newton solver fits both kinds of MLE problem: the many-time fits
+of ``mle_liouvillian`` (one problem of T >= 2 times) and the per-interval
+field fits of ``estimate_fields`` (one problem of one time per interval,
+all intervals in lockstep on stacked arrays).  These are small-residual
+least-squares problems, where Gauss-Newton converges in a few steps.  Each
+step takes one batched eigendecomposition G = V diag(lambda) V^-1, the
+Jacobian of exp(G t) from Daleckii-Krein divided differences (Najfeld &
+Havel, Adv. Appl. Math. 16 (1995)) and the min-norm least-squares step,
+taken only if it does not raise the Pade cost.  A problem stops when a
+step lowers its cost by less than CONVERGENCE_RTOL relative.  A problem
+with a near-defective generator (cond(V) >= EIGVEC_COND_MAX), a first step
+that does not lower its cost, or no stop within GN_MAX_ITERS steps falls
+back to L-BFGS from the same start, with restarts; so does every one-time
+``mle_liouvillian`` call (the field intervals that reach it are those
+Gauss-Newton gave up on).  The
+L-BFGS gradient is exact: for two or more times it comes from one
+eigendecomposition per evaluation through the same divided differences;
+for a single time, or when cond(V) >= 1e6, from
+``scipy.linalg.expm_frechet`` per time.  The cost stays on Pade because a
+cost taken from the eigendecomposition rounds noisily near the optimum,
+which makes L-BFGS line searches fail and restart.
 
 Uncertainty is quantified by a percentile bootstrap over re-simulated
 noisy datasets.
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -91,7 +97,7 @@ N_RESTARTS = 3
 # eigenvector-condition limit of the eigendecomposition gradient, the same
 # guard principal_log puts on its eigendecomposition log
 EIGVEC_COND_MAX = 1e6
-# Gauss-Newton steps per interval before estimate_fields falls back to L-BFGS
+# Gauss-Newton steps per problem before the fit falls back to L-BFGS
 GN_MAX_ITERS = 8
 # relative singular-value cut of the Gauss-Newton step
 GN_PINV_RCOND = 1e-10
@@ -172,10 +178,12 @@ class FitReport:
     HermitianParams, RelaxationModel, ...); ``params`` is the flat
     parameter vector behind it; ``ci_low``/``ci_high`` are filled only
     after a bootstrap run.  ``extras["optimizer"]``, set by
-    ``mle_liouvillian``, counts cost evaluations, restarts and the
-    evaluations whose gradient took the ``expm_frechet`` path; set by
-    ``estimate_fields(method="mle")``, it counts the Gauss-Newton steps
-    and the intervals that fell back to L-BFGS.
+    ``mle_liouvillian``, counts cost evaluations (Gauss-Newton's and
+    L-BFGS's), L-BFGS restarts, the evaluations whose gradient took the
+    ``expm_frechet`` path and the Gauss-Newton steps, and says whether the
+    fit fell back to L-BFGS; set by ``estimate_fields(method="mle")``, it
+    counts the Gauss-Newton steps and the intervals that fell back to
+    L-BFGS.
     ``extras["bootstrap"]``, set by the CLI, records the draw count, the
     failed draws and the first few failure messages.  ``to_json`` writes
     each of the two only when present.
@@ -351,28 +359,34 @@ def _eig(lmat: np.ndarray):
 def _t_phi(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Divided differences t Phi_ij = (e^{lambda_i t} - e^{lambda_j t}) / (lambda_i - lambda_j).
 
-    ``ts`` has shape (T,) and ``lam`` shape (n,) or (T, n), one spectrum
-    per time; the result is (T, n, n).  The kernel of the Frechet derivative
-    of exp(L t) in the eigenbasis of L.  It is evaluated as
+    ``ts`` has shape (..., T) and ``lam`` shape (..., n), one spectrum per
+    leading index; the result is (..., T, n, n).  The kernel of the Frechet
+    derivative of exp(L t) in the eigenbasis of L.  It is evaluated as
     t e^{(z_i + z_j)/2} sinh(delta)/delta with z = lambda t and
     delta = (z_i - z_j)/2, which does not cancel for close eigenvalues;
     sinh(delta)/delta is 1 at delta = 0 (the diagonal and equal
     eigenvalues).
     """
-    z = ts[:, None] * lam
-    zi, zj = z[:, :, None], z[:, None, :]
+    z = ts[..., :, None] * lam[..., None, :]
+    zi, zj = z[..., :, None], z[..., None, :]
     delta = 0.5 * (zi - zj)
     sinhc = np.divide(np.sinh(delta), delta, out=np.ones_like(delta), where=delta != 0)
-    return ts[:, None, None] * np.exp(0.5 * (zi + zj)) * sinhc
+    return ts[..., :, None, None] * np.exp(0.5 * (zi + zj)) * sinhc
 
 
 def _daleckii_krein_grad(lam, v, ts, errs) -> np.ndarray:
     """Gradient of the MLE cost from the eigendecomposition of L."""
-    t_phi = _t_phi(lam, ts)
-    vh = v.conj().T
-    vinv_h = np.linalg.inv(v).conj().T
-    inner = (t_phi.conj() * (vh @ errs @ vinv_h)).sum(axis=0)
-    return 2.0 * (vinv_h @ inner @ vh).real
+    return 2.0 * _frechet_adjoint(v, np.linalg.inv(v), _t_phi(lam, ts), errs)
+
+
+def _frechet_adjoint(v, vinv, t_phi, errs) -> np.ndarray:
+    """sum_n D exp(L t_n)^T [E_n] = Re[V^-H (sum_n conj(t Phi_n) o (V^H E_n V^-H)) V^H].
+
+    ``v``, ``vinv`` (..., n, n), ``t_phi`` and ``errs`` (..., T, n, n).
+    """
+    vh, vinv_h = v.conj().swapaxes(-1, -2), vinv.conj().swapaxes(-1, -2)
+    inner = (t_phi.conj() * (vh[..., None, :, :] @ errs @ vinv_h[..., None, :, :])).sum(axis=-3)
+    return (vinv_h @ inner @ vh).real
 
 
 def _field_design(generators: Sequence[Superoperator]) -> np.ndarray:
@@ -434,6 +448,176 @@ def _is_converged(res, history, max_iters) -> bool:
     return bool(res.success and res.nit < max_iters)
 
 
+def _lbfgs_fit(fun, x0, max_iters, design):
+    """L-BFGS from ``x0``, restarted from perturbed starts until converged.
+
+    Returns (best result, converged, restarts).
+    """
+    best_res, best_hist = _run_lbfgs(fun, x0, max_iters)
+    converged = _is_converged(best_res, best_hist, max_iters)
+    # a restart step along the design's null space (the trace of H in the
+    # Hermitian form) moves no generator entry: the cost cannot see it and
+    # L-BFGS never takes it back, so restarts perturb the row space only
+    null = None if converged or design is None else scipy.linalg.null_space(design)
+    attempt = 0
+    while not converged and attempt < N_RESTARTS:
+        rng = np.random.default_rng([1898, attempt])
+        scale = 1e-3 * (np.linalg.norm(x0) + 1.0)
+        step = rng.normal(size=len(x0)) * scale
+        if null is not None:
+            step -= null @ (null.T @ step)
+        res, hist = _run_lbfgs(fun, x0 + step, max_iters)
+        # a converged restart at the best cost (within tolerance) also counts
+        if res.fun < best_res.fun or (
+            res.fun - best_res.fun <= CONVERGENCE_RTOL * abs(best_res.fun)
+            and _is_converged(res, hist, max_iters)
+        ):
+            best_res, best_hist = res, hist
+        converged = _is_converged(best_res, best_hist, max_iters)
+        attempt += 1
+    return best_res, converged, attempt
+
+
+def _generators(design, rt, thetas) -> np.ndarray:
+    """Generators B_k - rt, one per row of ``thetas``.
+
+    B_k = design @ theta_k, or theta_k itself as an n x n matrix when
+    ``design`` is None (the free form); ``rt`` None stands for no
+    dissipator.
+    """
+    b = thetas if design is None else thetas @ design.T
+    n = math.isqrt(b.shape[1])
+    b = b.reshape(-1, n, n)
+    return b.copy() if rt is None else b - rt
+
+
+def _stacked_expm(gens, ts) -> np.ndarray:
+    """exp(G_k t_kn), (K, T, n, n), from one stacked Pade ``expm`` call."""
+    n = gens.shape[-1]
+    args = (gens[:, None] * ts[:, :, None, None]).reshape(-1, n, n)
+    return scipy.linalg.expm(args).reshape(*ts.shape, n, n)
+
+
+def _stacked_costs(exps, ps) -> np.ndarray:
+    """Pade cost sum_n ||E_kn - P_kn||_F^2 per problem, summed in time order.
+
+    The order is that of ``_cost_and_matrix_grad``, so the two agree bit
+    for bit.
+    """
+    n = ps.shape[-1]
+    sq = _squared_norms((exps - ps).reshape(-1, n, n)).reshape(ps.shape[:2])
+    costs = sq[:, 0].copy()
+    for col in sq.T[1:]:
+        costs += col
+    return costs
+
+
+def _gauss_newton_step(design, lam, v, ts, resid) -> np.ndarray:
+    """Min-norm least-squares step, argmin ||J_k delta - r_k||, of each problem k.
+
+    ``lam``, ``v`` (K, n), (K, n, n) are the eigendecompositions
+    G_k = V diag(lambda) V^-1, ``ts`` (K, T) the times and ``resid``
+    (K, T, n, n) the residuals r = exp(G_k t) - P.  The Jacobian column of
+    a generator direction E is D exp[E t] = V (t Phi o V^-1 E V) V^-1.  The
+    contraction follows the parameter count P:
+
+    * with a design (the field and Hermitian forms, P = 3 or 9), J is
+      built per design column, one (T n^2, P) matrix per problem, and the
+      step is pinv(J) r, which never moves along the design's null space
+      (the trace of H);
+    * the free form has a column per entry of B (P = n^2 = 81 for
+      qutrits) and no null space, as D exp is invertible unless two
+      eigenvalues differ by 2 pi i k / t at every time.  With row-major
+      vec, J_n = S D_n S^-1 for S = V (x) V^-T and D_n = diag(vec t Phi_n),
+      so J^T J = S^-H [(S^H S) o (Phi^H Phi)] S^-1 (Phi holds one
+      vec t Phi_n per row) and J^T r is the Daleckii-Krein gradient over 2.
+      The normal equations are built from (n^2, n^2) matrices, never from
+      J itself, and solved directly.  Their rounding grows with cond(V),
+      which EIGVEC_COND_MAX bounds, and a step that does not lower the
+      cost is never taken.
+    """
+    vinv = np.linalg.inv(v)
+    t_phi = _t_phi(lam, ts)
+    n_prob, n_times, n = resid.shape[:3]
+    if design is not None:
+        gen_cols = design.T.reshape(-1, n, n)
+        m = vinv[:, None] @ gen_cols @ v[:, None]
+        jac = (v[:, None, None] @ (t_phi[:, :, None] * m[:, None]) @ vinv[:, None, None]).real
+        jac = jac.reshape(n_prob, n_times, len(gen_cols), -1).transpose(0, 1, 3, 2)
+        jac = jac.reshape(n_prob, -1, len(gen_cols))
+        resid = resid.reshape(n_prob, -1, 1)
+        return (np.linalg.pinv(jac, rcond=GN_PINV_RCOND) @ resid)[..., 0]
+    n2 = n * n
+    grad = _frechet_adjoint(v, vinv, t_phi, resid).reshape(n_prob, n2, 1)
+    vh, vinv_h = v.conj().transpose(0, 2, 1), vinv.conj().transpose(0, 2, 1)
+    # S^-1 = V^-1 (x) V^T and S^H S = (V^H V) (x) conj(V^-1 V^-H)
+    s_inv = vinv[:, :, None, :, None] * v.transpose(0, 2, 1)[:, None, :, None, :]
+    s_inv = s_inv.reshape(n_prob, n2, n2)
+    gram = (vh @ v)[:, :, None, :, None] * (vinv @ vinv_h).conj()[:, None, :, None, :]
+    phi = t_phi.reshape(n_prob, n_times, n2)
+    weights = gram.reshape(n_prob, n2, n2) * (phi.conj().transpose(0, 2, 1) @ phi)
+    normal = (s_inv.conj().transpose(0, 2, 1) @ weights @ s_inv).real
+    return np.linalg.solve(normal, grad)[..., 0]
+
+
+def _gauss_newton(design, rt, ts, ps, theta0, max_steps):
+    """Lockstep Gauss-Newton fits of K problems of T times each.
+
+    Problem k minimizes the Pade cost sum_n ||exp(G_k t_kn) - P_kn||_F^2
+    of ``mle_liouvillian``, with G_k = B(theta_k) - rt (``_generators``),
+    starting from ``theta0[k]``; ``ts`` is (K, T) and ``ps`` (K, T, n, n).
+    All problems step together on stacked arrays.  Each iteration takes one
+    batched eigendecomposition of the running generators and the min-norm
+    step of ``_gauss_newton_step`` (theta never moves along the design's
+    null space, such as the trace of H).  A step is taken only if its Pade
+    cost does not rise.  A problem stops when a step lowers its cost by
+    less than CONVERGENCE_RTOL relative (a step that raises it included).
+    It is marked for fallback when its start is not finite, when
+    cond(V) >= EIGVEC_COND_MAX, when its first step does not lower the
+    cost, or when it is still running after ``max_steps`` steps.
+
+    Returns:
+        (thetas, gens, costs, exps, steps, fallback): parameters (K, P),
+        generators (K, n, n), Pade costs (K,) and exponentials (K, T, n, n)
+        at the last taken step, the steps tried summed over problems (each
+        one Pade cost evaluation) and the boolean fallback mask.
+    """
+    thetas = np.array(theta0, dtype=float)
+    gens = _generators(design, rt, thetas)
+    exps = _stacked_expm(gens, ts)
+    costs = _stacked_costs(exps, ps)
+    steps = 0
+    fallback = ~np.isfinite(costs)
+    running = ~fallback
+    for it in range(max_steps):
+        if not running.any():
+            break
+        idx = np.flatnonzero(running)
+        lam, v = np.linalg.eig(gens[idx])
+        ok = np.linalg.cond(v) < EIGVEC_COND_MAX
+        fallback[idx[~ok]] = True
+        running[idx[~ok]] = False
+        idx, lam, v = idx[ok], lam[ok], v[ok]
+        if not idx.size:
+            break
+        step = _gauss_newton_step(design, lam, v, ts[idx], exps[idx] - ps[idx])
+        trial = thetas[idx] - step
+        trial_gens = _generators(design, rt, trial)
+        trial_exps = _stacked_expm(trial_gens, ts[idx])
+        trial_costs = _stacked_costs(trial_exps, ps[idx])
+        steps += len(idx)
+        drop = costs[idx] - trial_costs
+        if it == 0:
+            fallback[idx[~(drop > 0)]] = True
+        running[idx[~(drop >= CONVERGENCE_RTOL * costs[idx])]] = False
+        take = drop >= 0
+        took = idx[take]
+        thetas[took], costs[took] = trial[take], trial_costs[take]
+        gens[took], exps[took] = trial_gens[take], trial_exps[take]
+    fallback |= running
+    return thetas, gens, costs, exps, steps, fallback
+
+
 def mle_liouvillian(
     pmeas,
     *,
@@ -460,14 +644,25 @@ def mle_liouvillian(
         x0: optional initial parameter vector; defaults to the direct
             log-estimate at the earliest admissible time, projected onto
             the parameter space.
-        max_iters: optimizer iteration cap.
+        max_iters: optimizer iteration cap (Gauss-Newton takes at most
+            min(GN_MAX_ITERS, max_iters) steps).
+
+    Two or more times are fitted by Gauss-Newton (``_gauss_newton``); a
+    single time, or a Gauss-Newton fit that gives up (see the module
+    docstring), by L-BFGS from ``x0``.  L-BFGS restarts from perturbed
+    initial points until it converges; the perturbation is kept out of the
+    null space of the ``hermitian`` and ``fields`` designs, which the cost
+    does not see.
 
     Returns:
         FitReport whose ``estimate`` is the fitted generator L; a
         non-converged fit is reported (``converged=False``), never raised.
-        Restarts from perturbed initial points are attempted first; the
-        perturbation is kept out of the null space of the ``hermitian`` and
-        ``fields`` designs, which the cost does not see.
+        ``iterations`` is the Gauss-Newton steps plus the L-BFGS
+        iterations.  ``extras["optimizer"]`` holds ``evaluations`` (every
+        Pade cost evaluation, Gauss-Newton's included),
+        ``expm_frechet_evaluations``, ``restarts`` (of L-BFGS),
+        ``gauss_newton_iterations`` and ``fallback`` (True when the result
+        came from L-BFGS).
     """
     pmeas = _normalize_pmeas(pmeas)
     n2 = pmeas[0][1].shape[0]
@@ -518,37 +713,33 @@ def mle_liouvillian(
     if x0.shape != (n_params,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({n_params},)")
 
-    best_res, best_hist = _run_lbfgs(fun, x0, max_iters)
-    converged = _is_converged(best_res, best_hist, max_iters)
-    # a restart step along the design's null space (the trace of H in the
-    # Hermitian form) moves no generator entry: the cost cannot see it and
-    # L-BFGS never takes it back, so restarts perturb the row space only
-    null = None if converged or design is None else scipy.linalg.null_space(design)
-    attempt = 0
-    while not converged and attempt < N_RESTARTS:
-        rng = np.random.default_rng([1898, attempt])
-        scale = 1e-3 * (np.linalg.norm(x0) + 1.0)
-        step = rng.normal(size=n_params) * scale
-        if null is not None:
-            step -= null @ (null.T @ step)
-        res, hist = _run_lbfgs(fun, x0 + step, max_iters)
-        # a converged restart at the best cost (within tolerance) also counts
-        if res.fun < best_res.fun or (
-            res.fun - best_res.fun <= CONVERGENCE_RTOL * abs(best_res.fun)
-            and _is_converged(res, hist, max_iters)
-        ):
-            best_res, best_hist = res, hist
-        converged = _is_converged(best_res, best_hist, max_iters)
-        attempt += 1
-
-    theta = best_res.x
-    l_hat = build(theta)
-    if np.array_equal(last["theta"], theta):
-        exps = last["exps"]
+    steps, fallback = 0, len(ts) == 1  # one-time fits keep L-BFGS outright
+    if not fallback:
+        gn_thetas, gn_gens, gn_costs, gn_exps, steps, gn_fallback = _gauss_newton(
+            design, rt_mat, ts[None], ps[None], x0[None], min(GN_MAX_ITERS, max_iters)
+        )
+        counts["evaluations"] += 1 + steps
+        fallback = bool(gn_fallback[0])
+    if fallback:
+        best_res, converged, restarts = _lbfgs_fit(fun, x0, max_iters, design)
+        theta, cost, iterations = best_res.x, float(best_res.fun), steps + int(best_res.nit)
+        l_hat = build(theta)
+        if np.array_equal(last["theta"], theta):
+            exps = last["exps"]
+        else:
+            exps = scipy.linalg.expm(l_hat * ts[:, None, None])
     else:
-        exps = scipy.linalg.expm(l_hat * ts[:, None, None])
+        theta, l_hat, cost, exps = gn_thetas[0], gn_gens[0], float(gn_costs[0]), gn_exps[0]
+        converged, restarts, iterations = True, 0, steps
     dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
-    extras = {"optimizer": {**counts, "restarts": attempt}}
+    extras = {
+        "optimizer": {
+            **counts,
+            "restarts": restarts,
+            "gauss_newton_iterations": steps,
+            "fallback": fallback,
+        }
+    }
     if rt_mat is not None:
         extras["hamiltonian_superop"] = Superoperator(
             dim=dim, matrix=l_hat + rt_mat
@@ -559,9 +750,9 @@ def mle_liouvillian(
         model=f"mle-{form}",
         estimate=Superoperator(dim=dim, matrix=l_hat),
         params=theta,
-        cost=float(best_res.fun),
+        cost=cost,
         df_per_time=dfs,
-        iterations=int(best_res.nit),
+        iterations=iterations,
         converged=converged,
         extras=extras,
     )
@@ -649,11 +840,11 @@ def direct_hamiltonian(
     mean_superop = Superoperator(dim=ts.dim, matrix=np.mean(per_time, axis=0))
     fit = params_from_superop(mean_superop)
     k_hat = explicit_qutrit_superop(fit.params).matrix
-    dfs = []
-    for t in times:
-        # df against the model-predicted propagator at this time
-        p_hat = scipy.linalg.expm((k_hat - rt.matrix) * t)
-        dfs.append(frobenius_distance(processes[float(t)].matrix, p_hat))
+    # df against the model-predicted propagator at each time, from one
+    # stacked expm (its slices equal separate calls bit for bit)
+    tvals = np.asarray(times, dtype=float)
+    p_hats = scipy.linalg.expm((k_hat - rt.matrix) * tvals[:, None, None])
+    dfs = [frobenius_distance(processes[float(t)].matrix, p) for t, p in zip(times, p_hats)]
     return FitReport(
         model="direct-hamiltonian",
         estimate=fit.params,
@@ -710,74 +901,6 @@ class FieldTrack:
         return [(t, *om) for t, om in zip(self.times, self.omegas)]
 
 
-def _interval_generators(design, rt, thetas) -> np.ndarray:
-    """Generators (design @ theta_k) - rt, one per row of ``thetas``."""
-    n = rt.shape[0]
-    return (thetas @ design.T).reshape(-1, n, n) - rt
-
-
-def _gauss_newton_intervals(design, rt, dts, ps, theta0):
-    """Lockstep Gauss-Newton fits of one generator per interval.
-
-    Interval k minimizes the Pade cost ||exp(G_k dt_k) - P_k||_F^2 of
-    ``mle_liouvillian`` for one time, with G_k = (design @ theta_k) - rt,
-    starting from ``theta0[k]``; all intervals step together on stacked
-    arrays.  Each iteration takes one batched eigendecomposition
-    G = V diag(lambda) V^-1 of the running intervals, the Jacobian columns
-    D exp[G_p dt] = V (t Phi o V^-1 G_p V) V^-1 for the design columns G_p,
-    and the step -pinv(J) r (a pseudo-inverse, as the unknown form's design
-    has the trace of H as an exact null direction).  A step is taken only
-    if its Pade cost does not rise.  An interval stops when a step lowers
-    its cost by less than CONVERGENCE_RTOL relative (a step that raises it
-    included).  It is marked for fallback when cond(V) >= EIGVEC_COND_MAX,
-    when its first step does not lower the cost, or when it is still
-    running after GN_MAX_ITERS steps.
-
-    Returns:
-        (thetas, costs, exps, steps, fallback): parameters (K, P), Pade
-        costs (K,) and exponentials (K, n, n) at the last taken step, the
-        steps tried summed over intervals and the boolean fallback mask.
-    """
-    n_int, n = len(ps), rt.shape[0]
-    gen_cols = design.T.reshape(-1, n, n)
-    thetas = np.array(theta0, dtype=float)
-    gens = _interval_generators(design, rt, thetas)
-    exps = scipy.linalg.expm(gens * dts[:, None, None])
-    costs = _squared_norms(exps - ps)
-    steps = 0
-    fallback = np.zeros(n_int, dtype=bool)
-    running = np.ones(n_int, dtype=bool)
-    for it in range(GN_MAX_ITERS):
-        idx = np.flatnonzero(running)
-        lam, v = np.linalg.eig(gens[idx])
-        ok = np.linalg.cond(v) < EIGVEC_COND_MAX
-        fallback[idx[~ok]] = True
-        running[idx[~ok]] = False
-        idx, lam, v = idx[ok], lam[ok], v[ok]
-        if not idx.size:
-            break
-        vinv = np.linalg.inv(v)[:, None]
-        t_phi = _t_phi(lam, dts[idx])[:, None]
-        jac = (v[:, None] @ (t_phi * (vinv @ gen_cols @ v[:, None])) @ vinv).real
-        jac = jac.reshape(len(idx), len(gen_cols), -1).transpose(0, 2, 1)
-        resid = (exps[idx] - ps[idx]).reshape(len(idx), -1, 1)
-        trial = thetas[idx] - (np.linalg.pinv(jac, rcond=GN_PINV_RCOND) @ resid)[..., 0]
-        trial_gens = _interval_generators(design, rt, trial)
-        trial_exps = scipy.linalg.expm(trial_gens * dts[idx, None, None])
-        trial_costs = _squared_norms(trial_exps - ps[idx])
-        steps += len(idx)
-        drop = costs[idx] - trial_costs
-        if it == 0:
-            fallback[idx[~(drop > 0)]] = True
-        running[idx[~(drop >= CONVERGENCE_RTOL * costs[idx])]] = False
-        take = drop >= 0
-        took = idx[take]
-        thetas[took], costs[took] = trial[take], trial_costs[take]
-        gens[took], exps[took] = trial_gens[take], trial_exps[take]
-    fallback |= running
-    return thetas, costs, exps, steps, fallback
-
-
 def estimate_fields(
     psteps: Sequence[ProcessMatrix],
     grid: TimeGrid,
@@ -805,7 +928,7 @@ def estimate_fields(
     step, with ``rt`` added back, projected onto the parameters by least
     squares.  ``"mle"`` then minimizes each interval's Pade cost
     ||exp(G dt) - P||_F^2 by Gauss-Newton, all intervals in lockstep
-    (``_gauss_newton_intervals``); an interval stops when a step lowers its
+    (``_gauss_newton``); an interval stops when a step lowers its
     cost by less than CONVERGENCE_RTOL relative.  An interval whose
     generator has an eigenvector condition >= EIGVEC_COND_MAX, whose first
     step does not lower the cost, or that does not stop within
@@ -839,12 +962,12 @@ def estimate_fields(
     if method == "direct":
         rows = theta0
         costs = np.linalg.norm(rows @ design.T - k_direct, axis=1) ** 2
-        gens_hat = _interval_generators(design, rt.matrix, rows)
-        exps = scipy.linalg.expm(gens_hat * dts[:, None, None])
+        exps = _stacked_expm(_generators(design, rt.matrix, rows), dts[:, None])[:, 0]
     else:
-        rows, costs, exps, steps, fallback = _gauss_newton_intervals(
-            design, rt.matrix, dts, ps, theta0
+        rows, _, costs, exps, steps, fallback = _gauss_newton(
+            design, rt.matrix, dts[:, None], ps[:, None], theta0, GN_MAX_ITERS
         )
+        exps = exps[:, 0]
         for k in np.flatnonzero(fallback):
             subs[int(k)] = mle_liouvillian(
                 [(dts[k], psteps[k])],

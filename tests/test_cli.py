@@ -1,11 +1,14 @@
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import liouvlab
 import liouvlab.cli
-from liouvlab.cli import main
+from liouvlab.cli import build_parser, main
 from liouvlab.estimation import frobenius_distance
 from liouvlab.exceptions import BranchCutError
 from liouvlab.superop import Superoperator
@@ -40,6 +43,16 @@ def test_simulate_writes_dataset_and_manifest(tmp_path):
     manifest = _read(out / "manifest.json")
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 7
+
+
+def test_manifest_records_versions(tmp_path):
+    out = _simulate(tmp_path)
+    assert _read(out / "manifest.json")["versions"] == {
+        "liouvlab": liouvlab.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "scipy": scipy.__version__,
+    }
 
 
 def test_simulate_three_axis_with_ramp(tmp_path):
@@ -258,6 +271,28 @@ def test_fit_fields_mle_writes_gauss_newton_counts(tmp_path):
         assert report["iterations"] >= counts["gauss_newton_iterations"]
 
 
+def test_fit_mle_writes_gauss_newton_counts(tmp_path):
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    models = (("relaxation_only", "relaxation"), ("static_quadratic_zeeman", "hermitian"))
+    for kind, model in models:
+        out = _simulate(tmp_path / kind, "--sigma", "0.004", kind=kind)
+        fit = tmp_path / model
+        rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", model,
+                   "--method", "mle", "--fixed-dissipator", str(rt_path), "-o", str(fit)])
+        assert rc == 0
+        report = _read(fit / "fit_report.json")
+        counts = report["optimizer"]
+        assert set(counts) == {
+            "evaluations", "expm_frechet_evaluations", "restarts",
+            "gauss_newton_iterations", "fallback",
+        }
+        assert counts["fallback"] is False
+        assert report["iterations"] == counts["gauss_newton_iterations"] > 0
+        assert counts["evaluations"] == counts["gauss_newton_iterations"] + 1
+        assert report["converged"] is True
+
+
 def test_fit_fields_df_labelled_with_midpoints(tmp_path):
     out = _simulate(tmp_path, "--n-steps", "8", kind="three_axis_time_dependent")
     rt_path = tmp_path / "rt.json"
@@ -389,6 +424,24 @@ def test_report_missing_dir_exits_4(tmp_path):
 # reproducibility (in-process view; the cross-process check lives in the
 # acceptance suite)
 # ---------------------------------------------------------------------------
+
+
+def test_main_parses_each_call_afresh_with_one_parser(tmp_path):
+    # the parser is built once per process; options of one call must not
+    # leak into the next, whatever its subcommand
+    assert build_parser() is build_parser()
+    ramp = _simulate(tmp_path / "ramp", "--ramp", kind="three_axis", seed=3)
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", "--dataset", str(ramp / "dataset.json"),
+                 "--mode", "stepwise", "-o", str(rec)]) == 0
+    plain = _simulate(tmp_path / "plain", kind="three_axis", seed=4)
+    first, second = _read(ramp / "manifest.json"), _read(plain / "manifest.json")
+    assert first["config"]["params"]["ramp"] is True
+    assert second["config"]["params"]["ramp"] is False
+    assert (first["seed"], second["seed"]) == (3, 4)
+    config = _read(rec / "manifest.json")["config"]
+    assert config == {"dataset": str(ramp / "dataset.json"), "mode": "stepwise",
+                      "reference": None, "out": str(rec)}
 
 
 def test_simulate_byte_identical(tmp_path):

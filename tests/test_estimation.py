@@ -27,7 +27,12 @@ from liouvlab.superop import (
     params_from_superop,
 )
 from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
-from liouvlab.tomography import direct_liouvillian, reconstruct_process, stepwise_processes
+from liouvlab.tomography import (
+    direct_liouvillian,
+    reconstruct_process,
+    reconstruct_processes,
+    stepwise_processes,
+)
 
 
 
@@ -531,6 +536,21 @@ def test_mle_df_per_time_reuses_the_last_evaluation(monkeypatch):
     assert all(shape == (len(pmeas), 9, 9) for shape in calls)
     l_hat = report.estimate.matrix
     separate = [frobenius_distance(p, scipy.linalg.expm(l_hat * t)) for t, p in pmeas]
+    assert np.array_equal(report.df_per_time, separate)
+
+
+def test_direct_hamiltonian_df_matches_separate_expm_per_time():
+    ds = generate_dataset(
+        make_scenario("static_quadratic_zeeman"), NoiseSpec(bloch_sigma=0.004, seed=68)
+    )
+    rt = DEFAULT_RELAXATION.superoperator()
+    report = direct_hamiltonian(ds, rt, ds.times)
+    k_hat = explicit_qutrit_superop(report.estimate).matrix
+    processes = reconstruct_processes(ds)
+    separate = [
+        frobenius_distance(pm.matrix, scipy.linalg.expm((k_hat - rt.matrix) * t))
+        for t, pm in zip(ds.times, processes)
+    ]
     assert np.array_equal(report.df_per_time, separate)
 
 
