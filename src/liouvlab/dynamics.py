@@ -39,6 +39,10 @@ __all__ = [
 
 BRANCH_TOL = 1e-6  # radians from the negative real axis
 SPECTRAL_RADIUS_SLACK = 1e-6
+# limit on the Frobenius condition ||V||_F ||V^-1||_F of an eigenvector
+# matrix V below which an eigendecomposition is used (logs, gradients and
+# Gauss-Newton steps); it bounds the 2-norm condition from above
+EIGVEC_COND_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -192,15 +196,17 @@ def principal_log(p):
 
     Dividing a result by its ``duration_s`` yields the generator estimate.
     A sequence is handled as one (T, n, n) stack, with batched
-    eigendecomposition, conditioning and solves, and gives a list of logs
+    eigendecomposition and eigenvector inverses, and gives a list of logs
     in the same order; a single matrix is a stack of one.  Every guard
     holds per matrix.  Eigenvalues are screened first so branch ambiguity
     surfaces as an error instead of a silently wrong sheet.  When a matrix
-    is safely diagonalizable (eigenvector condition below 1e6 and a
-    faithful reconstruction residual) its log is taken on the
-    eigendecomposition, which is bit-reproducible across runs; otherwise it
-    falls back to the inverse scaling-and-squaring algorithm on the Schur
-    form.  Errors name the ``duration_s`` of the offending matrix.
+    is safely diagonalizable (Frobenius eigenvector condition
+    ||V||_F ||V^-1||_F, an upper bound on cond_2(V), below EIGVEC_COND_MAX,
+    and a faithful reconstruction residual) its log is taken on the
+    eigendecomposition as (V log E) V^-1, which is bit-reproducible across
+    runs; otherwise it falls back to the inverse scaling-and-squaring
+    algorithm on the Schur form.  Errors name the ``duration_s`` of the
+    offending matrix.
 
     Raises:
         SingularProcessError: if a process matrix is numerically singular.
@@ -213,6 +219,32 @@ def principal_log(p):
     pms = [p] if single else list(p)
     out = [Superoperator(dim=pm.dim, matrix=log) for pm, log in zip(pms, _log_stack(pms))]
     return out[0] if single else out
+
+
+def _eigvec_inverse(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (K, n, n) stack of eigenvector matrices, and which are safe.
+
+    Returns (V^-1, ok), where ok marks the V whose Frobenius condition
+    cond_F(V) = ||V||_F ||V^-1||_F is below EIGVEC_COND_MAX.  cond_F bounds
+    the 2-norm condition from above (cond_2 <= cond_F <= n cond_2; Golub &
+    Van Loan, Matrix Computations, 4th ed., sec. 2.3), so the test is at
+    least as strict as cond_2 < EIGVEC_COND_MAX, and the inverse it needs is
+    the one an eigendecomposition takes anyway.  All K come from one batched
+    ``inv``; when that raises for an exactly singular V, the stack is
+    inverted matrix by matrix and only the singular ones are not ok (their
+    inverse is NaN).
+    """
+    try:
+        vinv = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        vinv = np.full_like(vecs, np.nan)
+        for k, v in enumerate(vecs):
+            try:
+                vinv[k] = np.linalg.inv(v)
+            except np.linalg.LinAlgError:
+                pass
+    cond = np.linalg.norm(vecs, axis=(1, 2)) * np.linalg.norm(vinv, axis=(1, 2))
+    return vinv, cond < EIGVEC_COND_MAX
 
 
 def _log_stack(pms: Sequence[ProcessMatrix]) -> np.ndarray:
@@ -248,12 +280,12 @@ def _principal_logs(mats: np.ndarray, durations: Sequence[float]) -> np.ndarray:
         )
     logs = np.empty(mats.shape, dtype=complex)
     fallback = np.ones(len(mats), dtype=bool)
-    diag = np.flatnonzero(np.linalg.cond(vecs) < 1e6)
+    vinv, ok = _eigvec_inverse(vecs)
+    diag = np.flatnonzero(ok)
     if diag.size:
         v, e = vecs[diag], eigs[diag, None, :]
-        # log(P) = V log(E) V^-1 and the rebuilt P = V E V^-1 in one solve
-        rhs = np.concatenate([v * np.log(e), v * e], axis=1).transpose(0, 2, 1)
-        sol = np.linalg.solve(v.transpose(0, 2, 1), rhs).transpose(0, 2, 1)
+        # log(P) = V log(E) V^-1 and the rebuilt P = V E V^-1 in one product
+        sol = np.concatenate([v * np.log(e), v * e], axis=1) @ vinv[diag]
         n = mats.shape[1]
         resid = np.abs(sol[:, n:] - mats[diag]).max(axis=(1, 2))
         faithful = resid < 1e-11 * np.maximum(1.0, scale[diag])

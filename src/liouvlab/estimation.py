@@ -25,14 +25,16 @@ Jacobian of exp(G t) from Daleckii-Krein divided differences (Najfeld &
 Havel, Adv. Appl. Math. 16 (1995)) and the min-norm least-squares step,
 taken only if it does not raise the Pade cost.  A problem stops when a
 step lowers its cost by less than CONVERGENCE_RTOL relative.  A problem
-with a near-defective generator (cond(V) >= EIGVEC_COND_MAX), a first step
-that does not lower its cost, or no stop within GN_MAX_ITERS steps falls
-back to L-BFGS from the same start, with restarts; so does every one-time
-``mle_liouvillian`` call (the field intervals that reach it are those
-Gauss-Newton gave up on).  The
-L-BFGS gradient is exact: for two or more times it comes from one
-eigendecomposition per evaluation through the same divided differences;
-for a single time, or when cond(V) >= 1e6, from
+with a near-defective generator, a first step that does not lower its
+cost, or no stop within GN_MAX_ITERS steps falls back to L-BFGS from the
+same start, with restarts; so does every one-time ``mle_liouvillian`` call
+(the field intervals that reach it are those Gauss-Newton gave up on).  A
+generator counts as near-defective when its eigenvector matrix V has a
+Frobenius condition ||V||_F ||V^-1||_F >= EIGVEC_COND_MAX, an upper bound
+on the 2-norm condition that costs one inverse, which the step needs
+anyway.  The L-BFGS gradient is exact: for two or more times it comes from
+one eigendecomposition per evaluation through the same divided
+differences; for a single time, or past the same condition bound, from
 ``scipy.linalg.expm_frechet`` per time.  The cost stays on Pade because a
 cost taken from the eigendecomposition rounds noisily near the optimum,
 which makes L-BFGS line searches fail and restart.
@@ -56,7 +58,14 @@ import scipy.optimize
 from numpy.typing import NDArray
 
 from .basis import build_basis, _frozen_array
-from .dynamics import ProcessMatrix, TimeGrid, _log_stack, principal_log
+from .dynamics import (
+    EIGVEC_COND_MAX,
+    ProcessMatrix,
+    TimeGrid,
+    _eigvec_inverse,
+    _log_stack,
+    principal_log,
+)
 from .exceptions import (
     BootstrapError,
     BranchCutError,
@@ -94,9 +103,6 @@ CONVERGENCE_RTOL = 1e-10
 CONVERGENCE_WINDOW = 5
 DEFAULT_MAX_ITERS = 2000
 N_RESTARTS = 3
-# eigenvector-condition limit of the eigendecomposition gradient, the same
-# guard principal_log puts on its eigendecomposition log
-EIGVEC_COND_MAX = 1e6
 # Gauss-Newton steps per problem before the fit falls back to L-BFGS
 GN_MAX_ITERS = 8
 # relative singular-value cut of the Gauss-Newton step
@@ -304,7 +310,8 @@ def _cost_and_matrix_grad(
     with E_n = exp(L t_n) - P_n and the divided differences
     Phi_n,ij = (e^{lambda_i t_n} - e^{lambda_j t_n}) / (lambda_i - lambda_j).
     For T = 1, where one eigendecomposition costs more than it saves, or
-    when cond(V) >= EIGVEC_COND_MAX (near-defective L), it is
+    when the Frobenius condition ||V||_F ||V^-1||_F >= EIGVEC_COND_MAX
+    (near-defective L), it is
     grad_L = sum_n 2 t_n D_exp((L t_n)^T)[E_n] from ``expm_frechet``.
 
     Returns:
@@ -318,8 +325,11 @@ def _cost_and_matrix_grad(
     for sq in _squared_norms(errs):
         cost += float(sq)
     eig = _eig(lmat) if len(ts) > 1 else None
-    if eig is not None and np.linalg.cond(eig[1]) < EIGVEC_COND_MAX:
-        return cost, _daleckii_krein_grad(*eig, ts, errs), False
+    if eig is not None:
+        lam, v = eig
+        vinv, ok = _eigvec_inverse(v[None])
+        if ok[0]:
+            return cost, 2.0 * _frechet_adjoint(v, vinv[0], _t_phi(lam, ts), errs), False
     grad = np.zeros_like(lmat)
     for t, err in zip(ts, errs):
         _, fre = scipy.linalg.expm_frechet((lmat * t).T, err)
@@ -372,11 +382,6 @@ def _t_phi(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
     delta = 0.5 * (zi - zj)
     sinhc = np.divide(np.sinh(delta), delta, out=np.ones_like(delta), where=delta != 0)
     return ts[..., :, None, None] * np.exp(0.5 * (zi + zj)) * sinhc
-
-
-def _daleckii_krein_grad(lam, v, ts, errs) -> np.ndarray:
-    """Gradient of the MLE cost from the eigendecomposition of L."""
-    return 2.0 * _frechet_adjoint(v, np.linalg.inv(v), _t_phi(lam, ts), errs)
 
 
 def _frechet_adjoint(v, vinv, t_phi, errs) -> np.ndarray:
@@ -512,12 +517,13 @@ def _stacked_costs(exps, ps) -> np.ndarray:
     return costs
 
 
-def _gauss_newton_step(design, lam, v, ts, resid) -> np.ndarray:
+def _gauss_newton_step(design, lam, v, ts, resid, vinv=None) -> np.ndarray:
     """Min-norm least-squares step, argmin ||J_k delta - r_k||, of each problem k.
 
     ``lam``, ``v`` (K, n), (K, n, n) are the eigendecompositions
     G_k = V diag(lambda) V^-1, ``ts`` (K, T) the times and ``resid``
-    (K, T, n, n) the residuals r = exp(G_k t) - P.  The Jacobian column of
+    (K, T, n, n) the residuals r = exp(G_k t) - P; ``vinv``, the stacked
+    V^-1, is computed here when not given.  The Jacobian column of
     a generator direction E is D exp[E t] = V (t Phi o V^-1 E V) V^-1.  The
     contraction follows the parameter count P:
 
@@ -536,7 +542,8 @@ def _gauss_newton_step(design, lam, v, ts, resid) -> np.ndarray:
       which EIGVEC_COND_MAX bounds, and a step that does not lower the
       cost is never taken.
     """
-    vinv = np.linalg.inv(v)
+    if vinv is None:
+        vinv = np.linalg.inv(v)
     t_phi = _t_phi(lam, ts)
     n_prob, n_times, n = resid.shape[:3]
     if design is not None:
@@ -572,9 +579,11 @@ def _gauss_newton(design, rt, ts, ps, theta0, max_steps):
     null space, such as the trace of H).  A step is taken only if its Pade
     cost does not rise.  A problem stops when a step lowers its cost by
     less than CONVERGENCE_RTOL relative (a step that raises it included).
-    It is marked for fallback when its start is not finite, when
-    cond(V) >= EIGVEC_COND_MAX, when its first step does not lower the
-    cost, or when it is still running after ``max_steps`` steps.
+    It is marked for fallback when its start is not finite, when the
+    Frobenius eigenvector condition of its generator is at least
+    EIGVEC_COND_MAX (``_eigvec_inverse``, whose V^-1 the step reuses), when
+    its first step does not lower the cost, or when it is still running
+    after ``max_steps`` steps.
 
     Returns:
         (thetas, gens, costs, exps, steps, fallback): parameters (K, P),
@@ -594,13 +603,13 @@ def _gauss_newton(design, rt, ts, ps, theta0, max_steps):
             break
         idx = np.flatnonzero(running)
         lam, v = np.linalg.eig(gens[idx])
-        ok = np.linalg.cond(v) < EIGVEC_COND_MAX
+        vinv, ok = _eigvec_inverse(v)
         fallback[idx[~ok]] = True
         running[idx[~ok]] = False
-        idx, lam, v = idx[ok], lam[ok], v[ok]
+        idx, lam, v, vinv = idx[ok], lam[ok], v[ok], vinv[ok]
         if not idx.size:
             break
-        step = _gauss_newton_step(design, lam, v, ts[idx], exps[idx] - ps[idx])
+        step = _gauss_newton_step(design, lam, v, ts[idx], exps[idx] - ps[idx], vinv)
         trial = thetas[idx] - step
         trial_gens = _generators(design, rt, trial)
         trial_exps = _stacked_expm(trial_gens, ts[idx])
@@ -825,24 +834,29 @@ def direct_hamiltonian(
         raise KeyError(
             f"no outputs measured at t = {missing[0]}; available times: {list(ts.times)}"
         )
-    per_time = []
-    skipped = []
-    for t in times:
-        try:
-            log = principal_log(processes[float(t)])
-        except (BranchCutError, SingularProcessError) as err:
-            warnings.warn(f"skipping t = {t}: {err}", stacklevel=2)
-            skipped.append((float(t), str(err)))
-            continue
-        per_time.append(log.matrix / float(t) + rt.matrix)
-    if not per_time:
+    per_time, skipped = [], []
+    tvals = np.asarray(times, dtype=float)
+    try:
+        if tvals.size:
+            logs = _log_stack([processes[t] for t in tvals])
+            per_time = logs / tvals[:, None, None] + rt.matrix
+    except (BranchCutError, SingularProcessError):
+        # one log per time, to find and skip the inadmissible ones
+        for t in times:
+            try:
+                log = principal_log(processes[float(t)])
+            except (BranchCutError, SingularProcessError) as err:
+                warnings.warn(f"skipping t = {t}: {err}", stacklevel=2)
+                skipped.append((float(t), str(err)))
+                continue
+            per_time.append(log.matrix / float(t) + rt.matrix)
+    if not len(per_time):
         raise BranchCutError("no evolution time admits a principal logarithm")
     mean_superop = Superoperator(dim=ts.dim, matrix=np.mean(per_time, axis=0))
     fit = params_from_superop(mean_superop)
     k_hat = explicit_qutrit_superop(fit.params).matrix
     # df against the model-predicted propagator at each time, from one
     # stacked expm (its slices equal separate calls bit for bit)
-    tvals = np.asarray(times, dtype=float)
     p_hats = scipy.linalg.expm((k_hat - rt.matrix) * tvals[:, None, None])
     dfs = [frobenius_distance(processes[float(t)].matrix, p) for t, p in zip(times, p_hats)]
     return FitReport(
@@ -930,8 +944,8 @@ def estimate_fields(
     ||exp(G dt) - P||_F^2 by Gauss-Newton, all intervals in lockstep
     (``_gauss_newton``); an interval stops when a step lowers its
     cost by less than CONVERGENCE_RTOL relative.  An interval whose
-    generator has an eigenvector condition >= EIGVEC_COND_MAX, whose first
-    step does not lower the cost, or that does not stop within
+    generator has a Frobenius eigenvector condition >= EIGVEC_COND_MAX,
+    whose first step does not lower the cost, or that does not stop within
     GN_MAX_ITERS steps is fitted by ``mle_liouvillian`` (L-BFGS) from the
     same start instead.  ``report.extras["optimizer"]`` then holds
     ``gauss_newton_iterations`` (steps summed over intervals),

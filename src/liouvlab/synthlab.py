@@ -356,40 +356,34 @@ def make_scenario(kind: str, **params) -> Scenario:
     raise ValueError(f"unknown scenario kind {kind!r}")
 
 
-def _perturb(columns: np.ndarray, sigma: float, rng, dim: int) -> np.ndarray:
-    """Gaussian noise on the traceless coordinates; trace row re-pinned."""
-    out = columns.copy()
-    if sigma > 0:
-        out[:-1, :] += rng.normal(size=(columns.shape[0] - 1, columns.shape[1])) * sigma
-    out[-1, :] = np.sqrt(1.0 / (2.0 * dim))
-    return out
-
-
 def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:
     """Forward-simulate a tomography dataset for a scenario.
 
     The prepared inputs are the scenario's input states mixed down by
     ``prep_fidelity``; outputs are the exact propagator images of those
-    prepared (pre-measurement-noise) states.  Measurement noise is applied
-    independently to the reported input matrix and to each time point,
-    with sub-seeds derived from (seed, time index) so any evaluation order
-    yields the same dataset.
+    prepared (pre-measurement-noise) states, all times from one stacked
+    product.  Measurement noise is Gaussian on the traceless coordinates,
+    applied independently to the reported input matrix and to each time
+    point with sub-seeds derived from (seed, time index), so any evaluation
+    order yields the same dataset; the trace row is re-pinned exactly.
     """
     pure = scenario._input_coords
     mm = np.zeros(9)
     mm[-1] = np.sqrt(1.0 / 6.0)
     prepared = noise.prep_fidelity * pure + (1.0 - noise.prep_fidelity) * mm[:, None]
 
-    rng_in = np.random.default_rng([noise.seed, 0])
-    inputs_meas = _perturb(prepared, noise.bloch_sigma, rng_in, dim=3)
-
-    outputs = {}
-    for k, (t, p) in enumerate(zip(scenario.grid.times, scenario._propagator_stack)):
-        evolved = p @ prepared
-        rng_t = np.random.default_rng([noise.seed, k + 1])
-        outputs[float(t)] = _perturb(evolved, noise.bloch_sigma, rng_t, dim=3)
-
-    return TomographySet(dim=3, inputs=inputs_meas, outputs=outputs)
+    # states[0] is the reported input matrix, states[k] the outputs at time k
+    states = np.concatenate([prepared[None], scenario._propagator_stack @ prepared])
+    if noise.bloch_sigma > 0:
+        shape = (prepared.shape[0] - 1, prepared.shape[1])
+        draws = np.stack([
+            np.random.default_rng([noise.seed, k]).normal(size=shape)
+            for k in range(len(states))
+        ])
+        states[:, :-1] += draws * noise.bloch_sigma
+    states[:, -1] = mm[-1]
+    outputs = {float(t): out for t, out in zip(scenario.grid.times, states[1:])}
+    return TomographySet(dim=3, inputs=states[0], outputs=outputs)
 
 
 def state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

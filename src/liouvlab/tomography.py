@@ -82,19 +82,21 @@ class TomographySet:
             raise CompletenessError(
                 f"need at least {n2} input states for dim {self.dim}, got {m.shape[1]}"
             )
-        pinned = np.sqrt(1.0 / (2.0 * self.dim))
-        for name, mat in [("inputs", m)] + [
-            (f"outputs[{t}]", np.asarray(o, dtype=float)) for t, o in self.outputs.items()
-        ]:
+        names = ["inputs"] + [f"outputs[{t}]" for t in self.outputs]
+        mats = [m] + [np.asarray(o, dtype=float) for o in self.outputs.values()]
+        for name, mat in zip(names, mats):
             if mat.shape != m.shape:
                 raise DimensionError(f"{name} shape {mat.shape} != inputs shape {m.shape}")
-            if np.abs(mat[-1] - pinned).max() > 1e-9:
-                raise ValueError(f"{name} has unpinned trace components")
-        object.__setattr__(self, "inputs", _frozen_array(m))
+        # inputs and every output on one frozen stack; the stored matrices
+        # are read-only views of it
+        stack = _frozen_array(np.stack(mats))
+        pinned = np.sqrt(1.0 / (2.0 * self.dim))
+        unpinned = np.flatnonzero(np.abs(stack[:, -1] - pinned).max(axis=1) > 1e-9)
+        if unpinned.size:
+            raise ValueError(f"{names[unpinned[0]]} has unpinned trace components")
+        object.__setattr__(self, "inputs", stack[0])
         object.__setattr__(
-            self,
-            "outputs",
-            {float(t): _frozen_array(np.asarray(o, dtype=float)) for t, o in self.outputs.items()},
+            self, "outputs", {float(t): o for t, o in zip(self.outputs, stack[1:])}
         )
 
     @property

@@ -1,10 +1,16 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
+from liouvlab import estimation
+from liouvlab.dynamics import principal_log, propagator
 from liouvlab.estimation import (
+    CONVERGENCE_RTOL,
+    N_RESTARTS,
     RELAXATION_PARAM_NAMES,
     RelaxationModel,
     bootstrap,
@@ -16,6 +22,7 @@ from liouvlab.estimation import (
 )
 from liouvlab.exceptions import (
     BootstrapError,
+    BranchCutError,
     DimensionError,
     SingularProcessError,
     ZeroReferenceError,
@@ -143,6 +150,35 @@ def test_mle_nonconvergence_is_soft():
     assert np.isfinite(report.cost)
 
 
+@pytest.mark.parametrize("restart_reaches_best", [True, False])
+def test_lbfgs_restart_rule(monkeypatch, restart_reaches_best):
+    # the first L-BFGS run ends abnormally; a converged restart within
+    # CONVERGENCE_RTOL of the best cost makes the fit converged, and a
+    # restart at a worse cost leaves it unconverged after N_RESTARTS
+    best = 1e-3
+    restart_cost = best * (1.0 + (0.5 if restart_reaches_best else 10.0) * CONVERGENCE_RTOL)
+    runs = []
+
+    def scripted_run(fun, x0, max_iters):
+        fun(x0)
+        first = not runs
+        runs.append(x0)
+        res = scipy.optimize.OptimizeResult(
+            x=np.array(x0), fun=best if first else restart_cost, nit=4, success=not first
+        )
+        return res, [res.fun]
+
+    monkeypatch.setattr(estimation, "_run_lbfgs", scripted_run)
+    pm = propagator(Superoperator(dim=3, matrix=-DEFAULT_RELAXATION.superoperator().matrix), 1e-3)
+    report = mle_liouvillian([(1e-3, pm)], form="free")
+    restarts = 1 if restart_reaches_best else N_RESTARTS
+    assert report.converged is restart_reaches_best
+    assert report.extras["optimizer"]["restarts"] == restarts
+    assert report.extras["optimizer"]["fallback"] is True
+    assert len(runs) == 1 + restarts
+    assert report.cost == (restart_cost if restart_reaches_best else best)
+
+
 def test_mle_rejects_bad_inputs():
     sc = make_scenario("relaxation_only", n_times=2)
     ds = generate_dataset(sc, NoiseSpec(seed=64))
@@ -240,6 +276,47 @@ def test_direct_hamiltonian_skips_branch_failures():
     skipped = [t for t, _ in report.extras["skipped_times"]]
     assert skipped == [pytest.approx(t_hit)]
     assert report.converged
+
+
+def _per_time_direct_hamiltonian(ds, rt):
+    """direct_hamiltonian's mean, one principal_log per time: (params, skipped)."""
+    per_time, skipped = [], []
+    for pm in reconstruct_processes(ds):
+        try:
+            per_time.append(principal_log(pm).matrix / pm.duration_s + rt.matrix)
+        except BranchCutError as err:
+            skipped.append((pm.duration_s, str(err)))
+    mean = Superoperator(dim=3, matrix=np.mean(per_time, axis=0))
+    return params_from_superop(mean).params.h, skipped
+
+
+@pytest.mark.parametrize("on_cut", [False, True])
+def test_direct_hamiltonian_matches_per_time_logs(on_cut):
+    # the stacked logs, or on a branch-cut failure the per-time loop, give
+    # the per-time result: same warning, same skipped times, same params
+    none = RelaxationModel(
+        omega_residual=np.zeros(3), gamma_dephase=np.zeros(3), gamma_iso=0.0
+    )
+    t_hit = make_scenario("static_quadratic_zeeman").grid.times[4]
+    q = np.pi / t_hit if on_cut else 2.0 * np.pi * 1000.0
+    sc = make_scenario("static_quadratic_zeeman", q=q, relaxation=none)
+    rt = none.superoperator()
+    ds = generate_dataset(sc, NoiseSpec(bloch_sigma=0.002, seed=68))
+    want_params, want_skipped = _per_time_direct_hamiltonian(ds, rt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = direct_hamiltonian(ds, rt, ds.times)
+    assert [str(w.message) for w in caught] == [
+        f"skipping t = {t}: {msg}" for t, msg in want_skipped
+    ]
+    assert report.extras["skipped_times"] == want_skipped
+    assert len(want_skipped) == int(on_cut)
+    if on_cut:
+        assert want_skipped[0][0] == pytest.approx(t_hit)
+        assert "branch cut" in want_skipped[0][1]
+    np.testing.assert_allclose(
+        report.params, want_params, rtol=0, atol=1e-12 * np.abs(want_params).max()
+    )
 
 
 def test_mle_beats_direct_on_median(calibrated_sigma):

@@ -154,6 +154,34 @@ def test_dataset_bit_identical_to_uncached_propagation(kind, params):
             assert np.array_equal(ds.outputs[float(t)], noisy(p @ prepared, k + 1))
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "kind, params", [("relaxation_only", {}), ("three_axis_time_dependent", {"ramp": True})]
+)
+def test_stacked_forward_model_equals_per_time_evolution(kind, params, seed):
+    # generate_dataset evolves every time in one stacked product and adds all
+    # noise at once; the reference takes one product and one draw per time
+    sc = make_scenario(kind, **params)
+    noise = NoiseSpec(bloch_sigma=0.0042, prep_fidelity=0.98, seed=seed)
+    ds = generate_dataset(sc, noise)
+    mixed = np.zeros(9)
+    mixed[-1] = np.sqrt(1.0 / 6.0)
+    prepared = (
+        noise.prep_fidelity * sc._input_coords + (1.0 - noise.prep_fidelity) * mixed[:, None]
+    )
+
+    def reported(columns, stream):
+        out = columns.copy()
+        out[:-1] += np.random.default_rng([seed, stream]).normal(size=(8, 15)) * 0.0042
+        out[-1] = np.sqrt(1.0 / 6.0)
+        return out
+
+    assert np.array_equal(ds.inputs, reported(prepared, 0))
+    assert list(ds.outputs) == [float(t) for t in sc.grid.times]
+    for k, p in enumerate(sc.propagators()):
+        assert np.array_equal(ds.outputs[p.duration_s], reported(p.matrix @ prepared, k + 1))
+
+
 def test_scenario_propagates_once(monkeypatch):
     sc = make_scenario("relaxation_only", n_times=4)
     calls = []
