@@ -253,39 +253,51 @@ def _log_stack(pms: Sequence[ProcessMatrix]) -> np.ndarray:
         raise ValueError("need at least one process matrix")
     if any(pm.dim != pms[0].dim for pm in pms):
         raise DimensionError("process matrices have mixed dimensions")
-    return _principal_logs(
+    logs, errors = _principal_logs(
         np.stack([pm.matrix for pm in pms]), [pm.duration_s for pm in pms]
     )
+    if errors:
+        raise next(iter(errors.values()))
+    return logs
 
 
-def _principal_logs(mats: np.ndarray, durations: Sequence[float]) -> np.ndarray:
-    """Guarded real logs of a (T, n, n) stack; ``durations`` label errors."""
+def _principal_logs(
+    mats: np.ndarray, durations: Sequence[float]
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Guarded real logs of a (T, n, n) stack; ``durations`` label errors.
+
+    Returns (logs, errors): ``errors`` maps the index of every matrix without
+    an admissible log to its SingularProcessError or BranchCutError, those of
+    the eigenvalue screen first, and that matrix's slice of ``logs`` is NaN.
+    """
     eigs, vecs = np.linalg.eig(mats)
     mags = np.abs(eigs)
     scale = mags.max(axis=1)
     singular = (scale == 0) | (mags.min(axis=1) < 1e-12 * scale)
     margin = (np.pi - np.abs(np.angle(eigs))).min(axis=1)
-    bad = np.flatnonzero(singular | (margin < BRANCH_TOL))
-    if bad.size:
-        k = bad[0]
+    screened = singular | (margin < BRANCH_TOL)
+    errors: dict[int, Exception] = {}
+    for k in np.flatnonzero(screened):
         if singular[k]:
-            raise SingularProcessError(
+            errors[int(k)] = SingularProcessError(
                 f"process matrix at t = {durations[k]} s is singular; the "
                 "generator cannot be recovered"
             )
-        raise BranchCutError(
-            f"process matrix at t = {durations[k]} s has an eigenvalue within "
-            f"{margin[k]:.2e} rad of the branch cut; reduce the evolution time "
-            "so rotation angles stay below pi"
-        )
-    logs = np.empty(mats.shape, dtype=complex)
-    fallback = np.ones(len(mats), dtype=bool)
-    vinv, ok = _eigvec_inverse(vecs)
-    diag = np.flatnonzero(ok)
+        else:
+            errors[int(k)] = BranchCutError(
+                f"process matrix at t = {durations[k]} s has an eigenvalue within "
+                f"{margin[k]:.2e} rad of the branch cut; reduce the evolution time "
+                "so rotation angles stay below pi"
+            )
+    logs = np.full(mats.shape, np.nan, dtype=complex)
+    fallback = ~screened
+    adm = np.flatnonzero(fallback)
+    vinv, ok = _eigvec_inverse(vecs[adm])
+    diag = adm[ok]
     if diag.size:
         v, e = vecs[diag], eigs[diag, None, :]
         # log(P) = V log(E) V^-1 and the rebuilt P = V E V^-1 in one product
-        sol = np.concatenate([v * np.log(e), v * e], axis=1) @ vinv[diag]
+        sol = np.concatenate([v * np.log(e), v * e], axis=1) @ vinv[ok]
         n = mats.shape[1]
         resid = np.abs(sol[:, n:] - mats[diag]).max(axis=(1, 2))
         faithful = resid < 1e-11 * np.maximum(1.0, scale[diag])
@@ -293,12 +305,11 @@ def _principal_logs(mats: np.ndarray, durations: Sequence[float]) -> np.ndarray:
         fallback[diag[faithful]] = False
     for k in np.flatnonzero(fallback):
         logs[k] = scipy.linalg.logm(mats[k])
+    # screened slices are NaN and compare False here
     resid = np.abs(logs.imag).max(axis=(1, 2))
-    bad = np.flatnonzero(resid > 1e-9 * np.maximum(1.0, np.abs(logs.real).max(axis=(1, 2))))
-    if bad.size:
-        k = bad[0]
-        raise BranchCutError(
+    for k in np.flatnonzero(resid > 1e-9 * np.maximum(1.0, np.abs(logs.real).max(axis=(1, 2)))):
+        errors[int(k)] = BranchCutError(
             f"matrix logarithm at t = {durations[k]} s has imaginary residue "
             f"{resid[k]:.3e}; the principal branch is not real here"
         )
-    return np.ascontiguousarray(logs.real)
+    return np.ascontiguousarray(logs.real), errors

@@ -64,6 +64,7 @@ from .dynamics import (
     TimeGrid,
     _eigvec_inverse,
     _log_stack,
+    _principal_logs,
     principal_log,
 )
 from .exceptions import (
@@ -517,13 +518,12 @@ def _stacked_costs(exps, ps) -> np.ndarray:
     return costs
 
 
-def _gauss_newton_step(design, lam, v, ts, resid, vinv=None) -> np.ndarray:
+def _gauss_newton_step(design, lam, v, ts, resid) -> np.ndarray:
     """Min-norm least-squares step, argmin ||J_k delta - r_k||, of each problem k.
 
     ``lam``, ``v`` (K, n), (K, n, n) are the eigendecompositions
     G_k = V diag(lambda) V^-1, ``ts`` (K, T) the times and ``resid``
-    (K, T, n, n) the residuals r = exp(G_k t) - P; ``vinv``, the stacked
-    V^-1, is computed here when not given.  The Jacobian column of
+    (K, T, n, n) the residuals r = exp(G_k t) - P.  The Jacobian column of
     a generator direction E is D exp[E t] = V (t Phi o V^-1 E V) V^-1.  The
     contraction follows the parameter count P:
 
@@ -542,8 +542,7 @@ def _gauss_newton_step(design, lam, v, ts, resid, vinv=None) -> np.ndarray:
       which EIGVEC_COND_MAX bounds, and a step that does not lower the
       cost is never taken.
     """
-    if vinv is None:
-        vinv = np.linalg.inv(v)
+    vinv = np.linalg.inv(v)
     t_phi = _t_phi(lam, ts)
     n_prob, n_times, n = resid.shape[:3]
     if design is not None:
@@ -581,9 +580,8 @@ def _gauss_newton(design, rt, ts, ps, theta0, max_steps):
     less than CONVERGENCE_RTOL relative (a step that raises it included).
     It is marked for fallback when its start is not finite, when the
     Frobenius eigenvector condition of its generator is at least
-    EIGVEC_COND_MAX (``_eigvec_inverse``, whose V^-1 the step reuses), when
-    its first step does not lower the cost, or when it is still running
-    after ``max_steps`` steps.
+    EIGVEC_COND_MAX (``_eigvec_inverse``), when its first step does not
+    lower the cost, or when it is still running after ``max_steps`` steps.
 
     Returns:
         (thetas, gens, costs, exps, steps, fallback): parameters (K, P),
@@ -603,13 +601,13 @@ def _gauss_newton(design, rt, ts, ps, theta0, max_steps):
             break
         idx = np.flatnonzero(running)
         lam, v = np.linalg.eig(gens[idx])
-        vinv, ok = _eigvec_inverse(v)
+        _, ok = _eigvec_inverse(v)
         fallback[idx[~ok]] = True
         running[idx[~ok]] = False
-        idx, lam, v, vinv = idx[ok], lam[ok], v[ok], vinv[ok]
+        idx, lam, v = idx[ok], lam[ok], v[ok]
         if not idx.size:
             break
-        step = _gauss_newton_step(design, lam, v, ts[idx], exps[idx] - ps[idx], vinv)
+        step = _gauss_newton_step(design, lam, v, ts[idx], exps[idx] - ps[idx])
         trial = thetas[idx] - step
         trial_gens = _generators(design, rt, trial)
         trial_exps = _stacked_expm(trial_gens, ts[idx])
@@ -834,22 +832,18 @@ def direct_hamiltonian(
         raise KeyError(
             f"no outputs measured at t = {missing[0]}; available times: {list(ts.times)}"
         )
-    per_time, skipped = [], []
     tvals = np.asarray(times, dtype=float)
-    try:
-        if tvals.size:
-            logs = _log_stack([processes[t] for t in tvals])
-            per_time = logs / tvals[:, None, None] + rt.matrix
-    except (BranchCutError, SingularProcessError):
-        # one log per time, to find and skip the inadmissible ones
-        for t in times:
-            try:
-                log = principal_log(processes[float(t)])
-            except (BranchCutError, SingularProcessError) as err:
-                warnings.warn(f"skipping t = {t}: {err}", stacklevel=2)
-                skipped.append((float(t), str(err)))
-                continue
-            per_time.append(log.matrix / float(t) + rt.matrix)
+    pms = [processes[t] for t in tvals]
+    per_time, skipped = np.empty((0,) + rt.matrix.shape), []
+    if pms:
+        logs, errors = _principal_logs(
+            np.stack([pm.matrix for pm in pms]), [pm.duration_s for pm in pms]
+        )
+        for k in sorted(errors):
+            warnings.warn(f"skipping t = {times[k]}: {errors[k]}", stacklevel=2)
+            skipped.append((float(times[k]), str(errors[k])))
+        keep = [k for k in range(len(pms)) if k not in errors]
+        per_time = logs[keep] / tvals[keep, None, None] + rt.matrix
     if not len(per_time):
         raise BranchCutError("no evolution time admits a principal logarithm")
     mean_superop = Superoperator(dim=ts.dim, matrix=np.mean(per_time, axis=0))

@@ -84,16 +84,23 @@ class TomographySet:
             )
         names = ["inputs"] + [f"outputs[{t}]" for t in self.outputs]
         mats = [m] + [np.asarray(o, dtype=float) for o in self.outputs.values()]
-        for name, mat in zip(names, mats):
-            if mat.shape != m.shape:
-                raise DimensionError(f"{name} shape {mat.shape} != inputs shape {m.shape}")
-        # inputs and every output on one frozen stack; the stored matrices
-        # are read-only views of it
-        stack = _frozen_array(np.stack(mats))
+        # matrix by matrix, the shape is checked before the pinned trace row;
+        # the rows of all matrices before the first of another shape are
+        # checked on one stack
+        bad = next((j for j, mat in enumerate(mats) if mat.shape != m.shape), len(mats))
+        stack = np.stack(mats[:bad])
         pinned = np.sqrt(1.0 / (2.0 * self.dim))
         unpinned = np.flatnonzero(np.abs(stack[:, -1] - pinned).max(axis=1) > 1e-9)
         if unpinned.size:
             raise ValueError(f"{names[unpinned[0]]} has unpinned trace components")
+        if bad < len(mats):
+            raise DimensionError(
+                f"{names[bad]} shape {mats[bad].shape} != inputs shape {m.shape}"
+            )
+        # inputs and every output on one frozen stack (a copy, so the
+        # caller's arrays stay writable); the stored matrices are read-only
+        # views of it
+        stack = _frozen_array(stack)
         object.__setattr__(self, "inputs", stack[0])
         object.__setattr__(
             self, "outputs", {float(t): o for t, o in zip(self.outputs, stack[1:])}

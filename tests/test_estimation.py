@@ -292,8 +292,8 @@ def _per_time_direct_hamiltonian(ds, rt):
 
 @pytest.mark.parametrize("on_cut", [False, True])
 def test_direct_hamiltonian_matches_per_time_logs(on_cut):
-    # the stacked logs, or on a branch-cut failure the per-time loop, give
-    # the per-time result: same warning, same skipped times, same params
+    # the stacked logs, with the time at the branch cut skipped, give the
+    # per-time result: same warning, same skipped times, same params
     none = RelaxationModel(
         omega_residual=np.zeros(3), gamma_dephase=np.zeros(3), gamma_iso=0.0
     )

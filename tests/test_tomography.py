@@ -6,7 +6,7 @@ import scipy.linalg
 
 from liouvlab.basis import coords_of
 from liouvlab.dynamics import propagator
-from liouvlab.exceptions import CompletenessError, IllConditionedError
+from liouvlab.exceptions import CompletenessError, DimensionError, IllConditionedError
 from liouvlab.superop import LindbladModel
 from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
 from liouvlab.tomography import (
@@ -239,6 +239,32 @@ def test_too_few_states_rejected(basis3):
     cols = _bloch_columns(canonical_input_states()[:5], basis3)
     with pytest.raises(CompletenessError):
         TomographySet(dim=3, inputs=cols, outputs={})
+
+
+def test_set_checks_shape_then_trace_row_matrix_by_matrix(basis3):
+    cols = _bloch_columns(canonical_input_states(), basis3)
+    unpinned = cols.copy()
+    unpinned[-1, 0] += 1e-6
+    short = cols[:, :-1]
+    cases = [
+        # (inputs, outputs, error, message)
+        (unpinned, {1.0: cols, 2.0: short}, ValueError, "inputs has unpinned"),
+        (cols, {1.0: unpinned, 2.0: short}, ValueError, "outputs[1.0] has unpinned"),
+        (cols, {1.0: short, 2.0: unpinned}, DimensionError, "outputs[1.0] shape"),
+        (cols, {1.0: cols, 2.0: unpinned}, ValueError, "outputs[2.0] has unpinned"),
+    ]
+    for inputs, outputs, error, message in cases:
+        with pytest.raises(error) as err:
+            TomographySet(dim=3, inputs=inputs, outputs=outputs)
+        assert str(err.value).startswith(message)
+
+
+def test_set_freezes_a_copy_of_the_callers_arrays(basis3):
+    cols = _bloch_columns(canonical_input_states(), basis3)
+    ts = TomographySet(dim=3, inputs=cols, outputs={1.0: cols})
+    assert cols.flags.writeable
+    assert not ts.inputs.flags.writeable and not ts.outputs[1.0].flags.writeable
+    np.testing.assert_array_equal(ts.outputs[1.0], cols)
 
 
 # ---------------------------------------------------------------------------
