@@ -6,7 +6,7 @@ Two complementary estimators are provided throughout:
   and (optionally) project onto a constrained model by linear least
   squares.  Fast, no iteration, but noise can push the raw estimate off
   the physical set.
-* maximum-likelihood (MLE): minimize the cumulative squared Frobenius
+* maximum-likelihood (MLE): find the least cumulative squared Frobenius
   deviation
 
       cost(L) = sum_n || exp(L t_n) - P_n ||_F^2
@@ -15,29 +15,27 @@ Two complementary estimators are provided throughout:
   dissipator, Hermitian Hamiltonian, parametric field form) holds by
   construction.  The cost is a Pade ``expm`` per time.
 
-One Gauss-Newton solver fits both kinds of MLE problem: the many-time fits
-of ``mle_liouvillian`` (one problem of T >= 2 times) and the per-interval
-field fits of ``estimate_fields`` (one problem of one time per interval,
-all intervals in lockstep on stacked arrays).  These are small-residual
-least-squares problems, where Gauss-Newton converges in a few steps.  Each
-step takes one batched eigendecomposition G = V diag(lambda) V^-1, the
-Jacobian of exp(G t) from Daleckii-Krein divided differences (Najfeld &
-Havel, Adv. Appl. Math. 16 (1995)) and the min-norm least-squares step,
-taken only if it does not raise the Pade cost.  A problem stops when a
-step lowers its cost by less than CONVERGENCE_RTOL relative.  A problem
-with a near-defective generator, a first step that does not lower its
-cost, or no stop within GN_MAX_ITERS steps falls back to L-BFGS from the
-same start, with restarts; so does every one-time ``mle_liouvillian`` call
-(the field intervals that reach it are those Gauss-Newton gave up on).  A
-generator counts as near-defective when its eigenvector matrix V has a
-Frobenius condition ||V||_F ||V^-1||_F >= EIGVEC_COND_MAX, an upper bound
-on the 2-norm condition that costs one inverse, which the step needs
-anyway.  The L-BFGS gradient is exact: for two or more times it comes from
-one eigendecomposition per evaluation through the same divided
-differences; for a single time, or past the same condition bound, from
-``scipy.linalg.expm_frechet`` per time.  The cost stays on Pade because a
-cost taken from the eigendecomposition rounds noisily near the optimum,
-which makes L-BFGS line searches fail and restart.
+One damped Gauss-Newton solver fits every MLE problem: the fits of
+``mle_liouvillian`` (one problem of one or more times) and the
+per-interval field fits of ``estimate_fields`` (one problem of one time per
+interval, all intervals in lockstep on stacked arrays).  These are
+small-residual least-squares problems, where Gauss-Newton converges in a
+few steps.  Each step takes one batched eigendecomposition
+G = V diag(lambda) V^-1, the Jacobian of exp(G t) from Daleckii-Krein
+divided differences (Najfeld & Havel, Adv. Appl. Math. 16 (1995)) and the
+min-norm least-squares step.  A problem stops, converged, when a step
+changes its Pade cost by less than CONVERGENCE_RTOL relative (or than the
+rounding of a cost near 0; a linearly converging problem goes on to a
+hundredth of that).  A step that raises the cost by more is not taken and
+is tried again with Levenberg damping (Levenberg 1944; Marquardt 1963;
+More, Lecture Notes in Math. 630 (1978)), which starts at 0, so an
+undamped step is the plain Gauss-Newton step.  A generator is
+near-defective when its eigenvector matrix V has a Frobenius condition
+||V||_F ||V^-1||_F >= EIGVEC_COND_MAX, an upper bound on the 2-norm
+condition that costs the one inverse the step needs anyway; its Jacobian
+columns then come from the Frechet derivative of ``expm`` itself, exact
+without an eigendecomposition.  A problem still running
+after GN_MAX_ITERS steps is reported as not converged.
 
 Uncertainty is quantified by a percentile bootstrap over re-simulated
 noisy datasets.
@@ -101,11 +99,8 @@ __all__ = [
 ]
 
 CONVERGENCE_RTOL = 1e-10
-CONVERGENCE_WINDOW = 5
-DEFAULT_MAX_ITERS = 2000
-N_RESTARTS = 3
-# Gauss-Newton steps per problem before the fit falls back to L-BFGS
-GN_MAX_ITERS = 8
+# Gauss-Newton steps tried per problem before the fit ends unconverged
+GN_MAX_ITERS = 16
 # relative singular-value cut of the Gauss-Newton step
 GN_PINV_RCOND = 1e-10
 
@@ -185,12 +180,11 @@ class FitReport:
     HermitianParams, RelaxationModel, ...); ``params`` is the flat
     parameter vector behind it; ``ci_low``/``ci_high`` are filled only
     after a bootstrap run.  ``extras["optimizer"]``, set by
-    ``mle_liouvillian``, counts cost evaluations (Gauss-Newton's and
-    L-BFGS's), L-BFGS restarts, the evaluations whose gradient took the
-    ``expm_frechet`` path and the Gauss-Newton steps, and says whether the
-    fit fell back to L-BFGS; set by ``estimate_fields(method="mle")``, it
-    counts the Gauss-Newton steps and the intervals that fell back to
-    L-BFGS.
+    ``mle_liouvillian``, counts the Pade cost evaluations, the Gauss-Newton
+    steps and those whose Jacobian took exact Frechet columns
+    (``expm_frechet_evaluations``); set by
+    ``estimate_fields(method="mle")``, it counts the last two summed over
+    intervals and lists the ``unconverged_intervals``.
     ``extras["bootstrap"]``, set by the CLI, records the draw count, the
     failed draws and the first few failure messages.  ``to_json`` writes
     each of the two only when present.
@@ -285,86 +279,9 @@ def _normalize_pmeas(pmeas) -> list[tuple[float, np.ndarray]]:
 
 
 def _squared_norms(errs: np.ndarray) -> np.ndarray:
-    """||E_n||_F^2 per matrix of a (T, n, n) stack."""
+    """||E_n||_F^2 per entry of the first axis of a (T, ...) stack."""
     flat = errs.reshape(len(errs), -1)
     return (flat * flat).sum(axis=1)
-
-
-def _cost_and_matrix_grad(
-    lmat: np.ndarray, ts: np.ndarray, ps: np.ndarray, exps: np.ndarray | None = None
-) -> tuple[float, np.ndarray, bool]:
-    """Cost sum_n ||exp(L t_n) - P_n||_F^2 and its gradient w.r.t. L.
-
-    ``ts`` (T,) are the times and ``ps`` (T, n, n) the measured matrices;
-    ``exps``, the stacked Pade exp(L t_n), is computed here when not given.
-    The cost is always a Pade ``expm`` per time, summed in time order: a
-    cost taken from the eigendecomposition rounds noisily near the optimum
-    (about 1e-17 along a line search, where Pade is smooth), and L-BFGS
-    then ends line searches abnormally and restarts.
-
-    The gradient is the adjoint of the Frechet derivative of expm.  For
-    T >= 2 it comes from one eigendecomposition L = V diag(lambda) V^-1
-    (Daleckii-Krein; Najfeld & Havel, Adv. Appl. Math. 16 (1995)):
-
-        grad_L = 2 Re[V^-H (sum_n conj(Phi_n) o (V^H E_n V^-H)) V^H],
-
-    with E_n = exp(L t_n) - P_n and the divided differences
-    Phi_n,ij = (e^{lambda_i t_n} - e^{lambda_j t_n}) / (lambda_i - lambda_j).
-    For T = 1, where one eigendecomposition costs more than it saves, or
-    when the Frobenius condition ||V||_F ||V^-1||_F >= EIGVEC_COND_MAX
-    (near-defective L), it is
-    grad_L = sum_n 2 t_n D_exp((L t_n)^T)[E_n] from ``expm_frechet``.
-
-    Returns:
-        (cost, grad, used_frechet), the last True when the gradient came
-        from ``expm_frechet``.
-    """
-    if exps is None:
-        exps = scipy.linalg.expm(lmat * ts[:, None, None])
-    errs = exps - ps
-    cost = 0.0
-    for sq in _squared_norms(errs):
-        cost += float(sq)
-    eig = _eig(lmat) if len(ts) > 1 else None
-    if eig is not None:
-        lam, v = eig
-        vinv, ok = _eigvec_inverse(v[None])
-        if ok[0]:
-            return cost, 2.0 * _frechet_adjoint(v, vinv[0], _t_phi(lam, ts), errs), False
-    grad = np.zeros_like(lmat)
-    for t, err in zip(ts, errs):
-        _, fre = scipy.linalg.expm_frechet((lmat * t).T, err)
-        grad += (2.0 * t) * fre
-    return cost, grad, True
-
-
-_dggev = scipy.linalg.lapack.get_lapack_funcs("ggev", dtype=np.float64)
-
-
-def _eig(lmat: np.ndarray):
-    """Eigenvalues and unit-norm eigenvectors of a real matrix, unscaled.
-
-    ``np.linalg.eig`` balances with a diagonal scaling first.  A non-unital
-    generator has a last (trace) row of rounding noise beside an O(1) last
-    column; the scaling then spans about 2**27 and leaves eigenvector
-    residuals near 1e-9, which reach the gradient.  The QZ algorithm on the
-    pencil (L, I) only permutes.  Returns None for a non-finite L (say,
-    from a user's x0), which LAPACK does not check, or when QZ does not
-    converge.
-    """
-    if not np.isfinite(lmat).all():
-        return None
-    n = len(lmat)
-    alphar, alphai, beta, _, vr, _, info = _dggev(lmat, np.eye(n), compute_vl=0)
-    if info != 0:
-        return None
-    lam = (alphar + 1j * alphai) / beta
-    # a conjugate pair j, j+1 (alphai[j] > 0) is stored as VR[:, j] +- i VR[:, j+1]
-    v = vr.astype(complex)
-    first = np.flatnonzero(alphai > 0)
-    v[:, first] += 1j * vr[:, first + 1]
-    v[:, first + 1] = v[:, first].conj()
-    return lam, v / np.linalg.norm(v, axis=0)
 
 
 def _t_phi(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -421,69 +338,6 @@ def _direct_init(pmeas, rt_mat: np.ndarray | None, dim: int) -> np.ndarray:
     )
 
 
-def _run_lbfgs(fun, x0, max_iters):
-    history = []
-    last = {"f": None}
-
-    def wrapped(x):
-        f, g = fun(x)
-        last["f"] = f
-        return f, g
-
-    def cb(_xk):
-        history.append(last["f"])
-
-    res = scipy.optimize.minimize(
-        wrapped,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=cb,
-        options={"maxiter": max_iters, "ftol": 1e-16, "gtol": 1e-14},
-    )
-    return res, history
-
-
-def _is_converged(res, history, max_iters) -> bool:
-    if len(history) > CONVERGENCE_WINDOW:
-        prev = history[-(CONVERGENCE_WINDOW + 1)]
-        drop = prev - history[-1]
-        if drop < CONVERGENCE_RTOL * max(abs(prev), 1e-300):
-            return True
-    # hitting a flat gradient before the window fills also counts
-    return bool(res.success and res.nit < max_iters)
-
-
-def _lbfgs_fit(fun, x0, max_iters, design):
-    """L-BFGS from ``x0``, restarted from perturbed starts until converged.
-
-    Returns (best result, converged, restarts).
-    """
-    best_res, best_hist = _run_lbfgs(fun, x0, max_iters)
-    converged = _is_converged(best_res, best_hist, max_iters)
-    # a restart step along the design's null space (the trace of H in the
-    # Hermitian form) moves no generator entry: the cost cannot see it and
-    # L-BFGS never takes it back, so restarts perturb the row space only
-    null = None if converged or design is None else scipy.linalg.null_space(design)
-    attempt = 0
-    while not converged and attempt < N_RESTARTS:
-        rng = np.random.default_rng([1898, attempt])
-        scale = 1e-3 * (np.linalg.norm(x0) + 1.0)
-        step = rng.normal(size=len(x0)) * scale
-        if null is not None:
-            step -= null @ (null.T @ step)
-        res, hist = _run_lbfgs(fun, x0 + step, max_iters)
-        # a converged restart at the best cost (within tolerance) also counts
-        if res.fun < best_res.fun or (
-            res.fun - best_res.fun <= CONVERGENCE_RTOL * abs(best_res.fun)
-            and _is_converged(res, hist, max_iters)
-        ):
-            best_res, best_hist = res, hist
-        converged = _is_converged(best_res, best_hist, max_iters)
-        attempt += 1
-    return best_res, converged, attempt
-
-
 def _generators(design, rt, thetas) -> np.ndarray:
     """Generators B_k - rt, one per row of ``thetas``.
 
@@ -497,6 +351,14 @@ def _generators(design, rt, thetas) -> np.ndarray:
     return b.copy() if rt is None else b - rt
 
 
+def _directions(design, n: int) -> np.ndarray:
+    """Generator direction E_p of each parameter, (P, n, n).
+
+    The design's columns, or the n^2 unit matrices of the free form.
+    """
+    return np.eye(n * n).reshape(-1, n, n) if design is None else design.T.reshape(-1, n, n)
+
+
 def _stacked_expm(gens, ts) -> np.ndarray:
     """exp(G_k t_kn), (K, T, n, n), from one stacked Pade ``expm`` call."""
     n = gens.shape[-1]
@@ -505,11 +367,7 @@ def _stacked_expm(gens, ts) -> np.ndarray:
 
 
 def _stacked_costs(exps, ps) -> np.ndarray:
-    """Pade cost sum_n ||E_kn - P_kn||_F^2 per problem, summed in time order.
-
-    The order is that of ``_cost_and_matrix_grad``, so the two agree bit
-    for bit.
-    """
+    """Pade cost sum_n ||E_kn - P_kn||_F^2 per problem, summed in time order."""
     n = ps.shape[-1]
     sq = _squared_norms((exps - ps).reshape(-1, n, n)).reshape(ps.shape[:2])
     costs = sq[:, 0].copy()
@@ -518,42 +376,81 @@ def _stacked_costs(exps, ps) -> np.ndarray:
     return costs
 
 
-def _gauss_newton_step(design, lam, v, ts, resid) -> np.ndarray:
-    """Min-norm least-squares step, argmin ||J_k delta - r_k||, of each problem k.
+def _dk_jacobian(dirs, lam, v, vinv, ts) -> np.ndarray:
+    """Jacobian J (K, T n^2, P) of the residuals exp(G_k t) - P by Daleckii-Krein.
 
-    ``lam``, ``v`` (K, n), (K, n, n) are the eigendecompositions
-    G_k = V diag(lambda) V^-1, ``ts`` (K, T) the times and ``resid``
-    (K, T, n, n) the residuals r = exp(G_k t) - P.  The Jacobian column of
-    a generator direction E is D exp[E t] = V (t Phi o V^-1 E V) V^-1.  The
-    contraction follows the parameter count P:
-
-    * with a design (the field and Hermitian forms, P = 3 or 9), J is
-      built per design column, one (T n^2, P) matrix per problem, and the
-      step is pinv(J) r, which never moves along the design's null space
-      (the trace of H);
-    * the free form has a column per entry of B (P = n^2 = 81 for
-      qutrits) and no null space, as D exp is invertible unless two
-      eigenvalues differ by 2 pi i k / t at every time.  With row-major
-      vec, J_n = S D_n S^-1 for S = V (x) V^-T and D_n = diag(vec t Phi_n),
-      so J^T J = S^-H [(S^H S) o (Phi^H Phi)] S^-1 (Phi holds one
-      vec t Phi_n per row) and J^T r is the Daleckii-Krein gradient over 2.
-      The normal equations are built from (n^2, n^2) matrices, never from
-      J itself, and solved directly.  Their rounding grows with cond(V),
-      which EIGVEC_COND_MAX bounds, and a step that does not lower the
-      cost is never taken.
+    ``lam``, ``v``, ``vinv`` (K, n), (K, n, n), (K, n, n) are the
+    eigendecompositions G_k = V diag(lambda) V^-1 and ``ts`` (K, T) the
+    times.  The column of direction E_p at time t is
+    D exp(G t)[E_p t] = V (t Phi o V^-1 E_p V) V^-1 (``_t_phi``), with rows
+    in the row-major order of (T, n, n).
     """
-    vinv = np.linalg.inv(v)
     t_phi = _t_phi(lam, ts)
+    n_prob, n_times = ts.shape
+    m = vinv[:, None] @ dirs @ v[:, None]
+    jac = (v[:, None, None] @ (t_phi[:, :, None] * m[:, None]) @ vinv[:, None, None]).real
+    jac = jac.reshape(n_prob, n_times, len(dirs), -1).transpose(0, 1, 3, 2)
+    return jac.reshape(n_prob, -1, len(dirs))
+
+
+def _frechet_jacobian(dirs, gens, ts) -> np.ndarray:
+    """The Jacobian of ``_dk_jacobian``, exact without an eigendecomposition.
+
+    Each column D exp(G t)[E_p t] is the top-right block of
+    exp([[G t, E_p t], [0, G t]]) (Higham, Functions of Matrices, SIAM
+    2008, ch. 3), all problems, times and directions in one stacked Pade
+    ``expm``.  It costs P T expm calls of twice the size, so it serves
+    only generators whose eigenvectors are too ill-conditioned for
+    Daleckii-Krein.
+    """
+    n_prob, n_times = ts.shape
+    n = gens.shape[-1]
+    gt = gens[:, None, None] * ts[:, :, None, None, None]
+    blocks = np.zeros((n_prob, n_times, len(dirs), 2 * n, 2 * n))
+    blocks[..., :n, :n] = blocks[..., n:, n:] = gt
+    blocks[..., :n, n:] = dirs * ts[:, :, None, None, None]
+    jac = scipy.linalg.expm(blocks.reshape(-1, 2 * n, 2 * n))[:, :n, n:]
+    jac = jac.reshape(n_prob, n_times, len(dirs), -1).transpose(0, 1, 3, 2)
+    return jac.reshape(n_prob, -1, len(dirs))
+
+
+def _lm_solve(jac, resid, damping) -> np.ndarray:
+    """Damped least-squares step argmin ||J d - r||^2 + mu ||d||^2 of each problem.
+
+    ``jac`` (K, M, P), ``resid`` (K, ...) with M entries per problem and
+    ``damping`` (K,) the Levenberg factor lambda, with
+    mu = lambda tr(J^T J) / P.  From one SVD J = U S W^T the step is
+    W diag(1 / (s + mu / s)) U^T r over the singular values above
+    GN_PINV_RCOND s_max; the rest are dropped, so the step never moves along
+    the null space of J (the trace of H).  At lambda = 0 it is pinv(J) r,
+    computed as ``np.linalg.pinv`` computes it.
+    """
+    u, s, wt = np.linalg.svd(jac, full_matrices=False)
+    mu = damping[:, None] * (s * s).sum(axis=1, keepdims=True) / jac.shape[-1]
+    large = s > GN_PINV_RCOND * s.max(axis=1, keepdims=True)
+    shift = np.divide(mu, s, out=np.zeros_like(s), where=large)
+    inv = np.divide(1.0, s + shift, out=np.zeros_like(s), where=large)
+    pinv = wt.swapaxes(-1, -2) @ (inv[..., None] * u.swapaxes(-1, -2))
+    return (pinv @ resid.reshape(len(jac), -1, 1))[..., 0]
+
+
+def _free_form_step(lam, v, vinv, ts, resid, damping) -> np.ndarray:
+    """``_lm_solve`` of the free form, from eigenbasis normal equations.
+
+    The free form has a column per entry of B (P = n^2 = 81 for qutrits)
+    and no null space, as D exp is invertible unless two eigenvalues differ
+    by 2 pi i k / t at every time.  With row-major vec, J_n = S D_n S^-1
+    for S = V (x) V^-T and D_n = diag(vec t Phi_n), so
+    J^T J = S^-H [(S^H S) o (Phi^H Phi)] S^-1 (Phi holds one vec t Phi_n
+    per row) and J^T r is the Daleckii-Krein gradient over 2.  The normal
+    equations (J^T J + mu I) d = J^T r are built from (n^2, n^2) matrices,
+    never from J itself, and solved directly.  Their rounding grows with
+    cond(V), which EIGVEC_COND_MAX bounds, and a step that raises the cost
+    is never taken.
+    """
     n_prob, n_times, n = resid.shape[:3]
-    if design is not None:
-        gen_cols = design.T.reshape(-1, n, n)
-        m = vinv[:, None] @ gen_cols @ v[:, None]
-        jac = (v[:, None, None] @ (t_phi[:, :, None] * m[:, None]) @ vinv[:, None, None]).real
-        jac = jac.reshape(n_prob, n_times, len(gen_cols), -1).transpose(0, 1, 3, 2)
-        jac = jac.reshape(n_prob, -1, len(gen_cols))
-        resid = resid.reshape(n_prob, -1, 1)
-        return (np.linalg.pinv(jac, rcond=GN_PINV_RCOND) @ resid)[..., 0]
     n2 = n * n
+    t_phi = _t_phi(lam, ts)
     grad = _frechet_adjoint(v, vinv, t_phi, resid).reshape(n_prob, n2, 1)
     vh, vinv_h = v.conj().transpose(0, 2, 1), vinv.conj().transpose(0, 2, 1)
     # S^-1 = V^-1 (x) V^T and S^H S = (V^H V) (x) conj(V^-1 V^-H)
@@ -563,66 +460,121 @@ def _gauss_newton_step(design, lam, v, ts, resid) -> np.ndarray:
     phi = t_phi.reshape(n_prob, n_times, n2)
     weights = gram.reshape(n_prob, n2, n2) * (phi.conj().transpose(0, 2, 1) @ phi)
     normal = (s_inv.conj().transpose(0, 2, 1) @ weights @ s_inv).real
+    diag = np.arange(n2)
+    normal[:, diag, diag] += damping[:, None] * np.trace(normal, axis1=1, axis2=2)[:, None] / n2
     return np.linalg.solve(normal, grad)[..., 0]
 
 
-def _gauss_newton(design, rt, ts, ps, theta0, max_steps):
-    """Lockstep Gauss-Newton fits of K problems of T times each.
+def _gauss_newton_step(design, gens, ts, resid, damping):
+    """Damped Gauss-Newton step of each of K problems.
 
-    Problem k minimizes the Pade cost sum_n ||exp(G_k t_kn) - P_kn||_F^2
-    of ``mle_liouvillian``, with G_k = B(theta_k) - rt (``_generators``),
-    starting from ``theta0[k]``; ``ts`` is (K, T) and ``ps`` (K, T, n, n).
-    All problems step together on stacked arrays.  Each iteration takes one
-    batched eigendecomposition of the running generators and the min-norm
-    step of ``_gauss_newton_step`` (theta never moves along the design's
-    null space, such as the trace of H).  A step is taken only if its Pade
-    cost does not rise.  A problem stops when a step lowers its cost by
-    less than CONVERGENCE_RTOL relative (a step that raises it included).
-    It is marked for fallback when its start is not finite, when the
-    Frobenius eigenvector condition of its generator is at least
-    EIGVEC_COND_MAX (``_eigvec_inverse``), when its first step does not
-    lower the cost, or when it is still running after ``max_steps`` steps.
+    ``gens`` (K, n, n) are the running generators, ``ts`` (K, T) the times,
+    ``resid`` (K, T, n, n) the residuals exp(G_k t) - P and ``damping``
+    (K,) the Levenberg factors of ``_lm_solve``.  The Jacobian comes from
+    one batched eigendecomposition G = V diag(lambda) V^-1 and the V^-1 of
+    ``_eigvec_inverse`` (``_dk_jacobian``; the free form solves
+    ``_free_form_step`` instead).  A generator whose Frobenius eigenvector
+    condition is at least EIGVEC_COND_MAX takes the exact columns of
+    ``_frechet_jacobian``.
 
     Returns:
-        (thetas, gens, costs, exps, steps, fallback): parameters (K, P),
-        generators (K, n, n), Pade costs (K,) and exponentials (K, T, n, n)
-        at the last taken step, the steps tried summed over problems (each
-        one Pade cost evaluation) and the boolean fallback mask.
+        (steps, defective): the steps (K, P) and the mask of the problems
+        whose Jacobian took ``_frechet_jacobian``.
+    """
+    dirs = _directions(design, gens.shape[-1])
+    lam, v = np.linalg.eig(gens)
+    vinv, ok = _eigvec_inverse(v)
+    step = np.empty((len(gens), len(dirs)))
+    args = lam[ok], v[ok], vinv[ok], ts[ok]
+    if design is None and ok.any():
+        step[ok] = _free_form_step(*args, resid[ok], damping[ok])
+    elif ok.any():
+        step[ok] = _lm_solve(_dk_jacobian(dirs, *args), resid[ok], damping[ok])
+    defective = ~ok
+    if defective.any():
+        jac = _frechet_jacobian(dirs, gens[defective], ts[defective])
+        step[defective] = _lm_solve(jac, resid[defective], damping[defective])
+    return step, defective
+
+
+def _gauss_newton(design, rt, ts, ps, theta0):
+    """Lockstep damped Gauss-Newton fits of K problems of T times each.
+
+    Problem k seeks the least Pade cost sum_n ||exp(G_k t_kn) - P_kn||_F^2
+    of ``mle_liouvillian``, with G_k = B(theta_k) - rt (``_generators``),
+    starting from ``theta0[k]``; ``ts`` is (K, T) and ``ps`` (K, T, n, n).
+    All problems step together on stacked arrays (``_gauss_newton_step``;
+    theta never moves along the design's null space, such as the trace of
+    H).  Each problem has its own Levenberg damping factor, 0 at the start.
+    A step is judged by its cost change against tol = CONVERGENCE_RTOL
+    cost + (n eps)^2 sum_t ||P_t||_F^2, the second term the rounding level
+    of a cost near 0, an error of n eps ||P|| in each n x n ``expm`` (a
+    noiseless or one-time free-form fit reaches it):
+
+    * a drop of at least tol is taken and the damping falls tenfold;
+    * a change below tol either way (a small rise included) ends the
+      problem as converged, and is taken if it lowers the cost;
+    * a rise of at least tol, or a non-finite cost, is not taken: the
+      damping rises to 1e-3, or tenfold, and the step is tried again.
+
+    On a large-residual problem Gauss-Newton converges only linearly, and
+    the drops still to come after a drop below tol sum to about q/(1 - q)
+    times it, q the ratio of successive drops.  So a drop below tol that is
+    at least 1e-2 times the last taken drop ends the problem only once it
+    is also below 1e-2 tol; a small-residual fit, whose drops shrink
+    faster, is not affected.
+
+    A problem whose start has a non-finite cost, or that is still running
+    after GN_MAX_ITERS steps, is not converged.
+
+    Returns:
+        (thetas, gens, costs, exps, converged, counts): parameters (K, P),
+        generators (K, n, n), Pade costs (K,) and exponentials
+        (K, T, n, n) at the last taken step, the boolean converged mask,
+        and the counts ``gauss_newton_iterations`` (steps tried summed over
+        problems, each one Pade cost evaluation) and
+        ``expm_frechet_evaluations`` (those whose Jacobian took
+        ``_frechet_jacobian``).
     """
     thetas = np.array(theta0, dtype=float)
     gens = _generators(design, rt, thetas)
     exps = _stacked_expm(gens, ts)
     costs = _stacked_costs(exps, ps)
-    steps = 0
-    fallback = ~np.isfinite(costs)
-    running = ~fallback
-    for it in range(max_steps):
-        if not running.any():
-            break
+    floor = (ps.shape[-1] * np.finfo(float).eps) ** 2 * _squared_norms(ps)
+    damping = np.zeros(len(thetas))
+    running = np.isfinite(costs)
+    converged = np.zeros(len(thetas), dtype=bool)
+    last_drop = np.full(len(thetas), np.inf)
+    steps = frechet = 0
+    for _ in range(GN_MAX_ITERS):
         idx = np.flatnonzero(running)
-        lam, v = np.linalg.eig(gens[idx])
-        _, ok = _eigvec_inverse(v)
-        fallback[idx[~ok]] = True
-        running[idx[~ok]] = False
-        idx, lam, v = idx[ok], lam[ok], v[ok]
         if not idx.size:
             break
-        step = _gauss_newton_step(design, lam, v, ts[idx], exps[idx] - ps[idx])
+        step, defective = _gauss_newton_step(
+            design, gens[idx], ts[idx], exps[idx] - ps[idx], damping[idx]
+        )
         trial = thetas[idx] - step
         trial_gens = _generators(design, rt, trial)
         trial_exps = _stacked_expm(trial_gens, ts[idx])
         trial_costs = _stacked_costs(trial_exps, ps[idx])
         steps += len(idx)
+        frechet += int(defective.sum())
         drop = costs[idx] - trial_costs
-        if it == 0:
-            fallback[idx[~(drop > 0)]] = True
-        running[idx[~(drop >= CONVERGENCE_RTOL * costs[idx])]] = False
+        tol = CONVERGENCE_RTOL * costs[idx] + floor[idx]
+        rise = ~(drop > -tol)
+        # a linearly converging problem goes on to a drop below 1e-2 tol
+        linear = (drop >= 1e-2 * last_drop[idx]) & (drop >= 1e-2 * tol)
+        done = idx[~rise & (drop < tol) & ~linear]
+        converged[done], running[done] = True, False
+        damping[idx[rise]] = np.maximum(10.0 * damping[idx[rise]], 1e-3)
         take = drop >= 0
         took = idx[take]
+        damping[took] /= 10.0
         thetas[took], costs[took] = trial[take], trial_costs[take]
+        last_drop[took] = drop[take]
         gens[took], exps[took] = trial_gens[take], trial_exps[take]
-    fallback |= running
-    return thetas, gens, costs, exps, steps, fallback
+    counts = {"gauss_newton_iterations": steps, "expm_frechet_evaluations": frechet}
+    return thetas, gens, costs, exps, converged, counts
 
 
 def mle_liouvillian(
@@ -632,9 +584,8 @@ def mle_liouvillian(
     form: str = "free",
     field_generators: Sequence[Superoperator] | None = None,
     x0: np.ndarray | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> FitReport:
-    """Maximum-likelihood generator from process matrices at several times.
+    """Maximum-likelihood generator from process matrices at one or more times.
 
     Args:
         pmeas: iterable of (t_n, ProcessMatrix) pairs, t_n > 0.
@@ -650,26 +601,22 @@ def mle_liouvillian(
                              generators, i.e. Larmor frequencies).
         x0: optional initial parameter vector; defaults to the direct
             log-estimate at the earliest admissible time, projected onto
-            the parameter space.
-        max_iters: optimizer iteration cap (Gauss-Newton takes at most
-            min(GN_MAX_ITERS, max_iters) steps).
+            the parameter space.  Its component along the null space of
+            the ``hermitian`` design (the trace of H), which the cost does
+            not see, is kept.
 
-    Two or more times are fitted by Gauss-Newton (``_gauss_newton``); a
-    single time, or a Gauss-Newton fit that gives up (see the module
-    docstring), by L-BFGS from ``x0``.  L-BFGS restarts from perturbed
-    initial points until it converges; the perturbation is kept out of the
-    null space of the ``hermitian`` and ``fields`` designs, which the cost
-    does not see.
+    The fit is one damped Gauss-Newton problem (``_gauss_newton``) from
+    ``x0``, with one time or many alike.
 
     Returns:
-        FitReport whose ``estimate`` is the fitted generator L; a
-        non-converged fit is reported (``converged=False``), never raised.
-        ``iterations`` is the Gauss-Newton steps plus the L-BFGS
-        iterations.  ``extras["optimizer"]`` holds ``evaluations`` (every
-        Pade cost evaluation, Gauss-Newton's included),
-        ``expm_frechet_evaluations``, ``restarts`` (of L-BFGS),
-        ``gauss_newton_iterations`` and ``fallback`` (True when the result
-        came from L-BFGS).
+        FitReport whose ``estimate`` is the fitted generator L; a fit still
+        running after GN_MAX_ITERS steps, or from a start of non-finite
+        cost, is reported (``converged=False``), never raised.
+        ``iterations`` is the Gauss-Newton steps tried.
+        ``extras["optimizer"]`` holds ``evaluations`` (every Pade cost
+        evaluation, the start's included), ``gauss_newton_iterations`` and
+        ``expm_frechet_evaluations`` (the steps whose Jacobian took exact
+        Frechet columns because the generator was near-defective).
     """
     pmeas = _normalize_pmeas(pmeas)
     n2 = pmeas[0][1].shape[0]
@@ -691,25 +638,6 @@ def mle_liouvillian(
     else:
         raise ValueError(f"unknown constraint form {form!r}")
 
-    def build(theta):
-        b = theta.reshape(n2, n2) if design is None else (design @ theta).reshape(n2, n2)
-        return b - rt_mat if rt_mat is not None else b
-
-    ts = np.array([t for t, _ in pmeas])
-    ps = np.stack([p for _, p in pmeas])
-    counts = {"evaluations": 0, "expm_frechet_evaluations": 0}
-    last = {}  # theta and Pade matrices of the latest evaluation
-
-    def fun(theta):
-        lmat = build(theta)
-        exps = scipy.linalg.expm(lmat * ts[:, None, None])
-        last.update(theta=np.array(theta), exps=exps)
-        cost, grad_l, used_frechet = _cost_and_matrix_grad(lmat, ts, ps, exps)
-        counts["evaluations"] += 1
-        counts["expm_frechet_evaluations"] += used_frechet
-        grad = grad_l.ravel() if design is None else design.T @ grad_l.ravel()
-        return cost, grad
-
     if x0 is None:
         b0 = _direct_init(pmeas, rt_mat, dim)
         if design is None:
@@ -720,33 +648,15 @@ def mle_liouvillian(
     if x0.shape != (n_params,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({n_params},)")
 
-    steps, fallback = 0, len(ts) == 1  # one-time fits keep L-BFGS outright
-    if not fallback:
-        gn_thetas, gn_gens, gn_costs, gn_exps, steps, gn_fallback = _gauss_newton(
-            design, rt_mat, ts[None], ps[None], x0[None], min(GN_MAX_ITERS, max_iters)
-        )
-        counts["evaluations"] += 1 + steps
-        fallback = bool(gn_fallback[0])
-    if fallback:
-        best_res, converged, restarts = _lbfgs_fit(fun, x0, max_iters, design)
-        theta, cost, iterations = best_res.x, float(best_res.fun), steps + int(best_res.nit)
-        l_hat = build(theta)
-        if np.array_equal(last["theta"], theta):
-            exps = last["exps"]
-        else:
-            exps = scipy.linalg.expm(l_hat * ts[:, None, None])
-    else:
-        theta, l_hat, cost, exps = gn_thetas[0], gn_gens[0], float(gn_costs[0]), gn_exps[0]
-        converged, restarts, iterations = True, 0, steps
-    dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
-    extras = {
-        "optimizer": {
-            **counts,
-            "restarts": restarts,
-            "gauss_newton_iterations": steps,
-            "fallback": fallback,
-        }
-    }
+    ts = np.array([t for t, _ in pmeas])
+    ps = np.stack([p for _, p in pmeas])
+    thetas, gens, costs, exps, converged, counts = _gauss_newton(
+        design, rt_mat, ts[None], ps[None], x0[None]
+    )
+    theta, l_hat = thetas[0], gens[0]
+    dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps[0])])
+    steps = counts["gauss_newton_iterations"]
+    extras = {"optimizer": {"evaluations": 1 + steps, **counts}}
     if rt_mat is not None:
         extras["hamiltonian_superop"] = Superoperator(
             dim=dim, matrix=l_hat + rt_mat
@@ -757,10 +667,10 @@ def mle_liouvillian(
         model=f"mle-{form}",
         estimate=Superoperator(dim=dim, matrix=l_hat),
         params=theta,
-        cost=cost,
+        cost=float(costs[0]),
         df_per_time=dfs,
-        iterations=iterations,
-        converged=converged,
+        iterations=steps,
+        converged=bool(converged[0]),
         extras=extras,
     )
 
@@ -902,12 +812,6 @@ class FieldTrack:
             design, rows = _hermitian_design(), self.params
         return [Superoperator(dim=3, matrix=(design @ r).reshape(9, 9)) for r in rows]
 
-    def as_rows(self) -> list[tuple]:
-        """(t_n, Omega_x, Omega_y, Omega_z) rows (known form only)."""
-        if not self.known_form:
-            return [(t, *h) for t, h in zip(self.times, self.params)]
-        return [(t, *om) for t, om in zip(self.times, self.omegas)]
-
 
 def estimate_fields(
     psteps: Sequence[ProcessMatrix],
@@ -934,18 +838,15 @@ def estimate_fields(
 
     Both methods start from the direct estimate: the principal log of each
     step, with ``rt`` added back, projected onto the parameters by least
-    squares.  ``"mle"`` then minimizes each interval's Pade cost
-    ||exp(G dt) - P||_F^2 by Gauss-Newton, all intervals in lockstep
-    (``_gauss_newton``); an interval stops when a step lowers its
-    cost by less than CONVERGENCE_RTOL relative.  An interval whose
-    generator has a Frobenius eigenvector condition >= EIGVEC_COND_MAX,
-    whose first step does not lower the cost, or that does not stop within
-    GN_MAX_ITERS steps is fitted by ``mle_liouvillian`` (L-BFGS) from the
-    same start instead.  ``report.extras["optimizer"]`` then holds
-    ``gauss_newton_iterations`` (steps summed over intervals),
-    ``fallbacks`` and ``fallback_intervals`` (their indices), and
-    ``report.iterations`` is the Gauss-Newton steps plus the fallback
-    L-BFGS iterations.
+    squares.  ``"mle"`` then lowers each interval's Pade cost
+    ||exp(G dt) - P||_F^2 by damped Gauss-Newton, all intervals in
+    lockstep as one-time problems of ``_gauss_newton``.
+    ``report.extras["optimizer"]`` then holds ``gauss_newton_iterations``
+    (steps summed over intervals, also ``report.iterations``),
+    ``expm_frechet_evaluations`` (the steps of near-defective generators)
+    and ``unconverged_intervals``, the indices of the intervals still
+    running after GN_MAX_ITERS steps; ``report.converged`` is True when
+    that list is empty.
 
     Branch-cut errors propagate per step; steps with nearly vanishing
     total field are flagged in the result.
@@ -959,34 +860,22 @@ def estimate_fields(
     if method not in ("direct", "mle"):
         raise ValueError(f"unknown method {method!r}")
 
-    gens = _spin_generators()
-    design = _field_design(gens) if known_form else _hermitian_design()
+    design = _field_design(_spin_generators()) if known_form else _hermitian_design()
     dts = np.array([p.duration_s for p in psteps])
     ps = np.stack([p.matrix for p in psteps])
     logs = _log_stack(psteps)
     k_direct = (logs / dts[:, None, None] + rt.matrix).reshape(len(ps), -1)
     theta0 = np.linalg.lstsq(design, k_direct.T, rcond=None)[0].T
-    subs = {}  # interval -> FitReport of its L-BFGS fallback
     if method == "direct":
         rows = theta0
         costs = np.linalg.norm(rows @ design.T - k_direct, axis=1) ** 2
         exps = _stacked_expm(_generators(design, rt.matrix, rows), dts[:, None])[:, 0]
     else:
-        rows, _, costs, exps, steps, fallback = _gauss_newton(
-            design, rt.matrix, dts[:, None], ps[:, None], theta0, GN_MAX_ITERS
+        rows, _, costs, exps, converged, counts = _gauss_newton(
+            design, rt.matrix, dts[:, None], ps[:, None], theta0
         )
         exps = exps[:, 0]
-        for k in np.flatnonzero(fallback):
-            subs[int(k)] = mle_liouvillian(
-                [(dts[k], psteps[k])],
-                dissipator=rt,
-                form="fields" if known_form else "hermitian",
-                field_generators=gens if known_form else None,
-                x0=theta0[k],
-            )
     dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
-    for k, sub in subs.items():
-        rows[k], costs[k], dfs[k] = sub.params, sub.cost, sub.df_per_time[0]
 
     if known_form:
         magnitudes = np.linalg.norm(rows, axis=1)
@@ -1005,12 +894,11 @@ def estimate_fields(
         iterations=1,
     )
     if method == "mle":
-        report.iterations = steps + sum(s.iterations for s in subs.values())
-        report.converged = all(s.converged for s in subs.values())
+        report.iterations = counts["gauss_newton_iterations"]
+        report.converged = bool(converged.all())
         report.extras["optimizer"] = {
-            "gauss_newton_iterations": steps,
-            "fallbacks": len(subs),
-            "fallback_intervals": list(subs),
+            **counts,
+            "unconverged_intervals": np.flatnonzero(~converged).tolist(),
         }
     return FieldTrack(
         times=grid.midpoints,

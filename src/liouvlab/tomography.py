@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .basis import DensityMatrix, OperatorBasis, build_basis, coords_of, _frozen_array
+from .basis import DensityMatrix, _frozen_array
 from .dynamics import ProcessMatrix, _log_stack, principal_log
 from .exceptions import CompletenessError, DimensionError, IllConditionedError
 from .superop import Superoperator
@@ -130,23 +130,6 @@ class TomographySet:
         The inputs are shared by every time, so their SVD runs once per set.
         """
         return _gram_health(self.inputs[None])
-
-    @classmethod
-    def from_states(
-        cls,
-        input_states: list[DensityMatrix],
-        outputs: dict,
-        basis: OperatorBasis | None = None,
-    ) -> "TomographySet":
-        """Build from lists of density matrices (outputs keyed by time)."""
-        dim = input_states[0].dim
-        basis = basis or build_basis(dim)
-        cols_in = np.column_stack([coords_of(s.entries, basis) for s in input_states])
-        cols_out = {
-            float(t): np.column_stack([coords_of(s.entries, basis) for s in states])
-            for t, states in outputs.items()
-        }
-        return cls(dim=dim, inputs=cols_in, outputs=cols_out)
 
     def to_json(self) -> dict:
         return {

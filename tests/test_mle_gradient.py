@@ -1,9 +1,12 @@
-"""The exact MLE gradient.
+"""The Jacobian of the Gauss-Newton step and its gradient.
 
-The eigendecomposition (Daleckii-Krein) path is checked against central
-finite differences, against the per-time ``expm_frechet`` formula written
-out here, and on the generators where it is hardest: degenerate, nearly
-degenerate and defective ones.
+The Daleckii-Krein Jacobian (``_dk_jacobian``) and the free form's
+gradient J^T r (``_frechet_adjoint``) are checked against central finite
+differences and against the exact Frechet columns of ``_frechet_jacobian``,
+on the generators where they are hardest: degenerate, nearly degenerate
+and random non-unital GKS ones.  The exact columns themselves are checked
+against ``scipy.linalg.expm_frechet`` per time and direction, also on a
+defective generator, where the step takes them.
 """
 
 import numpy as np
@@ -12,31 +15,24 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import pade_cost, random_hermitian
 from liouvlab.basis import build_basis
+from liouvlab.dynamics import _eigvec_inverse
 from liouvlab.estimation import (
-    _cost_and_matrix_grad,
-    _eig,
+    _directions,
+    _dk_jacobian,
     _field_design,
+    _frechet_adjoint,
+    _frechet_jacobian,
+    _gauss_newton_step,
     _hermitian_design,
+    _lm_solve,
     _spin_generators,
+    _t_phi,
 )
 from liouvlab.superop import dissipator_superop, hamiltonian_superop
 from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
 from liouvlab.tomography import reconstruct_processes
-
-
-def _frechet_cost_and_grad(lmat, ts, ps):
-    """sum_n ||exp(L t_n) - P_n||^2 and sum_n 2 t_n D_exp((L t_n)^T)[E_n]."""
-    cost = 0.0
-    grad = np.zeros_like(lmat)
-    for t, p in zip(ts, ps):
-        a = lmat * t
-        err = scipy.linalg.expm(a) - p
-        cost += float((err * err).sum())
-        _, fre = scipy.linalg.expm_frechet(a.T, err)
-        grad += (2.0 * t) * fre
-    return cost, grad
 
 
 def _rel(a, b) -> float:
@@ -61,12 +57,36 @@ def _data(rng, d, ts):
     return np.stack([scipy.linalg.expm(other * t) for t in ts])
 
 
+def _eigen(lmat):
+    lam, v = np.linalg.eig(lmat[None])
+    vinv, ok = _eigvec_inverse(v)
+    assert ok[0]
+    return lam, v, vinv
+
+
+def _dk(design, lmat, ts):
+    """The Daleckii-Krein Jacobian (T n^2, P) of one generator."""
+    dirs = _directions(design, len(lmat))
+    return _dk_jacobian(dirs, *_eigen(lmat), ts[None])[0]
+
+
+def _per_time_columns(design, lmat, ts):
+    """D exp(L t)[E_p t] from ``scipy.linalg.expm_frechet``, one call per time and direction."""
+    dirs = _directions(design, len(lmat))
+    cols = [
+        [scipy.linalg.expm_frechet(lmat * t, e * t)[1].ravel() for e in dirs] for t in ts
+    ]
+    return np.concatenate([np.array(c).T for c in cols])
+
+
 def _assert_eig_matches_frechet(lmat, ts, ps):
-    cost, grad, used_frechet = _cost_and_matrix_grad(lmat, ts, ps)
-    ref_cost, ref_grad = _frechet_cost_and_grad(lmat, ts, ps)
-    assert not used_frechet
-    assert cost == ref_cost
-    assert _rel(grad, ref_grad) < 1e-10
+    # the Jacobian of every entry and the free-form gradient J^T r
+    exact = _frechet_jacobian(_directions(None, len(lmat)), lmat[None], ts[None])[0]
+    assert _rel(_dk(None, lmat, ts), exact) < 1e-10
+    lam, v, vinv = _eigen(lmat)
+    resid = scipy.linalg.expm(lmat * ts[:, None, None]) - ps
+    grad = _frechet_adjoint(v[0], vinv[0], _t_phi(lam[0], ts), resid)
+    assert _rel(grad.ravel(), exact.T @ resid.ravel()) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +101,21 @@ def _processes(kind, n_times):
 
 
 def _check_finite_differences(build, design, theta, ts, ps):
-    """Central differences of the cost along three random directions."""
-    _, grad_l, used_frechet = _cost_and_matrix_grad(build(theta), ts, ps)
-    assert not used_frechet
-    grad = grad_l.ravel() if design is None else design.T @ grad_l.ravel()
+    """Central differences of the cost against 2 J^T r along three random directions."""
+    lmat = build(theta)
+    resid = (scipy.linalg.expm(lmat * ts[:, None, None]) - ps).ravel()
+    if design is None:
+        lam, v, vinv = _eigen(lmat)
+        errs = resid.reshape(ps.shape)
+        grad = 2.0 * _frechet_adjoint(v[0], vinv[0], _t_phi(lam[0], ts), errs).ravel()
+    else:
+        grad = 2.0 * _dk(design, lmat, ts).T @ resid
     rng = np.random.default_rng(71)
     for _ in range(3):
         direction = rng.normal(size=theta.shape)
         h = 1e-6 * np.linalg.norm(theta) / np.linalg.norm(direction)
-        up = _cost_and_matrix_grad(build(theta + h * direction), ts, ps)[0]
-        down = _cost_and_matrix_grad(build(theta - h * direction), ts, ps)[0]
+        up = pade_cost(build(theta + h * direction), ts, ps)
+        down = pade_cost(build(theta - h * direction), ts, ps)
         fd = (up - down) / (2.0 * h)
         assert fd == pytest.approx(grad @ direction, rel=1e-6)
 
@@ -116,7 +141,7 @@ def test_gradient_finite_differences_constrained(form):
 
 
 # ---------------------------------------------------------------------------
-# the eigendecomposition path against expm_frechet
+# the eigendecomposition path against the exact Frechet columns
 # ---------------------------------------------------------------------------
 
 
@@ -127,18 +152,6 @@ def test_eig_gradient_matches_frechet_on_gks_generators(d, seed):
     lmat = _gks_generator(rng, d)
     ts = np.sort(rng.uniform(0.05, 1.0, size=4))
     _assert_eig_matches_frechet(lmat, ts, _data(rng, d, ts))
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_eigendecomposition_residual_of_non_unital_generators(d):
-    # a balanced np.linalg.eig leaves relative residuals of 1e-12 to 1e-10
-    # on these generators (d = 4), enough to move the gradient
-    for seed in range(4):
-        lmat = _gks_generator(np.random.default_rng([80, d, seed]), d)
-        lam, v = _eig(lmat)
-        resid = np.abs(lmat @ v - v * lam).max()
-        assert resid <= 1e-13 * np.abs(lmat).max()
-        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0)
 
 
 def test_eig_gradient_exactly_degenerate():
@@ -173,11 +186,18 @@ def _single_time_case():
 @pytest.mark.parametrize("case", [_jordan_block_case, _single_time_case])
 def test_frechet_path_is_the_per_time_formula(case):
     lmat, ts, ps = case()
-    cost, grad, used_frechet = _cost_and_matrix_grad(lmat, ts, ps)
-    ref_cost, ref_grad = _frechet_cost_and_grad(lmat, ts, ps)
-    assert used_frechet
-    assert cost == ref_cost
-    assert np.array_equal(grad, ref_grad)
+    for design in (None, _hermitian_design()):
+        exact = _frechet_jacobian(_directions(design, 9), lmat[None], ts[None])[0]
+        assert _rel(exact, _per_time_columns(design, lmat, ts)) < 1e-13
+    # the step of a defective generator is the least-squares step on these columns
+    resid = (scipy.linalg.expm(lmat * ts[:, None, None]) - ps)[None]
+    step, defective = _gauss_newton_step(None, lmat[None], ts[None], resid, np.zeros(1))
+    assert defective[0] == (case is _jordan_block_case)
+    if defective[0]:
+        jac = _frechet_jacobian(_directions(None, 9), lmat[None], ts[None])
+        assert np.array_equal(step, _lm_solve(jac, resid, np.zeros(1)))
+        ref = np.linalg.lstsq(_per_time_columns(None, lmat, ts), resid.ravel(), rcond=None)[0]
+        assert _rel(step[0], ref) < 1e-8
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -192,8 +212,4 @@ def test_eig_gradient_matches_frechet_property(d, times, seed):
     rng = np.random.default_rng(seed)
     lmat = _gks_generator(rng, d)
     ts = np.array(sorted(times))
-    ps = _data(rng, d, ts)
-    cost, grad, _ = _cost_and_matrix_grad(lmat, ts, ps)
-    ref_cost, ref_grad = _frechet_cost_and_grad(lmat, ts, ps)
-    assert cost == ref_cost
-    assert _rel(grad, ref_grad) < 1e-10
+    _assert_eig_matches_frechet(lmat, ts, _data(rng, d, ts))
