@@ -42,7 +42,7 @@ from .exceptions import (
     SingularProcessError,
 )
 from .superop import Superoperator
-from .synthlab import NoiseSpec, generate_dataset, make_scenario
+from .synthlab import SCENARIO_DEFAULTS, NoiseSpec, generate_dataset, make_scenario
 from .tomography import (
     TomographySet,
     mean_log_liouvillian,
@@ -142,22 +142,8 @@ def _manifest(outdir: Path, command: str, config: dict, seed: int):
 
 
 def _scenario_params_from_args(args) -> dict:
-    params = {}
-    if args.kind == "static_quadratic_zeeman" and args.q is not None:
-        params["q"] = args.q
-    if args.kind == "static_linear_zeeman":
-        if args.axis is not None:
-            params["axis"] = args.axis
-        if args.omega is not None:
-            params["omega"] = args.omega
-    if args.kind == "three_axis_time_dependent":
-        if args.ramp:
-            params["ramp"] = True
-        if args.dt is not None:
-            params["dt"] = args.dt
-        if args.n_steps is not None:
-            params["n_steps"] = args.n_steps
-    return params
+    # a parameter without a flag, or a flag not given, is None: the default
+    return {name: getattr(args, name, None) for name in SCENARIO_DEFAULTS.get(args.kind, ())}
 
 
 def cmd_simulate(args) -> int:
@@ -218,69 +204,51 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_dataset(path: str) -> TomographySet:
-    return TomographySet.from_json(_read_json(Path(path)))
-
-
 def _load_superop(path: str) -> Superoperator:
     return Superoperator.from_json(_read_json(Path(path)))
 
 
+def _df_column(pms: list, generator: Superoperator | None) -> list:
+    """Distance of each process matrix to exp(generator duration_s).
+
+    All exponentials come from one stacked ``expm``; the column is empty
+    without a generator.
+    """
+    if generator is None:
+        return [""] * len(pms)
+    ts = np.array([pm.duration_s for pm in pms])
+    exps = scipy.linalg.expm(generator.matrix * ts[:, None, None])
+    return [frobenius_distance(pm.matrix, e) for pm, e in zip(pms, exps)]
+
+
 def cmd_reconstruct(args) -> int:
     try:
-        dataset = _load_dataset(args.dataset)
+        raw = _read_json(Path(args.dataset))
+        dataset = TomographySet.from_json(raw)
         reference = _load_superop(args.reference) if args.reference else None
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
         print(f"reconstruct: bad input: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    seed = _read_json(Path(args.dataset)).get("seed", 0)
+    seed = raw.get("seed", 0)
     outdir = Path(args.out)
 
     try:
-        if args.mode == "process":
-            rows = []
-            for k, pm in enumerate(reconstruct_processes(dataset)):
-                t = pm.duration_s
-                _write_json(outdir / f"process_{k:03d}.json", _artifact(pm.to_json(), seed))
-                df = (
-                    frobenius_distance(pm.matrix, scipy.linalg.expm(reference.matrix * t))
-                    if reference is not None
-                    else ""
-                )
-                rows.append([t, df])
-            _write_csv(outdir / "df.csv", ["time_s", "df"], rows)
-        elif args.mode == "liouvillian":
+        if args.mode == "liouvillian":
             pms = reconstruct_processes(dataset)
             l_hat = mean_log_liouvillian(pms)
             _write_json(outdir / "liouvillian.json", _artifact(l_hat.to_json(), seed))
-            rows = []
-            for pm in pms:
-                t = pm.duration_s
-                df = frobenius_distance(pm.matrix, scipy.linalg.expm(l_hat.matrix * t))
-                df_ref = (
-                    frobenius_distance(pm.matrix, scipy.linalg.expm(reference.matrix * t))
-                    if reference is not None
-                    else ""
-                )
-                rows.append([t, df, df_ref])
-            _write_csv(outdir / "df.csv", ["time_s", "df", "df_vs_reference"], rows)
-        elif args.mode == "stepwise":
-            steps = stepwise_processes(dataset)
-            rows = []
-            boundaries = np.concatenate([[0.0], dataset.times])
-            for k, pm in enumerate(steps):
-                _write_json(outdir / f"step_{k:03d}.json", _artifact(pm.to_json(), seed))
-                df = (
-                    frobenius_distance(
-                        pm.matrix, scipy.linalg.expm(reference.matrix * pm.duration_s)
-                    )
-                    if reference is not None
-                    else ""
-                )
-                rows.append([boundaries[k + 1], df])
-            _write_csv(outdir / "df.csv", ["time_s", "df"], rows)
-        else:  # pragma: no cover - argparse restricts choices
-            return EXIT_CONFIG
+            header = ["time_s", "df", "df_vs_reference"]
+            columns = [_df_column(pms, l_hat), _df_column(pms, reference)]
+        else:
+            # one process matrix per time (process) or per interval (stepwise)
+            stepwise = args.mode == "stepwise"
+            pms = stepwise_processes(dataset) if stepwise else reconstruct_processes(dataset)
+            prefix = "step" if stepwise else "process"
+            for k, pm in enumerate(pms):
+                _write_json(outdir / f"{prefix}_{k:03d}.json", _artifact(pm.to_json(), seed))
+            header = ["time_s", "df"]
+            columns = [_df_column(pms, reference)]
+        _write_csv(outdir / "df.csv", header, [list(r) for r in zip(dataset.times, *columns)])
     except NUMERIC_ERRORS as err:
         print(f"reconstruct: numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -299,22 +267,6 @@ def cmd_reconstruct(args) -> int:
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
-
-
-def _dataset_factory_from_provenance(provenance: dict):
-    scenario = make_scenario(provenance["kind"], **_scenario_kwargs(provenance["params"]))
-    return scenario, (lambda spec: generate_dataset(scenario, spec))
-
-
-def _scenario_kwargs(params: dict) -> dict:
-    # drop resolved-only entries that make_scenario does not accept
-    out = dict(params)
-    if out.get("ramp_s") is None:
-        out.pop("ramp_s", None)
-    if not out.get("ramp", False):
-        out.pop("ramp", None)
-        out.pop("ramp_s", None)
-    return out
 
 
 def _direct_relaxation_params(dataset: TomographySet) -> np.ndarray:
@@ -436,7 +388,7 @@ def _attach_bootstrap(args, raw, dataset, rt, report: FitReport) -> FitReport:
         raise LiouvlabError(
             "bootstrap requires a dataset with provenance (produced by simulate)"
         )
-    _, factory = _dataset_factory_from_provenance(provenance)
+    scenario = make_scenario(provenance["kind"], **provenance["params"])
     base_noise = NoiseSpec.from_json(provenance["noise"])
 
     if args.model == "relaxation":
@@ -454,7 +406,9 @@ def _attach_bootstrap(args, raw, dataset, rt, report: FitReport) -> FitReport:
     else:
         raise LiouvlabError(f"bootstrap is not supported for model {args.model!r}")
 
-    result = bootstrap(fit, factory, base_noise, n_draws=args.bootstrap)
+    result = bootstrap(
+        fit, lambda spec: generate_dataset(scenario, spec), base_noise, n_draws=args.bootstrap
+    )
     report.ci_low = result.low
     report.ci_high = result.high
     report.extras["bootstrap"] = {
@@ -545,13 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic tomography dataset")
     sim.add_argument(
         "--kind",
-        choices=[
-            "relaxation_only",
-            "static_quadratic_zeeman",
-            "static_linear_zeeman",
-            "three_axis_time_dependent",
-            "three_axis",
-        ],
+        choices=[*SCENARIO_DEFAULTS, "three_axis"],
     )
     sim.add_argument("--scenario-file", help="JSON scenario spec (overrides --kind)")
     sim.add_argument("--seed", type=int, default=0)

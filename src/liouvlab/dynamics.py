@@ -66,14 +66,6 @@ class ProcessMatrix:
     def to_json(self) -> dict:
         return {"dim": self.dim, "matrix": self.matrix.tolist(), "duration_s": self.duration_s}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProcessMatrix":
-        return cls(
-            dim=int(obj["dim"]),
-            matrix=np.asarray(obj["matrix"], dtype=float),
-            duration_s=float(obj["duration_s"]),
-        )
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -174,14 +166,27 @@ def piecewise_propagator(
             f"{len(liouvillians)} generators for {grid.n_intervals} grid intervals"
         )
     dim = liouvillians[0].dim
-    total = np.eye(dim * dim)
-    for l, dt in zip(liouvillians, grid.durations):
-        if l.dim != dim:
-            raise DimensionError("generators have mixed dimensions")
-        total = scipy.linalg.expm(l.matrix * dt) @ total
+    if any(l.dim != dim for l in liouvillians):
+        raise DimensionError("generators have mixed dimensions")
+    total = _time_ordered(np.stack([l.matrix for l in liouvillians]), grid.durations)[-1]
     pm = ProcessMatrix(dim=dim, matrix=total, duration_s=float(grid.times[-1]))
     _check_physical(pm)
     return pm
+
+
+def _time_ordered(gens: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """Cumulative products exp(L_k dt_k) ... exp(L_1 dt_1) of a (K, n, n) stack.
+
+    Slice k maps the state at time 0 to the state after interval k; all K
+    exponentials come from one stacked ``expm`` (which equals K separate
+    calls bit for bit), and later factors multiply on the left.
+    """
+    steps = scipy.linalg.expm(gens * durations[:, None, None])
+    out = np.empty_like(steps)
+    total = np.eye(steps.shape[-1])
+    for k, step in enumerate(steps):
+        total = out[k] = step @ total
+    return out
 
 
 def evolve(v: BlochVector, p: ProcessMatrix) -> BlochVector:

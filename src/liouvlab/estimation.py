@@ -163,14 +163,6 @@ class RelaxationModel:
             "gamma_iso_per_s": self.gamma_iso,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RelaxationModel":
-        return cls(
-            omega_residual=np.asarray(obj["omega_residual_rad_s"], dtype=float),
-            gamma_dephase=np.asarray(obj["gamma_dephase_per_s"], dtype=float),
-            gamma_iso=float(obj["gamma_iso_per_s"]),
-        )
-
 
 @dataclass
 class FitReport:
@@ -582,7 +574,6 @@ def mle_liouvillian(
     *,
     dissipator: Superoperator | None = None,
     form: str = "free",
-    field_generators: Sequence[Superoperator] | None = None,
     x0: np.ndarray | None = None,
 ) -> FitReport:
     """Maximum-likelihood generator from process matrices at one or more times.
@@ -595,10 +586,9 @@ def mle_liouvillian(
         form: constraint on B --
             ``"free"``       all d**4 entries free (no physical constraint);
             ``"hermitian"``  B generated by a 3x3 Hermitian operator
-                             (9 parameters, Hermitian by construction);
-            ``"fields"``     B in the span of ``field_generators``
-                             (default: the three spin-1 precession
-                             generators, i.e. Larmor frequencies).
+                             (9 parameters, Hermitian by construction).
+            Field fits (B in the span of the spin-1 precession
+            generators) run through ``estimate_fields``.
         x0: optional initial parameter vector; defaults to the direct
             log-estimate at the earliest admissible time, projected onto
             the parameter space.  Its component along the null space of
@@ -631,10 +621,6 @@ def mle_liouvillian(
             raise DimensionError("hermitian form is defined for qutrits only")
         design = _hermitian_design()
         n_params = 9
-    elif form == "fields":
-        gens = list(field_generators) if field_generators else _spin_generators()
-        design = _field_design(gens)
-        n_params = design.shape[1]
     else:
         raise ValueError(f"unknown constraint form {form!r}")
 

@@ -273,6 +273,27 @@ def test_fit_fields_mle_writes_gauss_newton_counts(tmp_path):
         assert report["iterations"] == counts["gauss_newton_iterations"]
 
 
+@pytest.mark.parametrize("ramp", [[], ["--ramp"]])
+def test_fit_fields_bootstrap_on_time_dependent_dataset(tmp_path, ramp):
+    # each draw rebuilds the three-axis scenario from the dataset's
+    # provenance; noiseless draws then repeat the dataset bit for bit, so
+    # every interval collapses onto the fitted value
+    out = _simulate(tmp_path, "--n-steps", "6", *ramp, kind="three_axis")
+    assert _read(out / "dataset.json")["provenance"]["params"]["ramp"] is bool(ramp)
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    fit = tmp_path / "fit"
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "fields",
+               "--known-form", "--fixed-dissipator", str(rt_path), "--bootstrap", "3",
+               "-o", str(fit)])
+    assert rc == 0
+    report = _read(fit / "fit_report.json")
+    assert report["bootstrap"] == {"n_draws": 3, "n_failed": 0, "failures": []}
+    assert len(report["ci"]) == len(report["params"]) == 18
+    for i, value in enumerate(report["params"]):
+        assert report["ci"][f"p{i}"] == [value, value]
+
+
 def test_fit_mle_writes_gauss_newton_counts(tmp_path):
     rt_path = tmp_path / "rt.json"
     rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))

@@ -218,6 +218,17 @@ def test_piecewise_richardson_order(basis3):
     assert d1 / d2 >= 3.5
 
 
+def test_piecewise_equals_per_interval_expm_loop():
+    # the stacked time-ordered product keeps the bits of one expm per interval
+    rng = np.random.default_rng(33)
+    ls = [random_stable_liouvillian(rng) for _ in range(5)]
+    grid = TimeGrid(times=np.array([1e-6, 3e-6, 3.5e-6, 7e-6, 8e-6]))
+    total = np.eye(9)
+    for l, dt in zip(ls, grid.durations):
+        total = scipy.linalg.expm(l.matrix * dt) @ total
+    assert np.array_equal(piecewise_propagator(ls, grid).matrix, total)
+
+
 def test_piecewise_length_mismatch():
     zero = Superoperator(dim=3, matrix=np.zeros((9, 9)))
     with pytest.raises(DimensionError):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from liouvlab.synthlab import (
     CALIBRATION_TARGET_DF,
     DEFAULT_RELAXATION,
     FieldWaveform,
+    SCENARIO_DEFAULTS,
     NoiseSpec,
     _direct_max_df,
     generate_dataset,
@@ -74,6 +77,40 @@ def test_unknown_kind_rejected():
         make_scenario("relaxation_only", bogus=1)
 
 
+_PARAM_VARIANTS = [
+    ("relaxation_only", {}),
+    ("relaxation_only", {"step": 1e-3, "n_times": 4}),
+    ("static_quadratic_zeeman", {"q": 2e3}),
+    *[("static_linear_zeeman", {"axis": a, "omega": 3e3}) for a in "xyz"],
+    ("static_linear_zeeman", {"t_min": 50e-6, "t_max": 90e-6, "n_times": 3}),
+    ("three_axis_time_dependent", {"n_steps": 6}),
+    ("three_axis_time_dependent", {"n_steps": 6, "ramp": True}),
+    ("three_axis_time_dependent", {"n_steps": 6, "ramp": True, "ramp_s": 12e-6}),
+    ("three_axis_time_dependent", {"amplitudes": [1e4, 2e4, 3e4], "dt": 2e-6}),
+]
+
+
+@pytest.mark.parametrize("kind, params", _PARAM_VARIANTS)
+def test_scenario_rebuilt_from_recorded_params(kind, params):
+    # a dataset's provenance records kind and params; they rebuild the scenario
+    sc = make_scenario(kind, **params)
+    recorded = json.loads(json.dumps(sc.to_json()))
+    again = make_scenario(recorded["kind"], **recorded["params"])
+    assert again.params == sc.params == recorded["params"]
+    assert set(sc.params) == set(SCENARIO_DEFAULTS[kind])
+    assert np.array_equal(again._propagator_stack, sc._propagator_stack)
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIO_DEFAULTS))
+def test_unknown_parameter_rejected_for_every_kind(kind):
+    with pytest.raises(ValueError, match="unknown parameters"):
+        make_scenario(kind, bogus=1)
+    others = set().union(*SCENARIO_DEFAULTS.values()) - set(SCENARIO_DEFAULTS[kind])
+    for name in sorted(others):
+        with pytest.raises(ValueError, match=name):
+            make_scenario(kind, **{name: 1})
+
+
 def test_waveform_shapes():
     tri = FieldWaveform(axis="x", shape="triangle", amplitude=2.0, frequency=1.0)
     assert tri(0.25) == pytest.approx(2.0)  # peak of the triangle
@@ -136,7 +173,7 @@ def test_dataset_bit_identical_to_uncached_propagation(kind, params):
     noise = NoiseSpec(bloch_sigma=0.004, prep_fidelity=0.97, seed=31)
     datasets = [generate_dataset(sc, noise) for _ in range(2)]  # cold, then cached
     basis = build_basis(3)
-    pure = np.column_stack([coords_of(s.entries, basis) for s in sc.input_states])
+    pure = np.column_stack([coords_of(s.entries, basis) for s in canonical_input_states()])
     mixed = np.zeros(9)
     mixed[-1] = np.sqrt(1.0 / 6.0)
     prepared = noise.prep_fidelity * pure + (1.0 - noise.prep_fidelity) * mixed[:, None]
@@ -183,13 +220,18 @@ def test_stacked_forward_model_equals_per_time_evolution(kind, params, seed):
 
 
 def test_scenario_propagates_once(monkeypatch):
-    sc = make_scenario("relaxation_only", n_times=4)
+    # all times of a scenario come from one stacked expm, taken once
     calls = []
     expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
-    for seed in range(3):
-        generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, seed=seed))
-    assert len(calls) == 4
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    for sc in (
+        make_scenario("relaxation_only", n_times=4),
+        make_scenario("three_axis_time_dependent", n_steps=4),
+    ):
+        calls.clear()
+        for seed in range(3):
+            generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, seed=seed))
+        assert calls == [(4, 9, 9)]
 
 
 def test_prep_fidelity_band():
