@@ -41,7 +41,8 @@ PSD_TOL = -1e-6
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """Read-only C-contiguous copy of ``a``; the caller's array stays writable."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from . import __version__
+from .dynamics import TimeGrid
 from .estimation import (
     FitReport,
     bootstrap,
@@ -177,7 +178,7 @@ def cmd_simulate(args) -> int:
             stated = np.asarray(spec["grid"].get("times_s", []), dtype=float)
             if stated.size and not np.allclose(stated, scenario.grid.times):
                 raise ValueError("scenario file grid is inconsistent with its parameters")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, LiouvlabError) as err:
         print(f"simulate: bad configuration: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -278,6 +279,11 @@ def _pmeas(dataset: TomographySet) -> list:
     return [(pm.duration_s, pm) for pm in reconstruct_processes(dataset)]
 
 
+def _fields(dataset: TomographySet, rt: Superoperator, known_form: bool, method: str):
+    grid = TimeGrid(times=dataset.times)
+    return estimate_fields(stepwise_processes(dataset), grid, rt, known_form, method)
+
+
 def cmd_fit(args) -> int:
     try:
         raw = _read_json(Path(args.dataset))
@@ -293,7 +299,7 @@ def cmd_fit(args) -> int:
         return EXIT_CONFIG
     seed = raw.get("seed", 0)
     outdir = Path(args.out)
-    extra_rows = None
+    fields_csv = None
     df_times = dataset.times
 
     try:
@@ -313,31 +319,12 @@ def cmd_fit(args) -> int:
             else:
                 report = direct_hamiltonian(dataset, rt, dataset.times)
         elif args.model == "fields":
-            steps = stepwise_processes(dataset)
-            grid = _grid_of(dataset)
-            track = estimate_fields(
-                steps, grid, rt, known_form=args.known_form, method=args.method
-            )
+            track = _fields(dataset, rt, args.known_form, args.method)
             report = track.report
             df_times = track.times  # interval midpoints, as in fields.csv
-            if track.known_form:
-                extra_rows = (
-                    "fields.csv",
-                    ["time_s", "omega_x", "omega_y", "omega_z", "flagged"],
-                    [
-                        [t, *om, int(fl)]
-                        for t, om, fl in zip(track.times, track.omegas, track.flagged)
-                    ],
-                )
-            else:
-                extra_rows = (
-                    "fields.csv",
-                    ["time_s"] + [f"h{i + 1}" for i in range(9)] + ["flagged"],
-                    [
-                        [t, *h, int(fl)]
-                        for t, h, fl in zip(track.times, track.params, track.flagged)
-                    ],
-                )
+            header = ["time_s", *track.columns, "flagged"]
+            rows = zip(track.times, track.report.estimate, track.flagged)
+            fields_csv = header, [[t, *row, int(fl)] for t, row, fl in rows]
         else:  # pragma: no cover - argparse restricts choices
             return EXIT_CONFIG
 
@@ -358,9 +345,8 @@ def cmd_fit(args) -> int:
             ["time_s", "df"],
             [[t, d] for t, d in zip(df_times, report.df_per_time)],
         )
-    if extra_rows is not None:
-        name, header, rows = extra_rows
-        _write_csv(outdir / name, header, rows)
+    if fields_csv is not None:
+        _write_csv(outdir / "fields.csv", *fields_csv)
     config = {
         "dataset": args.dataset,
         "model": args.model,
@@ -376,33 +362,24 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _grid_of(dataset: TomographySet):
-    from .dynamics import TimeGrid
-
-    return TimeGrid(times=dataset.times)
-
-
 def _attach_bootstrap(args, raw, dataset, rt, report: FitReport) -> FitReport:
     provenance = raw.get("provenance")
     if not provenance:
         raise LiouvlabError(
             "bootstrap requires a dataset with provenance (produced by simulate)"
         )
-    scenario = make_scenario(provenance["kind"], **provenance["params"])
-    base_noise = NoiseSpec.from_json(provenance["noise"])
+    try:
+        scenario = make_scenario(provenance["kind"], **provenance["params"])
+        base_noise = NoiseSpec.from_json(provenance["noise"])
+    except ValueError as err:
+        raise LiouvlabError(f"bad dataset provenance: {err}") from None
 
     if args.model == "relaxation":
         fit = _direct_relaxation_params
     elif args.model == "hermitian":
         fit = lambda ds: direct_hamiltonian(ds, rt, ds.times).params  # noqa: E731
     elif args.model == "fields":
-        fit = lambda ds: estimate_fields(  # noqa: E731
-            stepwise_processes(ds),
-            _grid_of(ds),
-            rt,
-            known_form=args.known_form,
-            method="direct",
-        ).report.params
+        fit = lambda ds: _fields(ds, rt, args.known_form, "direct").report.params  # noqa: E731
     else:
         raise LiouvlabError(f"bootstrap is not supported for model {args.model!r}")
 
@@ -487,6 +464,13 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _draw_count(text: str) -> int:
+    """``--bootstrap N``: 0 (no bootstrap) or at least 2 draws."""
+    if not text.isdecimal() or int(text) == 1:
+        raise argparse.ArgumentTypeError(f"N must be 0 or at least 2, got {text}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process (``parse_args`` keeps no state)."""
@@ -529,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--fixed-dissipator", help="relaxation superoperator JSON")
     fit.add_argument("--known-form", action="store_true")
     fit.add_argument("--method", choices=["direct", "mle"], default="direct")
-    fit.add_argument("--bootstrap", type=int, default=0, metavar="N")
+    fit.add_argument("--bootstrap", type=_draw_count, default=0, metavar="N")
     fit.add_argument("-o", "--out", required=True)
     fit.set_defaults(func=cmd_fit)
 

@@ -76,10 +76,10 @@ from .exceptions import (
 from .superop import (
     HermitianParams,
     Superoperator,
+    _field_design,
     _hermitian_design,
     dissipator_superop,
     explicit_qutrit_superop,
-    hamiltonian_superop,
     params_from_superop,
     spin1_operators,
 )
@@ -104,15 +104,11 @@ GN_MAX_ITERS = 16
 # relative singular-value cut of the Gauss-Newton step
 GN_PINV_RCOND = 1e-10
 
-RELAXATION_PARAM_NAMES = (
-    "omega_x",
-    "omega_y",
-    "omega_z",
-    "gamma_x",
-    "gamma_y",
-    "gamma_z",
-    "gamma_iso",
-)
+# names of the fitted columns: Larmor frequencies, RelaxationModel.params
+# and HermitianParams.h (the fields.csv headers of a field fit)
+FIELD_PARAM_NAMES = ("omega_x", "omega_y", "omega_z")
+RELAXATION_PARAM_NAMES = FIELD_PARAM_NAMES + ("gamma_x", "gamma_y", "gamma_z", "gamma_iso")
+HERMITIAN_PARAM_NAMES = tuple(f"h{i}" for i in range(1, 10))
 
 
 @dataclass(frozen=True)
@@ -302,16 +298,6 @@ def _frechet_adjoint(v, vinv, t_phi, errs) -> np.ndarray:
     vh, vinv_h = v.conj().swapaxes(-1, -2), vinv.conj().swapaxes(-1, -2)
     inner = (t_phi.conj() * (vh[..., None, :, :] @ errs @ vinv_h[..., None, :, :])).sum(axis=-3)
     return (vinv_h @ inner @ vh).real
-
-
-def _field_design(generators: Sequence[Superoperator]) -> np.ndarray:
-    return np.column_stack([g.matrix.ravel() for g in generators])
-
-
-@functools.cache
-def _spin_generators() -> tuple[Superoperator, ...]:
-    basis = build_basis(3)
-    return tuple(hamiltonian_superop(f, basis) for f in spin1_operators())
 
 
 def _direct_init(pmeas, rt_mat: np.ndarray | None, dim: int) -> np.ndarray:
@@ -615,14 +601,13 @@ def mle_liouvillian(
 
     if form == "free":
         design = None
-        n_params = n2 * n2
     elif form == "hermitian":
         if dim != 3:
             raise DimensionError("hermitian form is defined for qutrits only")
         design = _hermitian_design()
-        n_params = 9
     else:
         raise ValueError(f"unknown constraint form {form!r}")
+    n_params = n2 * n2 if design is None else design.shape[1]
 
     if x0 is None:
         b0 = _direct_init(pmeas, rt_mat, dim)
@@ -657,6 +642,7 @@ def mle_liouvillian(
         df_per_time=dfs,
         iterations=steps,
         converged=bool(converged[0]),
+        param_names=HERMITIAN_PARAM_NAMES if form == "hermitian" else None,
         extras=extras,
     )
 
@@ -669,10 +655,9 @@ def mle_liouvillian(
 @functools.cache
 def _relaxation_design() -> np.ndarray:
     basis = build_basis(3)
-    cols = [-g.matrix.ravel() for g in _spin_generators()]
-    cols += [dissipator_superop([f], basis).matrix.ravel() for f in spin1_operators()]
-    cols.append(np.diag([1.0] * 8 + [0.0]).ravel())
-    return _frozen_array(np.column_stack(cols))
+    dephasing = [dissipator_superop([f], basis).matrix.ravel() for f in spin1_operators()]
+    iso = np.diag([1.0] * 8 + [0.0]).ravel()
+    return _frozen_array(np.column_stack([-_field_design(), *dephasing, iso]))
 
 
 def fit_relaxation_model(rt: Superoperator) -> FitReport:
@@ -757,6 +742,7 @@ def direct_hamiltonian(
         df_per_time=np.array(dfs),
         iterations=1,
         converged=True,
+        param_names=HERMITIAN_PARAM_NAMES,
         extras={
             "mean_superop": mean_superop,
             "residual": fit.residual,
@@ -770,13 +756,21 @@ def direct_hamiltonian(
 # ---------------------------------------------------------------------------
 
 
+def _field_form(known_form: bool) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Design matrix and column names of a field fit: Omega, or HermitianParams.h."""
+    if known_form:
+        return _field_design(), FIELD_PARAM_NAMES
+    return _hermitian_design(), HERMITIAN_PARAM_NAMES
+
+
 @dataclass
 class FieldTrack:
     """Per-interval field estimates from a stepwise reconstruction.
 
     ``omegas`` has one row (Omega_x, Omega_y, Omega_z) per interval when
     the field form is known; otherwise ``params`` holds the nine Hermitian
-    parameters per interval.  ``times`` are interval midpoints.  Steps
+    parameters per interval.  Either is also ``report.estimate``, with
+    columns named by ``columns``.  ``times`` are interval midpoints.  Steps
     whose total field magnitude is small are flagged: the normalized error
     metric diverges there, an artifact of the normalization rather than of
     the reconstruction.
@@ -790,12 +784,13 @@ class FieldTrack:
     params: Optional[np.ndarray] = None
     flagged: Optional[np.ndarray] = None
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return _field_form(self.known_form)[1]
+
     def hamiltonian_superops(self) -> list[Superoperator]:
         """Reconstructed Hamiltonian generator per interval."""
-        if self.known_form:
-            design, rows = _field_design(_spin_generators()), self.omegas
-        else:
-            design, rows = _hermitian_design(), self.params
+        design, rows = _field_form(self.known_form)[0], self.report.estimate
         return [Superoperator(dim=3, matrix=(design @ r).reshape(9, 9)) for r in rows]
 
 
@@ -846,7 +841,7 @@ def estimate_fields(
     if method not in ("direct", "mle"):
         raise ValueError(f"unknown method {method!r}")
 
-    design = _field_design(_spin_generators()) if known_form else _hermitian_design()
+    design, columns = _field_form(known_form)
     dts = np.array([p.duration_s for p in psteps])
     ps = np.stack([p.matrix for p in psteps])
     logs = _log_stack(psteps)
@@ -863,14 +858,10 @@ def estimate_fields(
         exps = exps[:, 0]
     dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
 
-    if known_form:
-        magnitudes = np.linalg.norm(rows, axis=1)
-    else:
-        magnitudes = np.linalg.norm(rows @ design.T, axis=1)
-    if magnitudes.max() > 0:
-        flagged = magnitudes < 0.1 * magnitudes.max()
-    else:
-        flagged = np.ones(len(rows), dtype=bool)
+    # |Omega| times a constant for the known form: the field design's columns
+    # are orthogonal with one norm
+    magnitudes = np.linalg.norm(rows @ design.T, axis=1)
+    flagged = (magnitudes < 0.1 * magnitudes.max()) | (magnitudes.max() == 0)
     report = FitReport(
         model=f"fields-{method}-{'known' if known_form else 'unknown'}",
         estimate=rows,
@@ -878,6 +869,7 @@ def estimate_fields(
         cost=float(np.sum(costs)),
         df_per_time=dfs,
         iterations=1,
+        param_names=tuple(f"{c}[{k}]" for k in range(len(rows)) for c in columns),
     )
     if method == "mle":
         report.iterations = counts["gauss_newton_iterations"]

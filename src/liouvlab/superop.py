@@ -283,6 +283,13 @@ def assemble_liouvillian(hc: Superoperator, rt: Superoperator) -> Superoperator:
     return Superoperator(dim=hc.dim, matrix=hc.matrix - rt.matrix)
 
 
+def _qutrit_design(hamiltonians) -> np.ndarray:
+    """Read-only 81 x P matrix whose column p is the flattened K(H_p)."""
+    basis = build_basis(3)
+    cols = [hamiltonian_superop(h, basis).matrix.ravel() for h in hamiltonians]
+    return _frozen_array(np.column_stack(cols))
+
+
 @functools.cache
 def _hermitian_design() -> np.ndarray:
     """81 x 9 map from ``HermitianParams.h`` to the flattened generator.
@@ -290,12 +297,16 @@ def _hermitian_design() -> np.ndarray:
     2F contracted with the fixed map from the nine parameters to Bloch
     coordinates, one column per unit parameter.
     """
-    basis = build_basis(3)
-    cols = [
-        hamiltonian_superop(HermitianParams(h=e).to_matrix(), basis).matrix.ravel()
-        for e in np.eye(9)
-    ]
-    return _frozen_array(np.column_stack(cols))
+    return _qutrit_design(HermitianParams(h=e).to_matrix() for e in np.eye(9))
+
+
+@functools.cache
+def _field_design() -> np.ndarray:
+    """81 x 3 map from the Larmor frequencies Omega to the flattened K(Omega . F).
+
+    The simulator, the field fits and the relaxation model all read it.
+    """
+    return _qutrit_design(spin1_operators())
 
 
 def explicit_qutrit_superop(params: HermitianParams) -> Superoperator:

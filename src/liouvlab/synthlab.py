@@ -28,7 +28,7 @@ from .basis import DensityMatrix, _frozen_array, build_basis, coords_of
 from .dynamics import ProcessMatrix, TimeGrid, _time_ordered
 from .estimation import RelaxationModel, frobenius_distance
 from .exceptions import DimensionError
-from .superop import Superoperator, hamiltonian_superop, zeeman_hamiltonian
+from .superop import Superoperator, _field_design, hamiltonian_superop, zeeman_hamiltonian
 from .tomography import (
     TomographySet,
     canonical_input_states,
@@ -74,7 +74,7 @@ class NoiseSpec:
             coordinate of every reported state.
         prep_fidelity: weight of the intended state in the prepared
             mixture (1.0 = perfect preparation).
-        seed: anchor for all derived randomness.
+        seed: anchor for all derived randomness (non-negative).
     """
 
     bloch_sigma: float = 0.0
@@ -86,6 +86,8 @@ class NoiseSpec:
             raise ValueError("bloch_sigma must be non-negative")
         if not 0.0 < self.prep_fidelity <= 1.0:
             raise ValueError("prep_fidelity must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def to_json(self) -> dict:
         return {
@@ -194,24 +196,36 @@ class Scenario:
             out[:, _AXIS_INDEX[w.axis]] += w(times)
         return out
 
+    def drive(self, times) -> np.ndarray:
+        """Applied per-axis drive, the ramp included; one row per time."""
+        ramp = np.minimum(np.atleast_1d(times) / self.ramp_s, 1.0) if self.ramp_s else 1.0
+        return self.omegas_nominal(times) * np.reshape(ramp, (-1, 1))
+
     def hamiltonian(self, t: float) -> np.ndarray:
         if self.is_static:
             h = self.static_hamiltonian
             return np.zeros((3, 3), dtype=complex) if h is None else h
-        om = self.omegas_nominal(t)[0]
-        if self.ramp_s:
-            om = om * min(float(t) / self.ramp_s, 1.0)
-        return zeeman_hamiltonian(om)
+        return zeeman_hamiltonian(self.drive(t)[0])
+
+    @functools.cached_property
+    def _fixed_generator(self) -> np.ndarray:
+        """K_static - R_T, built once per scenario; K_static is 0 for a driven one."""
+        basis = build_basis(3)
+        k = hamiltonian_superop(self.hamiltonian(0.0), basis).matrix if self.is_static else 0.0
+        return _frozen_array(k - self.relaxation.superoperator().matrix)
+
+    def _generators(self, times) -> np.ndarray:
+        """K_static + omega(t) @ ``_field_design()``^T - R_T, (T, 9, 9), in one product."""
+        k = self.drive(times) @ _field_design().T
+        return k.reshape(-1, 9, 9) + self._fixed_generator
 
     def liouvillian(self, t: float) -> Superoperator:
         """Full generator at time t: Hamiltonian part minus relaxation."""
-        basis = build_basis(3)
-        k = hamiltonian_superop(self.hamiltonian(t), basis)
-        return Superoperator(dim=3, matrix=k.matrix - self.relaxation.superoperator().matrix)
+        return Superoperator(dim=3, matrix=self._generators(t)[0])
 
     def interval_liouvillians(self) -> list[Superoperator]:
         """Per-interval generators, sampled at the interval midpoints."""
-        return [self.liouvillian(t) for t in self.grid.midpoints]
+        return [Superoperator(dim=3, matrix=g) for g in self._generators(self.grid.midpoints)]
 
     def propagators(self) -> list[ProcessMatrix]:
         """Cumulative ground-truth propagators, one per grid time."""
@@ -223,11 +237,9 @@ class Scenario:
     @functools.cached_property
     def _propagator_stack(self) -> np.ndarray:
         if self.is_static:
-            lmat = self.liouvillian(0.0).matrix
-            mats = scipy.linalg.expm(lmat * self.grid.times[:, None, None])
+            mats = scipy.linalg.expm(self._fixed_generator * self.grid.times[:, None, None])
         else:
-            gens = np.stack([l.matrix for l in self.interval_liouvillians()])
-            mats = _time_ordered(gens, self.grid.durations)
+            mats = _time_ordered(self._generators(self.grid.midpoints), self.grid.durations)
         return _frozen_array(mats)
 
     @functools.cached_property

@@ -97,9 +97,8 @@ class TomographySet:
             raise DimensionError(
                 f"{names[bad]} shape {mats[bad].shape} != inputs shape {m.shape}"
             )
-        # inputs and every output on one frozen stack (a copy, so the
-        # caller's arrays stay writable); the stored matrices are read-only
-        # views of it
+        # inputs and every output on one frozen stack; the stored matrices
+        # are read-only views of it
         stack = _frozen_array(stack)
         object.__setattr__(self, "inputs", stack[0])
         object.__setattr__(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,11 +7,17 @@ import pytest
 from liouvlab.basis import (
     BlochVector,
     DensityMatrix,
+    OperatorBasis,
     build_basis,
     devectorize,
     vectorize,
 )
+from liouvlab.dynamics import ProcessMatrix, TimeGrid
+from liouvlab.estimation import RelaxationModel
 from liouvlab.exceptions import DimensionError, NonHermitianError
+from liouvlab.superop import HermitianParams, KossakowskiMatrix, LindbladModel, Superoperator
+from liouvlab.synthlab import make_scenario
+from liouvlab.tomography import TomographySet
 
 from conftest import random_density_matrix
 
@@ -210,3 +217,56 @@ def test_json_round_trips(basis3):
     v = vectorize(rho, basis3)
     v2 = BlochVector.from_json(json.loads(json.dumps(v.to_json())))
     np.testing.assert_allclose(v2.coords, v.coords, atol=0)
+
+
+def _pinned_columns():
+    m = np.ones((4, 4))
+    m[-1] = 0.5  # the trace row of a qubit Bloch vector
+    return m
+
+
+# (caller's array, wrapper built from it, stored array of the wrapper); each
+# array has the dtype its wrapper stores, so no conversion copies it first
+FROZEN_CASES = {
+    "OperatorBasis": (lambda: build_basis(2).elements.copy(),
+                      lambda a: OperatorBasis(dim=2, elements=a), lambda w: w.elements),
+    "DensityMatrix": (lambda: np.eye(2, dtype=complex) / 2,
+                      lambda a: DensityMatrix(dim=2, entries=a), lambda w: w.entries),
+    "BlochVector": (lambda: np.zeros(4),
+                    lambda a: BlochVector(dim=2, coords=a), lambda w: w.coords),
+    "Superoperator": (lambda: np.zeros((9, 9)),
+                      lambda a: Superoperator(dim=3, matrix=a), lambda w: w.matrix),
+    "LindbladModel.hamiltonian": (lambda: np.zeros((3, 3), dtype=complex),
+                                  lambda a: LindbladModel(a), lambda w: w.hamiltonian),
+    "LindbladModel.jumps": (lambda: np.zeros((3, 3), dtype=complex),
+                            lambda a: LindbladModel(np.eye(3), (a,)), lambda w: w.jumps[0]),
+    "HermitianParams": (lambda: np.zeros(9), lambda a: HermitianParams(h=a), lambda w: w.h),
+    "KossakowskiMatrix": (lambda: np.zeros((4, 4), dtype=complex),
+                          lambda a: KossakowskiMatrix(dim=2, c=a), lambda w: w.c),
+    "ProcessMatrix": (lambda: np.eye(4),
+                      lambda a: ProcessMatrix(dim=2, matrix=a, duration_s=1.0),
+                      lambda w: w.matrix),
+    "TimeGrid": (lambda: np.array([1.0, 2.0]), lambda a: TimeGrid(times=a), lambda w: w.times),
+    "RelaxationModel": (lambda: np.zeros(3),
+                        lambda a: RelaxationModel(a, np.ones(3), 1.0),
+                        lambda w: w.omega_residual),
+    "TomographySet": (_pinned_columns,
+                      lambda a: TomographySet(dim=2, inputs=a, outputs={1.0: a}),
+                      lambda w: w.outputs[1.0]),
+    "Scenario": (lambda: np.zeros((3, 3), dtype=complex),
+                 lambda a: dataclasses.replace(make_scenario("relaxation_only"),
+                                               static_hamiltonian=a),
+                 lambda w: w.static_hamiltonian),
+}
+
+
+@pytest.mark.parametrize("case", FROZEN_CASES)
+def test_wrappers_freeze_a_copy_of_the_callers_array(case):
+    make, wrap, stored = FROZEN_CASES[case]
+    array = make()
+    wrapper = wrap(array)
+    assert array.flags.writeable
+    assert not stored(wrapper).flags.writeable
+    before = stored(wrapper).copy()
+    array[...] += 1.0
+    np.testing.assert_array_equal(stored(wrapper), before)

@@ -290,8 +290,9 @@ def test_fit_fields_bootstrap_on_time_dependent_dataset(tmp_path, ramp):
     report = _read(fit / "fit_report.json")
     assert report["bootstrap"] == {"n_draws": 3, "n_failed": 0, "failures": []}
     assert len(report["ci"]) == len(report["params"]) == 18
-    for i, value in enumerate(report["params"]):
-        assert report["ci"][f"p{i}"] == [value, value]
+    names = [f"{axis}[{k}]" for k in range(6) for axis in ("omega_x", "omega_y", "omega_z")]
+    for name, value in zip(names, report["params"]):
+        assert report["ci"][name] == [value, value]
 
 
 def test_fit_mle_writes_gauss_newton_counts(tmp_path):
@@ -351,6 +352,67 @@ def test_fit_bootstrap_requires_provenance(tmp_path):
     rc = main(["fit", "--dataset", str(stripped), "--model", "relaxation",
                "--bootstrap", "5", "-o", str(tmp_path / "f")])
     assert rc == 2
+
+
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    rc = main(["simulate", "--kind", "relaxation_only", "--seed", "-1", "--sigma", "0.004",
+               "-o", str(tmp_path / "run")])
+    assert rc == 2
+    assert "bad configuration: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_empty_grid_exits_2(tmp_path, capsys):
+    rc = main(["simulate", "--kind", "three_axis", "--n-steps", "0", "-o", str(tmp_path / "run")])
+    assert rc == 2
+    assert "bad configuration: time grid must be a non-empty" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_qpt_seed_negative_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QPT_SEED", "-1")
+    rc = main(["simulate", "--kind", "relaxation_only", "--sigma", "0", "-o",
+               str(tmp_path / "run")])
+    assert rc == 2
+    assert "bad configuration: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_fit_bootstrap_negative_provenance_seed_exits_2(tmp_path, capsys):
+    # a noiseless dataset whose recorded seed was edited below 0
+    out = _simulate(tmp_path)
+    data = _read(out / "dataset.json")
+    data["provenance"]["noise"]["seed"] = -1
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    rc = main(["fit", "--dataset", str(edited), "--model", "relaxation",
+               "--bootstrap", "3", "-o", str(tmp_path / "f")])
+    assert rc == 2
+    assert "bad dataset provenance: seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("draws", ["1", "-3", "two"])
+def test_fit_bootstrap_draw_count_exits_2(tmp_path, capsys, draws):
+    out = _simulate(tmp_path)
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
+               "--bootstrap", draws, "-o", str(tmp_path / "f")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"argument --bootstrap: N must be 0 or at least 2, got {draws}" in err
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("method", ["direct", "mle"])
+def test_fit_hermitian_bootstrap_names_intervals_like_fields_csv(tmp_path, method):
+    out = _simulate(tmp_path, "--sigma", "0.004", kind="static_quadratic_zeeman")
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    fit = tmp_path / "fit"
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "hermitian",
+               "--method", method, "--fixed-dissipator", str(rt_path), "--bootstrap", "2",
+               "-o", str(fit)])
+    assert rc == 0
+    assert list(_read(fit / "fit_report.json")["ci"]) == [f"h{i}" for i in range(1, 10)]
 
 
 def test_fit_bootstrap_attaches_ci(tmp_path):

@@ -14,18 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import lbfgs_reference, pade_cost
 from liouvlab.dynamics import ProcessMatrix, TimeGrid, principal_log
-from liouvlab.estimation import (
-    _field_design,
-    _hermitian_design,
-    _spin_generators,
-    estimate_fields,
-)
-from liouvlab.superop import Superoperator
+from liouvlab.estimation import estimate_fields
+from liouvlab.superop import Superoperator, _field_design, _hermitian_design
 from liouvlab.synthlab import DEFAULT_RELAXATION
 
 
 def _design(known_form):
-    return _field_design(_spin_generators()) if known_form else _hermitian_design()
+    return _field_design() if known_form else _hermitian_design()
 
 
 def _start(psteps, rt, design):

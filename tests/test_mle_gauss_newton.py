@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import lbfgs_reference, pade_cost
 from liouvlab import estimation
-from liouvlab.estimation import _field_design, _spin_generators, mle_liouvillian
-from liouvlab.superop import Superoperator, _hermitian_design
+from liouvlab.estimation import mle_liouvillian
+from liouvlab.superop import Superoperator, _field_design, _hermitian_design
 from liouvlab.synthlab import DEFAULT_RELAXATION
 
 # relaxation scaled so that rates and Hamiltonian entries are both O(1)
@@ -163,7 +163,7 @@ def test_damped_step_solves_the_levenberg_equations(known_form, seed):
     # J shares the design's null space (the trace of H in the Hermitian
     # form); undamped, the step is pinv(J) r bit for bit, and damped it
     # solves (J^T J + mu I) d = J^T r with mu = damping tr(J^T J) / P
-    design = _field_design(_spin_generators()) if known_form else _hermitian_design()
+    design = _field_design() if known_form else _hermitian_design()
     rng = np.random.default_rng(seed)
     jac = rng.normal(size=(2, 162, 81)) @ design
     resid = rng.normal(size=(2, 2, 9, 9))

@@ -21,16 +21,18 @@ from liouvlab.dynamics import _eigvec_inverse
 from liouvlab.estimation import (
     _directions,
     _dk_jacobian,
-    _field_design,
     _frechet_adjoint,
     _frechet_jacobian,
     _gauss_newton_step,
-    _hermitian_design,
     _lm_solve,
-    _spin_generators,
     _t_phi,
 )
-from liouvlab.superop import dissipator_superop, hamiltonian_superop
+from liouvlab.superop import (
+    _field_design,
+    _hermitian_design,
+    dissipator_superop,
+    hamiltonian_superop,
+)
 from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
 from liouvlab.tomography import reconstruct_processes
 
@@ -132,7 +134,7 @@ def test_gradient_finite_differences_free():
 def test_gradient_finite_differences_constrained(form):
     ts, ps = _processes("static_quadratic_zeeman", 5)
     rt = DEFAULT_RELAXATION.superoperator().matrix
-    design = _hermitian_design() if form == "hermitian" else _field_design(_spin_generators())
+    design = _hermitian_design() if form == "hermitian" else _field_design()
     rng = np.random.default_rng(73)
     theta = 2e4 * rng.normal(size=design.shape[1])
     _check_finite_differences(

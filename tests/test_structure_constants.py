@@ -61,6 +61,22 @@ def test_f_jacobi_identity(d, seed):
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(d=dims, seed=seeds)
+def test_mixed_f_d_identity(d, seed):
+    # sum_e F_abe D_ecg + F_ace D_beg - D_bce F_aeg = 0, one slice a per draw;
+    # from [s_a, {s_b, s_c}] = {[s_a, s_b], s_c} + {s_b, [s_a, s_c]}
+    z = build_basis(d)._product_tensor
+    f, dd = z.imag, z.real
+    a = np.random.default_rng(seed).integers(d * d)
+    mixed = (
+        np.tensordot(f[a], dd, axes=(1, 0))  # (b, c, g)
+        + np.tensordot(f[a], dd, axes=(1, 1)).transpose(1, 0, 2)
+        - np.tensordot(dd, f[a], axes=(2, 0))
+    )
+    assert np.abs(mixed).max() < 1e-13
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(d=dims, seed=seeds)
 def test_hamiltonian_superop_matches_trace_oracle(d, seed):
     rng = np.random.default_rng(seed)
     basis = build_basis(d)

@@ -7,6 +7,7 @@ import scipy.linalg
 from liouvlab.basis import DensityMatrix, build_basis, coords_of
 from liouvlab.exceptions import ZeroReferenceError
 from liouvlab.estimation import frobenius_distance
+from liouvlab.superop import hamiltonian_superop
 from liouvlab.synthlab import (
     CALIBRATION_TARGET_DF,
     DEFAULT_RELAXATION,
@@ -124,6 +125,21 @@ def test_waveform_shapes():
         FieldWaveform(axis="w", shape="sine", amplitude=1.0)
     with pytest.raises(ValueError):
         FieldWaveform(axis="x", shape="square", amplitude=1.0)
+
+
+@pytest.mark.parametrize("ramp", [False, True])
+def test_stacked_generators_match_each_midpoint_hamiltonian(ramp):
+    # the one product over the grid equals K(H(t)) - R_T built time by time
+    sc = make_scenario("three_axis_time_dependent", ramp=ramp)
+    rt = sc.relaxation.superoperator().matrix
+    basis = build_basis(3)
+    stacked = np.stack([l.matrix for l in sc.interval_liouvillians()])
+    reference = np.stack([
+        hamiltonian_superop(sc.hamiltonian(t), basis).matrix - rt for t in sc.grid.midpoints
+    ])
+    tol = 1e-12 * np.abs(reference).max()
+    assert np.abs(stacked - reference).max() <= tol
+    assert np.abs(sc.liouvillian(sc.grid.midpoints[7]).matrix - reference[7]).max() <= tol
 
 
 def test_ramp_scales_early_hamiltonian():
