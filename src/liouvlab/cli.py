@@ -22,22 +22,23 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import __version__
 from .dynamics import TimeGrid
 from .estimation import (
     FitReport,
+    _df_per_time,
     bootstrap,
     direct_hamiltonian,
     estimate_fields,
     fit_relaxation_model,
-    frobenius_distance,
     mle_liouvillian,
 )
 from .exceptions import (
     BranchCutError,
     CompletenessError,
+    DimensionError,
     IllConditionedError,
     LiouvlabError,
     SingularProcessError,
@@ -143,8 +144,13 @@ def _manifest(outdir: Path, command: str, config: dict, seed: int):
 
 
 def _scenario_params_from_args(args) -> dict:
-    # a parameter without a flag, or a flag not given, is None: the default
-    return {name: getattr(args, name, None) for name in SCENARIO_DEFAULTS.get(args.kind, ())}
+    """Every scenario flag given; ``make_scenario`` rejects one its kind does not take."""
+    return {
+        name: v
+        for defaults in SCENARIO_DEFAULTS.values()
+        for name in defaults
+        if (v := getattr(args, name, None)) is not None
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -205,29 +211,25 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_superop(path: str) -> Superoperator:
-    return Superoperator.from_json(_read_json(Path(path)))
+def _load_superop(path: str, dim: int) -> Superoperator:
+    """A superoperator JSON file, which must be of the dataset's dimension ``dim``."""
+    op = Superoperator.from_json(_read_json(Path(path)))
+    if op.dim != dim:
+        raise DimensionError(f"{path} has dim {op.dim}, but the dataset has dim {dim}")
+    return op
 
 
 def _df_column(pms: list, generator: Superoperator | None) -> list:
-    """Distance of each process matrix to exp(generator duration_s).
-
-    All exponentials come from one stacked ``expm``; the column is empty
-    without a generator.
-    """
-    if generator is None:
-        return [""] * len(pms)
-    ts = np.array([pm.duration_s for pm in pms])
-    exps = scipy.linalg.expm(generator.matrix * ts[:, None, None])
-    return [frobenius_distance(pm.matrix, e) for pm, e in zip(pms, exps)]
+    """Distance of each process matrix to exp(generator duration_s); empty without one."""
+    return [""] * len(pms) if generator is None else list(_df_per_time(pms, generator.matrix))
 
 
 def cmd_reconstruct(args) -> int:
     try:
         raw = _read_json(Path(args.dataset))
         dataset = TomographySet.from_json(raw)
-        reference = _load_superop(args.reference) if args.reference else None
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
+        reference = _load_superop(args.reference, dataset.dim) if args.reference else None
+    except (OSError, KeyError, ValueError, json.JSONDecodeError, LiouvlabError) as err:
         print(f"reconstruct: bad input: {err}", file=sys.stderr)
         return EXIT_CONFIG
     seed = raw.get("seed", 0)
@@ -275,10 +277,6 @@ def _direct_relaxation_params(dataset: TomographySet) -> np.ndarray:
     return fit_relaxation_model(Superoperator(dim=dataset.dim, matrix=-l_hat.matrix)).params
 
 
-def _pmeas(dataset: TomographySet) -> list:
-    return [(pm.duration_s, pm) for pm in reconstruct_processes(dataset)]
-
-
 def _fields(dataset: TomographySet, rt: Superoperator, known_form: bool, method: str):
     grid = TimeGrid(times=dataset.times)
     return estimate_fields(stepwise_processes(dataset), grid, rt, known_form, method)
@@ -288,13 +286,15 @@ def cmd_fit(args) -> int:
     try:
         raw = _read_json(Path(args.dataset))
         dataset = TomographySet.from_json(raw)
-        rt = _load_superop(args.fixed_dissipator) if args.fixed_dissipator else None
+        rt = (
+            _load_superop(args.fixed_dissipator, dataset.dim) if args.fixed_dissipator else None
+        )
         if args.model in ("hermitian", "fields") and rt is None:
             print(
                 f"fit: --model {args.model} requires --fixed-dissipator", file=sys.stderr
             )
             return EXIT_CONFIG
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, KeyError, ValueError, json.JSONDecodeError, LiouvlabError) as err:
         print(f"fit: bad input: {err}", file=sys.stderr)
         return EXIT_CONFIG
     seed = raw.get("seed", 0)
@@ -304,9 +304,9 @@ def cmd_fit(args) -> int:
 
     try:
         if args.model == "mle":
-            report = mle_liouvillian(_pmeas(dataset), dissipator=rt, form="free")
+            report = mle_liouvillian(reconstruct_processes(dataset), dissipator=rt, form="free")
         elif args.model == "relaxation":
-            mle = mle_liouvillian(_pmeas(dataset), form="free")
+            mle = mle_liouvillian(reconstruct_processes(dataset), form="free")
             rt_hat = Superoperator(dim=dataset.dim, matrix=-mle.estimate.matrix)
             report = fit_relaxation_model(rt_hat)
             report.df_per_time = mle.df_per_time
@@ -314,10 +314,11 @@ def cmd_fit(args) -> int:
             report.iterations = mle.iterations
             report.extras["optimizer"] = mle.extras["optimizer"]
         elif args.model == "hermitian":
+            processes = reconstruct_processes(dataset)
             if args.method == "mle":
-                report = mle_liouvillian(_pmeas(dataset), dissipator=rt, form="hermitian")
+                report = mle_liouvillian(processes, dissipator=rt, form="hermitian")
             else:
-                report = direct_hamiltonian(dataset, rt, dataset.times)
+                report = direct_hamiltonian(processes, rt)
         elif args.model == "fields":
             track = _fields(dataset, rt, args.known_form, args.method)
             report = track.report
@@ -337,7 +338,6 @@ def cmd_fit(args) -> int:
         print(f"fit: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    report.seed = seed
     _write_json(outdir / "fit_report.json", _artifact(report.to_json(), seed))
     if report.df_per_time is not None and len(report.df_per_time) > 0:
         _write_csv(
@@ -377,7 +377,7 @@ def _attach_bootstrap(args, raw, dataset, rt, report: FitReport) -> FitReport:
     if args.model == "relaxation":
         fit = _direct_relaxation_params
     elif args.model == "hermitian":
-        fit = lambda ds: direct_hamiltonian(ds, rt, ds.times).params  # noqa: E731
+        fit = lambda ds: direct_hamiltonian(reconstruct_processes(ds), rt).params  # noqa: E731
     elif args.model == "fields":
         fit = lambda ds: _fields(ds, rt, args.known_form, "direct").report.params  # noqa: E731
     else:
@@ -489,7 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--sigma", type=float, default=0.0, help="Bloch-coordinate noise")
     sim.add_argument("--prep-fidelity", type=float, default=1.0)
-    sim.add_argument("--ramp", action="store_true", help="enable the supply-settling ramp")
+    # default None, not False: an unset --ramp is a flag not given
+    sim.add_argument(
+        "--ramp", action="store_true", default=None, help="enable the supply-settling ramp"
+    )
     sim.add_argument("--q", type=float, help="quadratic Zeeman strength (rad/s)")
     sim.add_argument("--omega", type=float, help="linear Zeeman strength (rad/s)")
     sim.add_argument("--axis", choices=["x", "y", "z"])

@@ -63,18 +63,15 @@ from .dynamics import (
     _eigvec_inverse,
     _log_stack,
     _principal_logs,
-    principal_log,
 )
 from .exceptions import (
     BootstrapError,
     BranchCutError,
     DimensionError,
     LiouvlabError,
-    SingularProcessError,
     ZeroReferenceError,
 )
 from .superop import (
-    HermitianParams,
     Superoperator,
     _field_design,
     _hermitian_design,
@@ -83,7 +80,7 @@ from .superop import (
     params_from_superop,
     spin1_operators,
 )
-from .tomography import TomographySet, reconstruct_processes
+from .tomography import TomographySet
 
 __all__ = [
     "RelaxationModel",
@@ -188,7 +185,6 @@ class FitReport:
     ci_low: Optional[np.ndarray] = None
     ci_high: Optional[np.ndarray] = None
     param_names: Optional[tuple] = None
-    seed: Optional[int] = None
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -217,7 +213,6 @@ class FitReport:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "ci": ci,
-            "seed": self.seed,
         }
         for key in ("optimizer", "bootstrap"):
             if key in self.extras:
@@ -250,20 +245,22 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(am - bm) / ref)
 
 
+def _df_per_time(processes: Sequence[ProcessMatrix], generator: np.ndarray) -> np.ndarray:
+    """``frobenius_distance`` of each process matrix P_t to exp(G t).
+
+    ``t`` is the ``duration_s`` of P_t and ``generator`` one (n, n)
+    generator G or a (T, n, n) stack, one per process.  All exponentials
+    come from one stacked ``expm``, whose slices equal separate calls bit
+    for bit.
+    """
+    ts = np.array([p.duration_s for p in processes])
+    exps = scipy.linalg.expm(generator * ts[:, None, None])
+    return np.array([frobenius_distance(p.matrix, e) for p, e in zip(processes, exps)])
+
+
 # ---------------------------------------------------------------------------
 # MLE over the matrix-exponential cost
 # ---------------------------------------------------------------------------
-
-
-def _normalize_pmeas(pmeas) -> list[tuple[float, np.ndarray]]:
-    out = []
-    for t, p in pmeas:
-        if t <= 0:
-            raise ValueError(f"evolution times must be positive, got {t}")
-        out.append((float(t), _as_matrix(p)))
-    if not out:
-        raise ValueError("need at least one measured process matrix")
-    return sorted(out, key=lambda tp: tp[0])
 
 
 def _squared_norms(errs: np.ndarray) -> np.ndarray:
@@ -300,18 +297,19 @@ def _frechet_adjoint(v, vinv, t_phi, errs) -> np.ndarray:
     return (vinv_h @ inner @ vh).real
 
 
-def _direct_init(pmeas, rt_mat: np.ndarray | None, dim: int) -> np.ndarray:
-    """Generator estimate from the earliest time whose log is admissible."""
-    last_err = None
-    for t, p in pmeas:
-        try:
-            log = principal_log(ProcessMatrix(dim=dim, matrix=p, duration_s=t))
-            l_est = log.matrix / t
+def _direct_init(ts, ps, rt_mat: np.ndarray | None) -> np.ndarray:
+    """Generator estimate from the earliest time whose log is admissible.
+
+    ``ts`` (T,) and ``ps`` (T, n, n) are in time order.  The times are
+    logged one at a time, so the search stops at the first admissible one.
+    """
+    for k in range(len(ts)):
+        logs, errors = _principal_logs(ps[k : k + 1], ts[k : k + 1])
+        if not errors:
+            l_est = logs[0] / ts[k]
             return l_est + rt_mat if rt_mat is not None else l_est
-        except (BranchCutError, SingularProcessError) as err:
-            last_err = err
     raise BranchCutError(
-        f"no evolution time admits a principal logarithm ({last_err}); "
+        f"no evolution time admits a principal logarithm ({errors[0]}); "
         "supply an explicit initial guess"
     )
 
@@ -556,7 +554,7 @@ def _gauss_newton(design, rt, ts, ps, theta0):
 
 
 def mle_liouvillian(
-    pmeas,
+    processes: Sequence[ProcessMatrix],
     *,
     dissipator: Superoperator | None = None,
     form: str = "free",
@@ -565,7 +563,8 @@ def mle_liouvillian(
     """Maximum-likelihood generator from process matrices at one or more times.
 
     Args:
-        pmeas: iterable of (t_n, ProcessMatrix) pairs, t_n > 0.
+        processes: process matrices in any order, each at its evolution
+            time ``duration_s`` > 0; they are fitted in time order.
         dissipator: fixed relaxation matrix R_T.  When given, the fitted
             parameters describe the Hamiltonian generator B and the full
             generator is L = B - R_T; when absent, L itself is fitted.
@@ -594,9 +593,15 @@ def mle_liouvillian(
         ``expm_frechet_evaluations`` (the steps whose Jacobian took exact
         Frechet columns because the generator was near-defective).
     """
-    pmeas = _normalize_pmeas(pmeas)
-    n2 = pmeas[0][1].shape[0]
-    dim = int(round(np.sqrt(n2)))
+    processes = sorted(processes, key=lambda p: p.duration_s)
+    if not processes:
+        raise ValueError("need at least one measured process matrix")
+    ts = np.array([p.duration_s for p in processes], dtype=float)
+    if (ts <= 0).any():
+        raise ValueError(f"evolution times must be positive, got {ts.min()}")
+    ps = np.stack([p.matrix for p in processes])
+    dim = processes[0].dim
+    n2 = dim * dim
     rt_mat = None if dissipator is None else dissipator.matrix
 
     if form == "free":
@@ -610,7 +615,7 @@ def mle_liouvillian(
     n_params = n2 * n2 if design is None else design.shape[1]
 
     if x0 is None:
-        b0 = _direct_init(pmeas, rt_mat, dim)
+        b0 = _direct_init(ts, ps, rt_mat)
         if design is None:
             x0 = b0.ravel()
         else:
@@ -619,8 +624,6 @@ def mle_liouvillian(
     if x0.shape != (n_params,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({n_params},)")
 
-    ts = np.array([t for t, _ in pmeas])
-    ps = np.stack([p for _, p in pmeas])
     thetas, gens, costs, exps, converged, counts = _gauss_newton(
         design, rt_mat, ts[None], ps[None], x0[None]
     )
@@ -632,8 +635,6 @@ def mle_liouvillian(
         extras["hamiltonian_superop"] = Superoperator(
             dim=dim, matrix=l_hat + rt_mat
         )
-    if form == "hermitian":
-        extras["hermitian_params"] = HermitianParams(h=theta)
     return FitReport(
         model=f"mle-{form}",
         estimate=Superoperator(dim=dim, matrix=l_hat),
@@ -693,58 +694,37 @@ def fit_relaxation_model(rt: Superoperator) -> FitReport:
     )
 
 
-def direct_hamiltonian(
-    ts: TomographySet, rt: Superoperator, times: Sequence[float]
-) -> FitReport:
+def direct_hamiltonian(processes: Sequence[ProcessMatrix], rt: Superoperator) -> FitReport:
     """Averaged direct estimate of a static Hamiltonian generator.
 
-    For each admissible time the generator log-estimate is taken, the known
-    relaxation matrix is added back (isolating the Hamiltonian part), and
-    the per-time estimates are averaged; a final least-squares projection
-    onto the Hermitian parametrization enforces physicality.  Times where
-    the logarithm hits the branch cut are skipped with a warning.
-
-    Raises:
-        KeyError: if no outputs were measured at one of ``times``.
+    For each admissible process matrix the generator log-estimate is taken,
+    the known relaxation matrix is added back (isolating the Hamiltonian
+    part), and the per-time estimates are averaged; a final least-squares
+    projection onto the Hermitian parametrization enforces physicality.
+    Times where the logarithm hits the branch cut are skipped with a
+    warning and listed in ``extras["skipped_times"]``.
     """
-    processes = {pm.duration_s: pm for pm in reconstruct_processes(ts)}
-    missing = [t for t in times if float(t) not in processes]
-    if missing:
-        raise KeyError(
-            f"no outputs measured at t = {missing[0]}; available times: {list(ts.times)}"
-        )
-    tvals = np.asarray(times, dtype=float)
-    pms = [processes[t] for t in tvals]
-    per_time, skipped = np.empty((0,) + rt.matrix.shape), []
-    if pms:
-        logs, errors = _principal_logs(
-            np.stack([pm.matrix for pm in pms]), [pm.duration_s for pm in pms]
-        )
-        for k in sorted(errors):
-            warnings.warn(f"skipping t = {times[k]}: {errors[k]}", stacklevel=2)
-            skipped.append((float(times[k]), str(errors[k])))
-        keep = [k for k in range(len(pms)) if k not in errors]
-        per_time = logs[keep] / tvals[keep, None, None] + rt.matrix
-    if not len(per_time):
+    ts = np.array([pm.duration_s for pm in processes])
+    logs, errors = _principal_logs(np.stack([pm.matrix for pm in processes]), ts)
+    skipped = [(float(ts[k]), str(errors[k])) for k in sorted(errors)]
+    for t, msg in skipped:
+        warnings.warn(f"skipping t = {t}: {msg}", stacklevel=2)
+    keep = [k for k in range(len(ts)) if k not in errors]
+    if not keep:
         raise BranchCutError("no evolution time admits a principal logarithm")
-    mean_superop = Superoperator(dim=ts.dim, matrix=np.mean(per_time, axis=0))
-    fit = params_from_superop(mean_superop)
+    per_time = logs[keep] / ts[keep, None, None] + rt.matrix
+    fit = params_from_superop(Superoperator(dim=rt.dim, matrix=np.mean(per_time, axis=0)))
     k_hat = explicit_qutrit_superop(fit.params).matrix
-    # df against the model-predicted propagator at each time, from one
-    # stacked expm (its slices equal separate calls bit for bit)
-    p_hats = scipy.linalg.expm((k_hat - rt.matrix) * tvals[:, None, None])
-    dfs = [frobenius_distance(processes[float(t)].matrix, p) for t, p in zip(times, p_hats)]
     return FitReport(
         model="direct-hamiltonian",
         estimate=fit.params,
         params=fit.params.h,
         cost=fit.residual**2,
-        df_per_time=np.array(dfs),
+        df_per_time=_df_per_time(processes, k_hat - rt.matrix),
         iterations=1,
         converged=True,
         param_names=HERMITIAN_PARAM_NAMES,
         extras={
-            "mean_superop": mean_superop,
             "residual": fit.residual,
             "skipped_times": skipped,
         },
@@ -767,10 +747,10 @@ def _field_form(known_form: bool) -> tuple[np.ndarray, tuple[str, ...]]:
 class FieldTrack:
     """Per-interval field estimates from a stepwise reconstruction.
 
-    ``omegas`` has one row (Omega_x, Omega_y, Omega_z) per interval when
-    the field form is known; otherwise ``params`` holds the nine Hermitian
-    parameters per interval.  Either is also ``report.estimate``, with
-    columns named by ``columns``.  ``times`` are interval midpoints.  Steps
+    ``report.estimate`` has one row per interval, with columns named by
+    ``columns``: (Omega_x, Omega_y, Omega_z) when the field form is known,
+    read as ``omegas``, otherwise the nine Hermitian parameters, read as
+    ``params``.  ``times`` are interval midpoints.  Steps
     whose total field magnitude is small are flagged: the normalized error
     metric diverges there, an artifact of the normalization rather than of
     the reconstruction.
@@ -780,9 +760,15 @@ class FieldTrack:
     known_form: bool
     method: str
     report: FitReport
-    omegas: Optional[np.ndarray] = None
-    params: Optional[np.ndarray] = None
     flagged: Optional[np.ndarray] = None
+
+    @property
+    def omegas(self) -> Optional[np.ndarray]:
+        return self.report.estimate if self.known_form else None
+
+    @property
+    def params(self) -> Optional[np.ndarray]:
+        return None if self.known_form else self.report.estimate
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -807,7 +793,7 @@ def estimate_fields(
         psteps: one process matrix per grid interval (stepwise
             reconstruction output).
         grid: uniform measurement grid; estimates are labelled with the
-            interval midpoints.
+            interval midpoints.  A non-uniform grid raises LiouvlabError.
         rt: fixed relaxation matrix, added back before reading off the
             Hamiltonian part.
         known_form: if True, each interval is reduced to the three Larmor
@@ -833,7 +819,10 @@ def estimate_fields(
     total field are flagged in the result.
     """
     if grid.step is None:
-        raise ValueError("field estimation expects a uniform time grid")
+        raise LiouvlabError(
+            "field estimation expects a uniform time grid, but its intervals last "
+            f"from {grid.durations.min():g} to {grid.durations.max():g} s"
+        )
     if len(psteps) != grid.n_intervals:
         raise DimensionError(
             f"{len(psteps)} process matrices for {grid.n_intervals} intervals"
@@ -850,13 +839,12 @@ def estimate_fields(
     if method == "direct":
         rows = theta0
         costs = np.linalg.norm(rows @ design.T - k_direct, axis=1) ** 2
-        exps = _stacked_expm(_generators(design, rt.matrix, rows), dts[:, None])[:, 0]
+        dfs = _df_per_time(psteps, _generators(design, rt.matrix, rows))
     else:
         rows, _, costs, exps, converged, counts = _gauss_newton(
             design, rt.matrix, dts[:, None], ps[:, None], theta0
         )
-        exps = exps[:, 0]
-    dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
+        dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps[:, 0])])
 
     # |Omega| times a constant for the known form: the field design's columns
     # are orthogonal with one norm
@@ -883,8 +871,6 @@ def estimate_fields(
         known_form=known_form,
         method=method,
         report=report,
-        omegas=rows if known_form else None,
-        params=None if known_form else rows,
         flagged=flagged,
     )
 

@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .basis import DensityMatrix, _frozen_array, build_basis, coords_of
 from .dynamics import ProcessMatrix, TimeGrid, _time_ordered
-from .estimation import RelaxationModel, frobenius_distance
+from .estimation import RelaxationModel, _df_per_time
 from .exceptions import DimensionError
 from .superop import Superoperator, _field_design, hamiltonian_superop, zeeman_hamiltonian
 from .tomography import (
@@ -411,11 +411,7 @@ def state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
 def _direct_max_df(dataset: TomographySet) -> float:
     """Max relative process error of the averaged direct estimate."""
     pms = reconstruct_processes(dataset)
-    l_hat = mean_log_liouvillian(pms).matrix
-    return max(
-        frobenius_distance(pm.matrix, scipy.linalg.expm(l_hat * pm.duration_s))
-        for pm in pms
-    )
+    return float(_df_per_time(pms, mean_log_liouvillian(pms).matrix).max())
 
 
 def calibrate_bloch_sigma() -> float:

@@ -143,14 +143,17 @@ class TomographySet:
         """Read a set written by ``to_json``.
 
         Raises:
-            ValueError: if ``inputs`` or an ``outputs[t]`` matrix holds a
-                NaN or an infinity (checked here, where data enters, rather
-                than for every set built in memory).
+            ValueError: if there are no outputs, or ``inputs`` or an
+                ``outputs[t]`` matrix holds a NaN or an infinity (checked
+                here, where data enters, rather than for every set built in
+                memory).
         """
         inputs = np.asarray(obj["inputs"], dtype=float).T
         outputs = {
             float(t): np.asarray(cols, dtype=float).T for t, cols in obj["outputs"].items()
         }
+        if not outputs:
+            raise ValueError("dataset has no outputs")
         for name, mat in [("inputs", inputs)] + [
             (f"outputs[{t}]", o) for t, o in outputs.items()
         ]:

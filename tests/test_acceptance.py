@@ -60,7 +60,7 @@ def _report(num, elapsed, budget, detail):
 
 
 def _pmeas_of(ds):
-    return [(t, reconstruct_process(ds, t)) for t in ds.times]
+    return [reconstruct_process(ds, t) for t in ds.times]
 
 
 def test_criterion_1_basis_correctness():
@@ -163,7 +163,7 @@ def test_criterion_5_hamiltonian_pipeline(basis3, calibrated_sigma):
         ds = generate_dataset(
             scenario, NoiseSpec(bloch_sigma=calibrated_sigma, seed=500 + draw)
         )
-        rep_dir = direct_hamiltonian(ds, rt, ds.times)
+        rep_dir = direct_hamiltonian(reconstruct_processes(ds), rt)
         d_direct.append(
             frobenius_distance(explicit_qutrit_superop(rep_dir.estimate), k_true)
         )

@@ -73,6 +73,18 @@ def test_simulate_bad_kind_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", [["--n-steps", "3"], ["--ramp"]])
+def test_simulate_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys, flag):
+    rc = main(["simulate", "--kind", "relaxation_only", *flag, "-o", str(tmp_path / "run")])
+    assert rc == 2
+    name = flag[0][2:].replace("-", "_")
+    assert (
+        f"bad configuration: unknown parameters for 'relaxation_only': ['{name}']"
+        in capsys.readouterr().err
+    )
+    assert not (tmp_path / "run").exists()
+
+
 def test_qpt_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QPT_SEED", "1234")
     out = _simulate(tmp_path, seed=7)
@@ -186,6 +198,46 @@ def test_non_finite_dataset_is_bad_input(tmp_path, capsys, command, matrix):
     assert f"{name} has a non-finite entry" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["reconstruct", "--mode", "process"], ["fit", "--model", "relaxation"]],
+)
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"dim": 2}, "inputs must be 4 x N, got shape (9, 15)"),
+        ({"outputs": {}}, "dataset has no outputs"),
+    ],
+)
+def test_malformed_dataset_is_bad_input(tmp_path, capsys, command, change, message):
+    data = {**_read(_simulate(tmp_path) / "dataset.json"), **change}
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([command[0], "--dataset", str(broken), *command[1:], "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{command[0]}: bad input: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["reconstruct", "--mode", "liouvillian", "--reference"],
+        ["fit", "--model", "hermitian", "--fixed-dissipator"],
+    ],
+)
+def test_superoperator_of_another_dim_is_bad_input(tmp_path, capsys, command):
+    out = _simulate(tmp_path, kind="static_quadratic_zeeman")
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(Superoperator(dim=2, matrix=np.zeros((4, 4))).to_json()))
+    capsys.readouterr()
+    rc = main([command[0], "--dataset", str(out / "dataset.json"), *command[1:], str(op),
+               "-o", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{command[0]}: bad input: {op} has dim 2, but the dataset has dim 3" in err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -250,6 +302,21 @@ def test_fit_fields_known_and_unknown(tmp_path):
     assert rc == 0
     header = (unknown / "fields.csv").read_text().splitlines()[0]
     assert header.startswith("time_s,h1,h2")
+
+
+def test_fit_fields_on_a_non_uniform_grid_exits_2(tmp_path, capsys):
+    # the static grid's first interval is 100 us, the others 10 us
+    out = _simulate(tmp_path, kind="static_quadratic_zeeman")
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    capsys.readouterr()
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "fields",
+               "--fixed-dissipator", str(rt_path), "-o", str(tmp_path / "f")])
+    assert rc == 2
+    assert (
+        "fit: field estimation expects a uniform time grid, "
+        "but its intervals last from 1e-05 to 0.0001 s"
+    ) in capsys.readouterr().err
 
 
 def test_fit_fields_mle_writes_gauss_newton_counts(tmp_path):

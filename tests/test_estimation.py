@@ -7,7 +7,7 @@ import scipy.linalg
 
 from conftest import lbfgs_reference
 from liouvlab import estimation
-from liouvlab.dynamics import principal_log
+from liouvlab.dynamics import ProcessMatrix, principal_log
 from liouvlab.estimation import (
     RELAXATION_PARAM_NAMES,
     RelaxationModel,
@@ -26,6 +26,7 @@ from liouvlab.exceptions import (
     ZeroReferenceError,
 )
 from liouvlab.superop import (
+    HermitianParams,
     Superoperator,
     _hermitian_design,
     explicit_qutrit_superop,
@@ -43,7 +44,7 @@ from liouvlab.tomography import (
 
 
 def _pmeas_of(ds):
-    return [(t, reconstruct_process(ds, t)) for t in ds.times]
+    return [reconstruct_process(ds, t) for t in ds.times]
 
 
 def _direct_rt_params(ds) -> np.ndarray:
@@ -93,14 +94,15 @@ def test_mle_cost_zero_at_truth_and_below_init():
 
     def cost_of(lmat):
         return sum(
-            np.linalg.norm(scipy.linalg.expm(lmat * t) - p.matrix) ** 2 for t, p in pmeas
+            np.linalg.norm(scipy.linalg.expm(lmat * p.duration_s) - p.matrix) ** 2
+            for p in pmeas
         )
 
     # noiseless data: exactly zero at the true generator
     clean = _pmeas_of(generate_dataset(sc, NoiseSpec(seed=61)))
     assert (
-        sum(np.linalg.norm(scipy.linalg.expm(truth.matrix * t) - p.matrix) ** 2
-            for t, p in clean)
+        sum(np.linalg.norm(scipy.linalg.expm(truth.matrix * p.duration_s) - p.matrix) ** 2
+            for p in clean)
         < 1e-18
     )
     # MLE never ends above its initialization
@@ -120,7 +122,7 @@ def test_mle_hermitian_constraint_structure():
     fit = params_from_superop(k_hat)
     assert fit.residual < 1e-10
     np.testing.assert_allclose(
-        k_hat.matrix, explicit_qutrit_superop(report.extras["hermitian_params"]).matrix,
+        k_hat.matrix, explicit_qutrit_superop(HermitianParams(h=report.params)).matrix,
         atol=1e-10,
     )
 
@@ -150,6 +152,20 @@ def test_mle_nonconvergence_is_soft(monkeypatch):
     assert np.isfinite(report.cost)
 
 
+def test_mle_fits_processes_in_time_order_whatever_their_order():
+    ds = generate_dataset(
+        make_scenario("relaxation_only", n_times=8), NoiseSpec(bloch_sigma=0.004, seed=70)
+    )
+    processes = reconstruct_processes(ds)
+    order = np.random.default_rng(70).permutation(len(processes))
+    assert (order != np.arange(len(processes))).any()
+    want = mle_liouvillian(processes, form="free")
+    got = mle_liouvillian([processes[k] for k in order], form="free")
+    assert np.array_equal(got.params, want.params)
+    assert np.array_equal(got.df_per_time, want.df_per_time)
+    assert got.cost == want.cost
+
+
 def test_mle_rejects_bad_inputs():
     sc = make_scenario("relaxation_only", n_times=2)
     ds = generate_dataset(sc, NoiseSpec(seed=64))
@@ -158,7 +174,7 @@ def test_mle_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mle_liouvillian(_pmeas_of(ds), form="diagonal")
     with pytest.raises(ValueError):
-        mle_liouvillian([(0.0, np.eye(9))], form="free")
+        mle_liouvillian([ProcessMatrix(dim=3, matrix=np.eye(9), duration_s=0.0)], form="free")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +239,7 @@ def test_direct_hamiltonian_noiseless_exact():
     sc = make_scenario("static_quadratic_zeeman")
     rt = DEFAULT_RELAXATION.superoperator()
     ds = generate_dataset(sc, NoiseSpec(seed=66))
-    report = direct_hamiltonian(ds, rt, ds.times)
+    report = direct_hamiltonian(reconstruct_processes(ds), rt)
     k_true = hamiltonian_superop(sc.static_hamiltonian, __basis())
     k_hat = explicit_qutrit_superop(report.estimate)
     assert frobenius_distance(k_hat, k_true) < 1e-8
@@ -243,7 +259,7 @@ def test_direct_hamiltonian_skips_branch_failures():
     rt = none.superoperator()
     ds = generate_dataset(sc, NoiseSpec(seed=67))
     with pytest.warns(UserWarning):
-        report = direct_hamiltonian(ds, rt, ds.times)
+        report = direct_hamiltonian(reconstruct_processes(ds), rt)
     skipped = [t for t, _ in report.extras["skipped_times"]]
     assert skipped == [pytest.approx(t_hit)]
     assert report.converged
@@ -276,7 +292,7 @@ def test_direct_hamiltonian_matches_per_time_logs(on_cut):
     want_params, want_skipped = _per_time_direct_hamiltonian(ds, rt)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = direct_hamiltonian(ds, rt, ds.times)
+        report = direct_hamiltonian(reconstruct_processes(ds), rt)
     assert [str(w.message) for w in caught] == [
         f"skipping t = {t}: {msg}" for t, msg in want_skipped
     ]
@@ -299,7 +315,7 @@ def test_mle_beats_direct_on_median(calibrated_sigma):
     d_dir, d_mle = [], []
     for seed in range(12):
         ds = generate_dataset(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=700 + seed))
-        rep_d = direct_hamiltonian(ds, rt, ds.times)
+        rep_d = direct_hamiltonian(reconstruct_processes(ds), rt)
         d_dir.append(frobenius_distance(explicit_qutrit_superop(rep_d.estimate), k_true))
         rep_m = mle_liouvillian(_pmeas_of(ds), dissipator=rt, form="hermitian")
         d_mle.append(frobenius_distance(rep_m.extras["hamiltonian_superop"], k_true))
@@ -527,11 +543,9 @@ def test_fit_report_json_round_trip():
     report = fit_relaxation_model(rt)
     report.ci_low = report.params - 1.0
     report.ci_high = report.params + 1.0
-    report.seed = 5
     obj = json.loads(json.dumps(report.to_json()))
     assert obj["model"] == "relaxation"
     assert obj["converged"] is True
-    assert obj["seed"] == 5
     assert set(obj["ci"]) == set(RELAXATION_PARAM_NAMES)
     np.testing.assert_allclose(obj["params"], report.params)
 
@@ -554,8 +568,9 @@ def test_mle_single_time_fit_is_gauss_newton(form):
     kind = "relaxation_only" if form == "free" else "static_quadratic_zeeman"
     ds = generate_dataset(make_scenario(kind), NoiseSpec(bloch_sigma=0.004, seed=65))
     rt = DEFAULT_RELAXATION.superoperator() if form == "hermitian" else None
-    t, pm = _pmeas_of(ds)[0]
-    report = mle_liouvillian([(t, pm)], form=form, dissipator=rt)
+    pm = _pmeas_of(ds)[0]
+    t = pm.duration_s
+    report = mle_liouvillian([pm], form=form, dissipator=rt)
     counts = report.extras["optimizer"]
     assert report.converged
     assert counts["evaluations"] == counts["gauss_newton_iterations"] + 1
@@ -600,7 +615,7 @@ def test_mle_df_per_time_reuses_the_last_evaluation(monkeypatch):
     assert len(calls) <= report.extras["optimizer"]["evaluations"] + 1
     assert all(shape == (len(pmeas), 9, 9) for shape in calls)
     l_hat = report.estimate.matrix
-    separate = [frobenius_distance(p, scipy.linalg.expm(l_hat * t)) for t, p in pmeas]
+    separate = [frobenius_distance(p, scipy.linalg.expm(l_hat * p.duration_s)) for p in pmeas]
     assert np.array_equal(report.df_per_time, separate)
 
 
@@ -609,7 +624,7 @@ def test_direct_hamiltonian_df_matches_separate_expm_per_time():
         make_scenario("static_quadratic_zeeman"), NoiseSpec(bloch_sigma=0.004, seed=68)
     )
     rt = DEFAULT_RELAXATION.superoperator()
-    report = direct_hamiltonian(ds, rt, ds.times)
+    report = direct_hamiltonian(reconstruct_processes(ds), rt)
     k_hat = explicit_qutrit_superop(report.estimate).matrix
     processes = reconstruct_processes(ds)
     separate = [
@@ -632,7 +647,12 @@ def test_mle_damped_steps_keep_the_null_space_component_of_x0(monkeypatch):
     theta = rng.normal(size=9)
     lmat = (design @ theta).reshape(9, 9)
     pmeas = [
-        (t, scipy.linalg.expm(lmat * t) + 1e-3 * rng.normal(size=(9, 9))) for t in (0.5, 1.0, 2.0)
+        ProcessMatrix(
+            dim=3,
+            matrix=scipy.linalg.expm(lmat * t) + 1e-3 * rng.normal(size=(9, 9)),
+            duration_s=t,
+        )
+        for t in (0.5, 1.0, 2.0)
     ]
     x0 = theta + 2.0 * rng.normal(size=9)
     dampings, steps = [], []

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import lbfgs_reference, pade_cost
 from liouvlab import estimation
+from liouvlab.dynamics import ProcessMatrix
 from liouvlab.estimation import mle_liouvillian
 from liouvlab.superop import Superoperator, _field_design, _hermitian_design
 from liouvlab.synthlab import DEFAULT_RELAXATION
@@ -40,7 +41,7 @@ def _problem(free, n_times, noise, seed):
 
 def _fit(design, rt, ts, ps, **kwargs):
     return mle_liouvillian(
-        list(zip(ts, ps)),
+        [ProcessMatrix(dim=3, matrix=p, duration_s=t) for t, p in zip(ts, ps)],
         form="free" if design is None else "hermitian",
         dissipator=None if rt is None else Superoperator(dim=3, matrix=rt),
         **kwargs,
