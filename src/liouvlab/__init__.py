@@ -61,7 +61,6 @@ from .superop import (
 )
 from .synthlab import (
     DEFAULT_RELAXATION,
-    FieldWaveform,
     NoiseSpec,
     Scenario,
     calibrate_bloch_sigma,

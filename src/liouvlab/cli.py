@@ -143,14 +143,15 @@ def _manifest(outdir: Path, command: str, config: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _scenario_params_from_args(args) -> dict:
-    """Every scenario flag given; ``make_scenario`` rejects one its kind does not take."""
-    return {
-        name: v
-        for defaults in SCENARIO_DEFAULTS.values()
-        for name in defaults
-        if (v := getattr(args, name, None)) is not None
-    }
+# parameter names of every scenario kind, and the noise fields; those that are
+# also flags override a scenario file when given
+_SCENARIO_FLAGS = sorted(set().union(*SCENARIO_DEFAULTS.values()))
+_NOISE_FLAGS = ("bloch_sigma", "prep_fidelity")
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given on the command line."""
+    return {name: v for name in names if (v := getattr(args, name, None)) is not None}
 
 
 def cmd_simulate(args) -> int:
@@ -158,29 +159,20 @@ def cmd_simulate(args) -> int:
     if seed is None:
         return EXIT_CONFIG
     try:
-        if args.scenario_file:
-            spec = _read_json(Path(args.scenario_file))
-            kind = spec["kind"]
-            params = spec.get("params", {})
-            noise_spec = spec.get("noise", {})
-            noise = NoiseSpec(
-                bloch_sigma=float(noise_spec.get("bloch_sigma", args.sigma)),
-                prep_fidelity=float(noise_spec.get("prep_fidelity", args.prep_fidelity)),
-                seed=seed,
-            )
-        else:
-            kind = args.kind
-            if kind == "three_axis":  # short alias
-                kind = args.kind = "three_axis_time_dependent"
-            params = _scenario_params_from_args(args)
-            noise = NoiseSpec(
-                bloch_sigma=args.sigma, prep_fidelity=args.prep_fidelity, seed=seed
-            )
+        spec = _read_json(Path(args.scenario_file)) if args.scenario_file else {}
+        kind = spec["kind"] if args.scenario_file else args.kind
         if kind is None:
             print("simulate: either --kind or --scenario-file is required", file=sys.stderr)
             return EXIT_CONFIG
+        if kind == "three_axis":  # short alias
+            kind = "three_axis_time_dependent"
+        # make_scenario rejects a flag that the kind does not take
+        params = {**spec.get("params", {}), **_given(args, _SCENARIO_FLAGS)}
         scenario = make_scenario(kind, **params)
-        if args.scenario_file and "grid" in spec:
+        noise = NoiseSpec.from_json(
+            {**spec.get("noise", {}), **_given(args, _NOISE_FLAGS), "seed": seed}
+        )
+        if "grid" in spec:
             stated = np.asarray(spec["grid"].get("times_s", []), dtype=float)
             if stated.size and not np.allclose(stated, scenario.grid.times):
                 raise ValueError("scenario file grid is inconsistent with its parameters")
@@ -485,11 +477,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind",
         choices=[*SCENARIO_DEFAULTS, "three_axis"],
     )
-    sim.add_argument("--scenario-file", help="JSON scenario spec (overrides --kind)")
+    sim.add_argument(
+        "--scenario-file",
+        help='JSON spec {"kind", "params", "noise"} (replaces --kind); '
+        "flags given override its params and noise",
+    )
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--sigma", type=float, default=0.0, help="Bloch-coordinate noise")
-    sim.add_argument("--prep-fidelity", type=float, default=1.0)
-    # default None, not False: an unset --ramp is a flag not given
+    # defaults None, not 0 / 1 / False: a flag left unset does not override
+    # the scenario file
+    sim.add_argument(
+        "--sigma", dest="bloch_sigma", metavar="SIGMA", type=float,
+        help="Bloch-coordinate noise [0]",
+    )
+    sim.add_argument("--prep-fidelity", type=float, help="preparation fidelity [1]")
     sim.add_argument(
         "--ramp", action="store_true", default=None, help="enable the supply-settling ramp"
     )

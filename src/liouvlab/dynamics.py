@@ -222,7 +222,8 @@ def principal_log(p):
     """
     single = isinstance(p, ProcessMatrix)
     pms = [p] if single else list(p)
-    out = [Superoperator(dim=pm.dim, matrix=log) for pm, log in zip(pms, _log_stack(pms))]
+    logs = _log_stack(*_stacked(pms))
+    out = [Superoperator(dim=pm.dim, matrix=log) for pm, log in zip(pms, logs)]
     return out[0] if single else out
 
 
@@ -252,15 +253,19 @@ def _eigvec_inverse(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vinv, cond < EIGVEC_COND_MAX
 
 
-def _log_stack(pms: Sequence[ProcessMatrix]) -> np.ndarray:
-    """``principal_log`` of a sequence as one (T, n, n) array of log matrices."""
+def _stacked(pms: Sequence[ProcessMatrix]) -> tuple[np.ndarray, np.ndarray]:
+    """(T, n, n) matrices and (T,) durations; none or mixed dimensions raise."""
     if not pms:
         raise ValueError("need at least one process matrix")
     if any(pm.dim != pms[0].dim for pm in pms):
-        raise DimensionError("process matrices have mixed dimensions")
-    logs, errors = _principal_logs(
-        np.stack([pm.matrix for pm in pms]), [pm.duration_s for pm in pms]
-    )
+        dims = sorted({pm.dim for pm in pms})
+        raise DimensionError(f"process matrices have mixed dimensions {dims}")
+    return np.stack([pm.matrix for pm in pms]), np.array([pm.duration_s for pm in pms], float)
+
+
+def _log_stack(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """Logs of a ``_stacked`` (T, n, n) stack; the first inadmissible one raises."""
+    logs, errors = _principal_logs(mats, durations)
     if errors:
         raise next(iter(errors.values()))
     return logs

@@ -63,6 +63,7 @@ from .dynamics import (
     _eigvec_inverse,
     _log_stack,
     _principal_logs,
+    _stacked,
 )
 from .exceptions import (
     BootstrapError,
@@ -253,9 +254,9 @@ def _df_per_time(processes: Sequence[ProcessMatrix], generator: np.ndarray) -> n
     come from one stacked ``expm``, whose slices equal separate calls bit
     for bit.
     """
-    ts = np.array([p.duration_s for p in processes])
+    ps, ts = _stacked(processes)
     exps = scipy.linalg.expm(generator * ts[:, None, None])
-    return np.array([frobenius_distance(p.matrix, e) for p, e in zip(processes, exps)])
+    return np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +595,9 @@ def mle_liouvillian(
         Frechet columns because the generator was near-defective).
     """
     processes = sorted(processes, key=lambda p: p.duration_s)
-    if not processes:
-        raise ValueError("need at least one measured process matrix")
-    ts = np.array([p.duration_s for p in processes], dtype=float)
+    ps, ts = _stacked(processes)
     if (ts <= 0).any():
         raise ValueError(f"evolution times must be positive, got {ts.min()}")
-    ps = np.stack([p.matrix for p in processes])
     dim = processes[0].dim
     n2 = dim * dim
     rt_mat = None if dissipator is None else dissipator.matrix
@@ -704,8 +702,8 @@ def direct_hamiltonian(processes: Sequence[ProcessMatrix], rt: Superoperator) ->
     Times where the logarithm hits the branch cut are skipped with a
     warning and listed in ``extras["skipped_times"]``.
     """
-    ts = np.array([pm.duration_s for pm in processes])
-    logs, errors = _principal_logs(np.stack([pm.matrix for pm in processes]), ts)
+    ps, ts = _stacked(processes)
+    logs, errors = _principal_logs(ps, ts)
     skipped = [(float(ts[k]), str(errors[k])) for k in sorted(errors)]
     for t, msg in skipped:
         warnings.warn(f"skipping t = {t}: {msg}", stacklevel=2)
@@ -831,9 +829,8 @@ def estimate_fields(
         raise ValueError(f"unknown method {method!r}")
 
     design, columns = _field_form(known_form)
-    dts = np.array([p.duration_s for p in psteps])
-    ps = np.stack([p.matrix for p in psteps])
-    logs = _log_stack(psteps)
+    ps, dts = _stacked(psteps)
+    logs = _log_stack(ps, dts)
     k_direct = (logs / dts[:, None, None] + rt.matrix).reshape(len(ps), -1)
     theta0 = np.linalg.lstsq(design, k_direct.T, rcond=None)[0].T
     if method == "direct":

@@ -18,7 +18,7 @@ NoiseSpec regardless of evaluation order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ from .tomography import (
 
 __all__ = [
     "NoiseSpec",
-    "FieldWaveform",
     "Scenario",
     "SCENARIO_DEFAULTS",
     "DEFAULT_RELAXATION",
@@ -105,38 +104,15 @@ class NoiseSpec:
         )
 
 
-@dataclass(frozen=True)
-class FieldWaveform:
-    """One axis of the applied Larmor-frequency drive.
-
-    ``amplitude`` is in rad/s, ``frequency`` in Hz, ``phase`` in rad.
-    """
-
-    axis: str
-    shape: str
-    amplitude: float
-    frequency: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y", "z"):
-            raise ValueError(f"axis must be x, y or z, got {self.axis!r}")
-        if self.shape not in ("sine", "triangle", "constant"):
-            raise ValueError(f"unknown waveform shape {self.shape!r}")
-        if self.frequency < 0:
-            raise ValueError("frequency must be non-negative")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        arg = 2.0 * np.pi * self.frequency * t + self.phase
-        if self.shape == "sine":
-            return self.amplitude * np.sin(arg)
-        if self.shape == "triangle":
-            return self.amplitude * (2.0 / np.pi) * np.arcsin(np.sin(arg))
-        return self.amplitude * np.ones_like(t)
-
-
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+
+# The three-axis drive, one row per axis x, y, z: the waveform of an
+# amplitude (rad/s) and phase argument, its frequency (Hz) and phase (rad).
+_DRIVE = (
+    (lambda a, arg: a * (2.0 / np.pi) * np.arcsin(np.sin(arg)), 5000.0, 0.0),  # triangle
+    (lambda a, arg: a * np.sin(arg), 7500.0, np.pi),
+    (lambda a, arg: a * np.sin(arg), 10000.0, np.pi / 2.0),
+)
 
 _STATIC_GRID = {"t_min": 100e-6, "t_max": 180e-6, "n_times": 9}
 
@@ -159,41 +135,56 @@ SCENARIO_DEFAULTS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """Ground truth of one synthetic experiment.
+    """Ground truth of one synthetic experiment: a kind and its params.
 
-    Either ``static_hamiltonian`` (a fixed 3x3 Hermitian matrix, possibly
-    zero) or ``waveforms`` (per-axis Larmor drives, optionally multiplied
-    by a linear supply-settling ramp) defines the controlled Hamiltonian;
-    ``relaxation`` is always present.  The inputs are the canonical input
-    states.  ``make_scenario(kind, **params)`` rebuilds the scenario.  The
-    noiseless propagators and the input Bloch coordinates are computed
-    once per scenario and cached.
+    ``params`` are what ``make_scenario(kind, **params)`` takes and records;
+    the grid, the Hamiltonian and the drive are derived from them, so they
+    cannot disagree with the record.  A static kind has a fixed
+    ``static_hamiltonian`` (zero for free decay); the driven kind has
+    per-axis Larmor drives, optionally ramped up over ``ramp_s`` seconds.
+    The inputs are the canonical input states.  Derived quantities, the
+    noiseless propagators and the input Bloch coordinates are cached.
     """
 
     kind: str
-    grid: TimeGrid
+    params: dict
     relaxation: RelaxationModel
-    static_hamiltonian: Optional[np.ndarray] = None
-    waveforms: Optional[tuple] = None
-    ramp_s: Optional[float] = None
-    params: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        # frozen, so the cached propagators cannot go stale
-        if self.static_hamiltonian is not None:
-            h = _frozen_array(np.asarray(self.static_hamiltonian))
-            object.__setattr__(self, "static_hamiltonian", h)
-
-    @property
+    @functools.cached_property
     def is_static(self) -> bool:
-        return self.waveforms is None
+        return self.kind != "three_axis_time_dependent"
+
+    @functools.cached_property
+    def ramp_s(self) -> Optional[float]:
+        """Length of the settling ramp; None without one."""
+        return self.params.get("ramp_s")
+
+    @functools.cached_property
+    def grid(self) -> TimeGrid:
+        p = self.params
+        if self.kind == "relaxation_only":
+            return TimeGrid.uniform(p["step"], p["n_times"])
+        if self.kind == "three_axis_time_dependent":
+            return TimeGrid.uniform(p["dt"], p["n_steps"])
+        return TimeGrid(times=np.linspace(p["t_min"], p["t_max"], p["n_times"]))
+
+    @functools.cached_property
+    def static_hamiltonian(self) -> Optional[np.ndarray]:
+        """The fixed Hamiltonian of a static kind (zero for free decay); None if driven."""
+        if not self.is_static:
+            return None
+        p, omega = self.params, np.zeros(3)
+        if "axis" in p:
+            omega[_AXIS_INDEX[p["axis"]]] = p["omega"]
+        return _frozen_array(zeeman_hamiltonian(omega, (0.0, p.get("q", 0.0), 0.0)))
 
     def omegas_nominal(self, times) -> np.ndarray:
         """Unramped per-axis drive values; zeros for static scenarios."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         out = np.zeros((times.size, 3))
-        for w in self.waveforms or ():
-            out[:, _AXIS_INDEX[w.axis]] += w(times)
+        amplitudes = self.params.get("amplitudes", ())  # none for a static kind
+        for k, (a, (wave, frequency, phase)) in enumerate(zip(amplitudes, _DRIVE)):
+            out[:, k] += wave(a, 2.0 * np.pi * frequency * times + phase)
         return out
 
     def drive(self, times) -> np.ndarray:
@@ -203,15 +194,14 @@ class Scenario:
 
     def hamiltonian(self, t: float) -> np.ndarray:
         if self.is_static:
-            h = self.static_hamiltonian
-            return np.zeros((3, 3), dtype=complex) if h is None else h
+            return self.static_hamiltonian
         return zeeman_hamiltonian(self.drive(t)[0])
 
     @functools.cached_property
     def _fixed_generator(self) -> np.ndarray:
         """K_static - R_T, built once per scenario; K_static is 0 for a driven one."""
         basis = build_basis(3)
-        k = hamiltonian_superop(self.hamiltonian(0.0), basis).matrix if self.is_static else 0.0
+        k = hamiltonian_superop(self.static_hamiltonian, basis).matrix if self.is_static else 0.0
         return _frozen_array(k - self.relaxation.superoperator().matrix)
 
     def _generators(self, times) -> np.ndarray:
@@ -292,62 +282,31 @@ def make_scenario(kind: str, **params) -> Scenario:
       sines at 7.5 / 10 kHz (phases pi, pi/2) on y / z;
       ``amplitudes`` [2 pi (5000, 4000, 3000) rad/s], ``dt`` [4e-6],
       ``n_steps`` [50], ``ramp`` [False] enabling a 64 us linear
-      supply-settling ramp (``ramp_s`` to override its length).
+      supply-settling ramp (``ramp_s`` to override its length; recorded
+      as None without the ramp).
 
     All kinds accept ``relaxation`` (a RelaxationModel), which is not
     recorded.  The resolved parameters are recorded as ``params``, so
     ``make_scenario(s.kind, **s.params)`` rebuilds a scenario ``s`` (with
     the default relaxation), also after a JSON round trip of ``params``.
+    The axis and the time grid are checked here, before the scenario is
+    returned.
 
     Raises:
-        ValueError: for an unknown kind, unknown parameter names or an
-            axis other than x, y or z.
+        ValueError: for an unknown kind, unknown parameter names, an axis
+            other than x, y or z, or grid parameters that give no
+            strictly increasing positive times.
+        DimensionError: for a grid of no times.
     """
     relaxation = params.pop("relaxation", DEFAULT_RELAXATION)
     p = _resolved(kind, params)
-    if kind == "relaxation_only":
-        return Scenario(
-            kind=kind,
-            grid=TimeGrid.uniform(p["step"], p["n_times"]),
-            relaxation=relaxation,
-            static_hamiltonian=np.zeros((3, 3), dtype=complex),
-            params=p,
-        )
-    if kind == "three_axis_time_dependent":
-        if not p["ramp"]:
-            p["ramp_s"] = None
-        amplitudes = p["amplitudes"]
-        waveforms = (
-            FieldWaveform(axis="x", shape="triangle", amplitude=amplitudes[0],
-                          frequency=5000.0, phase=0.0),
-            FieldWaveform(axis="y", shape="sine", amplitude=amplitudes[1],
-                          frequency=7500.0, phase=np.pi),
-            FieldWaveform(axis="z", shape="sine", amplitude=amplitudes[2],
-                          frequency=10000.0, phase=np.pi / 2.0),
-        )
-        return Scenario(
-            kind=kind,
-            grid=TimeGrid.uniform(p["dt"], p["n_steps"]),
-            relaxation=relaxation,
-            waveforms=waveforms,
-            ramp_s=p["ramp_s"],
-            params=p,
-        )
-    if kind == "static_quadratic_zeeman":
-        h = zeeman_hamiltonian((0.0, 0.0, 0.0), (0.0, p["q"], 0.0))
-    else:
-        if p["axis"] not in _AXIS_INDEX:
-            raise ValueError(f"axis must be x, y or z, got {p['axis']!r}")
-        om = np.zeros(3)
-        om[_AXIS_INDEX[p["axis"]]] = p["omega"]
-        h = zeeman_hamiltonian(om)
-    return Scenario(
-        kind=kind,
-        grid=TimeGrid(times=np.linspace(p["t_min"], p["t_max"], p["n_times"])),
-        relaxation=relaxation,
-        static_hamiltonian=h,
-        params=p,
-    )
+    if "axis" in p and p["axis"] not in _AXIS_INDEX:
+        raise ValueError(f"axis must be x, y or z, got {p['axis']!r}")
+    if kind == "three_axis_time_dependent" and not p["ramp"]:
+        p["ramp_s"] = None
+    scenario = Scenario(kind=kind, params=p, relaxation=relaxation)
+    scenario.grid  # noqa: B018 - a bad grid raises here, not at first use
+    return scenario
 
 
 def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:

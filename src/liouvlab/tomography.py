@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .basis import DensityMatrix, _frozen_array
-from .dynamics import ProcessMatrix, _log_stack, principal_log
+from .dynamics import ProcessMatrix, _log_stack, _stacked, principal_log
 from .exceptions import CompletenessError, DimensionError, IllConditionedError
 from .superop import Superoperator
 
@@ -289,8 +289,8 @@ def mean_log_liouvillian(processes: Sequence[ProcessMatrix]) -> Superoperator:
     ``duration_s``, averaged over the stacked logs; branch-cut, singularity
     and mixed-dimension errors propagate.
     """
-    durations = np.array([p.duration_s for p in processes])
-    mean = np.mean(_log_stack(processes) / durations[:, None, None], axis=0)
+    mats, durations = _stacked(processes)
+    mean = np.mean(_log_stack(mats, durations) / durations[:, None, None], axis=0)
     return Superoperator(dim=processes[0].dim, matrix=mean)
 
 

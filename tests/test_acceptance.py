@@ -190,7 +190,7 @@ def test_criterion_6_time_dependent_pipeline(basis3, calibrated_sigma):
     mids = scenario.grid.midpoints
     settled = mids > scenario.ramp_s
     nominal = scenario.omegas_nominal(mids)
-    amplitudes = np.array([w.amplitude for w in scenario.waveforms])
+    amplitudes = np.array(scenario.params["amplitudes"])
 
     k_true = [hamiltonian_superop(scenario.hamiltonian(t), basis3) for t in mids]
     details = []

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +15,6 @@ from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.estimation import RelaxationModel
 from liouvlab.exceptions import DimensionError, NonHermitianError
 from liouvlab.superop import HermitianParams, KossakowskiMatrix, LindbladModel, Superoperator
-from liouvlab.synthlab import make_scenario
 from liouvlab.tomography import TomographySet
 
 from conftest import random_density_matrix
@@ -253,10 +251,6 @@ FROZEN_CASES = {
     "TomographySet": (_pinned_columns,
                       lambda a: TomographySet(dim=2, inputs=a, outputs={1.0: a}),
                       lambda w: w.outputs[1.0]),
-    "Scenario": (lambda: np.zeros((3, 3), dtype=complex),
-                 lambda a: dataclasses.replace(make_scenario("relaxation_only"),
-                                               static_hamiltonian=a),
-                 lambda w: w.static_hamiltonian),
 }
 
 

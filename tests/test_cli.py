@@ -12,7 +12,8 @@ from liouvlab.cli import build_parser, main
 from liouvlab.estimation import frobenius_distance
 from liouvlab.exceptions import BranchCutError
 from liouvlab.superop import Superoperator
-from liouvlab.synthlab import DEFAULT_RELAXATION, make_scenario
+from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
+from liouvlab.tomography import TomographySet
 
 
 def _read(path):
@@ -99,18 +100,61 @@ def test_qpt_seed_not_an_integer_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _simulate_file(tmp_path, spec, *flags):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    rc = main(["simulate", "--scenario-file", str(path), "--seed", "3", "-o", str(out), *flags])
+    return rc, out
+
+
 def test_scenario_file_input(tmp_path):
     spec = {
         "kind": "static_quadratic_zeeman",
         "params": {"q": 5000.0},
         "noise": {"bloch_sigma": 0.0, "prep_fidelity": 1.0},
     }
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(spec))
-    out = tmp_path / "run"
-    rc = main(["simulate", "--scenario-file", str(path), "--seed", "3", "-o", str(out)])
+    rc, out = _simulate_file(tmp_path, spec)
     assert rc == 0
     assert _read(out / "dataset.json")["provenance"]["params"]["q"] == 5000.0
+
+
+def test_scenario_file_with_ramp_flag_simulates_the_ramp(tmp_path):
+    spec = {"kind": "three_axis_time_dependent", "params": {"n_steps": 6}}
+    rc, out = _simulate_file(tmp_path, spec, "--ramp")
+    assert rc == 0
+    data = _read(out / "dataset.json")
+    assert data["provenance"]["params"]["ramp"] is True
+    assert data["provenance"]["params"]["ramp_s"] == pytest.approx(64e-6)
+    written = TomographySet.from_json(data)
+    for ramp in (True, False):
+        sc = make_scenario("three_axis_time_dependent", n_steps=6, ramp=ramp)
+        expected = generate_dataset(sc, NoiseSpec(seed=3))
+        same = [np.array_equal(written.outputs[t], expected.outputs[t]) for t in sc.grid.times]
+        assert all(same) if ramp else not any(same)
+
+
+def test_scenario_file_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys):
+    rc, out = _simulate_file(tmp_path, {"kind": "relaxation_only"}, "--n-steps", "3")
+    assert rc == 2
+    assert "bad configuration: unknown parameters for 'relaxation_only': ['n_steps']" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_scenario_file_values_are_overridden_by_the_flags_given(tmp_path):
+    spec = {
+        "kind": "static_linear_zeeman",
+        "params": {"axis": "x", "omega": 1000.0, "n_times": 4},
+        "noise": {"bloch_sigma": 0.002, "prep_fidelity": 0.9},
+    }
+    rc, out = _simulate_file(tmp_path, spec, "--axis", "z", "--prep-fidelity", "0.95")
+    assert rc == 0
+    provenance = _read(out / "dataset.json")["provenance"]
+    assert provenance["params"] == {**make_scenario("static_linear_zeeman").params,
+                                    "axis": "z", "omega": 1000.0, "n_times": 4}
+    assert provenance["noise"] == {"bloch_sigma": 0.002, "prep_fidelity": 0.95, "seed": 3}
 
 
 # ---------------------------------------------------------------------------

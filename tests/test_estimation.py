@@ -7,7 +7,7 @@ import scipy.linalg
 
 from conftest import lbfgs_reference
 from liouvlab import estimation
-from liouvlab.dynamics import ProcessMatrix, principal_log
+from liouvlab.dynamics import ProcessMatrix, TimeGrid, principal_log
 from liouvlab.estimation import (
     RELAXATION_PARAM_NAMES,
     RelaxationModel,
@@ -36,6 +36,7 @@ from liouvlab.superop import (
 from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
 from liouvlab.tomography import (
     direct_liouvillian,
+    mean_log_liouvillian,
     reconstruct_process,
     reconstruct_processes,
     stepwise_processes,
@@ -175,6 +176,36 @@ def test_mle_rejects_bad_inputs():
         mle_liouvillian(_pmeas_of(ds), form="diagonal")
     with pytest.raises(ValueError):
         mle_liouvillian([ProcessMatrix(dim=3, matrix=np.eye(9), duration_s=0.0)], form="free")
+
+
+def _identity_process(dim, t):
+    return ProcessMatrix(dim=dim, matrix=np.eye(dim * dim), duration_s=t)
+
+
+# every estimator over process matrices, on the input it is given
+_STACKING_ESTIMATORS = {
+    "principal_log": principal_log,
+    "mean_log_liouvillian": mean_log_liouvillian,
+    "mle_liouvillian": mle_liouvillian,
+    "direct_hamiltonian": lambda pms: direct_hamiltonian(pms, DEFAULT_RELAXATION.superoperator()),
+    "estimate_fields": lambda pms: estimate_fields(
+        pms, TimeGrid.uniform(1e-6, max(len(pms), 1)), DEFAULT_RELAXATION.superoperator()
+    ),
+    "_df_per_time": lambda pms: estimation._df_per_time(pms, np.zeros((9, 9))),
+}
+
+
+@pytest.mark.parametrize("name", _STACKING_ESTIMATORS)
+def test_estimators_name_an_empty_or_mixed_input(name):
+    fit = _STACKING_ESTIMATORS[name]
+    with pytest.raises(DimensionError, match=r"mixed dimensions \[2, 3\]"):
+        fit([_identity_process(3, 1e-6), _identity_process(2, 2e-6)])
+    if name == "estimate_fields":  # it finds 0 process matrices for its one interval
+        error, message = DimensionError, "0 process matrices for 1 intervals"
+    else:
+        error, message = ValueError, "need at least one process matrix"
+    with pytest.raises(error, match=message):
+        fit([])
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +360,10 @@ def test_mle_beats_direct_on_median(calibrated_sigma):
 
 def test_constant_field_tracked_exactly():
     omega_z = 2.0 * np.pi * 2000.0
-    sc = make_scenario("relaxation_only", n_times=10, step=4e-6)
     # constant z-field on top of the relaxation
-    from liouvlab.superop import zeeman_hamiltonian
-    import dataclasses
-
-    sc = dataclasses.replace(sc, static_hamiltonian=zeeman_hamiltonian((0, 0, omega_z)))
+    sc = make_scenario(
+        "static_linear_zeeman", axis="z", omega=omega_z, t_min=4e-6, t_max=40e-6, n_times=10
+    )
     ds = generate_dataset(sc, NoiseSpec(seed=68))
     rt = sc.relaxation.superoperator()
     track = estimate_fields(stepwise_processes(ds), sc.grid, rt, known_form=True)

@@ -11,7 +11,6 @@ from liouvlab.superop import hamiltonian_superop
 from liouvlab.synthlab import (
     CALIBRATION_TARGET_DF,
     DEFAULT_RELAXATION,
-    FieldWaveform,
     SCENARIO_DEFAULTS,
     NoiseSpec,
     _direct_max_df,
@@ -46,20 +45,6 @@ def test_relaxation_scenario_defaults():
     np.testing.assert_allclose(
         sc.liouvillian(0.0).matrix, -DEFAULT_RELAXATION.superoperator().matrix, atol=1e-12
     )
-
-
-def test_three_axis_scenario_waveforms():
-    sc = make_scenario("three_axis_time_dependent")
-    freqs = {w.axis: w.frequency for w in sc.waveforms}
-    assert freqs == {"x": 5000.0, "y": 7500.0, "z": 10000.0}
-    shapes = {w.axis: w.shape for w in sc.waveforms}
-    assert shapes == {"x": "triangle", "y": "sine", "z": "sine"}
-    phases = {w.axis: w.phase for w in sc.waveforms}
-    assert phases["x"] == 0.0
-    assert phases["y"] == pytest.approx(np.pi)
-    assert phases["z"] == pytest.approx(np.pi / 2)
-    assert sc.grid.step == pytest.approx(4e-6)
-    assert sc.ramp_s is None
 
 
 def test_linear_zeeman_scenario():
@@ -112,19 +97,44 @@ def test_unknown_parameter_rejected_for_every_kind(kind):
             make_scenario(kind, **{name: 1})
 
 
+# one period in eighths: a unit triangle and a unit sine of phase 0
+_TRIANGLE_EIGHTHS = np.array([0.0, 0.5, 1.0, 0.5, 0.0, -0.5, -1.0, -0.5])
+_SINE_EIGHTHS = np.sin(np.pi / 4.0 * np.arange(8))
+
+
+def test_three_axis_scenario_waveforms():
+    # x: 5 kHz triangle, phase 0; y: 7.5 kHz sine, phase pi; z: 10 kHz sine,
+    # phase pi/2; the eighths tell the triangle from a sine
+    amplitudes = [1e4, 2e4, 3e4]
+    sc = make_scenario("three_axis_time_dependent", amplitudes=amplitudes)
+    expected = {
+        0: (5000.0, _TRIANGLE_EIGHTHS),
+        1: (7500.0, -_SINE_EIGHTHS),
+        2: (10000.0, np.roll(_SINE_EIGHTHS, -2)),
+    }
+    for axis, (frequency, unit) in expected.items():
+        times = np.arange(8) / (8.0 * frequency)
+        om = sc.omegas_nominal(times)
+        a = amplitudes[axis]
+        np.testing.assert_allclose(om[:, axis], a * unit, rtol=0, atol=1e-9 * a)
+        np.testing.assert_array_equal(sc.drive(times), om)  # unramped by default
+    assert sc.grid.step == pytest.approx(4e-6)
+    assert sc.ramp_s is None
+
+
 def test_waveform_shapes():
-    tri = FieldWaveform(axis="x", shape="triangle", amplitude=2.0, frequency=1.0)
-    assert tri(0.25) == pytest.approx(2.0)  # peak of the triangle
-    assert tri(0.75) == pytest.approx(-2.0)
-    assert tri(0.5) == pytest.approx(0.0, abs=1e-12)
-    sine = FieldWaveform(axis="y", shape="sine", amplitude=3.0, frequency=1.0, phase=np.pi)
-    assert sine(0.25) == pytest.approx(-3.0)
-    const = FieldWaveform(axis="z", shape="constant", amplitude=1.5)
-    assert const(123.0) == pytest.approx(1.5)
+    sc = make_scenario("three_axis_time_dependent", amplitudes=[2.0, 3.0, 0.0])
+    period_x, period_y = 1.0 / 5000.0, 1.0 / 7500.0
+    tri = sc.omegas_nominal(np.array([0.25, 0.75, 0.5]) * period_x)[:, 0]
+    assert tri[0] == pytest.approx(2.0)  # peak of the triangle
+    assert tri[1] == pytest.approx(-2.0)
+    assert tri[2] == pytest.approx(0.0, abs=1e-12)
+    # sine of phase pi: its quarter period is the negative peak
+    assert sc.omegas_nominal(0.25 * period_y)[0, 1] == pytest.approx(-3.0)
+    # a static kind has no drive at any time
+    assert not make_scenario("static_linear_zeeman").omegas_nominal([0.0, 123.0]).any()
     with pytest.raises(ValueError):
-        FieldWaveform(axis="w", shape="sine", amplitude=1.0)
-    with pytest.raises(ValueError):
-        FieldWaveform(axis="x", shape="square", amplitude=1.0)
+        make_scenario("static_linear_zeeman", axis="w")
 
 
 @pytest.mark.parametrize("ramp", [False, True])
