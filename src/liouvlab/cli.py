@@ -3,20 +3,26 @@
 Every artifact is JSON or CSV, carries the resolved seed and a schema
 version, and is written atomically (temp file + rename).  Runs are
 reproducible: the same configuration and seed produce byte-identical
-numeric outputs.  Exit codes: 0 success (including soft-failed fits,
-reported with ``converged: false``), 2 configuration error, 3 numeric or
-rank error, 4 missing artifacts.
+numeric outputs.  Input enters through one loader per kind of file,
+which checks the file's JSON shape once and raises LiouvlabError naming
+the file and the key of any fault.  ``main`` alone sets exit codes: 0
+success (including soft-failed fits, reported with ``converged:
+false``), 3 a numeric or rank failure, 4 missing artifacts, and 2 any
+other LiouvlabError or an OSError (such as a path that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
+import math
 import os
 import platform
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -38,7 +44,6 @@ from .estimation import (
 from .exceptions import (
     BranchCutError,
     CompletenessError,
-    DimensionError,
     IllConditionedError,
     LiouvlabError,
     SingularProcessError,
@@ -60,6 +65,10 @@ EXIT_NUMERIC = 3
 EXIT_MISSING = 4
 
 NUMERIC_ERRORS = (BranchCutError, SingularProcessError, CompletenessError, IllConditionedError)
+
+
+class _MissingArtifacts(LiouvlabError):
+    """Run directories with no manifest (exit 4)."""
 
 
 def _fmt(x) -> str:
@@ -94,23 +103,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
     _write_atomic(path, buf.getvalue())
 
 
-def _read_json(path: Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _resolve_seed(args) -> int | None:
-    """The seed, with ``QPT_SEED`` overriding ``--seed``; None if it is invalid."""
-    env = os.environ.get("QPT_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        print(f"{args.command}: QPT_SEED must be an integer, got {env!r}", file=sys.stderr)
-        return None
-
-
 def _artifact(obj: dict, seed: int) -> dict:
     return {"schema_version": SCHEMA_VERSION, "seed": seed, **obj}
 
@@ -139,8 +131,61 @@ def _manifest(outdir: Path, command: str, config: dict, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# loaders: outside input enters only here
 # ---------------------------------------------------------------------------
+
+
+# JSON shapes: each key maps to its JSON type or, for an object, to the
+# shape of that object; a key ending in "?" may be left out
+_SCENARIO_FILE = {"kind": "string", "params?": {}, "noise?": {}, "grid?": {}}
+_DATASET = {"dim": "integer", "inputs": "array", "outputs": {}, "seed?": "integer",
+            "provenance?": {"kind": "string", "params": {}, "noise": {}}}
+_SUPEROPERATOR = {"dim": "integer", "matrix": "array"}
+_FIT_REPORT = {"cost": "number", "converged": "boolean"}
+_REPORT_COLUMNS = ["run", "command", "seed", "max_df", "median_df", "cost", "converged"]
+
+
+def _json_type(value) -> str:
+    names = {bool: "boolean", int: "integer", float: "number", str: "string", list: "array"}
+    return "object" if isinstance(value, dict) else names.get(type(value), "null")
+
+
+def _check_shape(obj, shape: dict, key: str = ""):
+    """Raise LiouvlabError naming the key where ``obj``, at the dotted ``key`` of
+    its file ("" for the whole file), departs from ``shape``."""
+    where = f"'{key}'" if key else "the file"
+    if not isinstance(obj, dict):
+        raise LiouvlabError(f"{where} must be a JSON object, got a JSON {_json_type(obj)}")
+    for name, kind in shape.items():
+        optional, name = name.endswith("?"), name.rstrip("?")
+        path = f"{key}.{name}" if key else name
+        if name not in obj:
+            if not optional:
+                raise LiouvlabError(f"{where} has no key {name!r}")
+        elif isinstance(kind, dict):
+            _check_shape(obj[name], kind, path)
+        elif (got := _json_type(obj[name])) != kind and (kind, got) != ("number", "integer"):
+            raise LiouvlabError(f"'{path}' must be a JSON {kind}, got a JSON {got}")
+
+
+@contextlib.contextmanager
+def _reading(path, what: str = "bad input"):
+    """Turn an error in converting input into a LiouvlabError naming ``path``.
+
+    numpy raises TypeError for a JSON value of the wrong kind in an array.
+    """
+    try:
+        yield
+    except (ValueError, TypeError, LiouvlabError) as err:
+        raise LiouvlabError(f"{what}: {err}" + (f" (in {path})" if path else "")) from None
+
+
+def _read_json(path, shape: dict, what: str = "bad input") -> dict:
+    """The JSON object in file ``path``, checked to have ``shape``."""
+    with _reading(path, what), open(path) as fh:
+        obj = json.load(fh)
+        _check_shape(obj, shape)
+    return obj
 
 
 # parameter names of every scenario kind, and the noise fields; those that are
@@ -154,48 +199,99 @@ def _given(args, names) -> dict:
     return {name: v for name in names if (v := getattr(args, name, None)) is not None}
 
 
-def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
-    if seed is None:
-        return EXIT_CONFIG
-    try:
-        spec = _read_json(Path(args.scenario_file)) if args.scenario_file else {}
-        kind = spec["kind"] if args.scenario_file else args.kind
-        if kind is None:
-            print("simulate: either --kind or --scenario-file is required", file=sys.stderr)
-            return EXIT_CONFIG
-        if kind == "three_axis":  # short alias
-            kind = "three_axis_time_dependent"
+def _load_scenario(args) -> tuple:
+    """The scenario and noise of ``--scenario-file`` or ``--kind``, updated by
+    the flags given; ``QPT_SEED`` overrides ``--seed``."""
+    env = os.environ.get("QPT_SEED")
+    if env is not None and not re.fullmatch(r"\s*[+-]?\d+\s*", env):
+        raise LiouvlabError(f"QPT_SEED must be an integer, got {env!r}")
+    path = args.scenario_file
+    spec = _read_json(path, _SCENARIO_FILE, "bad configuration") if path else {"kind": args.kind}
+    if spec["kind"] is None:
+        raise LiouvlabError("either --kind or --scenario-file is required")
+    kind = "three_axis_time_dependent" if spec["kind"] == "three_axis" else spec["kind"]
+    with _reading(path, "bad configuration"):
         # make_scenario rejects a flag that the kind does not take
         params = {**spec.get("params", {}), **_given(args, _SCENARIO_FLAGS)}
         scenario = make_scenario(kind, **params)
+        seed = args.seed if env is None else int(env)
         noise = NoiseSpec.from_json(
             {**spec.get("noise", {}), **_given(args, _NOISE_FLAGS), "seed": seed}
         )
-        if "grid" in spec:
-            stated = np.asarray(spec["grid"].get("times_s", []), dtype=float)
-            if stated.size and not np.allclose(stated, scenario.grid.times):
-                raise ValueError("scenario file grid is inconsistent with its parameters")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, LiouvlabError) as err:
-        print(f"simulate: bad configuration: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        stated = np.asarray(spec.get("grid", {}).get("times_s", []), dtype=float)
+        if stated.size and not np.allclose(stated, scenario.grid.times):
+            raise ValueError("'grid.times_s' is inconsistent with the params")
+    return scenario, noise
 
+
+def _load_dataset(path: str) -> tuple:
+    """A dataset file: the set, its seed and its (scenario, noise) provenance or None."""
+    raw = _read_json(path, _DATASET)
+    with _reading(path):
+        for t in raw["outputs"]:
+            if not 0.0 < float(t) < math.inf:
+                raise LiouvlabError(f"'outputs' has time {t!r}, not a finite positive number")
+        if len({float(t) for t in raw["outputs"]}) < len(raw["outputs"]):
+            raise LiouvlabError("'outputs' has two keys for one time")
+        dataset = TomographySet.from_json(raw)
+    provenance = raw.get("provenance")
+    with _reading(path, "bad dataset provenance"):
+        source = provenance and (
+            make_scenario(provenance["kind"], **provenance["params"]),
+            NoiseSpec.from_json(provenance["noise"]),
+        )
+    return dataset, raw.get("seed", 0), source
+
+
+def _load_superop(path: str, dim: int) -> Superoperator:
+    """A superoperator file, which must be of the dataset's dimension ``dim``."""
+    raw = _read_json(path, _SUPEROPERATOR)
+    with _reading(path):
+        op = Superoperator.from_json(raw)
+    if op.dim != dim:
+        raise LiouvlabError(f"bad input: {path} has dim {op.dim}, but the dataset has dim {dim}")
+    return op
+
+
+def _summarize_run(rundir: Path) -> dict | None:
+    """The report row of a run directory; None if it has no manifest."""
+    manifest_path = rundir / "manifest.json"
+    if not manifest_path.is_file():
+        return None
+    manifest = _read_json(manifest_path, {})
+    row = {"run": rundir.name, "command": manifest.get("command", "?"),
+           "seed": manifest.get("seed", ""), **dict.fromkeys(_REPORT_COLUMNS[3:], "")}
+    df_path = rundir / "df.csv"
+    if df_path.is_file():
+        with _reading(df_path, "bad input in column 'df'"), open(df_path) as fh:
+            reader = csv.DictReader(fh)
+            dfs = [float(r["df"]) for r in reader if r.get("df") not in (None, "", "nan")]
+        if dfs:
+            row["max_df"] = _fmt(max(dfs))
+            row["median_df"] = _fmt(float(np.median(dfs)))
+    fit_path = rundir / "fit_report.json"
+    if fit_path.is_file():
+        fit = _read_json(fit_path, _FIT_REPORT)
+        row["cost"] = _fmt(fit["cost"])
+        row["converged"] = str(fit["converged"])
+    return row
+
+
+# ---------------------------------------------------------------------------
+# simulate
+# ---------------------------------------------------------------------------
+
+
+def cmd_simulate(args):
+    scenario, noise = _load_scenario(args)
     dataset = generate_dataset(scenario, noise)
     outdir = Path(args.out)
     provenance = {**scenario.to_json(), "noise": noise.to_json()}
-    _write_json(
-        outdir / "dataset.json",
-        _artifact({**dataset.to_json(), "provenance": provenance}, seed),
-    )
-    config = {
-        "kind": scenario.kind,
-        "params": scenario.params,
-        "noise": noise.to_json(),
-        "out": str(outdir),
-    }
-    _manifest(outdir, "simulate", config, seed)
+    data = _artifact({**dataset.to_json(), "provenance": provenance}, noise.seed)
+    _write_json(outdir / "dataset.json", data)
+    config = {"kind": scenario.kind, "params": scenario.params, "noise": noise.to_json()}
+    _manifest(outdir, "simulate", {**config, "out": str(outdir)}, noise.seed)
     print(f"wrote {outdir / 'dataset.json'} ({len(dataset.times)} time points)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -203,60 +299,34 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_superop(path: str, dim: int) -> Superoperator:
-    """A superoperator JSON file, which must be of the dataset's dimension ``dim``."""
-    op = Superoperator.from_json(_read_json(Path(path)))
-    if op.dim != dim:
-        raise DimensionError(f"{path} has dim {op.dim}, but the dataset has dim {dim}")
-    return op
-
-
 def _df_column(pms: list, generator: Superoperator | None) -> list:
     """Distance of each process matrix to exp(generator duration_s); empty without one."""
     return [""] * len(pms) if generator is None else list(_df_per_time(pms, generator.matrix))
 
 
-def cmd_reconstruct(args) -> int:
-    try:
-        raw = _read_json(Path(args.dataset))
-        dataset = TomographySet.from_json(raw)
-        reference = _load_superop(args.reference, dataset.dim) if args.reference else None
-    except (OSError, KeyError, ValueError, json.JSONDecodeError, LiouvlabError) as err:
-        print(f"reconstruct: bad input: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    seed = raw.get("seed", 0)
+def cmd_reconstruct(args):
+    dataset, seed, _ = _load_dataset(args.dataset)
+    reference = _load_superop(args.reference, dataset.dim) if args.reference else None
     outdir = Path(args.out)
-
-    try:
-        if args.mode == "liouvillian":
-            pms = reconstruct_processes(dataset)
-            l_hat = mean_log_liouvillian(pms)
-            _write_json(outdir / "liouvillian.json", _artifact(l_hat.to_json(), seed))
-            header = ["time_s", "df", "df_vs_reference"]
-            columns = [_df_column(pms, l_hat), _df_column(pms, reference)]
-        else:
-            # one process matrix per time (process) or per interval (stepwise)
-            stepwise = args.mode == "stepwise"
-            pms = stepwise_processes(dataset) if stepwise else reconstruct_processes(dataset)
-            prefix = "step" if stepwise else "process"
-            for k, pm in enumerate(pms):
-                _write_json(outdir / f"{prefix}_{k:03d}.json", _artifact(pm.to_json(), seed))
-            header = ["time_s", "df"]
-            columns = [_df_column(pms, reference)]
-        _write_csv(outdir / "df.csv", header, [list(r) for r in zip(dataset.times, *columns)])
-    except NUMERIC_ERRORS as err:
-        print(f"reconstruct: numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-
-    config = {
-        "dataset": args.dataset,
-        "mode": args.mode,
-        "reference": args.reference,
-        "out": str(outdir),
-    }
-    _manifest(outdir, "reconstruct", config, seed)
+    if args.mode == "liouvillian":
+        pms = reconstruct_processes(dataset)
+        l_hat = mean_log_liouvillian(pms)
+        _write_json(outdir / "liouvillian.json", _artifact(l_hat.to_json(), seed))
+        header = ["time_s", "df", "df_vs_reference"]
+        columns = [_df_column(pms, l_hat), _df_column(pms, reference)]
+    else:
+        # one process matrix per time (process) or per interval (stepwise)
+        stepwise = args.mode == "stepwise"
+        pms = stepwise_processes(dataset) if stepwise else reconstruct_processes(dataset)
+        prefix = "step" if stepwise else "process"
+        for k, pm in enumerate(pms):
+            _write_json(outdir / f"{prefix}_{k:03d}.json", _artifact(pm.to_json(), seed))
+        header = ["time_s", "df"]
+        columns = [_df_column(pms, reference)]
+    _write_csv(outdir / "df.csv", header, [list(r) for r in zip(dataset.times, *columns)])
+    config = {name: getattr(args, name) for name in ("dataset", "mode", "reference")}
+    _manifest(outdir, "reconstruct", {**config, "out": str(outdir)}, seed)
     print(f"wrote reconstruction artifacts to {outdir}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -274,97 +344,59 @@ def _fields(dataset: TomographySet, rt: Superoperator, known_form: bool, method:
     return estimate_fields(stepwise_processes(dataset), grid, rt, known_form, method)
 
 
-def cmd_fit(args) -> int:
-    try:
-        raw = _read_json(Path(args.dataset))
-        dataset = TomographySet.from_json(raw)
-        rt = (
-            _load_superop(args.fixed_dissipator, dataset.dim) if args.fixed_dissipator else None
-        )
-        if args.model in ("hermitian", "fields") and rt is None:
-            print(
-                f"fit: --model {args.model} requires --fixed-dissipator", file=sys.stderr
-            )
-            return EXIT_CONFIG
-    except (OSError, KeyError, ValueError, json.JSONDecodeError, LiouvlabError) as err:
-        print(f"fit: bad input: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    seed = raw.get("seed", 0)
+def cmd_fit(args):
+    dataset, seed, source = _load_dataset(args.dataset)
+    rt = _load_superop(args.fixed_dissipator, dataset.dim) if args.fixed_dissipator else None
+    if args.model in ("hermitian", "fields") and rt is None:
+        raise LiouvlabError(f"--model {args.model} requires --fixed-dissipator")
     outdir = Path(args.out)
     fields_csv = None
     df_times = dataset.times
 
-    try:
-        if args.model == "mle":
-            report = mle_liouvillian(reconstruct_processes(dataset), dissipator=rt, form="free")
-        elif args.model == "relaxation":
-            mle = mle_liouvillian(reconstruct_processes(dataset), form="free")
-            rt_hat = Superoperator(dim=dataset.dim, matrix=-mle.estimate.matrix)
-            report = fit_relaxation_model(rt_hat)
-            report.df_per_time = mle.df_per_time
-            report.converged = mle.converged
-            report.iterations = mle.iterations
-            report.extras["optimizer"] = mle.extras["optimizer"]
-        elif args.model == "hermitian":
-            processes = reconstruct_processes(dataset)
-            if args.method == "mle":
-                report = mle_liouvillian(processes, dissipator=rt, form="hermitian")
-            else:
-                report = direct_hamiltonian(processes, rt)
-        elif args.model == "fields":
-            track = _fields(dataset, rt, args.known_form, args.method)
-            report = track.report
-            df_times = track.times  # interval midpoints, as in fields.csv
-            header = ["time_s", *track.columns, "flagged"]
-            rows = zip(track.times, track.report.estimate, track.flagged)
-            fields_csv = header, [[t, *row, int(fl)] for t, row, fl in rows]
-        else:  # pragma: no cover - argparse restricts choices
-            return EXIT_CONFIG
-
-        if args.bootstrap:
-            report = _attach_bootstrap(args, raw, dataset, rt, report)
-    except NUMERIC_ERRORS as err:
-        print(f"fit: numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except LiouvlabError as err:
-        print(f"fit: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.model == "mle":
+        report = mle_liouvillian(reconstruct_processes(dataset), dissipator=rt, form="free")
+    elif args.model == "relaxation":
+        mle = mle_liouvillian(reconstruct_processes(dataset), form="free")
+        rt_hat = Superoperator(dim=dataset.dim, matrix=-mle.estimate.matrix)
+        report = fit_relaxation_model(rt_hat)
+        report.df_per_time = mle.df_per_time
+        report.converged = mle.converged
+        report.iterations = mle.iterations
+        report.extras["optimizer"] = mle.extras["optimizer"]
+    elif args.model == "hermitian":
+        processes = reconstruct_processes(dataset)
+        if args.method == "mle":
+            report = mle_liouvillian(processes, dissipator=rt, form="hermitian")
+        else:
+            report = direct_hamiltonian(processes, rt)
+    else:  # fields; argparse restricts the choices
+        track = _fields(dataset, rt, args.known_form, args.method)
+        report = track.report
+        df_times = track.times  # interval midpoints, as in fields.csv
+        header = ["time_s", *track.columns, "flagged"]
+        rows = zip(track.times, track.report.estimate, track.flagged)
+        fields_csv = header, [[t, *row, int(fl)] for t, row, fl in rows]
+    if args.bootstrap:
+        report = _attach_bootstrap(args, source, rt, report)
 
     _write_json(outdir / "fit_report.json", _artifact(report.to_json(), seed))
     if report.df_per_time is not None and len(report.df_per_time) > 0:
-        _write_csv(
-            outdir / "df.csv",
-            ["time_s", "df"],
-            [[t, d] for t, d in zip(df_times, report.df_per_time)],
-        )
+        rows = [[t, d] for t, d in zip(df_times, report.df_per_time)]
+        _write_csv(outdir / "df.csv", ["time_s", "df"], rows)
     if fields_csv is not None:
         _write_csv(outdir / "fields.csv", *fields_csv)
-    config = {
-        "dataset": args.dataset,
-        "model": args.model,
-        "method": args.method,
-        "known_form": args.known_form,
-        "fixed_dissipator": args.fixed_dissipator,
-        "bootstrap": args.bootstrap,
-        "out": str(outdir),
-    }
-    _manifest(outdir, "fit", config, seed)
+    names = ("dataset", "model", "method", "known_form", "fixed_dissipator", "bootstrap")
+    config = {name: getattr(args, name) for name in names}
+    _manifest(outdir, "fit", {**config, "out": str(outdir)}, seed)
     status = "converged" if report.converged else "NOT converged (soft failure)"
     print(f"wrote {outdir / 'fit_report.json'} ({report.model}, {status})")
-    return EXIT_OK
 
 
-def _attach_bootstrap(args, raw, dataset, rt, report: FitReport) -> FitReport:
-    provenance = raw.get("provenance")
-    if not provenance:
-        raise LiouvlabError(
-            "bootstrap requires a dataset with provenance (produced by simulate)"
-        )
-    try:
-        scenario = make_scenario(provenance["kind"], **provenance["params"])
-        base_noise = NoiseSpec.from_json(provenance["noise"])
-    except ValueError as err:
-        raise LiouvlabError(f"bad dataset provenance: {err}") from None
+def _attach_bootstrap(args, source, rt, report: FitReport) -> FitReport:
+    """``report`` with the bootstrap intervals of draws from the dataset's provenance."""
+    if source is None:
+        raise LiouvlabError("bootstrap requires a dataset with provenance (produced by simulate)")
+    scenario, base_noise = source
 
     if args.model == "relaxation":
         fit = _direct_relaxation_params
@@ -393,62 +425,21 @@ def _attach_bootstrap(args, raw, dataset, rt, report: FitReport) -> FitReport:
 # ---------------------------------------------------------------------------
 
 
-def _summarize_run(rundir: Path) -> dict | None:
-    manifest_path = rundir / "manifest.json"
-    if not manifest_path.is_file():
-        return None
-    manifest = _read_json(manifest_path)
-    row = {
-        "run": rundir.name,
-        "command": manifest.get("command", "?"),
-        "seed": manifest.get("seed", ""),
-        "max_df": "",
-        "median_df": "",
-        "cost": "",
-        "converged": "",
-    }
-    df_path = rundir / "df.csv"
-    if df_path.is_file():
-        with open(df_path) as fh:
-            reader = csv.DictReader(fh)
-            dfs = [float(r["df"]) for r in reader if r.get("df") not in (None, "", "nan")]
-        if dfs:
-            row["max_df"] = _fmt(max(dfs))
-            row["median_df"] = _fmt(float(np.median(dfs)))
-    fit_path = rundir / "fit_report.json"
-    if fit_path.is_file():
-        fit = _read_json(fit_path)
-        row["cost"] = _fmt(fit["cost"])
-        row["converged"] = str(fit["converged"])
-    return row
+def cmd_report(args):
+    rows = [_summarize_run(Path(d)) for d in args.rundirs]
+    missing = [str(Path(d)) for d, row in zip(args.rundirs, rows) if row is None]
+    if missing:
+        raise _MissingArtifacts(f"missing artifacts in {', '.join(missing)}")
 
-
-def cmd_report(args) -> int:
-    rows = []
-    missing = []
-    for d in args.rundirs:
-        rundir = Path(d)
-        summary = _summarize_run(rundir) if rundir.is_dir() else None
-        if summary is None:
-            missing.append(str(rundir))
-        else:
-            rows.append(summary)
-    if missing or not rows:
-        for m in missing or args.rundirs:
-            print(f"report: missing artifacts in {m}", file=sys.stderr)
-        return EXIT_MISSING
-
-    columns = ["run", "command", "seed", "max_df", "median_df", "cost", "converged"]
-    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in columns}
-    header = "  ".join(c.ljust(widths[c]) for c in columns)
+    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in _REPORT_COLUMNS}
+    header = "  ".join(c.ljust(widths[c]) for c in _REPORT_COLUMNS)
     print(header)
     print("-" * len(header))
     for r in rows:
-        print("  ".join(str(r[c]).ljust(widths[c]) for c in columns))
-
+        print("  ".join(str(r[c]).ljust(widths[c]) for c in _REPORT_COLUMNS))
     if args.csv:
-        _write_csv(Path(args.csv), columns, [[r[c] for c in columns] for r in rows])
-    return EXIT_OK
+        table = [[r[c] for c in _REPORT_COLUMNS] for r in rows]
+        _write_csv(Path(args.csv), _REPORT_COLUMNS, table)
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +520,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where errors become exit codes."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_CONFIG
-    return args.func(args)
+    try:
+        args.func(args)
+    except NUMERIC_ERRORS as err:
+        print(f"{args.command}: numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (LiouvlabError, OSError) as err:
+        print(f"{args.command}: {err}", file=sys.stderr)
+        return EXIT_MISSING if isinstance(err, _MissingArtifacts) else EXIT_CONFIG
+    return EXIT_OK
 
 
 def entry_point():  # pragma: no cover - console-script shim

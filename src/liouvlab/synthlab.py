@@ -18,6 +18,8 @@ NoiseSpec regardless of evaluation order.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,6 +99,20 @@ class NoiseSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseSpec":
+        """A spec from the fields of ``to_json``; a field left out takes its default.
+
+        Raises:
+            ValueError: for an unknown field, a ``bloch_sigma`` or
+                ``prep_fidelity`` that is not a finite real number, or a
+                ``seed`` that is not an integer (a bool is neither).
+        """
+        unknown = set(obj) - {"bloch_sigma", "prep_fidelity", "seed"}
+        if unknown:
+            raise ValueError(f"unknown noise fields: {sorted(unknown)}")
+        for name, like in (("bloch_sigma", 0.0), ("prep_fidelity", 1.0), ("seed", 0)):
+            if name in obj and not _has_type_of(obj[name], like):
+                kind = _type_name(like)
+                raise ValueError(f"noise field {name!r} must be {kind}, got {obj[name]!r}")
         return cls(
             bloch_sigma=float(obj.get("bloch_sigma", 0.0)),
             prep_fidelity=float(obj.get("prep_fidelity", 1.0)),
@@ -248,10 +264,39 @@ class Scenario:
         }
 
 
+def _has_type_of(value, like) -> bool:
+    """Whether ``value`` has the type of the default ``like``.
+
+    A bool takes only a bool; an int an integral number and a float a
+    finite real number, neither of them a bool (numpy scalars pass); a
+    string a string; and a list a list or tuple of as many values of the
+    type of its first entry.
+    """
+    if isinstance(like, list):
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(like)
+            and all(_has_type_of(v, like[0]) for v in value)
+        )
+    if isinstance(like, (bool, str)):
+        return isinstance(value, type(like))
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) if isinstance(like, int) else math.isfinite(value)
+
+
+def _type_name(like) -> str:
+    if isinstance(like, list):
+        return f"a list of {len(like)} {_type_name(like[0]).split(' ', 1)[1]}s"
+    names = {bool: "a bool", int: "an integer", float: "a real number", str: "a string"}
+    return names[type(like)]
+
+
 def _resolved(kind: str, given: dict) -> dict:
     """``{**defaults, **given}`` of a kind, each value cast to its default's type.
 
-    A given None stands for the default.
+    A given None stands for the default; any other value must have the
+    type of its default (``_has_type_of``).
     """
     try:
         defaults = SCENARIO_DEFAULTS[kind]
@@ -261,6 +306,9 @@ def _resolved(kind: str, given: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown parameters for {kind!r}: {sorted(unknown)}")
     given = {k: v for k, v in given.items() if v is not None}
+    for k, v in given.items():
+        if not _has_type_of(v, defaults[k]):
+            raise ValueError(f"parameter {k!r} must be {_type_name(defaults[k])}, got {v!r}")
     return {
         k: [float(a) for a in v] if k == "amplitudes" else type(defaults[k])(v)
         for k, v in {**defaults, **given}.items()
@@ -293,12 +341,18 @@ def make_scenario(kind: str, **params) -> Scenario:
     returned.
 
     Raises:
-        ValueError: for an unknown kind, unknown parameter names, an axis
-            other than x, y or z, or grid parameters that give no
-            strictly increasing positive times.
+        ValueError: for an unknown kind, unknown parameter names, a
+            parameter of another type than its default (a bool for
+            ``ramp``, an integer for ``n_times`` and ``n_steps``, a finite
+            real number for the others, three of them for ``amplitudes``
+            and a string for ``axis``), an axis other than x, y or z, a
+            ``relaxation`` that is not a RelaxationModel, or grid
+            parameters that give no strictly increasing positive times.
         DimensionError: for a grid of no times.
     """
     relaxation = params.pop("relaxation", DEFAULT_RELAXATION)
+    if not isinstance(relaxation, RelaxationModel):
+        raise ValueError(f"relaxation must be a RelaxationModel, got {relaxation!r}")
     p = _resolved(kind, params)
     if "axis" in p and p["axis"] not in _AXIS_INDEX:
         raise ValueError(f"axis must be x, y or z, got {p['axis']!r}")

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import liouvlab
 import liouvlab.cli
@@ -643,3 +645,233 @@ def test_simulate_byte_identical(tmp_path):
     a = _simulate(tmp_path / "a", "--sigma", "0.004")
     b = _simulate(tmp_path / "b", "--sigma", "0.004")
     assert (a / "dataset.json").read_bytes() == (b / "dataset.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 2 with one line naming the file and the key, never a
+# traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def valid_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("valid") / "run"
+    assert main(["simulate", "--kind", "relaxation_only", "--seed", "7", "-o", str(out)]) == 0
+    return _read(out / "dataset.json")
+
+
+def _with_time(data, key):
+    """``data`` with its first output time renamed to ``key``."""
+    first = next(iter(data["outputs"]))
+    outputs = {key if t == first else t: v for t, v in data["outputs"].items()}
+    return {**data, "outputs": outputs}
+
+
+def _scenario_case(spec, *names):
+    def build(tmp_path, valid):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        return ["simulate", "--scenario-file", str(tmp_path / "spec.json")], ["spec.json", *names]
+    return build
+
+
+def _dataset_case(command, change, *names, superop=None):
+    def build(tmp_path, valid):
+        (tmp_path / "dataset.json").write_text(json.dumps(change(valid)))
+        argv = [command[0], "--dataset", str(tmp_path / "dataset.json"), *command[1:]]
+        if superop is not None:
+            (tmp_path / "rt.json").write_text(json.dumps(superop))
+            argv += [str(tmp_path / "rt.json")]
+        return argv, ["dataset.json" if superop is None else "rt.json", *names]
+    return build
+
+
+def _run_case(name, text, *names):
+    def build(tmp_path, valid):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text('{"command": "fit", "seed": 1}')
+        (run / "fit_report.json").write_text('{"cost": 0.5, "converged": true}')
+        (run / "df.csv").write_text("time_s,df\n0.001,0.02\n")
+        (run / name).write_text(text)
+        return ["report", str(run)], [name, *names]
+    return build
+
+
+def _unwritable_case(command):
+    def build(tmp_path, valid):
+        ok = _simulate(tmp_path)
+        if command == "simulate":
+            target = ok / "dataset.json" / "sub"
+            return ["simulate", "--kind", "relaxation_only", "-o", str(target)], [str(target)]
+        argv = ["fit", "--dataset", str(ok / "dataset.json"), "--model", "relaxation"]
+        return [*argv, "-o", str(ok / "manifest.json")], [str(ok / "manifest.json")]
+    return build
+
+
+_RELAX = ["fit", "--model", "relaxation"]
+_PROCESS = ["reconstruct", "--mode", "process"]
+_MALFORMED = {
+    "scenario-list": _scenario_case([1], "JSON object"),
+    "scenario-noise-number": _scenario_case({"kind": "relaxation_only", "noise": 5}, "'noise'"),
+    "scenario-params-list": _scenario_case({"kind": "relaxation_only", "params": [1]}, "'params'"),
+    "scenario-grid-list": _scenario_case({"kind": "relaxation_only", "grid": [1]}, "'grid'"),
+    "scenario-ramp-string": _scenario_case(
+        {"kind": "three_axis_time_dependent", "params": {"ramp": "false"}}, "'ramp'"
+    ),
+    "scenario-n-steps-fraction": _scenario_case(
+        {"kind": "three_axis_time_dependent", "params": {"n_steps": 4.9}}, "'n_steps'"
+    ),
+    "scenario-n-times-bool": _scenario_case(
+        {"kind": "relaxation_only", "params": {"n_times": True}}, "'n_times'"
+    ),
+    "scenario-sigma-bool": _scenario_case(
+        {"kind": "relaxation_only", "noise": {"bloch_sigma": True}}, "'bloch_sigma'"
+    ),
+    "scenario-kind-number": _scenario_case({"kind": 5}, "'kind'"),
+    "dataset-list": _dataset_case(_RELAX, lambda d: [], "JSON object"),
+    "dataset-inputs-string": _dataset_case(_PROCESS, lambda d: {**d, "inputs": "x"}, "'inputs'"),
+    "dataset-seed-string": _dataset_case(_PROCESS, lambda d: {**d, "seed": "7"}, "'seed'"),
+    "dataset-outputs-list": _dataset_case(
+        _PROCESS, lambda d: {**d, "outputs": [[1, 2]]}, "'outputs'"
+    ),
+    "dataset-dim-list": _dataset_case(_PROCESS, lambda d: {**d, "dim": [3]}, "'dim'"),
+    "dataset-negative-time": _dataset_case(
+        _RELAX, lambda d: _with_time(d, "-0.0005"), "'outputs'", "'-0.0005'"
+    ),
+    "dataset-nan-time": _dataset_case(_RELAX, lambda d: _with_time(d, "nan"), "'outputs'", "'nan'"),
+    "dataset-time-twice": _dataset_case(
+        _RELAX, lambda d: _with_time(d, "1e-3"), "'outputs'", "two keys for one time"
+    ),
+    "superop-list": _dataset_case(
+        ["fit", "--model", "hermitian", "--fixed-dissipator"], lambda d: d, "JSON object",
+        superop=[],
+    ),
+    "superop-matrix-number": _dataset_case(
+        ["reconstruct", "--mode", "liouvillian", "--reference"], lambda d: d, "'matrix'",
+        superop={"dim": 3, "matrix": 5},
+    ),
+    "provenance-without-params": _dataset_case(
+        [*_RELAX, "--bootstrap", "2"],
+        lambda d: {**d, "provenance": {"kind": "relaxation_only"}},
+        "'provenance'",
+        "'params'",
+    ),
+    "manifest-list": _run_case("manifest.json", "[]", "JSON object"),
+    "manifest-truncated": _run_case("manifest.json", "{"),
+    "fit-report-empty": _run_case("fit_report.json", "{}", "'cost'"),
+    "fit-report-converged-string": _run_case(
+        "fit_report.json", '{"cost": 0.5, "converged": "yes"}', "'converged'"
+    ),
+    "df-not-a-number": _run_case("df.csv", "time_s,df\n0.001,abc\n", "'df'", "'abc'"),
+    "simulate-out-under-a-file": _unwritable_case("simulate"),
+    "fit-out-is-a-file": _unwritable_case("fit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_exits_2_naming_file_and_key(tmp_path, capsys, valid_dataset, case):
+    argv, names = _MALFORMED[case](tmp_path, valid_dataset)
+    if argv[0] != "report" and "-o" not in argv:
+        argv = [*argv, "-o", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{argv[0]}: "), err
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err, (name, err)
+
+
+# each artifact kind: its valid files, given a valid two-time dataset, and
+# the command that reads them from directory d (beside d/../valid.json)
+_ARTIFACTS = {
+    "dataset": (
+        lambda valid: {"dataset.json": valid},
+        lambda d: ["reconstruct", "--dataset", f"{d}/dataset.json", "--mode", "liouvillian"],
+    ),
+    "superoperator": (
+        lambda valid: {"rt.json": DEFAULT_RELAXATION.superoperator().to_json()},
+        lambda d: ["reconstruct", "--dataset", f"{d.parent}/valid.json", "--mode", "liouvillian",
+                   "--reference", f"{d}/rt.json"],
+    ),
+    "scenario": (
+        lambda valid: {"spec.json": {
+            "kind": "three_axis_time_dependent",
+            "params": {"n_steps": 3, "ramp": True, "ramp_s": 8e-6,
+                       "amplitudes": [1e4, 2e4, 3e4]},
+            "noise": {"bloch_sigma": 0.001, "prep_fidelity": 0.99},
+            "grid": {"times_s": [4e-6, 8e-6, 12e-6]},
+        }},
+        lambda d: ["simulate", "--scenario-file", f"{d}/spec.json"],
+    ),
+    "run directory": (
+        lambda valid: {"manifest.json": {"command": "fit", "seed": 1},
+                       "fit_report.json": {"cost": 0.5, "converged": True}},
+        lambda d: ["report", str(d)],
+    ),
+}
+_OTHER_VALUES = [None, True, 7, 0.5, "x", [1.0], {"a": 1}]
+_OTHER_KEYS = ["nan", "-0.0005", "0", "abc"]
+
+
+def _mutations(value, path):
+    """The (path, op) pairs that apply at ``path`` and below it: delete the
+    value, put one of another type there, a list of its keys for a mapping,
+    truncate an array, or rename a key.  Arrays are entered through their
+    first entry only."""
+    yield from [(path, "delete"), (path, "retype")]
+    if isinstance(value, dict):
+        yield path, "listify"
+        for key, item in value.items():
+            yield (*path, key), "rename"
+            yield from _mutations(item, (*path, key))
+    elif isinstance(value, list) and value:
+        yield path, "truncate"
+        yield from _mutations(value[0], (*path, 0))
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("mutations")
+    (d / "spec.json").write_text('{"kind": "relaxation_only", "params": {"n_times": 2}}')
+    assert main(["simulate", "--scenario-file", str(d / "spec.json"), "-o", str(d)]) == 0
+    (d / "dataset.json").rename(d / "valid.json")
+    return d
+
+
+# a mutated dataset may be unphysical; the CLI then warns and goes on
+@pytest.mark.filterwarnings("ignore::liouvlab.exceptions.PhysicalityWarning")
+@pytest.mark.parametrize("artifact", sorted(_ARTIFACTS))
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_artifacts_exit_with_a_code(mutation_dir, artifact, data):
+    # whatever a file holds, a command ends in an exit code, not an exception
+    make, command = _ARTIFACTS[artifact]
+    files = make(_read(mutation_dir / "valid.json"))
+    path, op = data.draw(st.sampled_from(
+        [m for name in files for m in _mutations(files[name], (name,))]
+    ))
+    parent = files
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    if op == "delete":
+        del parent[key]
+    elif op == "rename":
+        parent[data.draw(st.sampled_from(_OTHER_KEYS))] = parent.pop(key)
+    elif op == "listify":
+        parent[key] = list(value)
+    elif op == "truncate":
+        parent[key] = value[: len(value) // 2]
+    else:
+        others = [v for v in _OTHER_VALUES if type(v) is not type(value)]
+        parent[key] = data.draw(st.sampled_from(others))
+    d = mutation_dir / artifact.replace(" ", "_")
+    d.mkdir(exist_ok=True)
+    for old in d.glob("*.json"):
+        old.unlink()
+    for name, content in files.items():
+        (d / name).write_text(json.dumps(content))
+    argv = command(d)
+    assert main(argv if argv[0] == "report" else [*argv, "-o", str(d / "out")]) in (0, 2, 3, 4)

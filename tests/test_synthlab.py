@@ -366,3 +366,43 @@ def test_calibrated_sigma_hits_target(calibrated_sigma):
 def test_frobenius_distance_zero_reference():
     with pytest.raises(ZeroReferenceError):
         frobenius_distance(np.eye(9), np.zeros((9, 9)))
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("three_axis_time_dependent", {"ramp": "false"}),
+        ("three_axis_time_dependent", {"n_steps": 4.9}),
+        ("relaxation_only", {"n_times": True}),
+        ("relaxation_only", {"step": "1e-3"}),
+        ("static_quadratic_zeeman", {"q": float("nan")}),
+        ("static_linear_zeeman", {"axis": 0}),
+        ("three_axis_time_dependent", {"amplitudes": [1.0, 2.0]}),
+        ("three_axis_time_dependent", {"amplitudes": [1.0, 2.0, True]}),
+    ],
+)
+def test_parameter_of_another_type_than_its_default_is_rejected(kind, params):
+    with pytest.raises(ValueError, match=f"parameter '{next(iter(params))}' must be"):
+        make_scenario(kind, **params)
+
+
+def test_numpy_scalars_are_taken_as_parameters():
+    sc = make_scenario("three_axis_time_dependent", n_steps=np.int64(5), dt=np.float64(3e-6),
+                       amplitudes=(1.0, 2, np.float32(3.0)))
+    assert sc.params["n_steps"] == 5 and type(sc.params["n_steps"]) is int
+    assert sc.params["amplitudes"] == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"bloch_sigma": True}, "'bloch_sigma' must be a real number"),
+        ({"prep_fidelity": "0.9"}, "'prep_fidelity' must be a real number"),
+        ({"seed": 2.5}, "'seed' must be an integer"),
+        ({"sigma": 0.1}, r"unknown noise fields: \['sigma'\]"),
+    ],
+)
+def test_noise_fields_are_type_checked(fields, message):
+    with pytest.raises(ValueError, match=message):
+        NoiseSpec.from_json(fields)
+    assert NoiseSpec.from_json({"seed": np.int64(3), "bloch_sigma": 1}) == NoiseSpec(1.0, 1.0, 3)
