@@ -191,6 +191,7 @@ def _read_json(path, shape: dict, what: str = "bad input") -> dict:
 # parameter names of every scenario kind, and the noise fields; those that are
 # also flags override a scenario file when given
 _SCENARIO_FLAGS = sorted(set().union(*SCENARIO_DEFAULTS.values()))
+_KIND_ALIASES = {"three_axis": "three_axis_time_dependent"}
 _NOISE_FLAGS = ("bloch_sigma", "prep_fidelity")
 
 
@@ -209,7 +210,11 @@ def _load_scenario(args) -> tuple:
     spec = _read_json(path, _SCENARIO_FILE, "bad configuration") if path else {"kind": args.kind}
     if spec["kind"] is None:
         raise LiouvlabError("either --kind or --scenario-file is required")
-    kind = "three_axis_time_dependent" if spec["kind"] == "three_axis" else spec["kind"]
+    kind, flag_kind = (_KIND_ALIASES.get(k, k) for k in (spec["kind"], args.kind))
+    if flag_kind not in (None, kind):
+        raise LiouvlabError(
+            f"bad configuration: --kind {args.kind} disagrees with kind {spec['kind']!r} (in {path})"
+        )
     with _reading(path, "bad configuration"):
         # make_scenario rejects a flag that the kind does not take
         params = {**spec.get("params", {}), **_given(args, _SCENARIO_FLAGS)}
@@ -466,12 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic tomography dataset")
     sim.add_argument(
         "--kind",
-        choices=[*SCENARIO_DEFAULTS, "three_axis"],
+        choices=[*SCENARIO_DEFAULTS, *_KIND_ALIASES],
     )
     sim.add_argument(
         "--scenario-file",
-        help='JSON spec {"kind", "params", "noise"} (replaces --kind); '
-        "flags given override its params and noise",
+        help='JSON spec {"kind", "params", "noise"}; --kind, if given, must '
+        "name the same kind, and other flags given override its params and noise",
     )
     sim.add_argument("--seed", type=int, default=0)
     # defaults None, not 0 / 1 / False: a flag left unset does not override

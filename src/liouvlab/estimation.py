@@ -38,7 +38,14 @@ without an eigendecomposition.  A problem still running
 after GN_MAX_ITERS steps is reported as not converged.
 
 Uncertainty is quantified by a percentile bootstrap over re-simulated
-noisy datasets.
+noisy datasets.  Each draw is seeded by its index alone, so the draws are
+independent: on Linux, ``bootstrap`` runs them in one process per CPU in
+the process's affinity mask (the caller's own process and ``os.fork``ed
+workers, each on a strided share of the draw indices) and merges the
+results in draw order, so its result is the same for any worker count.
+Elsewhere it runs every draw in process.  The package caps no BLAS
+threads; keep ``OPENBLAS_NUM_THREADS=1`` so that the workers do not
+oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -46,6 +53,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
+import pickle
+import signal
+import traceback
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -897,6 +908,77 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index + 1]).generate_state(1)[0])
 
 
+def _draw_chunk(fit, dataset_factory, noise, draws) -> dict:
+    """``{draw: params or failure message}`` of the draws with indices ``draws``."""
+    out = {}
+    for draw in draws:
+        spec = dataclasses.replace(noise, seed=derive_seed(noise.seed, draw))
+        try:
+            out[draw] = np.asarray(fit(dataset_factory(spec)), dtype=float)
+        except (LiouvlabError, np.linalg.LinAlgError) as err:
+            out[draw] = f"draw {draw}: {err}"
+    return out
+
+
+def _worker_count(n_draws: int) -> int:
+    """One worker per CPU this process may run on, at most one per draw."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(len(affinity(0)), n_draws) if affinity else 1
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a bootstrap worker."""
+
+
+def _fork_worker(run: Callable[[], dict]):
+    """Run ``run()`` in a forked child; returns its pid and the read end of a
+    pipe that carries the pickled ``(True, result)`` or
+    ``(False, exception, _WorkerTraceback)``.  The child never returns."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = pickle.dumps((True, run()))
+        except BaseException as err:  # noqa: BLE001 - re-raised by the parent
+            cause = _WorkerTraceback("".join(traceback.format_exception(err)))
+            try:
+                payload = pickle.dumps((False, err, cause))
+                pickle.loads(payload)
+            except Exception:  # noqa: BLE001 - an exception that does not pickle
+                payload = pickle.dumps(
+                    (False, RuntimeError(f"{type(err).__name__}: {err}"), cause)
+                )
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _worker_result(pid: int, data: bytes, status: int) -> dict:
+    """The draws a reaped worker sent, or its exception raised again."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        cause = f" ({signal.Signals(-code).name})" if code < 0 else ""
+        raise ChildProcessError(
+            f"bootstrap worker {pid} ended with exit status {code}{cause}; no draws returned"
+        )
+    ok, result, *cause = pickle.loads(data)
+    if not ok:
+        raise result from cause[0]
+    return result
+
+
 def bootstrap(
     fit: Callable[[TomographySet], np.ndarray],
     dataset_factory: Callable,
@@ -918,21 +1000,42 @@ def bootstrap(
         raw samples, and the recorded failures.
 
     Only numeric failures (package errors and LinAlgError) count as failed
-    draws; any other exception is a bug and propagates.
+    draws; any other exception is a bug and propagates, also from a worker,
+    where it is raised again with the worker's traceback as its cause.  The
+    draws run in one process per CPU in the affinity mask (see the module
+    docstring); no worker outlives the call.  The workers are forked, so
+    ``fit`` and ``dataset_factory`` may be closures, but a caller that runs
+    other threads risks a worker that inherits a held lock.
 
     Raises:
         BootstrapError: if more than 10% of draws fail.
+        ChildProcessError: if a worker dies (say, from a signal); its exit
+            status is named and no samples are returned.
     """
     if n_draws < 2:
         raise ValueError("bootstrap needs at least 2 draws")
-    samples = []
-    failures = []
-    for draw in range(n_draws):
-        spec = dataclasses.replace(noise, seed=derive_seed(noise.seed, draw))
-        try:
-            samples.append(np.asarray(fit(dataset_factory(spec)), dtype=float))
-        except (LiouvlabError, np.linalg.LinAlgError) as err:
-            failures.append(f"draw {draw}: {err}")
+    run = functools.partial(_draw_chunk, fit, dataset_factory, noise)
+    n_workers = _worker_count(n_draws)
+    workers = {}  # pid -> read end of its pipe, until the worker is reaped
+    try:
+        for k in range(1, n_workers):
+            pid, pipe = _fork_worker(functools.partial(run, range(k, n_draws, n_workers)))
+            workers[pid] = pipe
+        results = run(range(0, n_draws, n_workers))
+        for pid, pipe in list(workers.items()):
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            results.update(_worker_result(pid, data, status))
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    outcomes = [results[draw] for draw in range(n_draws)]
+    samples = [v for v in outcomes if not isinstance(v, str)]
+    failures = [v for v in outcomes if isinstance(v, str)]
     if len(failures) > 0.1 * n_draws:
         raise BootstrapError(
             f"{len(failures)}/{n_draws} bootstrap draws failed; first: {failures[0]}"

@@ -346,6 +346,7 @@ def make_scenario(kind: str, **params) -> Scenario:
             ``ramp``, an integer for ``n_times`` and ``n_steps``, a finite
             real number for the others, three of them for ``amplitudes``
             and a string for ``axis``), an axis other than x, y or z, a
+            ``ramp_s`` <= 0 with the ramp on, a
             ``relaxation`` that is not a RelaxationModel, or grid
             parameters that give no strictly increasing positive times.
         DimensionError: for a grid of no times.
@@ -356,8 +357,11 @@ def make_scenario(kind: str, **params) -> Scenario:
     p = _resolved(kind, params)
     if "axis" in p and p["axis"] not in _AXIS_INDEX:
         raise ValueError(f"axis must be x, y or z, got {p['axis']!r}")
-    if kind == "three_axis_time_dependent" and not p["ramp"]:
-        p["ramp_s"] = None
+    if kind == "three_axis_time_dependent":
+        if not p["ramp"]:
+            p["ramp_s"] = None
+        elif p["ramp_s"] <= 0.0:
+            raise ValueError(f"ramp_s must be positive with the ramp on, got {p['ramp_s']!r}")
     scenario = Scenario(kind=kind, params=p, relaxation=relaxation)
     scenario.grid  # noqa: B018 - a bad grid raises here, not at first use
     return scenario

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import liouvlab
 import liouvlab.cli
 from liouvlab.cli import build_parser, main
-from liouvlab.estimation import frobenius_distance
+from liouvlab.estimation import derive_seed, frobenius_distance
 from liouvlab.exceptions import BranchCutError
 from liouvlab.superop import Superoperator
 from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
@@ -143,6 +143,29 @@ def test_scenario_file_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys):
         capsys.readouterr().err
     )
     assert not out.exists()
+
+
+def test_scenario_file_with_a_ramp_of_negative_length_exits_2(tmp_path, capsys):
+    spec = {"kind": "three_axis", "params": {"ramp": True, "ramp_s": -8e-6, "n_steps": 4}}
+    rc, out = _simulate_file(tmp_path, spec)
+    assert rc == 2
+    assert "bad configuration: ramp_s must be positive with the ramp on, got -8e-06" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_kind_flag_must_agree_with_the_scenario_file(tmp_path, capsys):
+    rc, out = _simulate_file(tmp_path, {"kind": "relaxation_only"}, "--kind", "three_axis")
+    assert rc == 2
+    assert "--kind three_axis disagrees with kind 'relaxation_only'" in capsys.readouterr().err
+    assert not out.exists()
+    # the alias names the same kind as its full name, in either place
+    spec = {"kind": "three_axis", "params": {"n_steps": 3}}
+    for flag in ("three_axis", "three_axis_time_dependent"):
+        rc, out = _simulate_file(tmp_path, spec, "--kind", flag)
+        assert rc == 0
+        assert _read(out / "dataset.json")["provenance"]["kind"] == "three_axis_time_dependent"
 
 
 def test_scenario_file_values_are_overridden_by_the_flags_given(tmp_path):
@@ -547,17 +570,19 @@ def test_fit_bootstrap_attaches_ci(tmp_path):
 
 
 def test_fit_bootstrap_records_failed_draws(tmp_path, monkeypatch):
-    real = liouvlab.cli._direct_relaxation_params
-    calls = []
-
-    def flaky(dataset):
-        calls.append(None)
-        if len(calls) in (5, 17):
-            raise BranchCutError(f"injected at call {len(calls)}")
-        return real(dataset)
-
-    monkeypatch.setattr(liouvlab.cli, "_direct_relaxation_params", flaky)
+    # failures are injected by draw, through its derived seed, so the record
+    # is the same whichever process runs the draw
     out = _simulate(tmp_path, "--sigma", "0.004")
+    base_seed = _read(out / "dataset.json")["provenance"]["noise"]["seed"]
+    injected = {derive_seed(base_seed, draw): draw for draw in (4, 16)}
+    real = liouvlab.cli.generate_dataset
+
+    def flaky(scenario, noise):
+        if noise.seed in injected:
+            raise BranchCutError(f"injected at draw {injected[noise.seed]}")
+        return real(scenario, noise)
+
+    monkeypatch.setattr(liouvlab.cli, "generate_dataset", flaky)
     fit = tmp_path / "fit"
     rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
                "--bootstrap", "40", "-o", str(fit)])
@@ -565,7 +590,7 @@ def test_fit_bootstrap_records_failed_draws(tmp_path, monkeypatch):
     assert _read(fit / "fit_report.json")["bootstrap"] == {
         "n_draws": 40,
         "n_failed": 2,
-        "failures": ["draw 4: injected at call 5", "draw 16: injected at call 17"],
+        "failures": ["draw 4: injected at draw 4", "draw 16: injected at draw 16"],
     }
 
 

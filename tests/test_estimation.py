@@ -1,4 +1,7 @@
 import json
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -12,6 +15,7 @@ from liouvlab.estimation import (
     RELAXATION_PARAM_NAMES,
     RelaxationModel,
     bootstrap,
+    derive_seed,
     direct_hamiltonian,
     estimate_fields,
     fit_relaxation_model,
@@ -524,6 +528,134 @@ def test_bootstrap_propagates_programming_errors():
             NoiseSpec(seed=82),
             n_draws=10,
         )
+
+
+def _force_workers(monkeypatch, n: int):
+    monkeypatch.setattr(estimation.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_factory(sc, seed: int, failing_draws):
+    """A dataset factory whose given draws raise SingularProcessError."""
+    failing = {derive_seed(seed, draw): draw for draw in failing_draws}
+
+    def factory(spec):
+        if spec.seed in failing:
+            raise SingularProcessError(f"injected at draw {failing[spec.seed]}")
+        return generate_dataset(sc, spec)
+
+    return factory
+
+
+def test_bootstrap_same_result_for_any_worker_count(monkeypatch, calibrated_sigma):
+    # draw 1 runs in the first worker and draw 5 in the second of three
+    sc = make_scenario("relaxation_only", n_times=6)
+    factory = _failing_factory(sc, 83, (1, 5))
+    noise = NoiseSpec(bloch_sigma=calibrated_sigma, seed=83)
+    results = []
+    for n_workers in (1, 3, None):  # None: a platform without sched_getaffinity
+        if n_workers is None:
+            monkeypatch.delattr(estimation.os, "sched_getaffinity")
+        else:
+            _force_workers(monkeypatch, n_workers)
+        results.append(bootstrap(_direct_rt_params, factory, noise, n_draws=20))
+        _assert_no_worker_left()
+    serial, *others = results
+    for other in others:
+        for name in ("samples", "low", "high"):
+            assert np.array_equal(getattr(other, name), getattr(serial, name)), name
+        assert other.failures == serial.failures == [
+            "draw 1: injected at draw 1", "draw 5: injected at draw 5",
+        ]
+
+
+def test_bootstrap_numeric_failures_in_workers_count(monkeypatch):
+    # with three workers, draws 1, 4, 7 run in the first and 2, 5, 8 in the second
+    _force_workers(monkeypatch, 3)
+    sc = make_scenario("relaxation_only", n_times=2)
+    result = bootstrap(_direct_rt_params, _failing_factory(sc, 84, (8, 1, 5)),
+                       NoiseSpec(seed=84), n_draws=30)
+    assert result.n_failed == 3 and len(result.samples) == 27
+    assert result.failures == [f"draw {d}: injected at draw {d}" for d in (1, 5, 8)]
+    _assert_no_worker_left()
+    with pytest.raises(BootstrapError, match="4/30 bootstrap draws failed; first: draw 1: injected"):
+        bootstrap(_direct_rt_params, _failing_factory(sc, 84, (1, 2, 4, 5)),
+                  NoiseSpec(seed=84), n_draws=30)
+    _assert_no_worker_left()
+
+
+def test_bootstrap_propagates_programming_errors_from_workers(monkeypatch):
+    _force_workers(monkeypatch, 3)
+    caller = os.getpid()
+
+    def buggy_in_workers(ds):
+        if os.getpid() != caller:
+            raise TypeError("unsupported operand in a worker")
+        return _direct_rt_params(ds)
+
+    sc = make_scenario("relaxation_only", n_times=2)
+    with pytest.raises(TypeError, match="unsupported operand in a worker") as info:
+        bootstrap(buggy_in_workers, lambda spec: generate_dataset(sc, spec),
+                  NoiseSpec(seed=85), n_draws=6)
+    assert "buggy_in_workers" in str(info.value.__cause__)  # the worker's traceback
+    _assert_no_worker_left()
+
+
+class _TwoArgError(Exception):
+    def __init__(self, message, detail):  # unpickling calls it with one argument
+        super().__init__(message)
+        self.detail = detail
+
+
+def test_bootstrap_worker_error_that_does_not_pickle(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    caller = os.getpid()
+
+    def fit(ds):
+        if os.getpid() != caller:
+            raise _TwoArgError("odd failure", detail=1)
+        return _direct_rt_params(ds)
+
+    sc = make_scenario("relaxation_only", n_times=2)
+    with pytest.raises(RuntimeError, match="_TwoArgError: odd failure"):
+        bootstrap(fit, lambda spec: generate_dataset(sc, spec), NoiseSpec(seed=88), n_draws=4)
+    _assert_no_worker_left()
+
+
+def test_bootstrap_stops_workers_when_the_caller_raises(monkeypatch):
+    _force_workers(monkeypatch, 3)
+    caller = os.getpid()
+
+    def fit(ds):
+        if os.getpid() == caller:
+            raise TypeError("unsupported operand in the caller")
+        time.sleep(30.0)  # a worker still running when the caller raises
+
+    sc = make_scenario("relaxation_only", n_times=2)
+    start = time.monotonic()
+    with pytest.raises(TypeError, match="unsupported operand in the caller"):
+        bootstrap(fit, lambda spec: generate_dataset(sc, spec), NoiseSpec(seed=86), n_draws=3)
+    assert time.monotonic() - start < 10.0
+    _assert_no_worker_left()
+
+
+def test_bootstrap_worker_killed_by_a_signal(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    caller = os.getpid()
+
+    def fit(ds):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _direct_rt_params(ds)
+
+    sc = make_scenario("relaxation_only", n_times=2)
+    with pytest.raises(ChildProcessError, match=r"exit status -9 \(SIGKILL\); no draws returned"):
+        bootstrap(fit, lambda spec: generate_dataset(sc, spec), NoiseSpec(seed=87), n_draws=4)
+    _assert_no_worker_left()
 
 
 def test_mle_relaxation_df_stays_small(calibrated_sigma):

@@ -166,6 +166,15 @@ def test_ramp_scales_early_hamiltonian():
     )
 
 
+@pytest.mark.parametrize("ramp_s", [-8e-6, 0.0])
+def test_ramp_of_no_positive_length_rejected(ramp_s):
+    # a negative length would reverse the drive and grow it past its
+    # amplitude; a zero length would turn the ramp off
+    with pytest.raises(ValueError, match="ramp_s must be positive"):
+        make_scenario("three_axis_time_dependent", ramp=True, ramp_s=ramp_s, n_steps=4)
+    assert make_scenario("three_axis_time_dependent", ramp_s=ramp_s).ramp_s is None
+
+
 # ---------------------------------------------------------------------------
 # dataset generation
 # ---------------------------------------------------------------------------
