@@ -14,7 +14,6 @@ from .basis import BlochVector, DensityMatrix, OperatorBasis, build_basis, devec
 from .dynamics import (
     ProcessMatrix,
     TimeGrid,
-    evolve,
     piecewise_propagator,
     principal_log,
     propagator,
@@ -76,7 +75,6 @@ from .tomography import (
     reconstruct_process,
     reconstruct_processes,
     stepwise_processes,
-    symmetrize,
 )
 
 __version__ = "0.1.0"

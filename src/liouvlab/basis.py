@@ -111,18 +111,6 @@ class DensityMatrix:
         entries = np.asarray(entries, dtype=complex)
         return cls(dim=entries.shape[0], entries=entries)
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": self.entries.real.tolist(),
-            "im": self.entries.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DensityMatrix":
-        m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return cls(dim=int(obj["dim"]), entries=m)
-
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -138,18 +126,6 @@ class BlochVector:
                 f"expected {self.dim * self.dim} coordinates, got shape {c.shape}"
             )
         object.__setattr__(self, "coords", _frozen_array(c))
-
-    @property
-    def trace_component(self) -> float:
-        """Last coordinate; equals sqrt(1/(2d)) for a unit-trace state."""
-        return float(self.coords[-1])
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "coords": self.coords.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BlochVector":
-        return cls(dim=int(obj["dim"]), coords=np.asarray(obj["coords"], dtype=float))
 
 
 def _gell_mann_parts(d: int):

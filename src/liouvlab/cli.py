@@ -354,6 +354,7 @@ def cmd_fit(args):
     rt = _load_superop(args.fixed_dissipator, dataset.dim) if args.fixed_dissipator else None
     if args.model in ("hermitian", "fields") and rt is None:
         raise LiouvlabError(f"--model {args.model} requires --fixed-dissipator")
+    draw_fit = _bootstrap_fit(args, source, rt) if args.bootstrap else None
     outdir = Path(args.out)
     fields_csv = None
     df_times = dataset.times
@@ -381,8 +382,8 @@ def cmd_fit(args):
         header = ["time_s", *track.columns, "flagged"]
         rows = zip(track.times, track.report.estimate, track.flagged)
         fields_csv = header, [[t, *row, int(fl)] for t, row, fl in rows]
-    if args.bootstrap:
-        report = _attach_bootstrap(args, source, rt, report)
+    if draw_fit is not None:
+        report = _attach_bootstrap(args, source, draw_fit, report)
 
     _write_json(outdir / "fit_report.json", _artifact(report.to_json(), seed))
     if report.df_per_time is not None and len(report.df_per_time) > 0:
@@ -397,21 +398,22 @@ def cmd_fit(args):
     print(f"wrote {outdir / 'fit_report.json'} ({report.model}, {status})")
 
 
-def _attach_bootstrap(args, source, rt, report: FitReport) -> FitReport:
-    """``report`` with the bootstrap intervals of draws from the dataset's provenance."""
+def _bootstrap_fit(args, source, rt):
+    """The per-draw fit of ``--bootstrap``, checked before the point fit runs."""
     if source is None:
         raise LiouvlabError("bootstrap requires a dataset with provenance (produced by simulate)")
-    scenario, base_noise = source
-
     if args.model == "relaxation":
-        fit = _direct_relaxation_params
-    elif args.model == "hermitian":
-        fit = lambda ds: direct_hamiltonian(reconstruct_processes(ds), rt).params  # noqa: E731
-    elif args.model == "fields":
-        fit = lambda ds: _fields(ds, rt, args.known_form, "direct").report.params  # noqa: E731
-    else:
-        raise LiouvlabError(f"bootstrap is not supported for model {args.model!r}")
+        return _direct_relaxation_params
+    if args.model == "hermitian":
+        return lambda ds: direct_hamiltonian(reconstruct_processes(ds), rt).params
+    if args.model == "fields":
+        return lambda ds: _fields(ds, rt, args.known_form, "direct").report.params
+    raise LiouvlabError(f"bootstrap is not supported for model {args.model!r}")
 
+
+def _attach_bootstrap(args, source, fit, report: FitReport) -> FitReport:
+    """``report`` with the bootstrap intervals of ``fit`` over draws from the provenance."""
+    scenario, base_noise = source
     result = bootstrap(
         fit, lambda spec: generate_dataset(scenario, spec), base_noise, n_draws=args.bootstrap
     )

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .basis import BlochVector, _frozen_array
+from .basis import _frozen_array
 from .exceptions import (
     BranchCutError,
     DimensionError,
@@ -33,7 +33,6 @@ __all__ = [
     "TimeGrid",
     "propagator",
     "piecewise_propagator",
-    "evolve",
     "principal_log",
 ]
 
@@ -187,13 +186,6 @@ def _time_ordered(gens: np.ndarray, durations: np.ndarray) -> np.ndarray:
     for k, step in enumerate(steps):
         total = out[k] = step @ total
     return out
-
-
-def evolve(v: BlochVector, p: ProcessMatrix) -> BlochVector:
-    """Apply a process matrix to a Bloch vector."""
-    if v.dim != p.dim:
-        raise DimensionError(f"state dim {v.dim} != process dim {p.dim}")
-    return BlochVector(dim=v.dim, coords=p.matrix @ v.coords)
 
 
 def principal_log(p):

@@ -68,7 +68,6 @@ from numpy.typing import NDArray
 
 from .basis import build_basis, _frozen_array
 from .dynamics import (
-    EIGVEC_COND_MAX,
     ProcessMatrix,
     TimeGrid,
     _eigvec_inverse,
@@ -257,6 +256,11 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(am - bm) / ref)
 
 
+def _distances(ps, exps) -> np.ndarray:
+    """``frobenius_distance`` of each process matrix to its exponential, in order."""
+    return np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
+
+
 def _df_per_time(processes: Sequence[ProcessMatrix], generator: np.ndarray) -> np.ndarray:
     """``frobenius_distance`` of each process matrix P_t to exp(G t).
 
@@ -267,7 +271,7 @@ def _df_per_time(processes: Sequence[ProcessMatrix], generator: np.ndarray) -> n
     """
     ps, ts = _stacked(processes)
     exps = scipy.linalg.expm(generator * ts[:, None, None])
-    return np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
+    return _distances(ps, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +641,7 @@ def mle_liouvillian(
         design, rt_mat, ts[None], ps[None], x0[None]
     )
     theta, l_hat = thetas[0], gens[0]
-    dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps[0])])
+    dfs = _distances(ps, exps[0])
     steps = counts["gauss_newton_iterations"]
     extras = {"optimizer": {"evaluations": 1 + steps, **counts}}
     if rt_mat is not None:
@@ -852,7 +856,7 @@ def estimate_fields(
         rows, _, costs, exps, converged, counts = _gauss_newton(
             design, rt.matrix, dts[:, None], ps[:, None], theta0
         )
-        dfs = np.array([frobenius_distance(p, e) for p, e in zip(ps, exps[:, 0])])
+        dfs = _distances(ps, exps[:, 0])
 
     # |Omega| times a constant for the known form: the field design's columns
     # are orthogonal with one norm

@@ -89,8 +89,7 @@ class LindbladModel:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if np.linalg.norm(h - h.conj().T) > _HERM_TOL * max(1.0, np.linalg.norm(h)):
-            raise NonHermitianError("model Hamiltonian is not Hermitian")
+        _check_hermitian(h, "model Hamiltonian")
         object.__setattr__(self, "hamiltonian", _frozen_array(h))
         object.__setattr__(
             self,
@@ -138,33 +137,8 @@ class HermitianParams:
             ]
         )
 
-    @classmethod
-    def from_matrix(cls, m) -> "HermitianParams":
-        m = np.asarray(m, dtype=complex)
-        if np.linalg.norm(m - m.conj().T) > _HERM_TOL * max(1.0, np.linalg.norm(m)):
-            raise NonHermitianError("matrix is not Hermitian")
-        return cls(
-            h=np.array(
-                [
-                    m[0, 0].real,
-                    m[0, 1].real,
-                    -m[0, 1].imag,
-                    m[0, 2].real,
-                    -m[0, 2].imag,
-                    m[1, 1].real,
-                    m[1, 2].real,
-                    -m[1, 2].imag,
-                    m[2, 2].real,
-                ]
-            )
-        )
-
     def to_json(self) -> dict:
         return {"h": self.h.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HermitianParams":
-        return cls(h=np.asarray(obj["h"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -202,6 +176,11 @@ def _check_square(m: np.ndarray, d: int, what: str):
         raise DimensionError(f"{what} has shape {m.shape}, expected ({d}, {d})")
 
 
+def _check_hermitian(h: np.ndarray, what: str):
+    if np.linalg.norm(h - h.conj().T) > _HERM_TOL * max(1.0, np.linalg.norm(h)):
+        raise NonHermitianError(f"{what} is not Hermitian")
+
+
 def _real_part(m: np.ndarray, what: str) -> np.ndarray:
     resid = np.abs(m.imag).max() if np.iscomplexobj(m) else 0.0
     if resid > REALNESS_TOL * max(1.0, np.abs(m).max()):
@@ -213,8 +192,7 @@ def _hermitian_coords(matrix, basis: OperatorBasis, what: str) -> np.ndarray:
     """Real Bloch coordinates h_k = (1/2) Tr(H sigma_k) of a Hermitian H."""
     h = np.asarray(matrix, dtype=complex)
     _check_square(h, basis.dim, what)
-    if np.linalg.norm(h - h.conj().T) > _HERM_TOL * max(1.0, np.linalg.norm(h)):
-        raise NonHermitianError(f"{what} is not Hermitian")
+    _check_hermitian(h, what)
     return _raw_coords(h, basis).real
 
 

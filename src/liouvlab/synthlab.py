@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import DensityMatrix, _frozen_array, build_basis, coords_of
-from .dynamics import ProcessMatrix, TimeGrid, _time_ordered
+from .dynamics import TimeGrid, _time_ordered
 from .estimation import RelaxationModel, _df_per_time
 from .exceptions import DimensionError
 from .superop import Superoperator, _field_design, hamiltonian_superop, zeeman_hamiltonian
@@ -233,15 +233,9 @@ class Scenario:
         """Per-interval generators, sampled at the interval midpoints."""
         return [Superoperator(dim=3, matrix=g) for g in self._generators(self.grid.midpoints)]
 
-    def propagators(self) -> list[ProcessMatrix]:
-        """Cumulative ground-truth propagators, one per grid time."""
-        return [
-            ProcessMatrix(dim=3, matrix=m, duration_s=float(t))
-            for m, t in zip(self._propagator_stack, self.grid.times)
-        ]
-
     @functools.cached_property
     def _propagator_stack(self) -> np.ndarray:
+        """Cumulative ground-truth propagators, one per grid time."""
         if self.is_static:
             mats = scipy.linalg.expm(self._fixed_generator * self.grid.times[:, None, None])
         else:

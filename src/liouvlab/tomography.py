@@ -30,7 +30,6 @@ from .superop import Superoperator
 __all__ = [
     "TomographySet",
     "canonical_input_states",
-    "symmetrize",
     "reconstruct_process",
     "reconstruct_processes",
     "mean_log_liouvillian",
@@ -169,19 +168,6 @@ def _output_at(ts: TomographySet, t: float) -> np.ndarray:
         raise KeyError(
             f"no outputs measured at t = {t}; available times: {list(ts.times)}"
         ) from None
-
-
-def symmetrize(ts: TomographySet, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized input/output matrices at time t.
-
-    Both state matrices are multiplied by the transposed input matrix,
-    turning the overdetermined d**2 x N system into a square one; the
-    symmetrized input matrix is symmetric positive semi-definite.
-    """
-    mo = _output_at(ts, t)
-    mi_sym = ts.inputs @ ts.inputs.T
-    mo_sym = mo @ ts.inputs.T
-    return mi_sym, mo_sym
 
 
 def _gram_health(mi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -479,15 +479,35 @@ def test_fit_relaxation_converged_at_the_calibrated_sigma(tmp_path):
     assert _read(tmp_path / "fit" / "fit_report.json")["converged"] is True
 
 
-def test_fit_bootstrap_requires_provenance(tmp_path):
+def _refuse_point_fits(monkeypatch):
+    def refused(*args, **kwargs):
+        raise RuntimeError("the point fit ran before the bootstrap checks")
+
+    monkeypatch.setattr(liouvlab.cli, "mle_liouvillian", refused)
+
+
+def test_fit_bootstrap_requires_provenance(tmp_path, monkeypatch, capsys):
+    # refused before the point fit, which would otherwise run first
     out = _simulate(tmp_path)
     data = _read(out / "dataset.json")
     del data["provenance"]
     stripped = tmp_path / "stripped.json"
     stripped.write_text(json.dumps(data))
+    _refuse_point_fits(monkeypatch)
     rc = main(["fit", "--dataset", str(stripped), "--model", "relaxation",
                "--bootstrap", "5", "-o", str(tmp_path / "f")])
     assert rc == 2
+    assert "bootstrap requires a dataset with provenance" in capsys.readouterr().err
+
+
+def test_fit_mle_bootstrap_is_refused_before_the_point_fit(tmp_path, monkeypatch, capsys):
+    out = _simulate(tmp_path)
+    _refuse_point_fits(monkeypatch)
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "mle",
+               "--bootstrap", "10", "-o", str(tmp_path / "f")])
+    assert rc == 2
+    assert "fit: bootstrap is not supported for model 'mle'" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_simulate_negative_seed_exits_2(tmp_path, capsys):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from liouvlab.basis import BlochVector, DensityMatrix, vectorize
+from liouvlab.basis import DensityMatrix, vectorize
 from liouvlab.dynamics import (
     ProcessMatrix,
     TimeGrid,
-    evolve,
     piecewise_propagator,
     principal_log,
     propagator,
@@ -236,15 +235,16 @@ def test_piecewise_length_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# evolve
+# a propagator acting on a state
 # ---------------------------------------------------------------------------
 
 
-def test_evolve_identity(basis3):
+def test_zero_generator_leaves_states_unchanged(basis3):
     rng = np.random.default_rng(33)
     v = vectorize(random_density_matrix(rng), basis3)
-    ident = ProcessMatrix(dim=3, matrix=np.eye(9), duration_s=0.0)
-    np.testing.assert_allclose(evolve(v, ident).coords, v.coords, atol=0)
+    pm = propagator(Superoperator(dim=3, matrix=np.zeros((9, 9))), 1e-3)
+    np.testing.assert_array_equal(pm.matrix, np.eye(9))
+    np.testing.assert_array_equal(pm.matrix @ v.coords, v.coords)
 
 
 def test_evolve_precession_rotation_oracle(basis3):
@@ -254,16 +254,16 @@ def test_evolve_precession_rotation_oracle(basis3):
     pm = propagator(l, t)
     rng = np.random.default_rng(34)
     v = vectorize(random_density_matrix(rng), basis3)
-    out = evolve(v, pm)
+    out = pm.matrix @ v.coords
     # closed form: single-quantum pairs rotate by omega t, populations frozen
     angle = omega * t
     c, s = np.cos(angle), np.sin(angle)
     expected_a1 = c * v.coords[0] - s * v.coords[1]
     expected_a2 = s * v.coords[0] + c * v.coords[1]
-    assert out.coords[0] == pytest.approx(expected_a1, abs=1e-12)
-    assert out.coords[1] == pytest.approx(expected_a2, abs=1e-12)
+    assert out[0] == pytest.approx(expected_a1, abs=1e-12)
+    assert out[1] == pytest.approx(expected_a2, abs=1e-12)
     for idx in (2, 7, 8):
-        assert out.coords[idx] == pytest.approx(v.coords[idx], abs=1e-12)
+        assert out[idx] == pytest.approx(v.coords[idx], abs=1e-12)
 
 
 def test_evolve_unital_fixed_point(basis3):
@@ -278,14 +278,7 @@ def test_evolve_unital_fixed_point(basis3):
             [np.sqrt(g) * fk for g, fk in zip(gammas, f)],
         ).liouvillian()
         pm = propagator(l, 1e-3)
-        np.testing.assert_allclose(evolve(mm, pm).coords, mm.coords, atol=1e-12)
-
-
-def test_evolve_dimension_mismatch():
-    v = BlochVector(dim=2, coords=np.zeros(4))
-    ident = ProcessMatrix(dim=3, matrix=np.eye(9), duration_s=0.0)
-    with pytest.raises(DimensionError):
-        evolve(v, ident)
+        np.testing.assert_allclose(pm.matrix @ mm.coords, mm.coords, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,17 @@ def test_distance_trivial_cases():
         frobenius_distance(a, np.zeros((4, 4)))
 
 
+def test_df_per_time_is_each_distance_in_input_order():
+    rng = np.random.default_rng(51)
+    g = 1e3 * rng.normal(size=(9, 9))
+    times = (3e-4, 1e-4, 2e-4)
+    pms = [ProcessMatrix(dim=3, matrix=rng.normal(size=(9, 9)), duration_s=t) for t in times]
+    dfs = estimation._df_per_time(pms, g)
+    expected = [frobenius_distance(p.matrix, scipy.linalg.expm(g * p.duration_s)) for p in pms]
+    assert dfs.shape == (3,)
+    np.testing.assert_array_equal(dfs, expected)
+
+
 # ---------------------------------------------------------------------------
 # MLE
 # ---------------------------------------------------------------------------

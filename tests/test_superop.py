@@ -111,6 +111,30 @@ def test_non_hermitian_rejected(basis3):
         hamiltonian_superop(np.triu(np.ones((3, 3))), basis3)
 
 
+def test_model_hamiltonian_non_hermitian_rejected():
+    with pytest.raises(NonHermitianError, match="model Hamiltonian is not Hermitian"):
+        LindbladModel(hamiltonian=np.triu(np.ones((3, 3))))
+
+
+def test_hermiticity_tolerance_is_relative_to_the_norm(basis3):
+    # one anti-Hermitian residual of 1e-9: negligible beside a norm of 1e6,
+    # not beside a norm of 1, for the model and the superoperator alike
+    rng = np.random.default_rng(10)
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 1e-9
+    for scale, accepted in ((1e6, True), (1.0, False)):
+        h = random_hermitian(rng, scale=scale)
+        h = h / np.linalg.norm(h) * scale + skew
+        if accepted:
+            LindbladModel(hamiltonian=h)
+            hamiltonian_superop(h, basis3)
+        else:
+            with pytest.raises(NonHermitianError, match="model Hamiltonian"):
+                LindbladModel(hamiltonian=h)
+            with pytest.raises(NonHermitianError, match="^Hamiltonian is not Hermitian"):
+                hamiltonian_superop(h, basis3)
+
+
 # ---------------------------------------------------------------------------
 # explicit closed form
 # ---------------------------------------------------------------------------
@@ -465,6 +489,3 @@ def test_superoperator_json_round_trip(basis3):
     s = hamiltonian_superop(random_hermitian(rng), basis3)
     s2 = Superoperator.from_json(json.loads(json.dumps(s.to_json())))
     np.testing.assert_allclose(s2.matrix, s.matrix, atol=0)
-    p = HermitianParams(h=rng.normal(size=9))
-    p2 = HermitianParams.from_json(json.loads(json.dumps(p.to_json())))
-    np.testing.assert_allclose(p2.h, p.h, atol=0)

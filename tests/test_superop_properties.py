@@ -63,4 +63,4 @@ def test_vectorize_devectorize_round_trip(d, seed):
     back = devectorize(v, basis)
     np.testing.assert_allclose(back.entries, rho.entries, rtol=0, atol=1e-14)
     np.testing.assert_allclose(vectorize(back, basis).coords, v.coords, rtol=0, atol=1e-14)
-    assert abs(v.trace_component - np.sqrt(1.0 / (2 * d))) <= 1e-15
+    assert abs(v.coords[-1] - np.sqrt(1.0 / (2 * d))) <= 1e-15

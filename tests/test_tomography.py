@@ -17,7 +17,6 @@ from liouvlab.tomography import (
     reconstruct_process,
     reconstruct_processes,
     stepwise_processes,
-    symmetrize,
 )
 
 from conftest import random_hermitian
@@ -76,29 +75,11 @@ def test_canonical_projectors_and_phases():
 # ---------------------------------------------------------------------------
 
 
-def test_symmetrize_identity_process(basis3):
+def test_reconstruct_process_missing_time(basis3):
     inputs = _bloch_columns(canonical_input_states(), basis3)
     ts = TomographySet(dim=3, inputs=inputs, outputs={1e-3: inputs})
-    mi, mo = symmetrize(ts, 1e-3)
-    np.testing.assert_allclose(mi, mo, atol=0)
-    assert mi.shape == (9, 9)
-
-
-def test_symmetrized_input_is_spd(basis3):
-    inputs = _bloch_columns(canonical_input_states(), basis3)
-    ts = TomographySet(dim=3, inputs=inputs, outputs={1e-3: inputs})
-    mi, _ = symmetrize(ts, 1e-3)
-    np.testing.assert_allclose(mi, mi.T, atol=1e-15)
-    eigs = np.linalg.eigvalsh(mi)
-    assert eigs.min() > 0.0
-    assert np.linalg.matrix_rank(mi) == 9
-
-
-def test_symmetrize_missing_time(basis3):
-    inputs = _bloch_columns(canonical_input_states(), basis3)
-    ts = TomographySet(dim=3, inputs=inputs, outputs={1e-3: inputs})
-    with pytest.raises(KeyError):
-        symmetrize(ts, 2e-3)
+    with pytest.raises(KeyError, match="no outputs measured at t = 0.002"):
+        reconstruct_process(ts, 2e-3)
 
 
 def test_nine_state_symmetrization_equals_plain_inversion(basis3):
