@@ -50,6 +50,8 @@ from .exceptions import (
 )
 from .superop import Superoperator
 from .synthlab import SCENARIO_DEFAULTS, NoiseSpec, generate_dataset, make_scenario
+from .synthlab import _dataset, _input_coords, _noisy_states
+from .tomography import _check_pinned, _mean_log, _process_stack
 from .tomography import (
     TomographySet,
     mean_log_liouvillian,
@@ -339,9 +341,12 @@ def cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 
 
-def _direct_relaxation_params(dataset: TomographySet) -> np.ndarray:
-    l_hat = mean_log_liouvillian(reconstruct_processes(dataset))
-    return fit_relaxation_model(Superoperator(dim=dataset.dim, matrix=-l_hat.matrix)).params
+def _direct_relaxation_params(draw: tuple) -> np.ndarray:
+    """Relaxation fit of the direct estimate of a draw's state stack and times, on arrays."""
+    states, times = draw
+    _check_pinned(states, 3, lambda k: f"outputs[{times[k - 1]}]" if k else "inputs")
+    l_hat = _mean_log(_process_stack(states[0], states[1:]), times)
+    return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat)).params
 
 
 def _fields(dataset: TomographySet, rt: Superoperator, known_form: bool, method: str):
@@ -405,17 +410,20 @@ def _bootstrap_fit(args, source, rt):
     if args.model == "relaxation":
         return _direct_relaxation_params
     if args.model == "hermitian":
-        return lambda ds: direct_hamiltonian(reconstruct_processes(ds), rt).params
+        return lambda draw: direct_hamiltonian(reconstruct_processes(_dataset(*draw)), rt).params
     if args.model == "fields":
-        return lambda ds: _fields(ds, rt, args.known_form, "direct").report.params
+        return lambda draw: _fields(_dataset(*draw), rt, args.known_form, "direct").report.params
     raise LiouvlabError(f"bootstrap is not supported for model {args.model!r}")
 
 
 def _attach_bootstrap(args, source, fit, report: FitReport) -> FitReport:
     """``report`` with the bootstrap intervals of ``fit`` over draws from the provenance."""
     scenario, base_noise = source
+    times = scenario.grid.times
+    # the caches every draw reads, built once here and not in each forked worker
+    scenario._propagator_stack, _input_coords()  # noqa: B018
     result = bootstrap(
-        fit, lambda spec: generate_dataset(scenario, spec), base_noise, n_draws=args.bootstrap
+        fit, lambda spec: (_noisy_states(scenario, spec), times), base_noise, args.bootstrap
     )
     report.ci_low = result.low
     report.ci_high = result.high

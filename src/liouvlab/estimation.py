@@ -984,7 +984,7 @@ def _worker_result(pid: int, data: bytes, status: int) -> dict:
 
 
 def bootstrap(
-    fit: Callable[[TomographySet], np.ndarray],
+    fit: Callable[..., np.ndarray],
     dataset_factory: Callable,
     noise,
     n_draws: int = 1000,
@@ -992,9 +992,9 @@ def bootstrap(
     """Re-run a fit on ``n_draws`` re-simulated noisy datasets.
 
     Args:
-        fit: maps a dataset to a flat parameter vector.
+        fit: maps a draw of ``dataset_factory`` to a flat parameter vector.
         dataset_factory: maps a NoiseSpec (with a per-draw derived seed) to
-            a synthetic dataset.
+            a draw: a synthetic dataset, or its state stack and times.
         noise: base NoiseSpec; its seed anchors the deterministic per-draw
             seeds.
         n_draws: number of bootstrap datasets (>= 2).

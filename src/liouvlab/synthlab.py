@@ -158,8 +158,8 @@ class Scenario:
     cannot disagree with the record.  A static kind has a fixed
     ``static_hamiltonian`` (zero for free decay); the driven kind has
     per-axis Larmor drives, optionally ramped up over ``ramp_s`` seconds.
-    The inputs are the canonical input states.  Derived quantities, the
-    noiseless propagators and the input Bloch coordinates are cached.
+    The inputs are the canonical input states.  Derived quantities and the
+    noiseless propagators are cached.
     """
 
     kind: str
@@ -241,14 +241,6 @@ class Scenario:
         else:
             mats = _time_ordered(self._generators(self.grid.midpoints), self.grid.durations)
         return _frozen_array(mats)
-
-    @functools.cached_property
-    def _input_coords(self) -> np.ndarray:
-        """Bloch coordinates of the input states, one column per state."""
-        basis = build_basis(3)
-        return _frozen_array(
-            np.column_stack([coords_of(s.entries, basis) for s in canonical_input_states()])
-        )
 
     def to_json(self) -> dict:
         return {
@@ -361,21 +353,29 @@ def make_scenario(kind: str, **params) -> Scenario:
     return scenario
 
 
-def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:
-    """Forward-simulate a tomography dataset for a scenario.
+@functools.cache
+def _input_coords() -> np.ndarray:
+    """Bloch coordinates of the canonical input states, one column per state."""
+    basis = build_basis(3)
+    return _frozen_array(
+        np.column_stack([coords_of(s.entries, basis) for s in canonical_input_states()])
+    )
 
-    The prepared inputs are the scenario's input states mixed down by
+
+def _noisy_states(scenario: Scenario, noise: NoiseSpec) -> np.ndarray:
+    """The (T+1, 9, N) state stack of a dataset: the reported inputs, then the outputs.
+
+    The prepared inputs are the canonical input states mixed down by
     ``prep_fidelity``; outputs are the exact propagator images of those
     prepared (pre-measurement-noise) states, all times from one stacked
     product.  Measurement noise is Gaussian on the traceless coordinates,
     applied independently to the reported input matrix and to each time
     point with sub-seeds derived from (seed, time index), so any evaluation
-    order yields the same dataset; the trace row is re-pinned exactly.
+    order yields the same stack; the trace row is re-pinned exactly.
     """
-    pure = scenario._input_coords
     mm = np.zeros(9)
     mm[-1] = np.sqrt(1.0 / 6.0)
-    prepared = noise.prep_fidelity * pure + (1.0 - noise.prep_fidelity) * mm[:, None]
+    prepared = noise.prep_fidelity * _input_coords() + (1.0 - noise.prep_fidelity) * mm[:, None]
 
     # states[0] is the reported input matrix, states[k] the outputs at time k
     states = np.concatenate([prepared[None], scenario._propagator_stack @ prepared])
@@ -387,8 +387,17 @@ def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:
         ])
         states[:, :-1] += draws * noise.bloch_sigma
     states[:, -1] = mm[-1]
-    outputs = {float(t): out for t, out in zip(scenario.grid.times, states[1:])}
-    return TomographySet(dim=3, inputs=states[0], outputs=outputs)
+    return states
+
+
+def _dataset(states: np.ndarray, times) -> TomographySet:
+    """The set of a ``_noisy_states`` stack whose outputs are at ``times``."""
+    return TomographySet(dim=3, inputs=states[0], outputs=dict(zip(map(float, times), states[1:])))
+
+
+def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:
+    """Forward-simulate a tomography dataset for a scenario (see ``_noisy_states``)."""
+    return _dataset(_noisy_states(scenario, noise), scenario.grid.times)
 
 
 def state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

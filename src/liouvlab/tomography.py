@@ -88,10 +88,7 @@ class TomographySet:
         # checked on one stack
         bad = next((j for j, mat in enumerate(mats) if mat.shape != m.shape), len(mats))
         stack = np.stack(mats[:bad])
-        pinned = np.sqrt(1.0 / (2.0 * self.dim))
-        unpinned = np.flatnonzero(np.abs(stack[:, -1] - pinned).max(axis=1) > 1e-9)
-        if unpinned.size:
-            raise ValueError(f"{names[unpinned[0]]} has unpinned trace components")
+        _check_pinned(stack, self.dim, names.__getitem__)
         if bad < len(mats):
             raise DimensionError(
                 f"{names[bad]} shape {mats[bad].shape} != inputs shape {m.shape}"
@@ -170,6 +167,15 @@ def _output_at(ts: TomographySet, t: float) -> np.ndarray:
         ) from None
 
 
+def _check_pinned(stack: np.ndarray, dim: int, label: Callable[[int], str]):
+    """Raise ValueError, naming matrix k by ``label(k)``, for the first matrix of a
+    (K, d**2, N) stack whose trace row is not sqrt(1 / (2 d)) within 1e-9."""
+    pinned = np.sqrt(1.0 / (2.0 * dim))
+    unpinned = np.flatnonzero(np.abs(stack[:, -1] - pinned).max(axis=1) > 1e-9)
+    if unpinned.size:
+        raise ValueError(f"{label(unpinned[0])} has unpinned trace components")
+
+
 def _gram_health(mi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank of each matrix M_k of a (K, d**2, N) stack and cond(M_k M_k^T).
 
@@ -189,7 +195,6 @@ def _gram_health(mi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _checked_gram_solve(
     mi: np.ndarray,
     rhs: np.ndarray,
-    dim: int,
     label: Callable[[int], str],
     health: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
@@ -206,7 +211,7 @@ def _checked_gram_solve(
             attribute set).
     """
     rank, cond = _gram_health(mi) if health is None else health
-    n2 = dim * dim
+    n2 = mi.shape[1]
     bad = np.flatnonzero((rank < n2) | (cond > MAX_CONDITION))
     if bad.size:
         k = bad[0]
@@ -223,18 +228,21 @@ def _checked_gram_solve(
     return np.linalg.solve(mi @ mi.transpose(0, 2, 1), rhs)
 
 
+def _process_stack(inputs: np.ndarray, mo: np.ndarray, health=None) -> np.ndarray:
+    """(T, d**2, d**2) process matrices of a (T, d**2, N) output stack ``mo`` from one
+    Gram solve of the (d**2, N) ``inputs``; ``health`` as in ``_checked_gram_solve``."""
+    # column block k of the right-hand side is (mo_k inputs^T)^T
+    rhs = inputs @ mo.transpose(2, 0, 1).reshape(inputs.shape[1], -1)
+    sol = _checked_gram_solve(inputs[None], rhs[None], lambda k: "inputs", health)[0]
+    return sol.reshape(len(inputs), len(mo), -1).transpose(1, 2, 0)
+
+
 def _reconstruct(ts: TomographySet, times) -> list[ProcessMatrix]:
     """Process matrices at ``times`` from one Gram solve of the set's inputs."""
-    n2 = ts.dim * ts.dim
     mo = np.stack([_output_at(ts, t) for t in times])  # (T, d**2, N)
-    # column block k of the right-hand side is (mo_k inputs^T)^T
-    rhs = ts.inputs @ mo.transpose(2, 0, 1).reshape(ts.n_states, -1)
-    sol = _checked_gram_solve(
-        ts.inputs[None], rhs[None], ts.dim, lambda k: "inputs", ts._input_health
-    )[0].reshape(n2, len(mo), n2)
+    mats = _process_stack(ts.inputs, mo, ts._input_health)
     return [
-        ProcessMatrix(dim=ts.dim, matrix=sol[:, k, :].T, duration_s=float(t))
-        for k, t in enumerate(times)
+        ProcessMatrix(dim=ts.dim, matrix=m, duration_s=float(t)) for m, t in zip(mats, times)
     ]
 
 
@@ -275,9 +283,13 @@ def mean_log_liouvillian(processes: Sequence[ProcessMatrix]) -> Superoperator:
     ``duration_s``, averaged over the stacked logs; branch-cut, singularity
     and mixed-dimension errors propagate.
     """
-    mats, durations = _stacked(processes)
-    mean = np.mean(_log_stack(mats, durations) / durations[:, None, None], axis=0)
-    return Superoperator(dim=processes[0].dim, matrix=mean)
+    mats, durations = _stacked(processes)  # raises first for no or mixed dimensions
+    return Superoperator(dim=processes[0].dim, matrix=_mean_log(mats, durations))
+
+
+def _mean_log(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """The mean of log(P_t) / t over a (T, n, n) stack and its (T,) durations."""
+    return np.mean(_log_stack(mats, durations) / durations[:, None, None], axis=0)
 
 
 def direct_liouvillian(ts: TomographySet, t: float) -> Superoperator:
@@ -316,7 +328,6 @@ def stepwise_processes(ts: TomographySet) -> list[ProcessMatrix]:
     sol = _checked_gram_solve(
         earlier,
         earlier @ later.transpose(0, 2, 1),
-        ts.dim,
         lambda n: (
             f"stepwise reconstruction failed at step {n} "
             f"(t = {boundaries[n]} -> {boundaries[n + 1]})"

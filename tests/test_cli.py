@@ -1,3 +1,4 @@
+import contextlib
 import json
 import platform
 from pathlib import Path
@@ -10,12 +11,20 @@ from hypothesis import strategies as st
 
 import liouvlab
 import liouvlab.cli
-from liouvlab.cli import build_parser, main
-from liouvlab.estimation import derive_seed, frobenius_distance
-from liouvlab.exceptions import BranchCutError
+from liouvlab.cli import _direct_relaxation_params, build_parser, main
+from liouvlab.dynamics import ProcessMatrix
+from liouvlab.estimation import derive_seed, fit_relaxation_model, frobenius_distance
+from liouvlab.exceptions import BranchCutError, CompletenessError
 from liouvlab.superop import Superoperator
-from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
-from liouvlab.tomography import TomographySet
+from liouvlab.synthlab import (
+    DEFAULT_RELAXATION,
+    NoiseSpec,
+    _dataset,
+    _noisy_states,
+    generate_dataset,
+    make_scenario,
+)
+from liouvlab.tomography import TomographySet, mean_log_liouvillian, reconstruct_processes
 
 
 def _read(path):
@@ -595,14 +604,14 @@ def test_fit_bootstrap_records_failed_draws(tmp_path, monkeypatch):
     out = _simulate(tmp_path, "--sigma", "0.004")
     base_seed = _read(out / "dataset.json")["provenance"]["noise"]["seed"]
     injected = {derive_seed(base_seed, draw): draw for draw in (4, 16)}
-    real = liouvlab.cli.generate_dataset
+    real = liouvlab.cli._noisy_states
 
     def flaky(scenario, noise):
         if noise.seed in injected:
             raise BranchCutError(f"injected at draw {injected[noise.seed]}")
         return real(scenario, noise)
 
-    monkeypatch.setattr(liouvlab.cli, "generate_dataset", flaky)
+    monkeypatch.setattr(liouvlab.cli, "_noisy_states", flaky)
     fit = tmp_path / "fit"
     rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
                "--bootstrap", "40", "-o", str(fit)])
@@ -612,6 +621,94 @@ def test_fit_bootstrap_records_failed_draws(tmp_path, monkeypatch):
         "n_failed": 2,
         "failures": ["draw 4: injected at draw 4", "draw 16: injected at draw 16"],
     }
+
+
+def _object_draw_params(ds) -> np.ndarray:
+    """The relaxation draw fit through the object API, the reference of the stack draw."""
+    l_hat = mean_log_liouvillian(reconstruct_processes(ds))
+    return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat.matrix)).params
+
+
+def test_stack_draw_equals_the_object_pipeline(calibrated_sigma):
+    sc = make_scenario("relaxation_only")
+    for draw in range(50):
+        spec = NoiseSpec(bloch_sigma=calibrated_sigma, seed=derive_seed(7, draw))
+        stacked = _direct_relaxation_params((_noisy_states(sc, spec), sc.grid.times))
+        assert np.array_equal(stacked, _object_draw_params(generate_dataset(sc, spec))), draw
+
+
+def _rank_one_inputs(states):
+    states[0] = states[0][:, :1]  # every input state the same
+
+
+def _flip_at_fourth_time(states):
+    # the process at the fourth time has the eigenvalue -1, on the branch cut
+    flip = np.eye(9)
+    flip[0, 0] = -1.0
+    states[4] = flip @ states[0]
+
+
+@pytest.mark.parametrize(
+    "spoil, error", [(_rank_one_inputs, CompletenessError), (_flip_at_fourth_time, BranchCutError)]
+)
+def test_stack_draw_fails_like_the_object_pipeline(spoil, error):
+    # the same class and message, so a failed draw reads the same in fit_report.json
+    sc = make_scenario("relaxation_only", n_times=6)
+    states = _noisy_states(sc, NoiseSpec(bloch_sigma=0.004, seed=3))
+    spoil(states)
+    with pytest.raises(error) as stacked:
+        _direct_relaxation_params((states, sc.grid.times))
+    with pytest.raises(error) as objects:
+        _object_draw_params(_dataset(states, sc.grid.times))
+    assert type(stacked.value) is type(objects.value)
+    assert str(stacked.value) == str(objects.value)
+
+
+def test_stack_draw_checks_the_pinned_trace_row():
+    sc = make_scenario("relaxation_only", n_times=3)
+    states = _noisy_states(sc, NoiseSpec(seed=3))
+    states[2, -1, 4] += 1e-6
+    with pytest.raises(ValueError, match=r"outputs\[0.001\] has unpinned trace components"):
+        _direct_relaxation_params((states, sc.grid.times))
+
+
+@contextlib.contextmanager
+def _objects_built(monkeypatch):
+    """The class names of the TomographySet and ProcessMatrix objects built in the block."""
+    built = []
+    with monkeypatch.context() as m:
+        for cls in (TomographySet, ProcessMatrix):
+            def counted(self, real=cls.__post_init__):
+                built.append(type(self).__name__)
+                real(self)
+
+            m.setattr(cls, "__post_init__", counted)
+        yield built
+
+
+def test_relaxation_bootstrap_draws_build_no_dataset_objects(tmp_path, monkeypatch):
+    # one worker, so every draw runs in this process, where it is counted
+    out = _simulate(tmp_path, "--sigma", "0.004")
+    monkeypatch.setattr(liouvlab.estimation.os, "sched_getaffinity", lambda pid: {0})
+    real = liouvlab.cli.bootstrap
+    in_draws = []
+
+    def counted_bootstrap(*args, **kwargs):
+        with _objects_built(monkeypatch) as built:
+            result = real(*args, **kwargs)
+        in_draws.extend(built)
+        return result
+
+    monkeypatch.setattr(liouvlab.cli, "bootstrap", counted_bootstrap)
+    fit = tmp_path / "fit"
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
+               "--bootstrap", "10", "-o", str(fit)])
+    assert rc == 0
+    assert _read(fit / "fit_report.json")["bootstrap"]["n_failed"] == 0
+    assert in_draws == []
+    with _objects_built(monkeypatch) as built:  # the count does see a dataset object
+        generate_dataset(make_scenario("relaxation_only", n_times=2), NoiseSpec())
+    assert built == ["TomographySet"]
 
 
 def test_report_relaxation_gate_row(tmp_path, calibrated_sigma, capsys):

@@ -14,6 +14,7 @@ from liouvlab.synthlab import (
     SCENARIO_DEFAULTS,
     NoiseSpec,
     _direct_max_df,
+    _input_coords,
     generate_dataset,
     make_scenario,
     state_fidelity,
@@ -239,7 +240,7 @@ def test_stacked_forward_model_equals_per_time_evolution(kind, params, seed):
     mixed = np.zeros(9)
     mixed[-1] = np.sqrt(1.0 / 6.0)
     prepared = (
-        noise.prep_fidelity * sc._input_coords + (1.0 - noise.prep_fidelity) * mixed[:, None]
+        noise.prep_fidelity * _input_coords() + (1.0 - noise.prep_fidelity) * mixed[:, None]
     )
 
     def reported(columns, stream):
