@@ -271,6 +271,9 @@ def _principal_logs(
     Returns (logs, errors): ``errors`` maps the index of every matrix without
     an admissible log to its SingularProcessError or BranchCutError, those of
     the eigenvalue screen first, and that matrix's slice of ``logs`` is NaN.
+    The eigen-log of every matrix comes from one pass over the whole stack;
+    the screen, cond_F and faithful-residual masks only choose, per matrix,
+    between that log, the Schur-form ``logm`` and NaN.
     """
     eigs, vecs = np.linalg.eig(mats)
     mags = np.abs(eigs)
@@ -291,21 +294,18 @@ def _principal_logs(
                 f"{margin[k]:.2e} rad of the branch cut; reduce the evolution time "
                 "so rotation angles stay below pi"
             )
-    logs = np.full(mats.shape, np.nan, dtype=complex)
-    fallback = ~screened
-    adm = np.flatnonzero(fallback)
-    vinv, ok = _eigvec_inverse(vecs[adm])
-    diag = adm[ok]
-    if diag.size:
-        v, e = vecs[diag], eigs[diag, None, :]
+    n = mats.shape[1]
+    # screened matrices (a zero eigenvalue, say) give infinities here; their
+    # slices are discarded below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vinv, ok = _eigvec_inverse(vecs)
+        e = eigs[:, None, :]
         # log(P) = V log(E) V^-1 and the rebuilt P = V E V^-1 in one product
-        sol = np.concatenate([v * np.log(e), v * e], axis=1) @ vinv[ok]
-        n = mats.shape[1]
-        resid = np.abs(sol[:, n:] - mats[diag]).max(axis=(1, 2))
-        faithful = resid < 1e-11 * np.maximum(1.0, scale[diag])
-        logs[diag[faithful]] = sol[faithful, :n]
-        fallback[diag[faithful]] = False
-    for k in np.flatnonzero(fallback):
+        sol = np.concatenate([vecs * np.log(e), vecs * e], axis=1) @ vinv
+        resid = np.abs(sol[:, n:] - mats).max(axis=(1, 2))
+    eigen_log = ok & (resid < 1e-11 * np.maximum(1.0, scale)) & ~screened
+    logs = np.where(eigen_log[:, None, None], sol[:, :n], np.nan)
+    for k in np.flatnonzero(~eigen_log & ~screened):
         logs[k] = scipy.linalg.logm(mats[k])
     # screened slices are NaN and compare False here
     resid = np.abs(logs.imag).max(axis=(1, 2))

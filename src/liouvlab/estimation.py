@@ -91,7 +91,6 @@ from .superop import (
     params_from_superop,
     spin1_operators,
 )
-from .tomography import TomographySet
 
 __all__ = [
     "RelaxationModel",

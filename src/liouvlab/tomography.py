@@ -16,7 +16,7 @@ and does not project onto the physical set.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,12 +65,20 @@ class TomographySet:
         dim: Hilbert-space dimension d.
         inputs: d**2 x N matrix of input Bloch vectors (columns).
         outputs: mapping from evolution time (seconds) to the d**2 x N
-            matrix of measured output Bloch vectors at that time.
+            matrix of measured output Bloch vectors at that time, in time
+            order whatever the order it was given in.
+        states: read-only (T+1, d**2, N) stack of the inputs followed by
+            the outputs in time order; ``inputs`` and every ``outputs[t]``
+            are views of it.
+        times: read-only (T,) array of the output times, increasing;
+            ``states[k + 1]`` was measured at ``times[k]``.
     """
 
     dim: int
     inputs: NDArray[np.float64]
     outputs: dict
+    states: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    times: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n2 = self.dim * self.dim
@@ -81,11 +89,12 @@ class TomographySet:
             raise CompletenessError(
                 f"need at least {n2} input states for dim {self.dim}, got {m.shape[1]}"
             )
-        names = ["inputs"] + [f"outputs[{t}]" for t in self.outputs]
-        mats = [m] + [np.asarray(o, dtype=float) for o in self.outputs.values()]
-        # matrix by matrix, the shape is checked before the pinned trace row;
-        # the rows of all matrices before the first of another shape are
-        # checked on one stack
+        times = sorted(self.outputs, key=float)
+        names = ["inputs"] + [f"outputs[{t}]" for t in times]
+        mats = [m] + [np.asarray(self.outputs[t], dtype=float) for t in times]
+        # matrix by matrix in time order, the shape is checked before the
+        # pinned trace row; the rows of all matrices before the first of
+        # another shape are checked on one stack
         bad = next((j for j, mat in enumerate(mats) if mat.shape != m.shape), len(mats))
         stack = np.stack(mats[:bad])
         _check_pinned(stack, self.dim, names.__getitem__)
@@ -93,21 +102,15 @@ class TomographySet:
             raise DimensionError(
                 f"{names[bad]} shape {mats[bad].shape} != inputs shape {m.shape}"
             )
-        # inputs and every output on one frozen stack; the stored matrices
-        # are read-only views of it
         stack = _frozen_array(stack)
+        object.__setattr__(self, "states", stack)
+        object.__setattr__(self, "times", _frozen_array(np.array(times, dtype=float)))
         object.__setattr__(self, "inputs", stack[0])
-        object.__setattr__(
-            self, "outputs", {float(t): o for t, o in zip(self.outputs, stack[1:])}
-        )
+        object.__setattr__(self, "outputs", dict(zip(self.times.tolist(), stack[1:])))
 
     @property
     def n_states(self) -> int:
         return self.inputs.shape[1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array(sorted(self.outputs))
 
     @property
     def input_rank(self) -> int:
@@ -129,9 +132,9 @@ class TomographySet:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "times_s": [float(t) for t in self.times],
+            "times_s": self.times.tolist(),
             "inputs": self.inputs.T.tolist(),
-            "outputs": {repr(float(t)): self.outputs[t].T.tolist() for t in self.times},
+            "outputs": {repr(t): o.T.tolist() for t, o in zip(self.times.tolist(), self.states[1:])},
         }
 
     @classmethod
@@ -156,15 +159,6 @@ class TomographySet:
             if not np.isfinite(mat).all():
                 raise ValueError(f"{name} has a non-finite entry")
         return cls(dim=int(obj["dim"]), inputs=inputs, outputs=outputs)
-
-
-def _output_at(ts: TomographySet, t: float) -> np.ndarray:
-    try:
-        return ts.outputs[float(t)]
-    except KeyError:
-        raise KeyError(
-            f"no outputs measured at t = {t}; available times: {list(ts.times)}"
-        ) from None
 
 
 def _check_pinned(stack: np.ndarray, dim: int, label: Callable[[int], str]):
@@ -237,12 +231,12 @@ def _process_stack(inputs: np.ndarray, mo: np.ndarray, health=None) -> np.ndarra
     return sol.reshape(len(inputs), len(mo), -1).transpose(1, 2, 0)
 
 
-def _reconstruct(ts: TomographySet, times) -> list[ProcessMatrix]:
-    """Process matrices at ``times`` from one Gram solve of the set's inputs."""
-    mo = np.stack([_output_at(ts, t) for t in times])  # (T, d**2, N)
-    mats = _process_stack(ts.inputs, mo, ts._input_health)
+def _reconstruct(ts: TomographySet, picked: slice = slice(None)) -> list[ProcessMatrix]:
+    """Process matrices at ``ts.times[picked]`` from one Gram solve of the set's inputs."""
+    mats = _process_stack(ts.inputs, ts.states[1:][picked], ts._input_health)
     return [
-        ProcessMatrix(dim=ts.dim, matrix=m, duration_s=float(t)) for m, t in zip(mats, times)
+        ProcessMatrix(dim=ts.dim, matrix=m, duration_s=t)
+        for m, t in zip(mats, ts.times[picked].tolist())
     ]
 
 
@@ -251,8 +245,10 @@ def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
 
     Solves the symmetrized system by a linear solve (never by forming an
     explicit inverse), with the input rank and Gram condition checked
-    from one SVD per TomographySet.  Exact on noiseless data for any
-    full-rank input set.
+    from one SVD per TomographySet.  The outputs at ``t`` are the slice
+    of ``ts.states`` at the index of ``t`` in ``ts.times``, which must
+    hold ``t`` exactly.  Exact on noiseless data for any full-rank input
+    set.
 
     Raises:
         CompletenessError: if the input states are rank-deficient.
@@ -260,20 +256,22 @@ def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
             MAX_CONDITION.
         KeyError: if no outputs were measured at ``t``.
     """
-    return _reconstruct(ts, [t])[0]
+    at = np.flatnonzero(ts.times == float(t))
+    if not at.size:
+        raise KeyError(f"no outputs measured at t = {t}; available times: {list(ts.times)}")
+    return _reconstruct(ts, slice(at[0], at[0] + 1))[0]
 
 
 def reconstruct_processes(ts: TomographySet) -> list[ProcessMatrix]:
     """:func:`reconstruct_process` at every measured time, in time order.
 
     All times share one solve, whose right-hand sides are the symmetrized
-    outputs side by side.
+    outputs side by side; a set without outputs gives ``[]``.
 
     Raises:
         CompletenessError, IllConditionedError: as reconstruct_process.
     """
-    times = ts.times
-    return _reconstruct(ts, times) if times.size else []
+    return _reconstruct(ts) if ts.times.size else []
 
 
 def mean_log_liouvillian(processes: Sequence[ProcessMatrix]) -> Superoperator:
@@ -318,12 +316,10 @@ def stepwise_processes(ts: TomographySet) -> list[ProcessMatrix]:
         CompletenessError, IllConditionedError: for the first failing step,
             named in the message as ``step n (t = a -> b)``.
     """
-    times = ts.times
-    if not times.size:
+    if not ts.times.size:
         return []
-    boundaries = np.concatenate([[0.0], times])
-    later = np.stack([ts.outputs[t] for t in times])  # (T, d**2, N)
-    earlier = np.concatenate([ts.inputs[None], later[:-1]])
+    boundaries = np.concatenate([[0.0], ts.times])
+    earlier, later = ts.states[:-1], ts.states[1:]  # (T, d**2, N) each
     # (M_n M_n^T) P_n^T = M_n M_{n+1}^T
     sol = _checked_gram_solve(
         earlier,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,8 @@ from liouvlab.basis import DensityMatrix, vectorize
 from liouvlab.dynamics import (
     ProcessMatrix,
     TimeGrid,
+    _eigvec_inverse,
+    _principal_logs,
     piecewise_propagator,
     principal_log,
     propagator,
@@ -329,28 +333,52 @@ def test_singular_process_rejected():
         principal_log(ProcessMatrix(dim=3, matrix=m, duration_s=1.0))
 
 
-def test_stacked_log_matches_per_matrix_calls(monkeypatch):
+def test_stacked_log_matches_per_matrix_calls(monkeypatch, basis3):
+    # one stack with every branch of the masked log kernel: each matrix gets
+    # exactly the log, or the error, of a one-matrix call
     rng = np.random.default_rng(38)
+    singular = np.eye(9)
+    singular[3, 3] = 0.0
+    t_cut = 50e-6
+    at_cut = propagator(hamiltonian_superop(np.pi / t_cut * spin1_operators().fz, basis3), t_cut)
     defective = np.eye(9)
     defective[0, 1] = 0.5  # a Jordan block: eigenvectors are parallel
+    near_defective = defective.copy()
+    near_defective[1, 1] += 1e-9  # diagonalizable, with cond_F(V) near 1e9
+    vinv_ok = _eigvec_inverse(np.linalg.eig(np.stack([defective, near_defective]))[1])[1]
+    assert not vinv_ok.any()
     stack = [
         propagator(random_stable_liouvillian(rng), 1e-4),
-        ProcessMatrix(dim=3, matrix=defective, duration_s=2e-4),
-        propagator(random_stable_liouvillian(rng), 3e-4),
+        ProcessMatrix(dim=3, matrix=singular, duration_s=2e-4),
+        at_cut,
+        ProcessMatrix(dim=3, matrix=defective, duration_s=3e-4),
+        propagator(random_stable_liouvillian(rng), 4e-4),
+        ProcessMatrix(dim=3, matrix=near_defective, duration_s=5e-4),
     ]
-    singles = [principal_log(pm).matrix for pm in stack]
+    mats = np.stack([pm.matrix for pm in stack])
+    durations = np.array([pm.duration_s for pm in stack])
+    singles = [_principal_logs(mats[k : k + 1], durations[k : k + 1]) for k in range(len(stack))]
     logm_calls = []
     logm = scipy.linalg.logm
     monkeypatch.setattr(scipy.linalg, "logm", lambda m: logm_calls.append(m) or logm(m))
-    stacked = principal_log(stack)
-    assert len(stacked) == 3
-    for got, want in zip(stacked, singles):
-        np.testing.assert_allclose(got.matrix, want, rtol=1e-12, atol=1e-12)
-    # only the defective matrix takes the Schur-form fallback
-    assert len(logm_calls) == 1 and np.array_equal(logm_calls[0], defective)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the discarded logs of screened matrices warn nothing
+        logs, errors = _principal_logs(mats, durations)
+    assert [(k, type(e), str(e)) for k, e in errors.items()] == [
+        (k, type(err[0]), str(err[0])) for k, (_, err) in enumerate(singles) if err
+    ]
+    assert [type(errors[k]) for k in errors] == [SingularProcessError, BranchCutError]
+    for got, (want, _) in zip(logs, singles):
+        np.testing.assert_array_equal(got, want[0])
+    # only the two defective matrices take the Schur-form fallback
+    assert len(logm_calls) == 2
+    assert np.array_equal(logm_calls[0], defective) and np.array_equal(logm_calls[1], near_defective)
     expected = np.zeros((9, 9))
     expected[0, 1] = 0.5
-    np.testing.assert_allclose(stacked[1].matrix, expected, atol=1e-12)
+    np.testing.assert_allclose(logs[3], expected, atol=1e-12)
+    admissible = [stack[k] for k in (0, 3, 4, 5)]
+    for got, k in zip(principal_log(admissible), (0, 3, 4, 5)):
+        np.testing.assert_array_equal(got.matrix, logs[k])
 
 
 def test_stacked_log_names_the_time_at_the_cut(basis3):

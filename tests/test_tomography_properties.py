@@ -5,6 +5,8 @@ generalized Gell-Mann basis for d = 2..4; random processes keep the pinned
 trace row (last row e_last), so their outputs are valid Bloch matrices.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,54 @@ def test_stepwise_processes_exact_on_noiseless_chains(d, extra, n_steps, seed):
     assert [pm.duration_s for pm in steps] == [0.5] * n_steps
     for pm, p in zip(steps, truth):
         np.testing.assert_allclose(pm.matrix, p, rtol=0, atol=1e-10)
+
+
+def _pms_or_error(reconstruct, ts):
+    """(matrix, duration_s) pairs of ``reconstruct(ts)``, or the error it raised."""
+    try:
+        return [(pm.matrix, pm.duration_s) for pm in reconstruct(ts)]
+    except Exception as err:
+        return (type(err), str(err))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return len(a) == len(b) and all(
+        np.array_equal(ma, mb) and ta == tb for (ma, ta), (mb, tb) in zip(a, b)
+    )
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(d=dims, extra=st.integers(min_value=0, max_value=3),
+       n_times=st.integers(min_value=0, max_value=6), data=st.data(), seed=seeds)
+def test_set_order_does_not_depend_on_insertion_order(d, extra, n_times, data, seed):
+    rng = np.random.default_rng(seed)
+    inputs = _random_inputs(rng, d, extra)
+    times = np.cumsum(rng.uniform(0.1, 1.0, size=n_times))
+    state, outputs = inputs, {}
+    for t in times:
+        state = _random_process(rng, d, 0.2) @ state
+        state[:-1] += 1e-3 * rng.normal(size=state[:-1].shape)
+        outputs[float(t)] = state
+    order = data.draw(st.permutations(list(outputs)), label="insertion order")
+    ordered = TomographySet(dim=d, inputs=inputs, outputs=outputs)
+    shuffled = TomographySet(dim=d, inputs=inputs, outputs={t: outputs[t] for t in order})
+    assert np.array_equal(shuffled.times, times) and np.array_equal(ordered.times, times)
+    assert np.array_equal(shuffled.states, ordered.states)
+    assert np.array_equal(ordered.states, np.stack([inputs, *outputs.values()]))
+    assert list(shuffled.outputs) == times.tolist()
+    for reconstruct in (reconstruct_processes, stepwise_processes):
+        assert _same(_pms_or_error(reconstruct, shuffled), _pms_or_error(reconstruct, ordered))
+    assert shuffled.to_json() == ordered.to_json()
+    if not n_times:
+        assert reconstruct_processes(shuffled) == [] == stepwise_processes(shuffled)
+    for arr in (shuffled.states, shuffled.times):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    for name in ("states", "times"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(shuffled, name, None)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
