@@ -19,7 +19,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import platform
 import re
@@ -31,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dynamics import TimeGrid
+from .dynamics import ProcessMatrix, TimeGrid
 from .estimation import (
     FitReport,
     _df_per_time,
@@ -50,8 +49,8 @@ from .exceptions import (
 )
 from .superop import Superoperator
 from .synthlab import SCENARIO_DEFAULTS, NoiseSpec, generate_dataset, make_scenario
-from .synthlab import _dataset, _input_coords, _noisy_states
-from .tomography import _check_pinned, _mean_log, _process_stack
+from .synthlab import _input_coords, _noisy_states
+from .tomography import _check_stack, _mean_log, _processes, _steps
 from .tomography import (
     TomographySet,
     mean_log_liouvillian,
@@ -235,11 +234,6 @@ def _load_dataset(path: str) -> tuple:
     """A dataset file: the set, its seed and its (scenario, noise) provenance or None."""
     raw = _read_json(path, _DATASET)
     with _reading(path):
-        for t in raw["outputs"]:
-            if not 0.0 < float(t) < math.inf:
-                raise LiouvlabError(f"'outputs' has time {t!r}, not a finite positive number")
-        if len({float(t) for t in raw["outputs"]}) < len(raw["outputs"]):
-            raise LiouvlabError("'outputs' has two keys for one time")
         dataset = TomographySet.from_json(raw)
     provenance = raw.get("provenance")
     with _reading(path, "bad dataset provenance"):
@@ -306,9 +300,9 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 
 
-def _df_column(pms: list, generator: Superoperator | None) -> list:
-    """Distance of each process matrix to exp(generator duration_s); empty without one."""
-    return [""] * len(pms) if generator is None else list(_df_per_time(pms, generator.matrix))
+def _df_column(pms: tuple, generator: Superoperator | None) -> list:
+    """Distance of each process matrix to exp(generator duration); empty without one."""
+    return [""] * len(pms[1]) if generator is None else list(_df_per_time(pms, generator.matrix))
 
 
 def cmd_reconstruct(args):
@@ -326,7 +320,8 @@ def cmd_reconstruct(args):
         stepwise = args.mode == "stepwise"
         pms = stepwise_processes(dataset) if stepwise else reconstruct_processes(dataset)
         prefix = "step" if stepwise else "process"
-        for k, pm in enumerate(pms):
+        for k, (mat, t) in enumerate(zip(pms[0], pms[1].tolist())):
+            pm = ProcessMatrix(dim=dataset.dim, matrix=mat, duration_s=t)
             _write_json(outdir / f"{prefix}_{k:03d}.json", _artifact(pm.to_json(), seed))
         header = ["time_s", "df"]
         columns = [_df_column(pms, reference)]
@@ -341,17 +336,17 @@ def cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 
 
+def _draw_processes(draw: tuple, kernel=_processes) -> tuple:
+    """``kernel`` (``_processes`` or ``_steps``) of a draw's state stack and times,
+    checked as a TomographySet checks them."""
+    _check_stack(*draw)
+    return kernel(*draw)
+
+
 def _direct_relaxation_params(draw: tuple) -> np.ndarray:
     """Relaxation fit of the direct estimate of a draw's state stack and times, on arrays."""
-    states, times = draw
-    _check_pinned(states, 3, lambda k: f"outputs[{times[k - 1]}]" if k else "inputs")
-    l_hat = _mean_log(_process_stack(states[0], states[1:]), times)
+    l_hat = _mean_log(*_draw_processes(draw))
     return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat)).params
-
-
-def _fields(dataset: TomographySet, rt: Superoperator, known_form: bool, method: str):
-    grid = TimeGrid(times=dataset.times)
-    return estimate_fields(stepwise_processes(dataset), grid, rt, known_form, method)
 
 
 def cmd_fit(args):
@@ -381,7 +376,8 @@ def cmd_fit(args):
         else:
             report = direct_hamiltonian(processes, rt)
     else:  # fields; argparse restricts the choices
-        track = _fields(dataset, rt, args.known_form, args.method)
+        grid = TimeGrid(times=dataset.times)
+        track = estimate_fields(stepwise_processes(dataset), grid, rt, args.known_form, args.method)
         report = track.report
         df_times = track.times  # interval midpoints, as in fields.csv
         header = ["time_s", *track.columns, "flagged"]
@@ -410,9 +406,11 @@ def _bootstrap_fit(args, source, rt):
     if args.model == "relaxation":
         return _direct_relaxation_params
     if args.model == "hermitian":
-        return lambda draw: direct_hamiltonian(reconstruct_processes(_dataset(*draw)), rt).params
+        return lambda draw: direct_hamiltonian(_draw_processes(draw), rt).params
     if args.model == "fields":
-        return lambda draw: _fields(_dataset(*draw), rt, args.known_form, "direct").report.params
+        return lambda draw: estimate_fields(
+            _draw_processes(draw, _steps), TimeGrid(times=draw[1]), rt, args.known_form
+        ).report.params
     raise LiouvlabError(f"bootstrap is not supported for model {args.model!r}")
 
 

@@ -11,6 +11,7 @@ pi; proximity to that branch cut is surfaced as an explicit error.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,7 +69,7 @@ class ProcessMatrix:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing measurement times (seconds), starting after 0.
+    """Measurement times (seconds): finite, positive and strictly increasing.
 
     The grid implies len(times) evolution intervals with boundaries
     [0, t_1, ..., t_N]; ``step`` is the common spacing of a uniform grid
@@ -78,12 +79,7 @@ class TimeGrid:
     times: NDArray[np.float64]
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise DimensionError("time grid must be a non-empty 1-d array")
-        if t[0] <= 0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing and positive")
-        object.__setattr__(self, "times", _frozen_array(t))
+        object.__setattr__(self, "times", _frozen_array(_checked_times(self.times)))
 
     @property
     def boundaries(self) -> np.ndarray:
@@ -115,6 +111,23 @@ class TimeGrid:
 
     def to_json(self) -> dict:
         return {"times_s": self.times.tolist()}
+
+
+def _checked_times(times) -> np.ndarray:
+    """``times`` as an array, by the one rule for measurement times: a non-empty 1-d
+    array, finite, positive and strictly increasing; the first time that breaks it
+    (NaN and infinity included) is named."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise DimensionError(f"time grid must be a non-empty 1-d array, got shape {t.shape}")
+    before = np.concatenate([[0.0], t[:-1]])
+    bad = np.flatnonzero(~(np.isfinite(t) & (t > before)))
+    if bad.size:
+        raise ValueError(
+            "times must be finite, positive and strictly increasing, got "
+            f"{float(t[bad[0]])!r} after {float(before[bad[0]])!r}"
+        )
+    return t
 
 
 def _check_physical(pm: ProcessMatrix):
@@ -188,35 +201,28 @@ def _time_ordered(gens: np.ndarray, durations: np.ndarray) -> np.ndarray:
     return out
 
 
-def principal_log(p):
-    """Real principal matrix logarithm of one process matrix or a sequence.
+def principal_log(pm: ProcessMatrix) -> Superoperator:
+    """Real principal matrix logarithm of a process matrix.
 
-    Dividing a result by its ``duration_s`` yields the generator estimate.
-    A sequence is handled as one (T, n, n) stack, with batched
-    eigendecomposition and eigenvector inverses, and gives a list of logs
-    in the same order; a single matrix is a stack of one.  Every guard
-    holds per matrix.  Eigenvalues are screened first so branch ambiguity
-    surfaces as an error instead of a silently wrong sheet.  When a matrix
-    is safely diagonalizable (Frobenius eigenvector condition
-    ||V||_F ||V^-1||_F, an upper bound on cond_2(V), below EIGVEC_COND_MAX,
-    and a faithful reconstruction residual) its log is taken on the
-    eigendecomposition as (V log E) V^-1, which is bit-reproducible across
-    runs; otherwise it falls back to the inverse scaling-and-squaring
-    algorithm on the Schur form.  Errors name the ``duration_s`` of the
-    offending matrix.
+    Dividing the result by ``pm.duration_s`` yields the generator estimate.
+    Eigenvalues are screened first so branch ambiguity surfaces as an
+    error instead of a silently wrong sheet.  When the matrix is safely
+    diagonalizable (Frobenius eigenvector condition ||V||_F ||V^-1||_F, an
+    upper bound on cond_2(V), below EIGVEC_COND_MAX, and a faithful
+    reconstruction residual) its log is taken on the eigendecomposition as
+    (V log E) V^-1, which is bit-reproducible across runs; otherwise it
+    falls back to the inverse scaling-and-squaring algorithm on the Schur
+    form (``_principal_logs``, which logs whole stacks with the same guards
+    per matrix).  Errors name the ``duration_s``.
 
     Raises:
-        SingularProcessError: if a process matrix is numerically singular.
+        SingularProcessError: if the process matrix is numerically singular.
         BranchCutError: if an eigenvalue lies within BRANCH_TOL radians of
             the negative real axis; reduce the evolution time so that
             |Omega * t| stays below pi.
-        DimensionError: if a sequence mixes dimensions.
     """
-    single = isinstance(p, ProcessMatrix)
-    pms = [p] if single else list(p)
-    logs = _log_stack(*_stacked(pms))
-    out = [Superoperator(dim=pm.dim, matrix=log) for pm, log in zip(pms, logs)]
-    return out[0] if single else out
+    logs = _log_stack(pm.matrix[None], np.array([pm.duration_s], dtype=float))
+    return Superoperator(dim=pm.dim, matrix=logs[0])
 
 
 def _eigvec_inverse(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,18 +251,23 @@ def _eigvec_inverse(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vinv, cond < EIGVEC_COND_MAX
 
 
-def _stacked(pms: Sequence[ProcessMatrix]) -> tuple[np.ndarray, np.ndarray]:
-    """(T, n, n) matrices and (T,) durations; none or mixed dimensions raise."""
-    if not pms:
-        raise ValueError("need at least one process matrix")
-    if any(pm.dim != pms[0].dim for pm in pms):
-        dims = sorted({pm.dim for pm in pms})
-        raise DimensionError(f"process matrices have mixed dimensions {dims}")
-    return np.stack([pm.matrix for pm in pms]), np.array([pm.duration_s for pm in pms], float)
+def _process_dim(mats: np.ndarray, durations: np.ndarray) -> int:
+    """The d of a (T, d**2, d**2) process stack with T >= 1 and its (T,) durations,
+    each finite and positive; any other pair raises ValueError or DimensionError."""
+    shape, durations = np.shape(mats), np.asarray(durations, dtype=float)
+    one_each = durations.shape == shape[:1] and ((durations > 0) & (durations < np.inf)).all()
+    if not len(mats) or not one_each:
+        raise ValueError(
+            "need one or more process matrices with a finite positive duration each; got "
+            f"{shape[:1]} matrices and durations {durations.tolist()}"
+        )
+    if len(shape) != 3 or shape[1] != shape[2] or math.isqrt(shape[1]) ** 2 != shape[1]:
+        raise DimensionError(f"expected a (T, d**2, d**2) process stack, got shape {shape}")
+    return math.isqrt(shape[1])
 
 
 def _log_stack(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Logs of a ``_stacked`` (T, n, n) stack; the first inadmissible one raises."""
+    """Logs of a (T, n, n) stack; the first inadmissible one raises, naming its duration."""
     logs, errors = _principal_logs(mats, durations)
     if errors:
         raise next(iter(errors.values()))

@@ -59,7 +59,7 @@ import signal
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -67,14 +67,7 @@ import scipy.optimize
 from numpy.typing import NDArray
 
 from .basis import build_basis, _frozen_array
-from .dynamics import (
-    ProcessMatrix,
-    TimeGrid,
-    _eigvec_inverse,
-    _log_stack,
-    _principal_logs,
-    _stacked,
-)
+from .dynamics import TimeGrid, _eigvec_inverse, _log_stack, _principal_logs, _process_dim
 from .exceptions import (
     BootstrapError,
     BranchCutError,
@@ -260,15 +253,15 @@ def _distances(ps, exps) -> np.ndarray:
     return np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
 
 
-def _df_per_time(processes: Sequence[ProcessMatrix], generator: np.ndarray) -> np.ndarray:
+def _df_per_time(processes: tuple[np.ndarray, np.ndarray], generator: np.ndarray) -> np.ndarray:
     """``frobenius_distance`` of each process matrix P_t to exp(G t).
 
-    ``t`` is the ``duration_s`` of P_t and ``generator`` one (n, n)
-    generator G or a (T, n, n) stack, one per process.  All exponentials
-    come from one stacked ``expm``, whose slices equal separate calls bit
-    for bit.
+    ``processes`` is a (mats, durations) pair, ``t`` the duration of P_t
+    and ``generator`` one (n, n) generator G or a (T, n, n) stack, one per
+    process.  All exponentials come from one stacked ``expm``, whose slices
+    equal separate calls bit for bit.
     """
-    ps, ts = _stacked(processes)
+    ps, ts = processes
     exps = scipy.linalg.expm(generator * ts[:, None, None])
     return _distances(ps, exps)
 
@@ -569,7 +562,7 @@ def _gauss_newton(design, rt, ts, ps, theta0):
 
 
 def mle_liouvillian(
-    processes: Sequence[ProcessMatrix],
+    processes: tuple[np.ndarray, np.ndarray],
     *,
     dissipator: Superoperator | None = None,
     form: str = "free",
@@ -578,8 +571,9 @@ def mle_liouvillian(
     """Maximum-likelihood generator from process matrices at one or more times.
 
     Args:
-        processes: process matrices in any order, each at its evolution
-            time ``duration_s`` > 0; they are fitted in time order.
+        processes: the (mats, durations) pair of ``reconstruct_processes``:
+            (T, d**2, d**2) process matrices in any order and their
+            evolution times > 0; they are fitted in time order.
         dissipator: fixed relaxation matrix R_T.  When given, the fitted
             parameters describe the Hamiltonian generator B and the full
             generator is L = B - R_T; when absent, L itself is fitted.
@@ -608,11 +602,9 @@ def mle_liouvillian(
         ``expm_frechet_evaluations`` (the steps whose Jacobian took exact
         Frechet columns because the generator was near-defective).
     """
-    processes = sorted(processes, key=lambda p: p.duration_s)
-    ps, ts = _stacked(processes)
-    if (ts <= 0).any():
-        raise ValueError(f"evolution times must be positive, got {ts.min()}")
-    dim = processes[0].dim
+    dim = _process_dim(*processes)
+    order = np.argsort(processes[1], kind="stable")
+    ps, ts = processes[0][order], processes[1][order]
     n2 = dim * dim
     rt_mat = None if dissipator is None else dissipator.matrix
 
@@ -706,9 +698,10 @@ def fit_relaxation_model(rt: Superoperator) -> FitReport:
     )
 
 
-def direct_hamiltonian(processes: Sequence[ProcessMatrix], rt: Superoperator) -> FitReport:
+def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperator) -> FitReport:
     """Averaged direct estimate of a static Hamiltonian generator.
 
+    ``processes`` is the (mats, durations) pair of ``reconstruct_processes``.
     For each admissible process matrix the generator log-estimate is taken,
     the known relaxation matrix is added back (isolating the Hamiltonian
     part), and the per-time estimates are averaged; a final least-squares
@@ -716,7 +709,8 @@ def direct_hamiltonian(processes: Sequence[ProcessMatrix], rt: Superoperator) ->
     Times where the logarithm hits the branch cut are skipped with a
     warning and listed in ``extras["skipped_times"]``.
     """
-    ps, ts = _stacked(processes)
+    _process_dim(*processes)
+    ps, ts = processes
     logs, errors = _principal_logs(ps, ts)
     skipped = [(float(ts[k]), str(errors[k])) for k in sorted(errors)]
     for t, msg in skipped:
@@ -793,7 +787,7 @@ class FieldTrack:
 
 
 def estimate_fields(
-    psteps: Sequence[ProcessMatrix],
+    psteps: tuple[np.ndarray, np.ndarray],
     grid: TimeGrid,
     rt: Superoperator,
     known_form: bool = True,
@@ -802,8 +796,8 @@ def estimate_fields(
     """Track time-dependent fields from per-interval process matrices.
 
     Args:
-        psteps: one process matrix per grid interval (stepwise
-            reconstruction output).
+        psteps: the (mats, durations) pair of ``stepwise_processes``, one
+            process matrix per grid interval.
         grid: uniform measurement grid; estimates are labelled with the
             interval midpoints.  A non-uniform grid raises LiouvlabError.
         rt: fixed relaxation matrix, added back before reading off the
@@ -835,15 +829,14 @@ def estimate_fields(
             "field estimation expects a uniform time grid, but its intervals last "
             f"from {grid.durations.min():g} to {grid.durations.max():g} s"
         )
-    if len(psteps) != grid.n_intervals:
-        raise DimensionError(
-            f"{len(psteps)} process matrices for {grid.n_intervals} intervals"
-        )
+    ps, dts = psteps
+    if len(ps) != grid.n_intervals:
+        raise DimensionError(f"{len(ps)} process matrices for {grid.n_intervals} intervals")
     if method not in ("direct", "mle"):
         raise ValueError(f"unknown method {method!r}")
 
+    _process_dim(ps, dts)
     design, columns = _field_form(known_form)
-    ps, dts = _stacked(psteps)
     logs = _log_stack(ps, dts)
     k_direct = (logs / dts[:, None, None] + rt.matrix).reshape(len(ps), -1)
     theta0 = np.linalg.lstsq(design, k_direct.T, rcond=None)[0].T

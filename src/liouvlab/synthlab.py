@@ -390,14 +390,9 @@ def _noisy_states(scenario: Scenario, noise: NoiseSpec) -> np.ndarray:
     return states
 
 
-def _dataset(states: np.ndarray, times) -> TomographySet:
-    """The set of a ``_noisy_states`` stack whose outputs are at ``times``."""
-    return TomographySet(dim=3, inputs=states[0], outputs=dict(zip(map(float, times), states[1:])))
-
-
 def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:
     """Forward-simulate a tomography dataset for a scenario (see ``_noisy_states``)."""
-    return _dataset(_noisy_states(scenario, noise), scenario.grid.times)
+    return TomographySet(states=_noisy_states(scenario, noise), times=scenario.grid.times)
 
 
 def state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -16,14 +16,15 @@ and does not project onto the physical set.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .basis import DensityMatrix, _frozen_array
-from .dynamics import ProcessMatrix, _log_stack, _stacked, principal_log
+from .dynamics import ProcessMatrix, _checked_times, _log_stack, _process_dim, principal_log
 from .exceptions import CompletenessError, DimensionError, IllConditionedError
 from .superop import Superoperator
 
@@ -62,55 +63,33 @@ class TomographySet:
     """Input/output Bloch-vector matrices of one tomography run.
 
     Attributes:
-        dim: Hilbert-space dimension d.
-        inputs: d**2 x N matrix of input Bloch vectors (columns).
-        outputs: mapping from evolution time (seconds) to the d**2 x N
-            matrix of measured output Bloch vectors at that time, in time
-            order whatever the order it was given in.
-        states: read-only (T+1, d**2, N) stack of the inputs followed by
-            the outputs in time order; ``inputs`` and every ``outputs[t]``
-            are views of it.
-        times: read-only (T,) array of the output times, increasing;
+        states: read-only (T+1, d**2, N) stack of the N input Bloch vectors
+            (as columns), then of their measured outputs at each time, in
+            time order; ``inputs`` is a view of ``states[0]``.
+        times: read-only (T,) array of the output times (seconds), by the
+            rule of ``TimeGrid``: finite, positive and strictly increasing;
             ``states[k + 1]`` was measured at ``times[k]``.
+
+    The constructor freezes a copy of both and checks them (``_check_stack``).
     """
 
-    dim: int
-    inputs: NDArray[np.float64]
-    outputs: dict
-    states: NDArray[np.float64] = field(init=False, repr=False, compare=False)
-    times: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    states: NDArray[np.float64]
+    times: NDArray[np.float64]
 
     def __post_init__(self):
-        n2 = self.dim * self.dim
-        m = np.asarray(self.inputs, dtype=float)
-        if m.ndim != 2 or m.shape[0] != n2:
-            raise DimensionError(f"inputs must be {n2} x N, got shape {m.shape}")
-        if m.shape[1] < n2:
-            raise CompletenessError(
-                f"need at least {n2} input states for dim {self.dim}, got {m.shape[1]}"
-            )
-        times = sorted(self.outputs, key=float)
-        names = ["inputs"] + [f"outputs[{t}]" for t in times]
-        mats = [m] + [np.asarray(self.outputs[t], dtype=float) for t in times]
-        # matrix by matrix in time order, the shape is checked before the
-        # pinned trace row; the rows of all matrices before the first of
-        # another shape are checked on one stack
-        bad = next((j for j, mat in enumerate(mats) if mat.shape != m.shape), len(mats))
-        stack = np.stack(mats[:bad])
-        _check_pinned(stack, self.dim, names.__getitem__)
-        if bad < len(mats):
-            raise DimensionError(
-                f"{names[bad]} shape {mats[bad].shape} != inputs shape {m.shape}"
-            )
-        stack = _frozen_array(stack)
-        object.__setattr__(self, "states", stack)
-        object.__setattr__(self, "times", _frozen_array(np.array(times, dtype=float)))
-        object.__setattr__(self, "inputs", stack[0])
-        object.__setattr__(self, "outputs", dict(zip(self.times.tolist(), stack[1:])))
+        states = _frozen_array(np.asarray(self.states, dtype=float))
+        times = _frozen_array(np.asarray(self.times, dtype=float))
+        _check_stack(states, times)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "times", times)
 
     @property
-    def n_states(self) -> int:
-        return self.inputs.shape[1]
+    def dim(self) -> int:
+        return math.isqrt(self.states.shape[1])
+
+    @property
+    def inputs(self) -> NDArray[np.float64]:
+        return self.states[0]
 
     @property
     def input_rank(self) -> int:
@@ -139,35 +118,59 @@ class TomographySet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TomographySet":
-        """Read a set written by ``to_json``.
+        """Read a set written by ``to_json``, its outputs sorted into time order.
 
-        Raises:
-            ValueError: if there are no outputs, or ``inputs`` or an
-                ``outputs[t]`` matrix holds a NaN or an infinity (checked
-                here, where data enters, rather than for every set built in
-                memory).
+        Raises DimensionError if ``inputs`` is not d**2 x N for the ``dim``
+        given or an ``outputs[t]`` matrix has another shape (after the checks
+        of the earlier matrices), and otherwise as the constructor.
         """
-        inputs = np.asarray(obj["inputs"], dtype=float).T
-        outputs = {
-            float(t): np.asarray(cols, dtype=float).T for t, cols in obj["outputs"].items()
-        }
-        if not outputs:
-            raise ValueError("dataset has no outputs")
-        for name, mat in [("inputs", inputs)] + [
-            (f"outputs[{t}]", o) for t, o in outputs.items()
-        ]:
-            if not np.isfinite(mat).all():
-                raise ValueError(f"{name} has a non-finite entry")
-        return cls(dim=int(obj["dim"]), inputs=inputs, outputs=outputs)
+        keys = sorted(obj["outputs"], key=float)
+        times = [float(t) for t in keys]
+        raw = [obj["inputs"]] + [obj["outputs"][k] for k in keys]
+        mats = [np.asarray(m, dtype=float).T for m in raw]
+        n2 = int(obj["dim"]) ** 2
+        if mats[0].ndim != 2 or mats[0].shape[0] != n2:
+            raise DimensionError(f"inputs must be {n2} x N, got shape {mats[0].shape}")
+        bad = next((k for k, m in enumerate(mats) if m.shape != mats[0].shape), None)
+        if bad is not None:
+            _check_entries(np.stack(mats[:bad]), times)
+            raise DimensionError(
+                f"outputs[{times[bad - 1]}] shape {mats[bad].shape} != inputs shape {mats[0].shape}"
+            )
+        return cls(states=np.stack(mats), times=np.array(times))
 
 
-def _check_pinned(stack: np.ndarray, dim: int, label: Callable[[int], str]):
-    """Raise ValueError, naming matrix k by ``label(k)``, for the first matrix of a
-    (K, d**2, N) stack whose trace row is not sqrt(1 / (2 d)) within 1e-9."""
-    pinned = np.sqrt(1.0 / (2.0 * dim))
-    unpinned = np.flatnonzero(np.abs(stack[:, -1] - pinned).max(axis=1) > 1e-9)
-    if unpinned.size:
-        raise ValueError(f"{label(unpinned[0])} has unpinned trace components")
+def _check_stack(states: np.ndarray, times: np.ndarray):
+    """Raise unless ``states`` is a (T+1, d**2, N) stack with N >= d**2 input states
+    (else DimensionError, CompletenessError) whose T ``times`` follow the rule of
+    ``TimeGrid`` and whose entries ``_check_entries`` accepts (else ValueError)."""
+    n2 = states.shape[1] if states.ndim == 3 else 0
+    if n2 < 4 or math.isqrt(n2) ** 2 != n2:
+        raise DimensionError(f"states must be a (T+1, d**2, N) stack, got shape {states.shape}")
+    if states.shape[2] < n2:
+        raise CompletenessError(
+            f"need at least {n2} input states for dim {math.isqrt(n2)}, got {states.shape[2]}"
+        )
+    _checked_times(times)
+    if len(states) != len(times) + 1:
+        raise DimensionError(
+            f"{len(states)} state matrices for {len(times)} times; need the inputs and one per time"
+        )
+    _check_entries(states, times)
+
+
+def _check_entries(stack: np.ndarray, times):
+    """Raise ValueError for the first matrix of a (K, d**2, N) state stack, named
+    ``inputs`` or ``outputs[t]`` for its output ``times``, with a NaN or infinite
+    entry or a trace row that is not sqrt(1 / (2 d)) within 1e-9."""
+    pinned = np.sqrt(1.0 / (2.0 * math.isqrt(stack.shape[1])))
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    bad = np.flatnonzero(~finite | ~(np.abs(stack[:, -1] - pinned).max(axis=1) <= 1e-9))
+    if bad.size:
+        k = bad[0]
+        fault = "unpinned trace components" if finite[k] else "a non-finite entry"
+        name = f"outputs[{times[k - 1]}]" if k else "inputs"
+        raise ValueError(f"{name} has {fault}")
 
 
 def _gram_health(mi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,22 +225,18 @@ def _checked_gram_solve(
     return np.linalg.solve(mi @ mi.transpose(0, 2, 1), rhs)
 
 
-def _process_stack(inputs: np.ndarray, mo: np.ndarray, health=None) -> np.ndarray:
-    """(T, d**2, d**2) process matrices of a (T, d**2, N) output stack ``mo`` from one
-    Gram solve of the (d**2, N) ``inputs``; ``health`` as in ``_checked_gram_solve``."""
+def _processes(states: np.ndarray, times: np.ndarray, health=None) -> tuple:
+    """Process matrices of a (T+1, d**2, N) state stack and its (T,) output times.
+
+    Returns the pair (mats, times): the (T, d**2, d**2) process matrix at
+    each time, from one Gram solve of the inputs ``states[0]``, and
+    ``times``.  ``health`` is as in ``_checked_gram_solve``.
+    """
+    inputs, mo = states[0], states[1:]
     # column block k of the right-hand side is (mo_k inputs^T)^T
     rhs = inputs @ mo.transpose(2, 0, 1).reshape(inputs.shape[1], -1)
     sol = _checked_gram_solve(inputs[None], rhs[None], lambda k: "inputs", health)[0]
-    return sol.reshape(len(inputs), len(mo), -1).transpose(1, 2, 0)
-
-
-def _reconstruct(ts: TomographySet, picked: slice = slice(None)) -> list[ProcessMatrix]:
-    """Process matrices at ``ts.times[picked]`` from one Gram solve of the set's inputs."""
-    mats = _process_stack(ts.inputs, ts.states[1:][picked], ts._input_health)
-    return [
-        ProcessMatrix(dim=ts.dim, matrix=m, duration_s=t)
-        for m, t in zip(mats, ts.times[picked].tolist())
-    ]
+    return np.ascontiguousarray(sol.reshape(len(inputs), len(mo), -1).transpose(1, 2, 0)), times
 
 
 def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
@@ -259,30 +258,33 @@ def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
     at = np.flatnonzero(ts.times == float(t))
     if not at.size:
         raise KeyError(f"no outputs measured at t = {t}; available times: {list(ts.times)}")
-    return _reconstruct(ts, slice(at[0], at[0] + 1))[0]
+    k = at[0]
+    mats, _ = _processes(ts.states[[0, k + 1]], ts.times[k : k + 1], ts._input_health)
+    return ProcessMatrix(dim=ts.dim, matrix=mats[0], duration_s=float(ts.times[k]))
 
 
-def reconstruct_processes(ts: TomographySet) -> list[ProcessMatrix]:
+def reconstruct_processes(ts: TomographySet) -> tuple[np.ndarray, np.ndarray]:
     """:func:`reconstruct_process` at every measured time, in time order.
 
-    All times share one solve, whose right-hand sides are the symmetrized
-    outputs side by side; a set without outputs gives ``[]``.
+    Returns the pair (mats, durations): the (T, d**2, d**2) process
+    matrices and ``ts.times``.  All times share one solve, whose
+    right-hand sides are the symmetrized outputs side by side.
 
     Raises:
         CompletenessError, IllConditionedError: as reconstruct_process.
     """
-    return _reconstruct(ts) if ts.times.size else []
+    return _processes(ts.states, ts.times, ts._input_health)
 
 
-def mean_log_liouvillian(processes: Sequence[ProcessMatrix]) -> Superoperator:
+def mean_log_liouvillian(processes: tuple[np.ndarray, np.ndarray]) -> Superoperator:
     """Averaged direct generator estimate, the mean of log(P_t) / t.
 
-    Each process matrix contributes its principal log divided by its
-    ``duration_s``, averaged over the stacked logs; branch-cut, singularity
-    and mixed-dimension errors propagate.
+    ``processes`` is a (mats, durations) pair, as ``reconstruct_processes``
+    returns.  Each process matrix contributes its principal log divided by
+    its duration, averaged over the stacked logs; branch-cut and
+    singularity errors propagate.
     """
-    mats, durations = _stacked(processes)  # raises first for no or mixed dimensions
-    return Superoperator(dim=processes[0].dim, matrix=_mean_log(mats, durations))
+    return Superoperator(dim=_process_dim(*processes), matrix=_mean_log(*processes))
 
 
 def _mean_log(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
@@ -299,7 +301,7 @@ def direct_liouvillian(ts: TomographySet, t: float) -> Superoperator:
     return Superoperator(dim=ts.dim, matrix=principal_log(pm).matrix / pm.duration_s)
 
 
-def stepwise_processes(ts: TomographySet) -> list[ProcessMatrix]:
+def stepwise_processes(ts: TomographySet) -> tuple[np.ndarray, np.ndarray]:
     """Per-interval process matrices of a time-resolved run.
 
     With the input matrix playing the role of the state matrix at time 0,
@@ -309,17 +311,20 @@ def stepwise_processes(ts: TomographySet) -> list[ProcessMatrix]:
     step is rank- and condition-checked individually).  All steps are
     checked and solved as one stack.
 
-    Returns one process matrix per grid interval; ``duration_s`` is the
-    interval length.
+    Returns the pair (mats, durations): one process matrix per grid
+    interval and the interval lengths.
 
     Raises:
         CompletenessError, IllConditionedError: for the first failing step,
             named in the message as ``step n (t = a -> b)``.
     """
-    if not ts.times.size:
-        return []
-    boundaries = np.concatenate([[0.0], ts.times])
-    earlier, later = ts.states[:-1], ts.states[1:]  # (T, d**2, N) each
+    return _steps(ts.states, ts.times)
+
+
+def _steps(states: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``stepwise_processes`` of a (T+1, d**2, N) state stack and its (T,) output times."""
+    boundaries = np.concatenate([[0.0], times])
+    earlier, later = states[:-1], states[1:]  # (T, d**2, N) each
     # (M_n M_n^T) P_n^T = M_n M_{n+1}^T
     sol = _checked_gram_solve(
         earlier,
@@ -329,7 +334,4 @@ def stepwise_processes(ts: TomographySet) -> list[ProcessMatrix]:
             f"(t = {boundaries[n]} -> {boundaries[n + 1]})"
         ),
     )
-    return [
-        ProcessMatrix(dim=ts.dim, matrix=p.T, duration_s=float(dt))
-        for p, dt in zip(sol, np.diff(boundaries))
-    ]
+    return np.ascontiguousarray(sol.transpose(0, 2, 1)), np.diff(boundaries)

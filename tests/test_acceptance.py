@@ -60,7 +60,8 @@ def _report(num, elapsed, budget, detail):
 
 
 def _pmeas_of(ds):
-    return [reconstruct_process(ds, t) for t in ds.times]
+    """The (mats, durations) pair of the one-time reconstructions of ``ds``."""
+    return np.stack([reconstruct_process(ds, t).matrix for t in ds.times]), ds.times
 
 
 def test_criterion_1_basis_correctness():
@@ -104,7 +105,7 @@ def test_criterion_3_noiseless_closed_loop(basis3):
         max_rot = np.abs(np.linalg.eigvals(l_true.matrix).imag).max()
         t = 0.85 * (0.9 * np.pi) / max_rot if max_rot > 0 else 1e-4
         outputs = scipy.linalg.expm(l_true.matrix * t) @ inputs
-        ds = TomographySet(dim=3, inputs=inputs, outputs={t: outputs})
+        ds = TomographySet(states=np.stack([inputs, outputs]), times=[t])
         l_hat = principal_log(reconstruct_process(ds, t)).matrix / t
         rel = np.linalg.norm(l_hat - l_true.matrix) / np.linalg.norm(l_true.matrix)
         worst = max(worst, rel)

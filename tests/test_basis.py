@@ -207,9 +207,9 @@ def test_density_matrix_tolerates_marginal_negativity():
     assert rho.dim == 3
 
 
-def _pinned_columns():
-    m = np.ones((4, 4))
-    m[-1] = 0.5  # the trace row of a qubit Bloch vector
+def _pinned_stack():
+    m = np.ones((2, 4, 4))
+    m[:, -1] = 0.5  # the trace row of a qubit Bloch vector
     return m
 
 
@@ -238,9 +238,9 @@ FROZEN_CASES = {
     "RelaxationModel": (lambda: np.zeros(3),
                         lambda a: RelaxationModel(a, np.ones(3), 1.0),
                         lambda w: w.omega_residual),
-    "TomographySet": (_pinned_columns,
-                      lambda a: TomographySet(dim=2, inputs=a, outputs={1.0: a}),
-                      lambda w: w.outputs[1.0]),
+    "TomographySet": (_pinned_stack,
+                      lambda a: TomographySet(states=a, times=[1.0]),
+                      lambda w: w.states),
 }
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import json
 import platform
+import re
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +14,13 @@ from hypothesis import strategies as st
 import liouvlab
 import liouvlab.cli
 from liouvlab.cli import _direct_relaxation_params, build_parser, main
-from liouvlab.dynamics import ProcessMatrix
+from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.estimation import derive_seed, fit_relaxation_model, frobenius_distance
 from liouvlab.exceptions import BranchCutError, CompletenessError
 from liouvlab.superop import Superoperator
 from liouvlab.synthlab import (
     DEFAULT_RELAXATION,
     NoiseSpec,
-    _dataset,
     _noisy_states,
     generate_dataset,
     make_scenario,
@@ -141,7 +142,7 @@ def test_scenario_file_with_ramp_flag_simulates_the_ramp(tmp_path):
     for ramp in (True, False):
         sc = make_scenario("three_axis_time_dependent", n_steps=6, ramp=ramp)
         expected = generate_dataset(sc, NoiseSpec(seed=3))
-        same = [np.array_equal(written.outputs[t], expected.outputs[t]) for t in sc.grid.times]
+        same = [np.array_equal(w, e) for w, e in zip(written.states[1:], expected.states[1:])]
         assert all(same) if ramp else not any(same)
 
 
@@ -277,6 +278,39 @@ def test_non_finite_dataset_is_bad_input(tmp_path, capsys, command, matrix):
 
 
 @pytest.mark.parametrize(
+    "keys, fault",
+    [
+        (["-0.0005"], "-0.0005 after 0.0"),
+        (["0"], "0.0 after 0.0"),
+        (["nan"], "nan after 0.0"),
+        (["inf"], "inf after 0.0"),
+        (["0.001", "nan"], "nan after 0.001"),
+        (["0.001", "1e-3"], "0.001 after 0.001"),
+    ],
+)
+def test_one_times_rule_for_grids_sets_and_dataset_files(tmp_path, capsys, keys, fault):
+    # TimeGrid holds the rule; a set applies it whether built in memory or
+    # read from JSON, and the CLI reports it as bad input naming the file
+    message = f"times must be finite, positive and strictly increasing, got {fault}"
+    times = [float(k) for k in keys]
+    valid = generate_dataset(make_scenario("relaxation_only", n_times=len(keys)), NoiseSpec())
+    obj = {**valid.to_json(), "outputs": {k: o.T.tolist() for k, o in zip(keys, valid.states[1:])}}
+    for build in (
+        lambda: TimeGrid(times=times),
+        lambda: TomographySet(states=valid.states, times=times),
+        lambda: TomographySet.from_json(obj),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["reconstruct", "--dataset", str(path), "--mode", "process",
+                 "-o", str(tmp_path / "o")]) == 2
+    assert f"reconstruct: bad input: {message} (in {path})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command",
     [["reconstruct", "--mode", "process"], ["fit", "--model", "relaxation"]],
 )
@@ -284,7 +318,7 @@ def test_non_finite_dataset_is_bad_input(tmp_path, capsys, command, matrix):
     "change, message",
     [
         ({"dim": 2}, "inputs must be 4 x N, got shape (9, 15)"),
-        ({"outputs": {}}, "dataset has no outputs"),
+        ({"outputs": {}}, "time grid must be a non-empty 1-d array, got shape (0,)"),
     ],
 )
 def test_malformed_dataset_is_bad_input(tmp_path, capsys, command, change, message):
@@ -659,17 +693,29 @@ def test_stack_draw_fails_like_the_object_pipeline(spoil, error):
     with pytest.raises(error) as stacked:
         _direct_relaxation_params((states, sc.grid.times))
     with pytest.raises(error) as objects:
-        _object_draw_params(_dataset(states, sc.grid.times))
+        _object_draw_params(TomographySet(states=states, times=sc.grid.times))
     assert type(stacked.value) is type(objects.value)
     assert str(stacked.value) == str(objects.value)
+
+
+_DRAW_FITS = {
+    # the kind simulated, and the fit flags of its bootstrap
+    "relaxation": ("relaxation_only", ["--model", "relaxation"]),
+    "hermitian": ("static_quadratic_zeeman", ["--model", "hermitian", "--fixed-dissipator"]),
+    "fields": ("three_axis", ["--model", "fields", "--known-form", "--fixed-dissipator"]),
+}
 
 
 def test_stack_draw_checks_the_pinned_trace_row():
     sc = make_scenario("relaxation_only", n_times=3)
     states = _noisy_states(sc, NoiseSpec(seed=3))
     states[2, -1, 4] += 1e-6
-    with pytest.raises(ValueError, match=r"outputs\[0.001\] has unpinned trace components"):
-        _direct_relaxation_params((states, sc.grid.times))
+    rt = DEFAULT_RELAXATION.superoperator()
+    for model in _DRAW_FITS:  # every draw fit checks its stack as a set does
+        args = SimpleNamespace(model=model, known_form=True)
+        fit = liouvlab.cli._bootstrap_fit(args, source=(sc, NoiseSpec()), rt=rt)
+        with pytest.raises(ValueError, match=r"outputs\[0.001\] has unpinned trace components"):
+            fit((states, sc.grid.times))
 
 
 @contextlib.contextmanager
@@ -686,9 +732,15 @@ def _objects_built(monkeypatch):
         yield built
 
 
-def test_relaxation_bootstrap_draws_build_no_dataset_objects(tmp_path, monkeypatch):
+@pytest.mark.parametrize("model", _DRAW_FITS)
+def test_bootstrap_draws_build_no_dataset_objects(tmp_path, monkeypatch, model):
     # one worker, so every draw runs in this process, where it is counted
-    out = _simulate(tmp_path, "--sigma", "0.004")
+    kind, flags = _DRAW_FITS[model]
+    out = _simulate(tmp_path, "--sigma", "0.004", kind=kind)
+    if flags[-1] == "--fixed-dissipator":
+        rt_path = tmp_path / "rt.json"
+        rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+        flags = [*flags, str(rt_path)]
     monkeypatch.setattr(liouvlab.estimation.os, "sched_getaffinity", lambda pid: {0})
     real = liouvlab.cli.bootstrap
     in_draws = []
@@ -701,7 +753,7 @@ def test_relaxation_bootstrap_draws_build_no_dataset_objects(tmp_path, monkeypat
 
     monkeypatch.setattr(liouvlab.cli, "bootstrap", counted_bootstrap)
     fit = tmp_path / "fit"
-    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), *flags,
                "--bootstrap", "10", "-o", str(fit)])
     assert rc == 0
     assert _read(fit / "fit_report.json")["bootstrap"]["n_failed"] == 0
@@ -852,6 +904,7 @@ def _unwritable_case(command):
 
 _RELAX = ["fit", "--model", "relaxation"]
 _PROCESS = ["reconstruct", "--mode", "process"]
+_TIMES_RULE = "times must be finite, positive and strictly increasing"
 _MALFORMED = {
     "scenario-list": _scenario_case([1], "JSON object"),
     "scenario-noise-number": _scenario_case({"kind": "relaxation_only", "noise": 5}, "'noise'"),
@@ -878,11 +931,13 @@ _MALFORMED = {
     ),
     "dataset-dim-list": _dataset_case(_PROCESS, lambda d: {**d, "dim": [3]}, "'dim'"),
     "dataset-negative-time": _dataset_case(
-        _RELAX, lambda d: _with_time(d, "-0.0005"), "'outputs'", "'-0.0005'"
+        _RELAX, lambda d: _with_time(d, "-0.0005"), _TIMES_RULE, "got -0.0005 after 0.0"
     ),
-    "dataset-nan-time": _dataset_case(_RELAX, lambda d: _with_time(d, "nan"), "'outputs'", "'nan'"),
+    "dataset-nan-time": _dataset_case(
+        _RELAX, lambda d: _with_time(d, "nan"), _TIMES_RULE, "got nan after 0.0"
+    ),
     "dataset-time-twice": _dataset_case(
-        _RELAX, lambda d: _with_time(d, "1e-3"), "'outputs'", "two keys for one time"
+        _RELAX, lambda d: _with_time(d, "1e-3"), _TIMES_RULE, "got 0.001 after 0.001"
     ),
     "superop-list": _dataset_case(
         ["fit", "--model", "hermitian", "--fixed-dissipator"], lambda d: d, "JSON object",

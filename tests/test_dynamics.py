@@ -9,6 +9,7 @@ from liouvlab.dynamics import (
     ProcessMatrix,
     TimeGrid,
     _eigvec_inverse,
+    _log_stack,
     _principal_logs,
     piecewise_propagator,
     principal_log,
@@ -28,6 +29,7 @@ from liouvlab.superop import (
     zeeman_hamiltonian,
 )
 from liouvlab.synthlab import DEFAULT_RELAXATION
+from liouvlab.tomography import mean_log_liouvillian
 
 from conftest import random_density_matrix, random_hermitian
 
@@ -376,9 +378,11 @@ def test_stacked_log_matches_per_matrix_calls(monkeypatch, basis3):
     expected = np.zeros((9, 9))
     expected[0, 1] = 0.5
     np.testing.assert_allclose(logs[3], expected, atol=1e-12)
-    admissible = [stack[k] for k in (0, 3, 4, 5)]
-    for got, k in zip(principal_log(admissible), (0, 3, 4, 5)):
-        np.testing.assert_array_equal(got.matrix, logs[k])
+    admissible = [0, 3, 4, 5]
+    np.testing.assert_array_equal(_log_stack(mats[admissible], durations[admissible]),
+                                  logs[admissible])
+    for k in admissible:
+        np.testing.assert_array_equal(principal_log(stack[k]).matrix, logs[k])
 
 
 def test_stacked_log_names_the_time_at_the_cut(basis3):
@@ -386,5 +390,6 @@ def test_stacked_log_names_the_time_at_the_cut(basis3):
     t = 50e-6
     at_cut = propagator(hamiltonian_superop(np.pi / t * f.fz, basis3), t)
     fine = propagator(hamiltonian_superop(1000.0 * f.fz, basis3), 1e-4)
+    pair = np.stack([fine.matrix, at_cut.matrix, fine.matrix]), np.array([1e-4, t, 1e-4])
     with pytest.raises(BranchCutError, match=r"t = 5e-05 s"):
-        principal_log([fine, at_cut, fine])
+        mean_log_liouvillian(pair)

@@ -49,7 +49,8 @@ from liouvlab.tomography import (
 
 
 def _pmeas_of(ds):
-    return [reconstruct_process(ds, t) for t in ds.times]
+    """The (mats, durations) pair of the one-time reconstructions of ``ds``."""
+    return np.stack([reconstruct_process(ds, t).matrix for t in ds.times]), ds.times
 
 
 def _direct_rt_params(ds) -> np.ndarray:
@@ -79,10 +80,10 @@ def test_distance_trivial_cases():
 def test_df_per_time_is_each_distance_in_input_order():
     rng = np.random.default_rng(51)
     g = 1e3 * rng.normal(size=(9, 9))
-    times = (3e-4, 1e-4, 2e-4)
-    pms = [ProcessMatrix(dim=3, matrix=rng.normal(size=(9, 9)), duration_s=t) for t in times]
-    dfs = estimation._df_per_time(pms, g)
-    expected = [frobenius_distance(p.matrix, scipy.linalg.expm(g * p.duration_s)) for p in pms]
+    times = np.array([3e-4, 1e-4, 2e-4])
+    mats = np.stack([rng.normal(size=(9, 9)) for _ in times])
+    dfs = estimation._df_per_time((mats, times), g)
+    expected = [frobenius_distance(m, scipy.linalg.expm(g * t)) for m, t in zip(mats, times)]
     assert dfs.shape == (3,)
     np.testing.assert_array_equal(dfs, expected)
 
@@ -108,19 +109,14 @@ def test_mle_cost_zero_at_truth_and_below_init():
     ds = generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, seed=61))
     pmeas = _pmeas_of(ds)
 
-    def cost_of(lmat):
+    def cost_of(lmat, processes=pmeas):
         return sum(
-            np.linalg.norm(scipy.linalg.expm(lmat * p.duration_s) - p.matrix) ** 2
-            for p in pmeas
+            np.linalg.norm(scipy.linalg.expm(lmat * t) - p) ** 2 for p, t in zip(*processes)
         )
 
     # noiseless data: exactly zero at the true generator
     clean = _pmeas_of(generate_dataset(sc, NoiseSpec(seed=61)))
-    assert (
-        sum(np.linalg.norm(scipy.linalg.expm(truth.matrix * p.duration_s) - p.matrix) ** 2
-            for p in clean)
-        < 1e-18
-    )
+    assert cost_of(truth.matrix, clean) < 1e-18
     # MLE never ends above its initialization
     init = direct_liouvillian(ds, ds.times[0])
     report = mle_liouvillian(pmeas, form="free", x0=init.matrix.ravel())
@@ -172,11 +168,11 @@ def test_mle_fits_processes_in_time_order_whatever_their_order():
     ds = generate_dataset(
         make_scenario("relaxation_only", n_times=8), NoiseSpec(bloch_sigma=0.004, seed=70)
     )
-    processes = reconstruct_processes(ds)
-    order = np.random.default_rng(70).permutation(len(processes))
-    assert (order != np.arange(len(processes))).any()
-    want = mle_liouvillian(processes, form="free")
-    got = mle_liouvillian([processes[k] for k in order], form="free")
+    mats, durations = reconstruct_processes(ds)
+    order = np.random.default_rng(70).permutation(len(durations))
+    assert (order != np.arange(len(durations))).any()
+    want = mle_liouvillian((mats, durations), form="free")
+    got = mle_liouvillian((mats[order], durations[order]), form="free")
     assert np.array_equal(got.params, want.params)
     assert np.array_equal(got.df_per_time, want.df_per_time)
     assert got.cost == want.cost
@@ -186,41 +182,40 @@ def test_mle_rejects_bad_inputs():
     sc = make_scenario("relaxation_only", n_times=2)
     ds = generate_dataset(sc, NoiseSpec(seed=64))
     with pytest.raises(ValueError):
-        mle_liouvillian([], form="free")
+        mle_liouvillian((np.empty((0, 9, 9)), np.empty(0)), form="free")
     with pytest.raises(ValueError):
         mle_liouvillian(_pmeas_of(ds), form="diagonal")
     with pytest.raises(ValueError):
-        mle_liouvillian([ProcessMatrix(dim=3, matrix=np.eye(9), duration_s=0.0)], form="free")
+        mle_liouvillian((np.eye(9)[None], np.array([0.0])), form="free")
 
 
-def _identity_process(dim, t):
-    return ProcessMatrix(dim=dim, matrix=np.eye(dim * dim), duration_s=t)
-
-
-# every estimator over process matrices, on the input it is given
+# every estimator over a (mats, durations) pair, on the pair it is given
 _STACKING_ESTIMATORS = {
-    "principal_log": principal_log,
     "mean_log_liouvillian": mean_log_liouvillian,
     "mle_liouvillian": mle_liouvillian,
     "direct_hamiltonian": lambda pms: direct_hamiltonian(pms, DEFAULT_RELAXATION.superoperator()),
     "estimate_fields": lambda pms: estimate_fields(
-        pms, TimeGrid.uniform(1e-6, max(len(pms), 1)), DEFAULT_RELAXATION.superoperator()
+        pms, TimeGrid.uniform(1e-6, max(len(pms[0]), 1)), DEFAULT_RELAXATION.superoperator()
     ),
-    "_df_per_time": lambda pms: estimation._df_per_time(pms, np.zeros((9, 9))),
 }
 
 
 @pytest.mark.parametrize("name", _STACKING_ESTIMATORS)
-def test_estimators_name_an_empty_or_mixed_input(name):
+def test_estimators_reject_an_empty_or_malformed_pair(name):
     fit = _STACKING_ESTIMATORS[name]
-    with pytest.raises(DimensionError, match=r"mixed dimensions \[2, 3\]"):
-        fit([_identity_process(3, 1e-6), _identity_process(2, 2e-6)])
+    two = np.stack([np.eye(9)] * 2)
+    bad = ([1e-6, 2e-6, 3e-6], [1e-6, 0.0], [-1e-6, 2e-6], [1e-6, np.nan], [np.inf, 1.0])
+    for durations in bad:
+        with pytest.raises(ValueError, match="with a finite positive duration each"):
+            fit((two, np.array(durations)))
+    with pytest.raises(DimensionError, match=r"process stack, got shape \(2, 8, 8\)"):
+        fit((np.stack([np.eye(8)] * 2), np.array([1e-6, 2e-6])))
     if name == "estimate_fields":  # it finds 0 process matrices for its one interval
         error, message = DimensionError, "0 process matrices for 1 intervals"
     else:
-        error, message = ValueError, "need at least one process matrix"
+        error, message = ValueError, "need one or more process matrices"
     with pytest.raises(error, match=message):
-        fit([])
+        fit((np.empty((0, 9, 9)), np.empty(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +309,8 @@ def test_direct_hamiltonian_skips_branch_failures():
 def _per_time_direct_hamiltonian(ds, rt):
     """direct_hamiltonian's mean, one principal_log per time: (params, skipped)."""
     per_time, skipped = [], []
-    for pm in reconstruct_processes(ds):
+    for mat, t in zip(*reconstruct_processes(ds)):
+        pm = ProcessMatrix(dim=3, matrix=mat, duration_s=float(t))
         try:
             per_time.append(principal_log(pm).matrix / pm.duration_s + rt.matrix)
         except BranchCutError as err:
@@ -740,9 +736,9 @@ def test_mle_single_time_fit_is_gauss_newton(form):
     kind = "relaxation_only" if form == "free" else "static_quadratic_zeeman"
     ds = generate_dataset(make_scenario(kind), NoiseSpec(bloch_sigma=0.004, seed=65))
     rt = DEFAULT_RELAXATION.superoperator() if form == "hermitian" else None
-    pm = _pmeas_of(ds)[0]
+    pm = reconstruct_process(ds, ds.times[0])
     t = pm.duration_s
-    report = mle_liouvillian([pm], form=form, dissipator=rt)
+    report = mle_liouvillian((pm.matrix[None], np.array([t])), form=form, dissipator=rt)
     counts = report.extras["optimizer"]
     assert report.converged
     assert counts["evaluations"] == counts["gauss_newton_iterations"] + 1
@@ -785,9 +781,9 @@ def test_mle_df_per_time_reuses_the_last_evaluation(monkeypatch):
     monkeypatch.undo()
     assert report.extras["optimizer"]["evaluations"] <= len(calls)
     assert len(calls) <= report.extras["optimizer"]["evaluations"] + 1
-    assert all(shape == (len(pmeas), 9, 9) for shape in calls)
+    assert all(shape == (len(ds.times), 9, 9) for shape in calls)
     l_hat = report.estimate.matrix
-    separate = [frobenius_distance(p, scipy.linalg.expm(l_hat * p.duration_s)) for p in pmeas]
+    separate = [frobenius_distance(p, scipy.linalg.expm(l_hat * t)) for p, t in zip(*pmeas)]
     assert np.array_equal(report.df_per_time, separate)
 
 
@@ -798,10 +794,10 @@ def test_direct_hamiltonian_df_matches_separate_expm_per_time():
     rt = DEFAULT_RELAXATION.superoperator()
     report = direct_hamiltonian(reconstruct_processes(ds), rt)
     k_hat = explicit_qutrit_superop(report.estimate).matrix
-    processes = reconstruct_processes(ds)
+    mats, _ = reconstruct_processes(ds)
     separate = [
-        frobenius_distance(pm.matrix, scipy.linalg.expm((k_hat - rt.matrix) * t))
-        for t, pm in zip(ds.times, processes)
+        frobenius_distance(mat, scipy.linalg.expm((k_hat - rt.matrix) * t))
+        for t, mat in zip(ds.times, mats)
     ]
     assert np.array_equal(report.df_per_time, separate)
 
@@ -818,14 +814,11 @@ def test_mle_damped_steps_keep_the_null_space_component_of_x0(monkeypatch):
     rng = np.random.default_rng([69, 138])
     theta = rng.normal(size=9)
     lmat = (design @ theta).reshape(9, 9)
-    pmeas = [
-        ProcessMatrix(
-            dim=3,
-            matrix=scipy.linalg.expm(lmat * t) + 1e-3 * rng.normal(size=(9, 9)),
-            duration_s=t,
-        )
-        for t in (0.5, 1.0, 2.0)
-    ]
+    times = np.array([0.5, 1.0, 2.0])
+    pmeas = (
+        np.stack([scipy.linalg.expm(lmat * t) + 1e-3 * rng.normal(size=(9, 9)) for t in times]),
+        times,
+    )
     x0 = theta + 2.0 * rng.normal(size=9)
     dampings, steps = [], []
     solve = estimation._lm_solve

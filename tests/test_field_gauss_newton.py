@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lbfgs_reference, pade_cost
-from liouvlab.dynamics import ProcessMatrix, TimeGrid, principal_log
+from liouvlab.dynamics import TimeGrid, _log_stack
 from liouvlab.estimation import estimate_fields
 from liouvlab.superop import Superoperator, _field_design, _hermitian_design
 from liouvlab.synthlab import DEFAULT_RELAXATION
@@ -25,15 +25,13 @@ def _design(known_form):
 
 def _start(psteps, rt, design):
     """The start of every interval fit: the projected principal log."""
-    dts = np.array([p.duration_s for p in psteps])
-    logs = np.stack([log.matrix for log in principal_log(psteps)])
-    k_direct = (logs / dts[:, None, None] + rt.matrix).reshape(len(psteps), -1)
+    mats, dts = psteps
+    k_direct = (_log_stack(mats, dts) / dts[:, None, None] + rt.matrix).reshape(len(mats), -1)
     return np.linalg.lstsq(design, k_direct.T, rcond=None)[0].T
 
 
-def _reference(p, rt, design, x0):
-    dt = np.array([p.duration_s])
-    return lbfgs_reference(design, rt.matrix, dt, p.matrix[None], x0)
+def _reference(mat, dt, rt, design, x0):
+    return lbfgs_reference(design, rt.matrix, np.array([dt]), mat[None], x0)
 
 
 # noise per entry of P at the calibrated level (about 7e-3 in the
@@ -52,24 +50,21 @@ def test_lockstep_cost_never_above_lbfgs(known_form, n_intervals, noise, seed):
     rt = DEFAULT_RELAXATION.superoperator()
     dt = 1e-5
     thetas = 2e4 * rng.normal(size=(n_intervals, design.shape[1]))
-    psteps = [
-        ProcessMatrix(
-            dim=3,
-            matrix=scipy.linalg.expm(((design @ th).reshape(9, 9) - rt.matrix) * dt)
-            + noise * rng.normal(size=(9, 9)),
-            duration_s=dt,
-        )
+    mats = np.stack([
+        scipy.linalg.expm(((design @ th).reshape(9, 9) - rt.matrix) * dt)
+        + noise * rng.normal(size=(9, 9))
         for th in thetas
-    ]
+    ])
+    psteps = mats, np.full(n_intervals, dt)
     track = estimate_fields(
         psteps, TimeGrid.uniform(dt, n_intervals), rt, known_form=known_form, method="mle"
     )
     assert track.report.converged
     rows = track.omegas if known_form else track.params
-    for p, row, x0 in zip(psteps, rows, _start(psteps, rt, design)):
+    for mat, row, x0 in zip(mats, rows, _start(psteps, rt, design)):
         lmat = (design @ row).reshape(9, 9) - rt.matrix
-        cost = pade_cost(lmat, np.array([dt]), p.matrix[None])
-        ref = _reference(p, rt, design, x0).fun
+        cost = pade_cost(lmat, np.array([dt]), mat[None])
+        ref = _reference(mat, dt, rt, design, x0).fun
         assert cost - ref <= 1e-12 * ref
 
 
@@ -84,10 +79,8 @@ def test_defective_interval_converges_on_frechet_columns():
     rt = Superoperator(dim=3, matrix=-jordan)
     rotated = (design @ [0.0, 0.0, 3e4]).reshape(9, 9) + jordan
     noise = 1e-4 * np.random.default_rng(5).normal(size=(9, 9))
-    psteps = [
-        ProcessMatrix(dim=3, matrix=scipy.linalg.expm(jordan * dt), duration_s=dt),
-        ProcessMatrix(dim=3, matrix=scipy.linalg.expm(rotated * dt) + noise, duration_s=dt),
-    ]
+    mats = np.stack([scipy.linalg.expm(jordan * dt), scipy.linalg.expm(rotated * dt) + noise])
+    psteps = mats, np.full(2, dt)
     track = estimate_fields(psteps, TimeGrid.uniform(dt, 2), rt, method="mle")
     optimizer = track.report.extras["optimizer"]
     assert optimizer["unconverged_intervals"] == []
@@ -95,6 +88,6 @@ def test_defective_interval_converges_on_frechet_columns():
     assert optimizer["expm_frechet_evaluations"] > 0
     assert optimizer["gauss_newton_iterations"] > optimizer["expm_frechet_evaluations"]
     lmat = (design @ track.omegas[0]).reshape(9, 9) - rt.matrix
-    cost = pade_cost(lmat, np.array([dt]), psteps[0].matrix[None])
-    ref = _reference(psteps[0], rt, design, _start(psteps, rt, design)[0])
+    cost = pade_cost(lmat, np.array([dt]), mats[:1])
+    ref = _reference(mats[0], dt, rt, design, _start(psteps, rt, design)[0])
     assert cost <= ref.fun * (1 + 1e-12)

@@ -41,7 +41,7 @@ def _problem(free, n_times, noise, seed):
 
 def _fit(design, rt, ts, ps, **kwargs):
     return mle_liouvillian(
-        [ProcessMatrix(dim=3, matrix=p, duration_s=t) for t, p in zip(ts, ps)],
+        (ps, ts),
         form="free" if design is None else "hermitian",
         dissipator=None if rt is None else Superoperator(dim=3, matrix=rt),
         **kwargs,

@@ -98,8 +98,8 @@ def _assert_eig_matches_frechet(lmat, ts, ps):
 
 def _processes(kind, n_times):
     ds = generate_dataset(make_scenario(kind), NoiseSpec(bloch_sigma=0.004, seed=70))
-    pms = reconstruct_processes(ds)[:n_times]
-    return np.array([pm.duration_s for pm in pms]), np.stack([pm.matrix for pm in pms])
+    mats, durations = reconstruct_processes(ds)
+    return durations[:n_times], mats[:n_times]
 
 
 def _check_finite_differences(build, design, theta, ts, ps):

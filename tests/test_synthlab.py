@@ -223,8 +223,9 @@ def test_dataset_bit_identical_to_uncached_propagation(kind, params):
 
     for ds in datasets:
         assert np.array_equal(ds.inputs, noisy(prepared, 0))
-        for k, (t, p) in enumerate(zip(sc.grid.times, _uncached_propagators(sc))):
-            assert np.array_equal(ds.outputs[float(t)], noisy(p @ prepared, k + 1))
+        assert np.array_equal(ds.times, sc.grid.times)
+        for k, p in enumerate(_uncached_propagators(sc)):
+            assert np.array_equal(ds.states[k + 1], noisy(p @ prepared, k + 1))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -250,9 +251,9 @@ def test_stacked_forward_model_equals_per_time_evolution(kind, params, seed):
         return out
 
     assert np.array_equal(ds.inputs, reported(prepared, 0))
-    assert list(ds.outputs) == [float(t) for t in sc.grid.times]
-    for k, (p, t) in enumerate(zip(sc._propagator_stack, sc.grid.times)):
-        assert np.array_equal(ds.outputs[float(t)], reported(p @ prepared, k + 1))
+    assert np.array_equal(ds.times, sc.grid.times) and len(ds.states) == len(ds.times) + 1
+    for k, p in enumerate(sc._propagator_stack):
+        assert np.array_equal(ds.states[k + 1], reported(p @ prepared, k + 1))
 
 
 def test_scenario_propagates_once(monkeypatch):
@@ -291,8 +292,8 @@ def test_determinism_bit_identical():
     a = generate_dataset(sc, spec)
     b = generate_dataset(sc, spec)
     np.testing.assert_array_equal(a.inputs, b.inputs)
-    for t in a.times:
-        np.testing.assert_array_equal(a.outputs[t], b.outputs[t])
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.states, b.states)
 
 
 def test_different_seeds_differ():
@@ -308,10 +309,7 @@ def test_noise_honesty():
     sigma = 3e-3
     noisy = generate_dataset(sc, NoiseSpec(bloch_sigma=sigma, seed=11))
     clean = generate_dataset(sc, NoiseSpec(seed=11))
-    deltas = []
-    for t in noisy.times:
-        deltas.append((noisy.outputs[t] - clean.outputs[t])[:8, :].ravel())
-    deltas = np.concatenate(deltas)  # 42 * 15 * 8 = 5040 draws
+    deltas = (noisy.states[1:] - clean.states[1:])[:, :8, :].ravel()  # 42 * 15 * 8 = 5040 draws
     assert deltas.size >= 5000
     assert abs(deltas.std() / sigma - 1.0) < 0.02
 
@@ -321,8 +319,7 @@ def test_trace_pinning_survives_noise():
     ds = generate_dataset(sc, NoiseSpec(bloch_sigma=0.05, seed=12))
     pinned = np.sqrt(1.0 / 6.0)
     assert np.abs(ds.inputs[-1] - pinned).max() == 0.0
-    for t in ds.times:
-        assert np.abs(ds.outputs[t][-1] - pinned).max() == 0.0
+    assert np.abs(ds.states[:, -1] - pinned).max() == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ def _bloch_columns(states, basis):
     return np.column_stack([coords_of(s.entries, basis) for s in states])
 
 
-def _set_from_process(inputs, p, times, dim=3):
-    outputs = {float(t): scipy.linalg.expm(p * t) @ inputs for t in times}
-    return TomographySet(dim=dim, inputs=inputs, outputs=outputs)
+def _set_from_process(inputs, p, times):
+    outputs = [scipy.linalg.expm(p * t) @ inputs for t in times]
+    return TomographySet(states=np.stack([inputs, *outputs]), times=times)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_canonical_projectors_and_phases():
 
 def test_reconstruct_process_missing_time(basis3):
     inputs = _bloch_columns(canonical_input_states(), basis3)
-    ts = TomographySet(dim=3, inputs=inputs, outputs={1e-3: inputs})
+    ts = TomographySet(states=np.stack([inputs, inputs]), times=[1e-3])
     with pytest.raises(KeyError, match="no outputs measured at t = 0.002"):
         reconstruct_process(ts, 2e-3)
 
@@ -93,7 +93,7 @@ def test_nine_state_symmetrization_equals_plain_inversion(basis3):
     p_true = np.eye(9) + 0.1 * rng.normal(size=(9, 9))
     p_true[8] = np.eye(9)[8]
     ts = _set_from_process(inputs, scipy.linalg.logm(p_true).real, [1.0])
-    plain = ts.outputs[1.0] @ np.linalg.inv(inputs)
+    plain = ts.states[1] @ np.linalg.inv(inputs)
     sym = reconstruct_process(ts, 1.0).matrix
     np.testing.assert_allclose(sym, plain, atol=1e-10)
 
@@ -105,7 +105,7 @@ def test_nine_state_symmetrization_equals_plain_inversion(basis3):
 
 def test_identity_outputs_give_identity(basis3):
     inputs = _bloch_columns(canonical_input_states(), basis3)
-    ts = TomographySet(dim=3, inputs=inputs, outputs={1e-3: inputs})
+    ts = TomographySet(states=np.stack([inputs, inputs]), times=[1e-3])
     np.testing.assert_allclose(reconstruct_process(ts, 1e-3).matrix, np.eye(9), atol=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_inversion_exact_for_nonphysical_map(basis3):
     p_true[8] = 0.0
     p_true[8, 8] = 1.0
     assert np.abs(np.linalg.eigvals(p_true)).max() > 1.0  # clearly unphysical
-    ts = TomographySet(dim=3, inputs=inputs, outputs={1.0: p_true @ inputs})
+    ts = TomographySet(states=np.stack([inputs, p_true @ inputs]), times=[1.0])
     np.testing.assert_allclose(reconstruct_process(ts, 1.0).matrix, p_true, atol=1e-10)
 
 
@@ -164,7 +164,7 @@ def test_reconstructed_trace_row(basis3):
 def test_rank_deficient_inputs_rejected(basis3):
     states = canonical_input_states()
     cols = _bloch_columns([states[0]] * 9, basis3)
-    ts = TomographySet(dim=3, inputs=cols, outputs={1.0: cols})
+    ts = TomographySet(states=np.stack([cols, cols]), times=[1.0])
     with pytest.raises(CompletenessError) as err:
         reconstruct_process(ts, 1.0)
     assert err.value.rank == 1
@@ -173,17 +173,18 @@ def test_rank_deficient_inputs_rejected(basis3):
 def test_reconstruct_processes_matches_per_time():
     sc = make_scenario("relaxation_only", n_times=7)
     ds = generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, prep_fidelity=0.95, seed=12))
-    pms = reconstruct_processes(ds)
-    assert [pm.duration_s for pm in pms] == list(ds.times)
-    for pm in pms:
-        single = reconstruct_process(ds, pm.duration_s).matrix
-        np.testing.assert_allclose(pm.matrix, single, rtol=0, atol=1e-12)
+    mats, durations = reconstruct_processes(ds)
+    assert np.array_equal(durations, ds.times) and mats.shape == (7, 9, 9)
+    for mat, t in zip(mats, durations):
+        single = reconstruct_process(ds, t)
+        assert single.duration_s == t
+        np.testing.assert_allclose(mat, single.matrix, rtol=0, atol=1e-12)
 
 
 def test_reconstruct_processes_rejects_rank_deficient(basis3):
     states = canonical_input_states()
     cols = _bloch_columns([states[0]] * 9, basis3)
-    ts = TomographySet(dim=3, inputs=cols, outputs={1.0: cols, 2.0: cols})
+    ts = TomographySet(states=np.stack([cols, cols, cols]), times=[1.0, 2.0])
     with pytest.raises(CompletenessError) as err:
         reconstruct_processes(ts)
     assert err.value.rank == 1
@@ -199,7 +200,7 @@ def test_reconstruct_processes_rejects_ill_conditioned(basis3):
             chosen.append(k)
     m = cols[:, chosen[:9]].copy()
     m[:, 8] = m[:, 7] + 1e-5 * (m[:, 8] - m[:, 7])
-    ts = TomographySet(dim=3, inputs=m, outputs={1.0: m})
+    ts = TomographySet(states=np.stack([m, m]), times=[1.0])
     assert ts.input_rank == 9
     with pytest.raises(IllConditionedError) as err:
         reconstruct_processes(ts)
@@ -219,33 +220,63 @@ def test_mean_log_liouvillian_averages_direct_estimates():
 def test_too_few_states_rejected(basis3):
     cols = _bloch_columns(canonical_input_states()[:5], basis3)
     with pytest.raises(CompletenessError):
-        TomographySet(dim=3, inputs=cols, outputs={})
+        TomographySet(states=np.stack([cols, cols]), times=[1.0])
 
 
 def test_set_checks_shape_then_trace_row_matrix_by_matrix(basis3):
+    # from_json, the one reader of matrices that may differ in shape, names the
+    # first faulty matrix in time order, whatever the order of its keys
     cols = _bloch_columns(canonical_input_states(), basis3)
-    unpinned = cols.copy()
+    unpinned, non_finite = cols.copy(), cols.copy()
     unpinned[-1, 0] += 1e-6
+    non_finite[2, 3] = np.nan
     short = cols[:, :-1]
     cases = [
         # (inputs, outputs, error, message)
-        (unpinned, {1.0: cols, 2.0: short}, ValueError, "inputs has unpinned"),
-        (cols, {1.0: unpinned, 2.0: short}, ValueError, "outputs[1.0] has unpinned"),
-        (cols, {1.0: short, 2.0: unpinned}, DimensionError, "outputs[1.0] shape"),
-        (cols, {1.0: cols, 2.0: unpinned}, ValueError, "outputs[2.0] has unpinned"),
+        (unpinned, {"2.0": short, "1.0": cols}, ValueError, "inputs has unpinned"),
+        (cols, {"2.0": short, "1.0": unpinned}, ValueError, "outputs[1.0] has unpinned"),
+        (cols, {"2.0": unpinned, "1.0": short}, DimensionError, "outputs[1.0] shape"),
+        (cols, {"2.0": unpinned, "1.0": cols}, ValueError, "outputs[2.0] has unpinned"),
+        (cols, {"2.0": unpinned, "1.0": non_finite}, ValueError, "outputs[1.0] has a non-finite"),
+        (non_finite, {"1.0": short}, ValueError, "inputs has a non-finite"),
     ]
     for inputs, outputs, error, message in cases:
+        obj = {"dim": 3, "inputs": inputs.T.tolist(),
+               "outputs": {t: m.T.tolist() for t, m in outputs.items()}}
         with pytest.raises(error) as err:
-            TomographySet(dim=3, inputs=inputs, outputs=outputs)
+            TomographySet.from_json(obj)
         assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ((0, 2, 3), "inputs has a non-finite entry"),
+        ((2, 4, 0), "outputs[2.0] has a non-finite entry"),
+        ((1, -1, 7), "outputs[1.0] has a non-finite entry"),  # the trace row
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_set_rejects_non_finite_entries_at_construction(basis3, where, message, bad):
+    cols = _bloch_columns(canonical_input_states(), basis3)
+    states = np.stack([cols, cols, cols])
+    states[where] = bad
+    with pytest.raises(ValueError) as err:
+        TomographySet(states=states, times=[1.0, 2.0])
+    assert str(err.value) == message
 
 
 def test_set_freezes_a_copy_of_the_callers_arrays(basis3):
     cols = _bloch_columns(canonical_input_states(), basis3)
-    ts = TomographySet(dim=3, inputs=cols, outputs={1.0: cols})
-    assert cols.flags.writeable
-    assert not ts.inputs.flags.writeable and not ts.outputs[1.0].flags.writeable
-    np.testing.assert_array_equal(ts.outputs[1.0], cols)
+    states, times = np.stack([cols, cols]), np.array([1.0])
+    ts = TomographySet(states=states, times=times)
+    assert states.flags.writeable and times.flags.writeable
+    for arr in (ts.states, ts.inputs, ts.times):
+        assert not arr.flags.writeable
+    assert not np.shares_memory(ts.states, states) and not np.shares_memory(ts.times, times)
+    assert np.shares_memory(ts.inputs, ts.states)
+    np.testing.assert_array_equal(ts.states, states)
+    assert (ts.dim, ts.inputs.shape) == (3, (9, 15))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +286,7 @@ def test_set_freezes_a_copy_of_the_callers_arrays(basis3):
 
 def test_direct_liouvillian_identity(basis3):
     inputs = _bloch_columns(canonical_input_states(), basis3)
-    ts = TomographySet(dim=3, inputs=inputs, outputs={1e-3: inputs})
+    ts = TomographySet(states=np.stack([inputs, inputs]), times=[1e-3])
     assert np.abs(direct_liouvillian(ts, 1e-3).matrix).max() < 1e-9
 
 
@@ -280,31 +311,30 @@ def test_direct_liouvillian_round_trip(basis3):
 def test_stepwise_static_gives_constant_steps():
     sc = make_scenario("relaxation_only", n_times=6)
     ds = generate_dataset(sc, NoiseSpec(seed=5))
-    steps = stepwise_processes(ds)
-    assert len(steps) == 6
+    mats, durations = stepwise_processes(ds)
+    assert len(mats) == len(durations) == 6
     rt = DEFAULT_RELAXATION.superoperator()
     expected = scipy.linalg.expm(-rt.matrix * 0.5e-3)
-    for pm in steps:
-        assert pm.duration_s == pytest.approx(0.5e-3)
-        np.testing.assert_allclose(pm.matrix, expected, atol=1e-9)
+    np.testing.assert_allclose(durations, 0.5e-3, rtol=1e-6)
+    for mat in mats:
+        np.testing.assert_allclose(mat, expected, atol=1e-9)
 
 
 def test_stepwise_time_dependent_closed_loop():
     sc = make_scenario("three_axis_time_dependent", n_steps=12)
     ds = generate_dataset(sc, NoiseSpec(seed=6))
-    steps = stepwise_processes(ds)
-    ls = sc.interval_liouvillians()
-    for pm, l, dt in zip(steps, ls, sc.grid.durations):
-        np.testing.assert_allclose(pm.matrix, scipy.linalg.expm(l.matrix * dt), atol=1e-9)
+    mats, durations = stepwise_processes(ds)
+    assert np.array_equal(durations, sc.grid.durations)
+    for mat, l, dt in zip(mats, sc.interval_liouvillians(), durations):
+        np.testing.assert_allclose(mat, scipy.linalg.expm(l.matrix * dt), atol=1e-9)
 
 
 def test_stepwise_product_equals_global():
     sc = make_scenario("three_axis_time_dependent", n_steps=10)
     ds = generate_dataset(sc, NoiseSpec(seed=7))
-    steps = stepwise_processes(ds)
     total = np.eye(9)
-    for pm in steps:
-        total = pm.matrix @ total
+    for mat in stepwise_processes(ds)[0]:
+        total = mat @ total
     final = reconstruct_process(ds, ds.times[-1]).matrix
     assert np.abs(total - final).max() < 1e-8
 
@@ -312,11 +342,9 @@ def test_stepwise_product_equals_global():
 def test_stepwise_names_failing_step(basis3):
     sc = make_scenario("relaxation_only", n_times=4)
     ds = generate_dataset(sc, NoiseSpec(seed=8))
-    outputs = {t: ds.outputs[t].copy() for t in ds.times}
-    t_bad = ds.times[1]
-    degenerate = np.tile(outputs[t_bad][:, :1], (1, ds.n_states))
-    outputs[t_bad] = degenerate
-    broken = TomographySet(dim=3, inputs=ds.inputs, outputs=outputs)
+    states = ds.states.copy()
+    states[2] = np.tile(states[2][:, :1], (1, states.shape[2]))  # the outputs at ds.times[1]
+    broken = TomographySet(states=states, times=ds.times)
     with pytest.raises(CompletenessError) as err:
         stepwise_processes(broken)
     assert "step 2" in str(err.value)
@@ -333,5 +361,4 @@ def test_tomography_set_json_round_trip():
     ds2 = TomographySet.from_json(json.loads(json.dumps(ds.to_json())))
     np.testing.assert_array_equal(ds2.inputs, ds.inputs)
     assert list(ds2.times) == list(ds.times)
-    for t in ds.times:
-        np.testing.assert_array_equal(ds2.outputs[t], ds.outputs[t])
+    assert np.array_equal(ds2.states, ds.states)
