@@ -47,7 +47,7 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """Ordered Hermitian operator basis for a d-level system.
 
@@ -82,7 +82,7 @@ class OperatorBasis:
         return _frozen_array(z.reshape(n, n, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated quantum state: Hermitian, unit trace, PSD within tolerance."""
 
@@ -112,7 +112,7 @@ class DensityMatrix:
         return cls(dim=entries.shape[0], entries=entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochVector:
     """Real d**2-vector of Bloch-Fano coordinates a_i = (1/2) Tr(rho sigma_i)."""
 

@@ -50,7 +50,7 @@ from .exceptions import (
 from .superop import Superoperator
 from .synthlab import SCENARIO_DEFAULTS, NoiseSpec, generate_dataset, make_scenario
 from .synthlab import _input_coords, _noisy_states
-from .tomography import _check_stack, _mean_log, _processes, _steps
+from .tomography import _check_stack, _processes, _steps
 from .tomography import (
     TomographySet,
     mean_log_liouvillian,
@@ -336,17 +336,41 @@ def cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 
 
-def _draw_processes(draw: tuple, kernel=_processes) -> tuple:
-    """``kernel`` (``_processes`` or ``_steps``) of a draw's state stack and times,
+def _fit_stack(args, rt, states, times, draw=False) -> tuple:
+    """The fit of ``--model`` to a state stack and its times: its FitReport, and the
+    FieldTrack of a field fit (else None).
+
+    The one place where the CLI picks an estimator.  The point fit uses
+    ``--method``, except that ``relaxation`` always decomposes the free MLE
+    generator; a bootstrap draw (``draw``) uses the model's direct estimator.
+    """
+    method = "direct" if draw else "mle" if args.model == "relaxation" else args.method
+    if args.model == "fields":
+        steps = _steps(states, times)
+        track = estimate_fields(steps, TimeGrid(times=times), rt, args.known_form, method)
+        return track.report, track
+    processes = _processes(states, times)
+    if args.model == "hermitian" and method == "direct":
+        return direct_hamiltonian(processes, rt), None
+    if args.model != "relaxation":  # a free generator, or a Hermitian one by MLE
+        form = "free" if args.model == "mle" else "hermitian"
+        return mle_liouvillian(processes, dissipator=rt, form=form), None
+    mle = mle_liouvillian(processes, form="free") if method == "mle" else None
+    l_hat = mean_log_liouvillian(processes) if mle is None else mle.estimate
+    report = fit_relaxation_model(Superoperator(dim=l_hat.dim, matrix=-l_hat.matrix))
+    if mle is not None:
+        report.df_per_time = mle.df_per_time
+        report.converged = mle.converged
+        report.iterations = mle.iterations
+        report.extras["optimizer"] = mle.extras["optimizer"]
+    return report, None
+
+
+def _draw_params(args, rt, draw: tuple) -> np.ndarray:
+    """The params of the fit of a bootstrap draw, a state stack and its times,
     checked as a TomographySet checks them."""
     _check_stack(*draw)
-    return kernel(*draw)
-
-
-def _direct_relaxation_params(draw: tuple) -> np.ndarray:
-    """Relaxation fit of the direct estimate of a draw's state stack and times, on arrays."""
-    l_hat = _mean_log(*_draw_processes(draw))
-    return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat)).params
+    return _fit_stack(args, rt, *draw, draw=True)[0].params
 
 
 def cmd_fit(args):
@@ -354,64 +378,31 @@ def cmd_fit(args):
     rt = _load_superop(args.fixed_dissipator, dataset.dim) if args.fixed_dissipator else None
     if args.model in ("hermitian", "fields") and rt is None:
         raise LiouvlabError(f"--model {args.model} requires --fixed-dissipator")
-    draw_fit = _bootstrap_fit(args, source, rt) if args.bootstrap else None
+    if args.bootstrap and source is None:
+        raise LiouvlabError("bootstrap requires a dataset with provenance (produced by simulate)")
+    if args.bootstrap and args.model == "mle":
+        raise LiouvlabError("bootstrap is not supported for model 'mle'")
     outdir = Path(args.out)
-    fields_csv = None
-    df_times = dataset.times
-
-    if args.model == "mle":
-        report = mle_liouvillian(reconstruct_processes(dataset), dissipator=rt, form="free")
-    elif args.model == "relaxation":
-        mle = mle_liouvillian(reconstruct_processes(dataset), form="free")
-        rt_hat = Superoperator(dim=dataset.dim, matrix=-mle.estimate.matrix)
-        report = fit_relaxation_model(rt_hat)
-        report.df_per_time = mle.df_per_time
-        report.converged = mle.converged
-        report.iterations = mle.iterations
-        report.extras["optimizer"] = mle.extras["optimizer"]
-    elif args.model == "hermitian":
-        processes = reconstruct_processes(dataset)
-        if args.method == "mle":
-            report = mle_liouvillian(processes, dissipator=rt, form="hermitian")
-        else:
-            report = direct_hamiltonian(processes, rt)
-    else:  # fields; argparse restricts the choices
-        grid = TimeGrid(times=dataset.times)
-        track = estimate_fields(stepwise_processes(dataset), grid, rt, args.known_form, args.method)
-        report = track.report
-        df_times = track.times  # interval midpoints, as in fields.csv
-        header = ["time_s", *track.columns, "flagged"]
-        rows = zip(track.times, track.report.estimate, track.flagged)
-        fields_csv = header, [[t, *row, int(fl)] for t, row, fl in rows]
-    if draw_fit is not None:
+    report, track = _fit_stack(args, rt, dataset.states, dataset.times)
+    if args.bootstrap:
+        draw_fit = functools.partial(_draw_params, args, rt)
         report = _attach_bootstrap(args, source, draw_fit, report)
 
     _write_json(outdir / "fit_report.json", _artifact(report.to_json(), seed))
     if report.df_per_time is not None and len(report.df_per_time) > 0:
+        # a field fit's rows are labelled by interval midpoints, as in fields.csv
+        df_times = dataset.times if track is None else track.times
         rows = [[t, d] for t, d in zip(df_times, report.df_per_time)]
         _write_csv(outdir / "df.csv", ["time_s", "df"], rows)
-    if fields_csv is not None:
-        _write_csv(outdir / "fields.csv", *fields_csv)
+    if track is not None:
+        rows = zip(track.times, report.estimate, track.flagged)
+        table = [[t, *row, int(fl)] for t, row, fl in rows]
+        _write_csv(outdir / "fields.csv", ["time_s", *track.columns, "flagged"], table)
     names = ("dataset", "model", "method", "known_form", "fixed_dissipator", "bootstrap")
     config = {name: getattr(args, name) for name in names}
     _manifest(outdir, "fit", {**config, "out": str(outdir)}, seed)
     status = "converged" if report.converged else "NOT converged (soft failure)"
     print(f"wrote {outdir / 'fit_report.json'} ({report.model}, {status})")
-
-
-def _bootstrap_fit(args, source, rt):
-    """The per-draw fit of ``--bootstrap``, checked before the point fit runs."""
-    if source is None:
-        raise LiouvlabError("bootstrap requires a dataset with provenance (produced by simulate)")
-    if args.model == "relaxation":
-        return _direct_relaxation_params
-    if args.model == "hermitian":
-        return lambda draw: direct_hamiltonian(_draw_processes(draw), rt).params
-    if args.model == "fields":
-        return lambda draw: estimate_fields(
-            _draw_processes(draw, _steps), TimeGrid(times=draw[1]), rt, args.known_form
-        ).report.params
-    raise LiouvlabError(f"bootstrap is not supported for model {args.model!r}")
 
 
 def _attach_bootstrap(args, source, fit, report: FitReport) -> FitReport:
@@ -518,8 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", choices=["mle", "relaxation", "hermitian", "fields"], required=True
     )
     fit.add_argument("--fixed-dissipator", help="relaxation superoperator JSON")
-    fit.add_argument("--known-form", action="store_true")
-    fit.add_argument("--method", choices=["direct", "mle"], default="direct")
+    fit.add_argument(
+        "--known-form", action="store_true",
+        help="fields: fit the three Larmor frequencies per interval, not nine Hermitian params",
+    )
+    fit.add_argument(
+        "--method", choices=["direct", "mle"], default="direct",
+        help="point-fit estimator of hermitian and fields (relaxation always decomposes "
+        "the free MLE generator); every bootstrap draw uses the model's direct one",
+    )
     fit.add_argument("--bootstrap", type=_draw_count, default=0, metavar="N")
     fit.add_argument("-o", "--out", required=True)
     fit.set_defaults(func=cmd_fit)

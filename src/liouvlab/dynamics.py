@@ -45,7 +45,7 @@ SPECTRAL_RADIUS_SLACK = 1e-6
 EIGVEC_COND_MAX = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessMatrix:
     """Propagator in the Bloch frame: |rho(t)>> = matrix |rho(0)>>."""
 
@@ -67,7 +67,7 @@ class ProcessMatrix:
         return {"dim": self.dim, "matrix": self.matrix.tolist(), "duration_s": self.duration_s}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Measurement times (seconds): finite, positive and strictly increasing.
 
@@ -100,8 +100,10 @@ class TimeGrid:
 
     @property
     def step(self) -> float | None:
+        # relative to the step: rounding alone spreads the durations of a grid of
+        # whole seconds by about 1e-12 s
         d = self.durations
-        if np.all(np.abs(d - d[0]) < 1e-12):
+        if np.all(np.abs(d - d[0]) <= 1e-9 * d[0]):
             return float(d[0])
         return None
 

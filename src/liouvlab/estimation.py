@@ -111,7 +111,7 @@ RELAXATION_PARAM_NAMES = FIELD_PARAM_NAMES + ("gamma_x", "gamma_y", "gamma_z", "
 HERMITIAN_PARAM_NAMES = tuple(f"h{i}" for i in range(1, 10))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxationModel:
     """Three-channel relaxation model of a spin-1 vapor.
 
@@ -160,7 +160,7 @@ class RelaxationModel:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class FitReport:
     """Outcome of one fitting procedure.
 
@@ -749,7 +749,7 @@ def _field_form(known_form: bool) -> tuple[np.ndarray, tuple[str, ...]]:
     return _hermitian_design(), HERMITIAN_PARAM_NAMES
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldTrack:
     """Per-interval field estimates from a stepwise reconstruction.
 
@@ -764,7 +764,6 @@ class FieldTrack:
 
     times: np.ndarray
     known_form: bool
-    method: str
     report: FitReport
     flagged: Optional[np.ndarray] = None
 
@@ -873,7 +872,6 @@ def estimate_fields(
     return FieldTrack(
         times=grid.midpoints,
         known_form=known_form,
-        method=method,
         report=report,
         flagged=flagged,
     )
@@ -884,7 +882,7 @@ def estimate_fields(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class BootstrapResult:
     """Percentile bootstrap bounds (16th/84th) per parameter."""
 

@@ -54,7 +54,7 @@ REALNESS_TOL = 1e-10
 _HERM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Real d**2 x d**2 matrix acting on Bloch vectors.
 
@@ -80,7 +80,7 @@ class Superoperator:
         return cls(dim=int(obj["dim"]), matrix=np.asarray(obj["matrix"], dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Hamiltonian (rad/s) plus quantum-jump operators (sqrt(1/s) units)."""
 
@@ -110,7 +110,7 @@ class LindbladModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianParams:
     """Nine real parameters of a general 3x3 Hermitian operator.
 
@@ -141,7 +141,7 @@ class HermitianParams:
         return {"h": self.h.tolist()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KossakowskiMatrix:
     """Coefficient matrix of the basis-form dissipator (1/s).
 

@@ -149,7 +149,7 @@ SCENARIO_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Ground truth of one synthetic experiment: a kind and its params.
 

@@ -58,7 +58,7 @@ def canonical_input_states() -> list[DensityMatrix]:
     return [DensityMatrix.from_matrix(s) for s in states]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographySet:
     """Input/output Bloch-vector matrices of one tomography run.
 

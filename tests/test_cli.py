@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import liouvlab
 import liouvlab.cli
-from liouvlab.cli import _direct_relaxation_params, build_parser, main
+from liouvlab.cli import _draw_params, build_parser, main
 from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.estimation import derive_seed, fit_relaxation_model, frobenius_distance
 from liouvlab.exceptions import BranchCutError, CompletenessError
@@ -663,11 +663,15 @@ def _object_draw_params(ds) -> np.ndarray:
     return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat.matrix)).params
 
 
+def _relaxation_draw_params(draw: tuple) -> np.ndarray:
+    return _draw_params(SimpleNamespace(model="relaxation"), None, draw)
+
+
 def test_stack_draw_equals_the_object_pipeline(calibrated_sigma):
     sc = make_scenario("relaxation_only")
     for draw in range(50):
         spec = NoiseSpec(bloch_sigma=calibrated_sigma, seed=derive_seed(7, draw))
-        stacked = _direct_relaxation_params((_noisy_states(sc, spec), sc.grid.times))
+        stacked = _relaxation_draw_params((_noisy_states(sc, spec), sc.grid.times))
         assert np.array_equal(stacked, _object_draw_params(generate_dataset(sc, spec))), draw
 
 
@@ -691,7 +695,7 @@ def test_stack_draw_fails_like_the_object_pipeline(spoil, error):
     states = _noisy_states(sc, NoiseSpec(bloch_sigma=0.004, seed=3))
     spoil(states)
     with pytest.raises(error) as stacked:
-        _direct_relaxation_params((states, sc.grid.times))
+        _relaxation_draw_params((states, sc.grid.times))
     with pytest.raises(error) as objects:
         _object_draw_params(TomographySet(states=states, times=sc.grid.times))
     assert type(stacked.value) is type(objects.value)
@@ -713,9 +717,28 @@ def test_stack_draw_checks_the_pinned_trace_row():
     rt = DEFAULT_RELAXATION.superoperator()
     for model in _DRAW_FITS:  # every draw fit checks its stack as a set does
         args = SimpleNamespace(model=model, known_form=True)
-        fit = liouvlab.cli._bootstrap_fit(args, source=(sc, NoiseSpec()), rt=rt)
         with pytest.raises(ValueError, match=r"outputs\[0.001\] has unpinned trace components"):
-            fit((states, sc.grid.times))
+            _draw_params(args, rt, (states, sc.grid.times))
+
+
+@pytest.mark.parametrize("model, known_form", [("hermitian", False), ("fields", True),
+                                               ("fields", False)])
+def test_draw_fit_of_a_dataset_is_its_direct_point_fit(tmp_path, model, known_form):
+    # the point fit and the draws run one dispatch; a draw takes the direct
+    # estimator, whatever --method says
+    out = _simulate(tmp_path, "--sigma", "0.004", kind=_DRAW_FITS[model][0])
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    fit = tmp_path / "fit"
+    flags = ["--known-form"] if known_form else []
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", model, *flags,
+               "--method", "direct", "--fixed-dissipator", str(rt_path), "-o", str(fit)])
+    assert rc == 0
+    ds = TomographySet.from_json(_read(out / "dataset.json"))
+    args = SimpleNamespace(model=model, known_form=known_form, method="mle")
+    rt = Superoperator.from_json(_read(rt_path))
+    params = _draw_params(args, rt, (ds.states, ds.times))
+    assert np.array_equal(params, _read(fit / "fit_report.json")["params"])
 
 
 @contextlib.contextmanager

@@ -1,13 +1,26 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from liouvlab.basis import DensityMatrix, build_basis, coords_of
+from liouvlab.basis import DensityMatrix, build_basis, coords_of, vectorize
+from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.exceptions import ZeroReferenceError
-from liouvlab.estimation import frobenius_distance
-from liouvlab.superop import hamiltonian_superop
+from liouvlab.estimation import (
+    BootstrapResult,
+    FieldTrack,
+    fit_relaxation_model,
+    frobenius_distance,
+)
+from liouvlab.superop import (
+    HermitianParams,
+    KossakowskiMatrix,
+    LindbladModel,
+    Superoperator,
+    hamiltonian_superop,
+)
 from liouvlab.synthlab import (
     CALIBRATION_TARGET_DF,
     DEFAULT_RELAXATION,
@@ -413,3 +426,39 @@ def test_noise_fields_are_type_checked(fields, message):
     with pytest.raises(ValueError, match=message):
         NoiseSpec.from_json(fields)
     assert NoiseSpec.from_json({"seed": np.int64(3), "bloch_sigma": 1}) == NoiseSpec(1.0, 1.0, 3)
+
+
+def _fit_report():
+    return fit_relaxation_model(DEFAULT_RELAXATION.superoperator())
+
+
+# one instance of every dataclass with an array or dict field, by class name
+_ARRAY_DATACLASSES = {
+    "OperatorBasis": lambda: build_basis(3),
+    "DensityMatrix": lambda: DensityMatrix.from_matrix(np.eye(3) / 3),
+    "BlochVector": lambda: vectorize(DensityMatrix.from_matrix(np.eye(3) / 3), build_basis(3)),
+    "ProcessMatrix": lambda: ProcessMatrix(dim=2, matrix=np.eye(4), duration_s=1.0),
+    "TimeGrid": lambda: TimeGrid([1.0, 2.0]),
+    "Superoperator": lambda: Superoperator(dim=2, matrix=np.eye(4)),
+    "LindbladModel": lambda: LindbladModel(hamiltonian=np.diag([1.0, 0.0, -1.0])),
+    "HermitianParams": lambda: HermitianParams(h=np.arange(9.0)),
+    "KossakowskiMatrix": lambda: KossakowskiMatrix(dim=2, c=np.eye(4)),
+    "RelaxationModel": lambda: DEFAULT_RELAXATION,
+    "FitReport": _fit_report,
+    "FieldTrack": lambda: FieldTrack(times=np.ones(1), known_form=True, report=_fit_report()),
+    "BootstrapResult": lambda: BootstrapResult(np.zeros(2), np.ones(2), np.zeros((3, 2)), 0, []),
+    "Scenario": lambda: make_scenario("relaxation_only"),
+    "TomographySet": lambda: generate_dataset(
+        make_scenario("relaxation_only", n_times=2), NoiseSpec()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ARRAY_DATACLASSES)
+def test_dataclasses_with_arrays_compare_by_identity(name):
+    # field-wise == would compare arrays, whose truth value numpy refuses
+    a = _ARRAY_DATACLASSES[name]()
+    b = copy.deepcopy(a)
+    assert type(a).__name__ == name
+    assert a == a and a != b and not (a == b)
+    assert len({a, b, a}) == 2
