@@ -139,8 +139,8 @@ def _manifest(outdir: Path, command: str, config: dict, seed: int):
 # JSON shapes: each key maps to its JSON type or, for an object, to the
 # shape of that object; a key ending in "?" may be left out
 _SCENARIO_FILE = {"kind": "string", "params?": {}, "noise?": {}, "grid?": {}}
-_DATASET = {"dim": "integer", "inputs": "array", "outputs": {}, "seed?": "integer",
-            "provenance?": {"kind": "string", "params": {}, "noise": {}}}
+_DATASET = {"dim": "integer", "inputs": "array", "outputs": {}, "times_s?": "array",
+            "seed?": "integer", "provenance?": {"kind": "string", "params": {}, "noise": {}}}
 _SUPEROPERATOR = {"dim": "integer", "matrix": "array"}
 _FIT_REPORT = {"cost": "number", "converged": "boolean"}
 _REPORT_COLUMNS = ["run", "command", "seed", "max_df", "median_df", "cost", "converged"]
@@ -374,6 +374,11 @@ def _draw_params(args, rt, draw: tuple) -> np.ndarray:
 
 
 def cmd_fit(args):
+    # a flag that the model's fit does not read is refused, not ignored
+    if args.known_form and args.model != "fields":
+        raise LiouvlabError(f"--known-form does not apply to --model {args.model}")
+    if args.fixed_dissipator and args.model == "relaxation":
+        raise LiouvlabError("--fixed-dissipator does not apply to --model relaxation")
     dataset, seed, source = _load_dataset(args.dataset)
     rt = _load_superop(args.fixed_dissipator, dataset.dim) if args.fixed_dissipator else None
     if args.model in ("hermitian", "fields") and rt is None:

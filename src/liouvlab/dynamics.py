@@ -72,8 +72,7 @@ class TimeGrid:
     """Measurement times (seconds): finite, positive and strictly increasing.
 
     The grid implies len(times) evolution intervals with boundaries
-    [0, t_1, ..., t_N]; ``step`` is the common spacing of a uniform grid
-    (None otherwise).
+    [0, t_1, ..., t_N].
     """
 
     times: NDArray[np.float64]
@@ -97,15 +96,6 @@ class TimeGrid:
     def midpoints(self) -> np.ndarray:
         b = self.boundaries
         return 0.5 * (b[:-1] + b[1:])
-
-    @property
-    def step(self) -> float | None:
-        # relative to the step: rounding alone spreads the durations of a grid of
-        # whole seconds by about 1e-12 s
-        d = self.durations
-        if np.all(np.abs(d - d[0]) <= 1e-9 * d[0]):
-            return float(d[0])
-        return None
 
     @classmethod
     def uniform(cls, step: float, n: int) -> "TimeGrid":

@@ -797,8 +797,11 @@ def estimate_fields(
     Args:
         psteps: the (mats, durations) pair of ``stepwise_processes``, one
             process matrix per grid interval.
-        grid: uniform measurement grid; estimates are labelled with the
-            interval midpoints.  A non-uniform grid raises LiouvlabError.
+        grid: the measurement grid, uniform or not, whose intervals the
+            steps span; estimates are labelled with the interval midpoints.
+            Each interval is fitted with its own duration from ``psteps``,
+            and grid durations that differ from those by more than 1e-9
+            relative raise DimensionError naming the first such interval.
         rt: fixed relaxation matrix, added back before reading off the
             Hamiltonian part.
         known_form: if True, each interval is reduced to the three Larmor
@@ -823,11 +826,6 @@ def estimate_fields(
     Branch-cut errors propagate per step; steps with nearly vanishing
     total field are flagged in the result.
     """
-    if grid.step is None:
-        raise LiouvlabError(
-            "field estimation expects a uniform time grid, but its intervals last "
-            f"from {grid.durations.min():g} to {grid.durations.max():g} s"
-        )
     ps, dts = psteps
     if len(ps) != grid.n_intervals:
         raise DimensionError(f"{len(ps)} process matrices for {grid.n_intervals} intervals")
@@ -835,6 +833,13 @@ def estimate_fields(
         raise ValueError(f"unknown method {method!r}")
 
     _process_dim(ps, dts)
+    off = np.flatnonzero(~(np.abs(grid.durations - dts) <= 1e-9 * dts))
+    if off.size:
+        n = off[0]
+        raise DimensionError(
+            f"grid interval {n} lasts {float(grid.durations[n])!r} s, but its process "
+            f"matrix spans {float(dts[n])!r} s"
+        )
     design, columns = _field_form(known_form)
     logs = _log_stack(ps, dts)
     k_direct = (logs / dts[:, None, None] + rt.matrix).reshape(len(ps), -1)

@@ -15,7 +15,6 @@ and does not project onto the physical set.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -93,20 +92,12 @@ class TomographySet:
 
     @property
     def input_rank(self) -> int:
-        return int(self._input_health[0][0])
+        return int(_gram_health(self.inputs[None])[0][0])
 
     @property
     def input_condition(self) -> float:
         """Condition number of the symmetrized input matrix."""
-        return float(self._input_health[1][0])
-
-    @functools.cached_property
-    def _input_health(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_gram_health`` of the inputs, a stack of one.
-
-        The inputs are shared by every time, so their SVD runs once per set.
-        """
-        return _gram_health(self.inputs[None])
+        return float(_gram_health(self.inputs[None])[1][0])
 
     def to_json(self) -> dict:
         return {
@@ -122,7 +113,9 @@ class TomographySet:
 
         Raises DimensionError if ``inputs`` is not d**2 x N for the ``dim``
         given or an ``outputs[t]`` matrix has another shape (after the checks
-        of the earlier matrices), and otherwise as the constructor.
+        of the earlier matrices), otherwise as the constructor, and then
+        ValueError if ``times_s``, when present, is not exactly the sorted
+        ``outputs`` times.
         """
         keys = sorted(obj["outputs"], key=float)
         times = [float(t) for t in keys]
@@ -137,7 +130,10 @@ class TomographySet:
             raise DimensionError(
                 f"outputs[{times[bad - 1]}] shape {mats[bad].shape} != inputs shape {mats[0].shape}"
             )
-        return cls(states=np.stack(mats), times=np.array(times))
+        ts = cls(states=np.stack(mats), times=np.array(times))
+        if "times_s" in obj and obj["times_s"] != times:
+            raise ValueError("times_s is not the sorted times of the outputs keys")
+        return ts
 
 
 def _check_stack(states: np.ndarray, times: np.ndarray):
@@ -193,21 +189,20 @@ def _checked_gram_solve(
     mi: np.ndarray,
     rhs: np.ndarray,
     label: Callable[[int], str],
-    health: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solutions X_k of (M_k M_k^T) X_k = rhs_k for a (K, d**2, N) stack M.
 
-    ``health`` is ``_gram_health(mi)``, computed here when not given.  The
-    first matrix that is rank-deficient or whose Gram condition exceeds
-    MAX_CONDITION raises, named by ``label(k)``.  All K systems then go
-    through one batched solve; no inverse is formed.
+    The first matrix that is rank-deficient or whose Gram condition
+    exceeds MAX_CONDITION (by ``_gram_health``) raises, named by
+    ``label(k)``.  All K systems then go through one batched solve; no
+    inverse is formed.
 
     Raises:
         CompletenessError: rank below d**2 (``rank`` attribute set).
         IllConditionedError: Gram condition above MAX_CONDITION (``cond``
             attribute set).
     """
-    rank, cond = _gram_health(mi) if health is None else health
+    rank, cond = _gram_health(mi)
     n2 = mi.shape[1]
     bad = np.flatnonzero((rank < n2) | (cond > MAX_CONDITION))
     if bad.size:
@@ -225,17 +220,17 @@ def _checked_gram_solve(
     return np.linalg.solve(mi @ mi.transpose(0, 2, 1), rhs)
 
 
-def _processes(states: np.ndarray, times: np.ndarray, health=None) -> tuple:
+def _processes(states: np.ndarray, times: np.ndarray) -> tuple:
     """Process matrices of a (T+1, d**2, N) state stack and its (T,) output times.
 
     Returns the pair (mats, times): the (T, d**2, d**2) process matrix at
     each time, from one Gram solve of the inputs ``states[0]``, and
-    ``times``.  ``health`` is as in ``_checked_gram_solve``.
+    ``times``.
     """
     inputs, mo = states[0], states[1:]
     # column block k of the right-hand side is (mo_k inputs^T)^T
     rhs = inputs @ mo.transpose(2, 0, 1).reshape(inputs.shape[1], -1)
-    sol = _checked_gram_solve(inputs[None], rhs[None], lambda k: "inputs", health)[0]
+    sol = _checked_gram_solve(inputs[None], rhs[None], lambda k: "inputs")[0]
     return np.ascontiguousarray(sol.reshape(len(inputs), len(mo), -1).transpose(1, 2, 0)), times
 
 
@@ -244,7 +239,7 @@ def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
 
     Solves the symmetrized system by a linear solve (never by forming an
     explicit inverse), with the input rank and Gram condition checked
-    from one SVD per TomographySet.  The outputs at ``t`` are the slice
+    from one SVD of the inputs.  The outputs at ``t`` are the slice
     of ``ts.states`` at the index of ``t`` in ``ts.times``, which must
     hold ``t`` exactly.  Exact on noiseless data for any full-rank input
     set.
@@ -259,7 +254,7 @@ def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
     if not at.size:
         raise KeyError(f"no outputs measured at t = {t}; available times: {list(ts.times)}")
     k = at[0]
-    mats, _ = _processes(ts.states[[0, k + 1]], ts.times[k : k + 1], ts._input_health)
+    mats, _ = _processes(ts.states[[0, k + 1]], ts.times[k : k + 1])
     return ProcessMatrix(dim=ts.dim, matrix=mats[0], duration_s=float(ts.times[k]))
 
 
@@ -273,7 +268,7 @@ def reconstruct_processes(ts: TomographySet) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         CompletenessError, IllConditionedError: as reconstruct_process.
     """
-    return _processes(ts.states, ts.times, ts._input_health)
+    return _processes(ts.states, ts.times)
 
 
 def mean_log_liouvillian(processes: tuple[np.ndarray, np.ndarray]) -> Superoperator:
@@ -284,12 +279,11 @@ def mean_log_liouvillian(processes: tuple[np.ndarray, np.ndarray]) -> Superopera
     its duration, averaged over the stacked logs; branch-cut and
     singularity errors propagate.
     """
-    return Superoperator(dim=_process_dim(*processes), matrix=_mean_log(*processes))
-
-
-def _mean_log(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """The mean of log(P_t) / t over a (T, n, n) stack and its (T,) durations."""
-    return np.mean(_log_stack(mats, durations) / durations[:, None, None], axis=0)
+    dim = _process_dim(*processes)
+    mats, durations = processes
+    return Superoperator(
+        dim=dim, matrix=np.mean(_log_stack(mats, durations) / durations[:, None, None], axis=0)
+    )
 
 
 def direct_liouvillian(ts: TomographySet, t: float) -> Superoperator:

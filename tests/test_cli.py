@@ -416,19 +416,45 @@ def test_fit_fields_known_and_unknown(tmp_path):
     assert header.startswith("time_s,h1,h2")
 
 
-def test_fit_fields_on_a_non_uniform_grid_exits_2(tmp_path, capsys):
-    # the static grid's first interval is 100 us, the others 10 us
-    out = _simulate(tmp_path, kind="static_quadratic_zeeman")
+@pytest.mark.parametrize("method", ["direct", "mle"])
+def test_fit_fields_on_a_non_uniform_grid(tmp_path, method):
+    # the static grid's first interval is 100 us, the others 10 us; each
+    # interval is fitted with its own duration
+    out = _simulate(tmp_path, kind="static_linear_zeeman")
     rt_path = tmp_path / "rt.json"
     rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
-    capsys.readouterr()
+    fit = tmp_path / "fit"
     rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "fields",
-               "--fixed-dissipator", str(rt_path), "-o", str(tmp_path / "f")])
+               "--known-form", "--method", method, "--fixed-dissipator", str(rt_path),
+               "-o", str(fit)])
+    assert rc == 0
+    rows = np.array([[float(v) for v in r.split(",")]
+                     for r in (fit / "fields.csv").read_text().splitlines()[1:]])
+    sc = make_scenario("static_linear_zeeman")
+    np.testing.assert_array_equal(rows[:, 0], sc.grid.midpoints)
+    np.testing.assert_allclose(rows[:, 1], 2 * np.pi * 1000.0, rtol=1e-9)
+    np.testing.assert_allclose(rows[:, 2:4], 0.0, atol=1e-9 * 2 * np.pi * 1000.0)
+
+
+@pytest.mark.parametrize("model, flag", [("relaxation", "--known-form"),
+                                         ("hermitian", "--known-form"),
+                                         ("mle", "--known-form"),
+                                         ("relaxation", "--fixed-dissipator")])
+def test_fit_flag_its_model_does_not_read_exits_2(tmp_path, capsys, model, flag):
+    out = _simulate(tmp_path)
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    flags = ["--fixed-dissipator", str(rt_path)] if model != "relaxation" else []
+    if flag == "--known-form":
+        flags.append(flag)
+    else:
+        flags += [flag, str(rt_path)]
+    capsys.readouterr()
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", model, *flags,
+               "-o", str(tmp_path / "fit")])
     assert rc == 2
-    assert (
-        "fit: field estimation expects a uniform time grid, "
-        "but its intervals last from 1e-05 to 0.0001 s"
-    ) in capsys.readouterr().err
+    assert capsys.readouterr().err == f"fit: {flag} does not apply to --model {model}\n"
+    assert not (tmp_path / "fit").exists()
 
 
 def test_fit_fields_mle_writes_gauss_newton_counts(tmp_path):
@@ -477,12 +503,15 @@ def test_fit_fields_bootstrap_on_time_dependent_dataset(tmp_path, ramp):
 def test_fit_mle_writes_gauss_newton_counts(tmp_path):
     rt_path = tmp_path / "rt.json"
     rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
-    models = (("relaxation_only", "relaxation"), ("static_quadratic_zeeman", "hermitian"))
-    for kind, model in models:
+    models = (
+        ("relaxation_only", "relaxation", []),
+        ("static_quadratic_zeeman", "hermitian", ["--fixed-dissipator", str(rt_path)]),
+    )
+    for kind, model, flags in models:
         out = _simulate(tmp_path / kind, "--sigma", "0.004", kind=kind)
         fit = tmp_path / model
         rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", model,
-                   "--method", "mle", "--fixed-dissipator", str(rt_path), "-o", str(fit)])
+                   "--method", "mle", *flags, "-o", str(fit)])
         assert rc == 0
         report = _read(fit / "fit_report.json")
         counts = report["optimizer"]
@@ -953,6 +982,12 @@ _MALFORMED = {
         _PROCESS, lambda d: {**d, "outputs": [[1, 2]]}, "'outputs'"
     ),
     "dataset-dim-list": _dataset_case(_PROCESS, lambda d: {**d, "dim": [3]}, "'dim'"),
+    "dataset-times-s-string": _dataset_case(
+        _PROCESS, lambda d: {**d, "times_s": "x"}, "'times_s'"
+    ),
+    "dataset-times-s-not-the-outputs-times": _dataset_case(
+        _PROCESS, lambda d: {**d, "times_s": [1.0] * len(d["times_s"])}, "times_s"
+    ),
     "dataset-negative-time": _dataset_case(
         _RELAX, lambda d: _with_time(d, "-0.0005"), _TIMES_RULE, "got -0.0005 after 0.0"
     ),

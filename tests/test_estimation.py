@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lbfgs_reference
 from liouvlab import estimation
@@ -32,13 +34,21 @@ from liouvlab.exceptions import (
 from liouvlab.superop import (
     HermitianParams,
     Superoperator,
+    _field_design,
     _hermitian_design,
     explicit_qutrit_superop,
     hamiltonian_superop,
     params_from_superop,
 )
-from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
+from liouvlab.synthlab import (
+    DEFAULT_RELAXATION,
+    NoiseSpec,
+    _input_coords,
+    generate_dataset,
+    make_scenario,
+)
 from liouvlab.tomography import (
+    TomographySet,
     direct_liouvillian,
     mean_log_liouvillian,
     reconstruct_process,
@@ -382,6 +392,52 @@ def test_constant_field_tracked_exactly():
     np.testing.assert_allclose(track.omegas[:, :2], 0.0, atol=omega_z * 1e-8)
 
 
+# durations log-uniform over 1.5 decades from the shortest, one of them at
+# least 10x the shortest; the field turns by at most 1 rad in the longest
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    n_intervals=st.integers(min_value=2, max_value=8),
+    shortest=st.floats(min_value=1e-6, max_value=1e-4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_constant_field_recovered_on_a_non_uniform_grid(n_intervals, shortest, seed):
+    rng = np.random.default_rng(seed)
+    decades = rng.uniform(0.0, 1.5, n_intervals)
+    decades[rng.choice(n_intervals, 2, replace=False)] = [0.0, rng.uniform(1.0, 1.5)]
+    grid = TimeGrid(times=np.cumsum(shortest * 10.0**decades))
+    direction = rng.normal(size=3)
+    omega = rng.uniform(0.2, 1.0) / grid.durations.max() * direction / np.linalg.norm(direction)
+    rt = DEFAULT_RELAXATION.superoperator()
+    generator = (_field_design() @ omega).reshape(9, 9) - rt.matrix
+    inputs = _input_coords()
+    outputs = [scipy.linalg.expm(generator * t) @ inputs for t in grid.times]
+    steps = stepwise_processes(TomographySet(states=np.stack([inputs, *outputs]), times=grid.times))
+    h_truth = np.linalg.lstsq(_hermitian_design(), _field_design() @ omega, rcond=None)[0]
+    for known_form, truth in ((True, omega), (False, h_truth)):
+        for method in ("direct", "mle"):
+            track = estimate_fields(steps, grid, rt, known_form=known_form, method=method)
+            expected = np.tile(truth, (n_intervals, 1))
+            np.testing.assert_allclose(
+                track.report.estimate, expected, rtol=1e-9, atol=1e-9 * np.abs(truth).max()
+            )
+            np.testing.assert_array_equal(track.times, grid.midpoints)
+
+
+def test_grid_that_does_not_match_the_steps_is_refused():
+    sc = make_scenario("three_axis_time_dependent", n_steps=10)  # 4 us intervals
+    steps = stepwise_processes(generate_dataset(sc, NoiseSpec(seed=67)))
+    rt = sc.relaxation.superoperator()
+    with pytest.raises(DimensionError, match=r"grid interval 0 lasts 1\.0 s, but its process "
+                       r"matrix spans 4e-06 s"):
+        estimate_fields(steps, TimeGrid.uniform(1.0, 10), rt)
+    shifted = sc.grid.times.copy()
+    shifted[3] += 1e-7
+    with pytest.raises(DimensionError, match=r"grid interval 3 lasts"):
+        estimate_fields(steps, TimeGrid(times=shifted), rt)
+    with pytest.raises(DimensionError, match=r"10 process matrices for 9 intervals"):
+        estimate_fields(steps, TimeGrid.uniform(4e-6, 9), rt)
+
+
 def test_three_axis_closed_loop_noiseless():
     sc = make_scenario("three_axis_time_dependent", n_steps=25)
     ds = generate_dataset(sc, NoiseSpec(seed=69))
@@ -443,7 +499,7 @@ def test_recovered_frequency_content(calibrated_sigma):
     track = estimate_fields(stepwise_processes(ds), sc.grid, rt, known_form=True)
     omega_y = track.omegas[:, 1]
     spectrum = np.abs(np.fft.rfft(omega_y - omega_y.mean()))
-    freqs = np.fft.rfftfreq(len(omega_y), d=sc.grid.step)
+    freqs = np.fft.rfftfreq(len(omega_y), d=sc.params["dt"])
     peak = freqs[1:][np.argmax(spectrum[1:])]
     bin_width = freqs[1] - freqs[0]
     assert abs(peak - 7500.0) <= bin_width

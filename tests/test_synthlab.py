@@ -132,7 +132,7 @@ def test_three_axis_scenario_waveforms():
         a = amplitudes[axis]
         np.testing.assert_allclose(om[:, axis], a * unit, rtol=0, atol=1e-9 * a)
         np.testing.assert_array_equal(sc.drive(times), om)  # unramped by default
-    assert sc.grid.step == pytest.approx(4e-6)
+    np.testing.assert_allclose(sc.grid.durations, 4e-6, rtol=1e-12)
     assert sc.ramp_s is None
 
 

@@ -217,6 +217,14 @@ def test_mean_log_liouvillian_averages_direct_estimates():
     np.testing.assert_allclose(mean, np.mean(singles, axis=0), rtol=1e-12, atol=1e-9)
 
 
+def test_set_keeps_only_its_states_and_times():
+    ds = generate_dataset(make_scenario("relaxation_only", n_times=3), NoiseSpec(seed=5))
+    assert ds.input_rank == 9
+    assert ds.input_condition < 1e3
+    reconstruct_processes(ds)
+    assert set(vars(ds)) == {"states", "times"}
+
+
 def test_too_few_states_rejected(basis3):
     cols = _bloch_columns(canonical_input_states()[:5], basis3)
     with pytest.raises(CompletenessError):
