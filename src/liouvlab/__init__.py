@@ -20,7 +20,6 @@ from .dynamics import (
 )
 from .estimation import (
     BootstrapResult,
-    FieldTrack,
     FitReport,
     RelaxationModel,
     bootstrap,

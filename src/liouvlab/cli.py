@@ -32,6 +32,8 @@ import scipy
 from . import __version__
 from .dynamics import ProcessMatrix, TimeGrid
 from .estimation import (
+    FIELD_PARAM_NAMES,
+    HERMITIAN_PARAM_NAMES,
     FitReport,
     _df_per_time,
     bootstrap,
@@ -225,7 +227,8 @@ def _load_scenario(args) -> tuple:
             {**spec.get("noise", {}), **_given(args, _NOISE_FLAGS), "seed": seed}
         )
         stated = np.asarray(spec.get("grid", {}).get("times_s", []), dtype=float)
-        if stated.size and not np.allclose(stated, scenario.grid.times):
+        times = scenario.grid.times
+        if stated.size and not (stated.shape == times.shape and np.allclose(stated, times)):
             raise ValueError("'grid.times_s' is inconsistent with the params")
     return scenario, noise
 
@@ -336,9 +339,8 @@ def cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 
 
-def _fit_stack(args, rt, states, times, draw=False) -> tuple:
-    """The fit of ``--model`` to a state stack and its times: its FitReport, and the
-    FieldTrack of a field fit (else None).
+def _fit_stack(args, rt, states, times, draw=False) -> FitReport:
+    """The FitReport of the fit of ``--model`` to a state stack and its times.
 
     The one place where the CLI picks an estimator.  The point fit uses
     ``--method``, except that ``relaxation`` always decomposes the free MLE
@@ -346,15 +348,13 @@ def _fit_stack(args, rt, states, times, draw=False) -> tuple:
     """
     method = "direct" if draw else "mle" if args.model == "relaxation" else args.method
     if args.model == "fields":
-        steps = _steps(states, times)
-        track = estimate_fields(steps, TimeGrid(times=times), rt, args.known_form, method)
-        return track.report, track
+        return estimate_fields(_steps(states, times), rt, args.known_form, method)
     processes = _processes(states, times)
     if args.model == "hermitian" and method == "direct":
-        return direct_hamiltonian(processes, rt), None
+        return direct_hamiltonian(processes, rt)
     if args.model != "relaxation":  # a free generator, or a Hermitian one by MLE
         form = "free" if args.model == "mle" else "hermitian"
-        return mle_liouvillian(processes, dissipator=rt, form=form), None
+        return mle_liouvillian(processes, dissipator=rt, form=form)
     mle = mle_liouvillian(processes, form="free") if method == "mle" else None
     l_hat = mean_log_liouvillian(processes) if mle is None else mle.estimate
     report = fit_relaxation_model(Superoperator(dim=l_hat.dim, matrix=-l_hat.matrix))
@@ -363,14 +363,14 @@ def _fit_stack(args, rt, states, times, draw=False) -> tuple:
         report.converged = mle.converged
         report.iterations = mle.iterations
         report.extras["optimizer"] = mle.extras["optimizer"]
-    return report, None
+    return report
 
 
 def _draw_params(args, rt, draw: tuple) -> np.ndarray:
     """The params of the fit of a bootstrap draw, a state stack and its times,
     checked as a TomographySet checks them."""
     _check_stack(*draw)
-    return _fit_stack(args, rt, *draw, draw=True)[0].params
+    return _fit_stack(args, rt, *draw, draw=True).params
 
 
 def cmd_fit(args):
@@ -388,21 +388,23 @@ def cmd_fit(args):
     if args.bootstrap and args.model == "mle":
         raise LiouvlabError("bootstrap is not supported for model 'mle'")
     outdir = Path(args.out)
-    report, track = _fit_stack(args, rt, dataset.states, dataset.times)
+    report = _fit_stack(args, rt, dataset.states, dataset.times)
     if args.bootstrap:
         draw_fit = functools.partial(_draw_params, args, rt)
         report = _attach_bootstrap(args, source, draw_fit, report)
 
     _write_json(outdir / "fit_report.json", _artifact(report.to_json(), seed))
+    # a field fit's rows, one per interval, are labelled by interval midpoints
+    fields = args.model == "fields"
+    times = TimeGrid(times=dataset.times).midpoints if fields else dataset.times
     if report.df_per_time is not None and len(report.df_per_time) > 0:
-        # a field fit's rows are labelled by interval midpoints, as in fields.csv
-        df_times = dataset.times if track is None else track.times
-        rows = [[t, d] for t, d in zip(df_times, report.df_per_time)]
+        rows = [[t, d] for t, d in zip(times, report.df_per_time)]
         _write_csv(outdir / "df.csv", ["time_s", "df"], rows)
-    if track is not None:
-        rows = zip(track.times, report.estimate, track.flagged)
+    if fields:
+        columns = FIELD_PARAM_NAMES if args.known_form else HERMITIAN_PARAM_NAMES
+        rows = zip(times, report.estimate, report.extras["flagged"])
         table = [[t, *row, int(fl)] for t, row, fl in rows]
-        _write_csv(outdir / "fields.csv", ["time_s", *track.columns, "flagged"], table)
+        _write_csv(outdir / "fields.csv", ["time_s", *columns, "flagged"], table)
     names = ("dataset", "model", "method", "known_form", "fixed_dissipator", "bootstrap")
     config = {name: getattr(args, name) for name in names}
     _manifest(outdir, "fit", {**config, "out": str(outdir)}, seed)

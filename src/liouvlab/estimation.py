@@ -67,7 +67,7 @@ import scipy.optimize
 from numpy.typing import NDArray
 
 from .basis import build_basis, _frozen_array
-from .dynamics import TimeGrid, _eigvec_inverse, _log_stack, _principal_logs, _process_dim
+from .dynamics import _eigvec_inverse, _log_stack, _principal_logs, _process_dim
 from .exceptions import (
     BootstrapError,
     BranchCutError,
@@ -88,7 +88,6 @@ from .superop import (
 __all__ = [
     "RelaxationModel",
     "FitReport",
-    "FieldTrack",
     "BootstrapResult",
     "frobenius_distance",
     "mle_liouvillian",
@@ -175,7 +174,9 @@ class FitReport:
     intervals and lists the ``unconverged_intervals``.
     ``extras["bootstrap"]``, set by the CLI, records the draw count, the
     failed draws and the first few failure messages.  ``to_json`` writes
-    each of the two only when present.
+    each of the two only when present.  ``extras["flagged"]``, set by
+    ``estimate_fields``, marks the intervals of nearly vanishing total
+    field; ``to_json`` leaves it out.
     """
 
     model: str
@@ -251,6 +252,14 @@ def frobenius_distance(a, b) -> float:
 def _distances(ps, exps) -> np.ndarray:
     """``frobenius_distance`` of each process matrix to its exponential, in order."""
     return np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
+
+
+def _check_dissipator(dim: int, rt: Superoperator | None):
+    """Raise DimensionError unless ``rt`` (None passes) is of the processes' ``dim``."""
+    if rt is not None and rt.dim != dim:
+        raise DimensionError(
+            f"relaxation matrix has dim {rt.dim}, but the process matrices have dim {dim}"
+        )
 
 
 def _df_per_time(processes: tuple[np.ndarray, np.ndarray], generator: np.ndarray) -> np.ndarray:
@@ -574,7 +583,8 @@ def mle_liouvillian(
         processes: the (mats, durations) pair of ``reconstruct_processes``:
             (T, d**2, d**2) process matrices in any order and their
             evolution times > 0; they are fitted in time order.
-        dissipator: fixed relaxation matrix R_T.  When given, the fitted
+        dissipator: fixed relaxation matrix R_T, of the processes'
+            dimension (else DimensionError).  When given, the fitted
             parameters describe the Hamiltonian generator B and the full
             generator is L = B - R_T; when absent, L itself is fitted.
         form: constraint on B --
@@ -603,6 +613,7 @@ def mle_liouvillian(
         Frechet columns because the generator was near-defective).
     """
     dim = _process_dim(*processes)
+    _check_dissipator(dim, dissipator)
     order = np.argsort(processes[1], kind="stable")
     ps, ts = processes[0][order], processes[1][order]
     n2 = dim * dim
@@ -707,9 +718,10 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
     part), and the per-time estimates are averaged; a final least-squares
     projection onto the Hermitian parametrization enforces physicality.
     Times where the logarithm hits the branch cut are skipped with a
-    warning and listed in ``extras["skipped_times"]``.
+    warning and listed in ``extras["skipped_times"]``.  An ``rt`` of
+    another dimension than the processes raises DimensionError.
     """
-    _process_dim(*processes)
+    _check_dissipator(_process_dim(*processes), rt)
     ps, ts = processes
     logs, errors = _principal_logs(ps, ts)
     skipped = [(float(ts[k]), str(errors[k])) for k in sorted(errors)]
@@ -742,66 +754,18 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
 # ---------------------------------------------------------------------------
 
 
-def _field_form(known_form: bool) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Design matrix and column names of a field fit: Omega, or HermitianParams.h."""
-    if known_form:
-        return _field_design(), FIELD_PARAM_NAMES
-    return _hermitian_design(), HERMITIAN_PARAM_NAMES
-
-
-@dataclass(eq=False)
-class FieldTrack:
-    """Per-interval field estimates from a stepwise reconstruction.
-
-    ``report.estimate`` has one row per interval, with columns named by
-    ``columns``: (Omega_x, Omega_y, Omega_z) when the field form is known,
-    read as ``omegas``, otherwise the nine Hermitian parameters, read as
-    ``params``.  ``times`` are interval midpoints.  Steps
-    whose total field magnitude is small are flagged: the normalized error
-    metric diverges there, an artifact of the normalization rather than of
-    the reconstruction.
-    """
-
-    times: np.ndarray
-    known_form: bool
-    report: FitReport
-    flagged: Optional[np.ndarray] = None
-
-    @property
-    def omegas(self) -> Optional[np.ndarray]:
-        return self.report.estimate if self.known_form else None
-
-    @property
-    def params(self) -> Optional[np.ndarray]:
-        return None if self.known_form else self.report.estimate
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return _field_form(self.known_form)[1]
-
-    def hamiltonian_superops(self) -> list[Superoperator]:
-        """Reconstructed Hamiltonian generator per interval."""
-        design, rows = _field_form(self.known_form)[0], self.report.estimate
-        return [Superoperator(dim=3, matrix=(design @ r).reshape(9, 9)) for r in rows]
-
-
 def estimate_fields(
     psteps: tuple[np.ndarray, np.ndarray],
-    grid: TimeGrid,
     rt: Superoperator,
     known_form: bool = True,
     method: str = "direct",
-) -> FieldTrack:
+) -> FitReport:
     """Track time-dependent fields from per-interval process matrices.
 
     Args:
         psteps: the (mats, durations) pair of ``stepwise_processes``, one
-            process matrix per grid interval.
-        grid: the measurement grid, uniform or not, whose intervals the
-            steps span; estimates are labelled with the interval midpoints.
-            Each interval is fitted with its own duration from ``psteps``,
-            and grid durations that differ from those by more than 1e-9
-            relative raise DimensionError naming the first such interval.
+            qutrit process matrix per interval; each interval is fitted
+            with its own duration, so they need not be equal.
         rt: fixed relaxation matrix, added back before reading off the
             Hamiltonian part.
         known_form: if True, each interval is reduced to the three Larmor
@@ -811,36 +775,41 @@ def estimate_fields(
             (per-interval cost minimization, Hermitian or field-parametric
             by construction).
 
+    Returns:
+        FitReport whose ``estimate`` has one row per interval, in the order
+        of ``psteps``, with columns FIELD_PARAM_NAMES when the field form
+        is known and HERMITIAN_PARAM_NAMES otherwise; ``params`` is its
+        flattening, named ``<column>[<interval>]``.
+        ``extras["flagged"]`` marks the intervals whose total field is
+        below a tenth of the largest: the normalized error metric diverges
+        there, an artifact of the normalization rather than of the
+        reconstruction.
+
     Both methods start from the direct estimate: the principal log of each
     step, with ``rt`` added back, projected onto the parameters by least
     squares.  ``"mle"`` then lowers each interval's Pade cost
     ||exp(G dt) - P||_F^2 by damped Gauss-Newton, all intervals in
     lockstep as one-time problems of ``_gauss_newton``.
-    ``report.extras["optimizer"]`` then holds ``gauss_newton_iterations``
-    (steps summed over intervals, also ``report.iterations``),
+    ``extras["optimizer"]`` then holds ``gauss_newton_iterations``
+    (steps summed over intervals, also ``iterations``),
     ``expm_frechet_evaluations`` (the steps of near-defective generators)
     and ``unconverged_intervals``, the indices of the intervals still
-    running after GN_MAX_ITERS steps; ``report.converged`` is True when
-    that list is empty.
+    running after GN_MAX_ITERS steps; ``converged`` is True when that list
+    is empty.
 
-    Branch-cut errors propagate per step; steps with nearly vanishing
-    total field are flagged in the result.
+    Branch-cut errors propagate per step.  Steps of another dimension than
+    3, or an ``rt`` of another dimension than the steps, raise
+    DimensionError.
     """
     ps, dts = psteps
-    if len(ps) != grid.n_intervals:
-        raise DimensionError(f"{len(ps)} process matrices for {grid.n_intervals} intervals")
     if method not in ("direct", "mle"):
         raise ValueError(f"unknown method {method!r}")
-
-    _process_dim(ps, dts)
-    off = np.flatnonzero(~(np.abs(grid.durations - dts) <= 1e-9 * dts))
-    if off.size:
-        n = off[0]
-        raise DimensionError(
-            f"grid interval {n} lasts {float(grid.durations[n])!r} s, but its process "
-            f"matrix spans {float(dts[n])!r} s"
-        )
-    design, columns = _field_form(known_form)
+    dim = _process_dim(ps, dts)
+    _check_dissipator(dim, rt)
+    if dim != 3:
+        raise DimensionError("field tracking is defined for qutrits only")
+    design = _field_design() if known_form else _hermitian_design()
+    columns = FIELD_PARAM_NAMES if known_form else HERMITIAN_PARAM_NAMES
     logs = _log_stack(ps, dts)
     k_direct = (logs / dts[:, None, None] + rt.matrix).reshape(len(ps), -1)
     theta0 = np.linalg.lstsq(design, k_direct.T, rcond=None)[0].T
@@ -866,6 +835,7 @@ def estimate_fields(
         df_per_time=dfs,
         iterations=1,
         param_names=tuple(f"{c}[{k}]" for k in range(len(rows)) for c in columns),
+        extras={"flagged": flagged},
     )
     if method == "mle":
         report.iterations = counts["gauss_newton_iterations"]
@@ -874,12 +844,7 @@ def estimate_fields(
             **counts,
             "unconverged_intervals": np.flatnonzero(~converged).tolist(),
         }
-    return FieldTrack(
-        times=grid.midpoints,
-        known_form=known_form,
-        report=report,
-        flagged=flagged,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------

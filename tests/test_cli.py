@@ -8,16 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import liouvlab
 import liouvlab.cli
+from liouvlab.basis import DensityMatrix, build_basis, vectorize
 from liouvlab.cli import _draw_params, build_parser, main
 from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.estimation import derive_seed, fit_relaxation_model, frobenius_distance
 from liouvlab.exceptions import BranchCutError, CompletenessError
-from liouvlab.superop import Superoperator
+from liouvlab.superop import Superoperator, hamiltonian_superop
 from liouvlab.synthlab import (
     DEFAULT_RELAXATION,
     NoiseSpec,
@@ -348,6 +350,32 @@ def test_superoperator_of_another_dim_is_bad_input(tmp_path, capsys, command):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{command[0]}: bad input: {op} has dim 2, but the dataset has dim 3" in err
+
+
+def _qubit_dataset(path):
+    """A valid noiseless qubit dataset: four pure inputs precessing for 0.1 to 0.5 ms."""
+    basis = build_basis(2)
+    kets = [[1, 0], [0, 1], [2**-0.5, 2**-0.5], [2**-0.5, 1j * 2**-0.5]]
+    inputs = np.column_stack([
+        vectorize(DensityMatrix.from_matrix(np.outer(k, np.conj(k))), basis).coords for k in kets
+    ])
+    gen = hamiltonian_superop(2e3 * np.array([[0.5, 1.0], [1.0, -0.5]]), basis).matrix
+    times = 1e-4 * np.arange(1, 6)
+    states = np.stack([inputs] + [scipy.linalg.expm(gen * t) @ inputs for t in times])
+    path.write_text(json.dumps(TomographySet(states=states, times=times).to_json()))
+
+
+@pytest.mark.parametrize("flags", [[], ["--known-form"]])
+def test_fit_fields_of_a_qubit_dataset_exits_2(tmp_path, capsys, flags):
+    # field tracking, like the hermitian and relaxation fits, is defined for qutrits only
+    _qubit_dataset(tmp_path / "dataset.json")
+    rt = tmp_path / "rt.json"
+    rt.write_text(json.dumps(Superoperator(dim=2, matrix=np.zeros((4, 4))).to_json()))
+    capsys.readouterr()
+    rc = main(["fit", "--dataset", str(tmp_path / "dataset.json"), "--model", "fields", *flags,
+               "--fixed-dissipator", str(rt), "-o", str(tmp_path / "fit")])
+    assert rc == 2
+    assert capsys.readouterr().err == "fit: field tracking is defined for qutrits only\n"
 
 
 # ---------------------------------------------------------------------------
@@ -975,6 +1003,10 @@ _MALFORMED = {
         {"kind": "relaxation_only", "noise": {"bloch_sigma": True}}, "'bloch_sigma'"
     ),
     "scenario-kind-number": _scenario_case({"kind": 5}, "'kind'"),
+    "scenario-times-s-of-another-length": _scenario_case(
+        {"kind": "relaxation_only", "grid": {"times_s": [0.1, 0.2]}},
+        "'grid.times_s' is inconsistent with the params",
+    ),
     "dataset-list": _dataset_case(_RELAX, lambda d: [], "JSON object"),
     "dataset-inputs-string": _dataset_case(_PROCESS, lambda d: {**d, "inputs": "x"}, "'inputs'"),
     "dataset-seed-string": _dataset_case(_PROCESS, lambda d: {**d, "seed": "7"}, "'seed'"),

@@ -10,7 +10,6 @@ from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.exceptions import ZeroReferenceError
 from liouvlab.estimation import (
     BootstrapResult,
-    FieldTrack,
     fit_relaxation_model,
     frobenius_distance,
 )
@@ -428,10 +427,6 @@ def test_noise_fields_are_type_checked(fields, message):
     assert NoiseSpec.from_json({"seed": np.int64(3), "bloch_sigma": 1}) == NoiseSpec(1.0, 1.0, 3)
 
 
-def _fit_report():
-    return fit_relaxation_model(DEFAULT_RELAXATION.superoperator())
-
-
 # one instance of every dataclass with an array or dict field, by class name
 _ARRAY_DATACLASSES = {
     "OperatorBasis": lambda: build_basis(3),
@@ -444,8 +439,7 @@ _ARRAY_DATACLASSES = {
     "HermitianParams": lambda: HermitianParams(h=np.arange(9.0)),
     "KossakowskiMatrix": lambda: KossakowskiMatrix(dim=2, c=np.eye(4)),
     "RelaxationModel": lambda: DEFAULT_RELAXATION,
-    "FitReport": _fit_report,
-    "FieldTrack": lambda: FieldTrack(times=np.ones(1), known_form=True, report=_fit_report()),
+    "FitReport": lambda: fit_relaxation_model(DEFAULT_RELAXATION.superoperator()),
     "BootstrapResult": lambda: BootstrapResult(np.zeros(2), np.ones(2), np.zeros((3, 2)), 0, []),
     "Scenario": lambda: make_scenario("relaxation_only"),
     "TomographySet": lambda: generate_dataset(
