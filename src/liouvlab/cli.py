@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -36,6 +37,8 @@ from .estimation import (
     HERMITIAN_PARAM_NAMES,
     FitReport,
     _df_per_time,
+    _direct_field_rows,
+    _hamiltonian_fits,
     bootstrap,
     direct_hamiltonian,
     estimate_fields,
@@ -49,10 +52,10 @@ from .exceptions import (
     LiouvlabError,
     SingularProcessError,
 )
-from .superop import Superoperator
+from .superop import Superoperator, _field_design, _hermitian_design
 from .synthlab import SCENARIO_DEFAULTS, NoiseSpec, generate_dataset, make_scenario
 from .synthlab import _input_coords, _noisy_states
-from .tomography import _check_stack, _processes, _steps
+from .tomography import _check_stack, _mean_logs, _processes, _steps
 from .tomography import (
     TomographySet,
     mean_log_liouvillian,
@@ -228,7 +231,11 @@ def _load_scenario(args) -> tuple:
         )
         stated = np.asarray(spec.get("grid", {}).get("times_s", []), dtype=float)
         times = scenario.grid.times
-        if stated.size and not (stated.shape == times.shape and np.allclose(stated, times)):
+        # equal to rounding: within 1e-9 of the shortest step, on any time scale
+        atol = 1e-9 * scenario.grid.durations.min()
+        if stated.size and not (
+            stated.shape == times.shape and np.allclose(stated, times, rtol=0.0, atol=atol)
+        ):
             raise ValueError("'grid.times_s' is inconsistent with the params")
     return scenario, noise
 
@@ -339,38 +346,46 @@ def cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 
 
-def _fit_stack(args, rt, states, times, draw=False) -> FitReport:
-    """The FitReport of the fit of ``--model`` to a state stack and its times.
+def _point_fit(args, rt, dataset: TomographySet) -> FitReport:
+    """The FitReport of the fit of ``--model`` by ``--method`` to the dataset.
 
-    The one place where the CLI picks an estimator.  The point fit uses
-    ``--method``, except that ``relaxation`` always decomposes the free MLE
-    generator; a bootstrap draw (``draw``) uses the model's direct estimator.
+    With ``_draw_params``, the one place where the CLI picks an estimator;
+    ``relaxation`` always decomposes the free MLE generator.
     """
-    method = "direct" if draw else "mle" if args.model == "relaxation" else args.method
     if args.model == "fields":
-        return estimate_fields(_steps(states, times), rt, args.known_form, method)
-    processes = _processes(states, times)
-    if args.model == "hermitian" and method == "direct":
+        return estimate_fields(stepwise_processes(dataset), rt, args.known_form, args.method)
+    processes = reconstruct_processes(dataset)
+    if args.model == "hermitian" and args.method == "direct":
         return direct_hamiltonian(processes, rt)
     if args.model != "relaxation":  # a free generator, or a Hermitian one by MLE
         form = "free" if args.model == "mle" else "hermitian"
         return mle_liouvillian(processes, dissipator=rt, form=form)
-    mle = mle_liouvillian(processes, form="free") if method == "mle" else None
-    l_hat = mean_log_liouvillian(processes) if mle is None else mle.estimate
-    report = fit_relaxation_model(Superoperator(dim=l_hat.dim, matrix=-l_hat.matrix))
-    if mle is not None:
-        report.df_per_time = mle.df_per_time
-        report.converged = mle.converged
-        report.iterations = mle.iterations
-        report.extras["optimizer"] = mle.extras["optimizer"]
+    mle = mle_liouvillian(processes, form="free")
+    report = fit_relaxation_model(Superoperator(dim=mle.estimate.dim, matrix=-mle.estimate.matrix))
+    report.df_per_time = mle.df_per_time
+    report.converged = mle.converged
+    report.iterations = mle.iterations
+    report.extras["optimizer"] = mle.extras["optimizer"]
     return report
 
 
-def _draw_params(args, rt, draw: tuple) -> np.ndarray:
-    """The params of the fit of a bootstrap draw, a state stack and its times,
-    checked as a TomographySet checks them."""
-    _check_stack(*draw)
-    return _fit_stack(args, rt, *draw, draw=True).params
+def _draw_params(args, rt, states: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The (m, P) params of an (m, T+1, d**2, N) batch of bootstrap draws, checked as
+    a TomographySet checks its stack, by the model's direct estimator whatever
+    ``--method`` says: the kernels of the direct point fits, once per batch."""
+    _check_stack(states, times)
+    if args.model == "fields":
+        design = _field_design() if args.known_form else _hermitian_design()
+        rows, _ = _direct_field_rows(*_steps(states, times), rt, design)
+        return rows.reshape(len(rows), -1)
+    mats = _processes(states)
+    if args.model == "hermitian":
+        return np.array([fit.params.h for fit, _ in _hamiltonian_fits(mats, times, rt)])
+    dim = math.isqrt(states.shape[-2])
+    return np.array([
+        fit_relaxation_model(Superoperator(dim=dim, matrix=-l_hat)).params
+        for l_hat in _mean_logs(mats, times)
+    ])
 
 
 def cmd_fit(args):
@@ -388,7 +403,7 @@ def cmd_fit(args):
     if args.bootstrap and args.model == "mle":
         raise LiouvlabError("bootstrap is not supported for model 'mle'")
     outdir = Path(args.out)
-    report = _fit_stack(args, rt, dataset.states, dataset.times)
+    report = _point_fit(args, rt, dataset)
     if args.bootstrap:
         draw_fit = functools.partial(_draw_params, args, rt)
         report = _attach_bootstrap(args, source, draw_fit, report)

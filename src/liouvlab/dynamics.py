@@ -259,7 +259,8 @@ def _process_dim(mats: np.ndarray, durations: np.ndarray) -> int:
 
 
 def _log_stack(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Logs of a (T, n, n) stack; the first inadmissible one raises, naming its duration."""
+    """Logs of a (T, n, n) stack or an (m, T, n, n) batch; the first inadmissible one
+    raises, naming its duration."""
     logs, errors = _principal_logs(mats, durations)
     if errors:
         raise next(iter(errors.values()))
@@ -268,36 +269,41 @@ def _log_stack(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
 
 def _principal_logs(
     mats: np.ndarray, durations: Sequence[float]
-) -> tuple[np.ndarray, dict[int, Exception]]:
-    """Guarded real logs of a (T, n, n) stack; ``durations`` label errors.
+) -> tuple[np.ndarray, dict]:
+    """Guarded real logs of a (T, n, n) stack, or of an (m, T, n, n) batch of
+    such stacks, one per draw; the (T,) ``durations`` label errors.
 
     Returns (logs, errors): ``errors`` maps the index of every matrix without
-    an admissible log to its SingularProcessError or BranchCutError, those of
-    the eigenvalue screen first, and that matrix's slice of ``logs`` is NaN.
-    The eigen-log of every matrix comes from one pass over the whole stack;
-    the screen, cond_F and faithful-residual masks only choose, per matrix,
-    between that log, the Schur-form ``logm`` and NaN.
+    an admissible log (k in a stack, (draw, k) in a batch) to its
+    SingularProcessError or BranchCutError, those of the eigenvalue screen
+    first, and that matrix's slice of ``logs`` is NaN.  The eigen-log of
+    every matrix comes from one pass over all of them; the screen, cond_F
+    and faithful-residual masks only choose, per matrix, between that log,
+    the Schur-form ``logm`` and NaN.  So each matrix's log and error do not
+    depend on the others, and a batch equals its draws logged alone.
     """
+    lead, n = mats.shape[:-2], mats.shape[-1]
+    labels = np.broadcast_to(np.asarray(durations), lead).ravel()
+    mats = mats.reshape(-1, n, n)
     eigs, vecs = np.linalg.eig(mats)
     mags = np.abs(eigs)
     scale = mags.max(axis=1)
     singular = (scale == 0) | (mags.min(axis=1) < 1e-12 * scale)
     margin = (np.pi - np.abs(np.angle(eigs))).min(axis=1)
     screened = singular | (margin < BRANCH_TOL)
-    errors: dict[int, Exception] = {}
+    errors: dict = {}
     for k in np.flatnonzero(screened):
         if singular[k]:
             errors[int(k)] = SingularProcessError(
-                f"process matrix at t = {durations[k]} s is singular; the "
+                f"process matrix at t = {labels[k]} s is singular; the "
                 "generator cannot be recovered"
             )
         else:
             errors[int(k)] = BranchCutError(
-                f"process matrix at t = {durations[k]} s has an eigenvalue within "
+                f"process matrix at t = {labels[k]} s has an eigenvalue within "
                 f"{margin[k]:.2e} rad of the branch cut; reduce the evolution time "
                 "so rotation angles stay below pi"
             )
-    n = mats.shape[1]
     # screened matrices (a zero eigenvalue, say) give infinities here; their
     # slices are discarded below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -314,7 +320,9 @@ def _principal_logs(
     resid = np.abs(logs.imag).max(axis=(1, 2))
     for k in np.flatnonzero(resid > 1e-9 * np.maximum(1.0, np.abs(logs.real).max(axis=(1, 2)))):
         errors[int(k)] = BranchCutError(
-            f"matrix logarithm at t = {durations[k]} s has imaginary residue "
+            f"matrix logarithm at t = {labels[k]} s has imaginary residue "
             f"{resid[k]:.3e}; the principal branch is not real here"
         )
-    return np.ascontiguousarray(logs.real), errors
+    if len(lead) == 2:  # a batch's keys are (draw, k) pairs
+        errors = {divmod(k, lead[1]): err for k, err in errors.items()}
+    return np.ascontiguousarray(logs.real).reshape(*lead, n, n), errors

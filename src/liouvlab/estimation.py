@@ -42,10 +42,12 @@ noisy datasets.  Each draw is seeded by its index alone, so the draws are
 independent: on Linux, ``bootstrap`` runs them in one process per CPU in
 the process's affinity mask (the caller's own process and ``os.fork``ed
 workers, each on a strided share of the draw indices) and merges the
-results in draw order, so its result is the same for any worker count.
-Elsewhere it runs every draw in process.  The package caps no BLAS
-threads; keep ``OPENBLAS_NUM_THREADS=1`` so that the workers do not
-oversubscribe the CPUs.
+results in draw order.  Elsewhere it runs every draw in process.  Each
+process fits its draws DRAW_BATCH at a time, with one fit of their stacked
+states; a batch that fails numerically is refitted draw by draw.  So the
+result is the same for any worker count and any batch composition.  The
+package caps no BLAS threads; keep ``OPENBLAS_NUM_THREADS=1`` so that the
+workers do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ __all__ = [
 ]
 
 CONVERGENCE_RTOL = 1e-10
+# bootstrap draws fitted as one stacked batch
+DRAW_BATCH = 4
 # Gauss-Newton steps tried per problem before the fit ends unconverged
 GN_MAX_ITERS = 16
 # relative singular-value cut of the Gauss-Newton step
@@ -716,22 +720,15 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
     For each admissible process matrix the generator log-estimate is taken,
     the known relaxation matrix is added back (isolating the Hamiltonian
     part), and the per-time estimates are averaged; a final least-squares
-    projection onto the Hermitian parametrization enforces physicality.
+    projection onto the Hermitian parametrization enforces physicality
+    (``_hamiltonian_fits``, the kernel of every bootstrap draw).
     Times where the logarithm hits the branch cut are skipped with a
     warning and listed in ``extras["skipped_times"]``.  An ``rt`` of
     another dimension than the processes raises DimensionError.
     """
     _check_dissipator(_process_dim(*processes), rt)
     ps, ts = processes
-    logs, errors = _principal_logs(ps, ts)
-    skipped = [(float(ts[k]), str(errors[k])) for k in sorted(errors)]
-    for t, msg in skipped:
-        warnings.warn(f"skipping t = {t}: {msg}", stacklevel=2)
-    keep = [k for k in range(len(ts)) if k not in errors]
-    if not keep:
-        raise BranchCutError("no evolution time admits a principal logarithm")
-    per_time = logs[keep] / ts[keep, None, None] + rt.matrix
-    fit = params_from_superop(Superoperator(dim=rt.dim, matrix=np.mean(per_time, axis=0)))
+    [(fit, skipped)] = _hamiltonian_fits(ps[None], ts, rt)
     k_hat = explicit_qutrit_superop(fit.params).matrix
     return FitReport(
         model="direct-hamiltonian",
@@ -747,6 +744,25 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
             "skipped_times": skipped,
         },
     )
+
+
+def _hamiltonian_fits(mats: np.ndarray, ts: np.ndarray, rt: Superoperator) -> list:
+    """The (ParamsFit, skipped times) of ``direct_hamiltonian`` for each draw of an
+    (m, T, 9, 9) batch: one ``_principal_logs`` pass, then the mean and the
+    projection per draw.  A draw with no admissible time raises BranchCutError."""
+    logs, errors = _principal_logs(mats, ts)
+    fits = []
+    for j, draw_logs in enumerate(logs):
+        skipped = [(float(ts[k]), str(errors[j, k])) for k in range(len(ts)) if (j, k) in errors]
+        for t, msg in skipped:
+            warnings.warn(f"skipping t = {t}: {msg}", stacklevel=3)
+        keep = [k for k in range(len(ts)) if (j, k) not in errors]
+        if not keep:
+            raise BranchCutError("no evolution time admits a principal logarithm")
+        per_time = draw_logs[keep] / ts[keep, None, None] + rt.matrix
+        hs = Superoperator(dim=rt.dim, matrix=np.mean(per_time, axis=0))
+        fits.append((params_from_superop(hs), skipped))
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -810,9 +826,7 @@ def estimate_fields(
         raise DimensionError("field tracking is defined for qutrits only")
     design = _field_design() if known_form else _hermitian_design()
     columns = FIELD_PARAM_NAMES if known_form else HERMITIAN_PARAM_NAMES
-    logs = _log_stack(ps, dts)
-    k_direct = (logs / dts[:, None, None] + rt.matrix).reshape(len(ps), -1)
-    theta0 = np.linalg.lstsq(design, k_direct.T, rcond=None)[0].T
+    [theta0], [k_direct] = _direct_field_rows(ps[None], dts, rt, design)
     if method == "direct":
         rows = theta0
         costs = np.linalg.norm(rows @ design.T - k_direct, axis=1) ** 2
@@ -847,6 +861,16 @@ def estimate_fields(
     return report
 
 
+def _direct_field_rows(steps: np.ndarray, dts: np.ndarray, rt: Superoperator, design) -> tuple:
+    """The (m, T, P) direct rows of ``design`` of each draw of an (m, T, 9, 9) batch
+    of steps, and the (m, T, 81) log-estimates log(P) / dt + rt they fit: one
+    ``_log_stack`` pass, then the least-squares projection per draw."""
+    k_direct = _log_stack(steps, dts) / dts[:, None, None] + rt.matrix
+    k_direct = k_direct.reshape(*steps.shape[:2], -1)
+    rows = np.stack([np.linalg.lstsq(design, k.T, rcond=None)[0] for k in k_direct])
+    return rows.transpose(0, 2, 1), k_direct
+
+
 # ---------------------------------------------------------------------------
 # Bootstrap uncertainty quantification
 # ---------------------------------------------------------------------------
@@ -867,19 +891,49 @@ class BootstrapResult:
         return (self.low <= truth) & (truth <= self.high)
 
 
+# the failures of a draw; any other exception is a bug and propagates
+_DRAW_ERRORS = (LiouvlabError, np.linalg.LinAlgError)
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic child seed for draw ``index``."""
     return int(np.random.SeedSequence([seed, index + 1]).generate_state(1)[0])
 
 
 def _draw_chunk(fit, dataset_factory, noise, draws) -> dict:
-    """``{draw: params or failure message}`` of the draws with indices ``draws``."""
+    """``{draw: params or failure message}`` of the draws with indices ``draws``,
+    each made from its own seed and fitted DRAW_BATCH at a time (``_fit_batch``)."""
     out = {}
-    for draw in draws:
-        spec = dataclasses.replace(noise, seed=derive_seed(noise.seed, draw))
+    for start in range(0, len(draws), DRAW_BATCH):
+        batch = {}
+        for draw in draws[start : start + DRAW_BATCH]:
+            spec = dataclasses.replace(noise, seed=derive_seed(noise.seed, draw))
+            try:
+                batch[draw] = dataset_factory(spec)
+            except _DRAW_ERRORS as err:
+                out[draw] = f"draw {draw}: {err}"
+        if batch:
+            out.update(_fit_batch(fit, batch))
+    return out
+
+
+def _fit_batch(fit, batch: dict) -> dict:
+    """``{draw: params or failure message}`` of a batch ``{draw: (states, times)}``:
+    one ``fit`` of the stacked states, or, if that raises a numeric error, one
+    per draw (m = 1), so a draw's outcome does not depend on its batch."""
+    times = next(iter(batch.values()))[1]
+    if any(not np.array_equal(t, times) for _, t in batch.values()):
+        raise ValueError("the draws of a bootstrap must share their times")
+    stacked = np.stack([states for states, _ in batch.values()])
+    try:
+        return dict(zip(batch, np.asarray(fit(stacked, times), dtype=float)))
+    except _DRAW_ERRORS:
+        pass
+    out = {}
+    for draw, one in zip(batch, stacked):
         try:
-            out[draw] = np.asarray(fit(dataset_factory(spec)), dtype=float)
-        except (LiouvlabError, np.linalg.LinAlgError) as err:
+            out[draw] = np.asarray(fit(one[None], times), dtype=float)[0]
+        except _DRAW_ERRORS as err:
             out[draw] = f"draw {draw}: {err}"
     return out
 
@@ -952,9 +1006,15 @@ def bootstrap(
     """Re-run a fit on ``n_draws`` re-simulated noisy datasets.
 
     Args:
-        fit: maps a draw of ``dataset_factory`` to a flat parameter vector.
+        fit: maps an (m, T+1, d**2, N) stack of the state stacks of m draws
+            and their (T,) times to an (m, P) array, the parameter vector of
+            each draw.  It is called once per batch of up to DRAW_BATCH
+            consecutive draws of a process; when that raises a numeric error,
+            once per draw of the batch (m = 1), so that each draw keeps the
+            params or the failure it has alone.
         dataset_factory: maps a NoiseSpec (with a per-draw derived seed) to
-            a draw: a synthetic dataset, or its state stack and times.
+            a draw: its (T+1, d**2, N) state stack and (T,) times, the same
+            times for every draw (else ValueError).
         noise: base NoiseSpec; its seed anchors the deterministic per-draw
             seeds.
         n_draws: number of bootstrap datasets (>= 2).

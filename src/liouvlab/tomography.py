@@ -137,34 +137,36 @@ class TomographySet:
 
 
 def _check_stack(states: np.ndarray, times: np.ndarray):
-    """Raise unless ``states`` is a (T+1, d**2, N) stack with N >= d**2 input states
-    (else DimensionError, CompletenessError) whose T ``times`` follow the rule of
-    ``TimeGrid`` and whose entries ``_check_entries`` accepts (else ValueError)."""
-    n2 = states.shape[1] if states.ndim == 3 else 0
+    """Raise unless ``states`` is a (T+1, d**2, N) stack, or an (m, T+1, d**2, N) batch
+    of them, with N >= d**2 input states (else DimensionError, CompletenessError)
+    whose T ``times`` follow the rule of ``TimeGrid`` and whose entries
+    ``_check_entries`` accepts (else ValueError, for the first faulty draw)."""
+    n2 = states.shape[-2] if states.ndim in (3, 4) else 0
     if n2 < 4 or math.isqrt(n2) ** 2 != n2:
         raise DimensionError(f"states must be a (T+1, d**2, N) stack, got shape {states.shape}")
-    if states.shape[2] < n2:
+    if states.shape[-1] < n2:
         raise CompletenessError(
-            f"need at least {n2} input states for dim {math.isqrt(n2)}, got {states.shape[2]}"
+            f"need at least {n2} input states for dim {math.isqrt(n2)}, got {states.shape[-1]}"
         )
     _checked_times(times)
-    if len(states) != len(times) + 1:
+    if (n_mats := states.shape[-3]) != len(times) + 1:
         raise DimensionError(
-            f"{len(states)} state matrices for {len(times)} times; need the inputs and one per time"
+            f"{n_mats} state matrices for {len(times)} times; need the inputs and one per time"
         )
-    _check_entries(states, times)
+    _check_entries(states.reshape(-1, *states.shape[-2:]), times)
 
 
 def _check_entries(stack: np.ndarray, times):
-    """Raise ValueError for the first matrix of a (K, d**2, N) state stack, named
-    ``inputs`` or ``outputs[t]`` for its output ``times``, with a NaN or infinite
-    entry or a trace row that is not sqrt(1 / (2 d)) within 1e-9."""
+    """Raise ValueError for the first matrix of a (K, d**2, N) state stack, or of
+    the draws of a batch put end to end, named ``inputs`` or ``outputs[t]`` for
+    its output ``times``, with a NaN or infinite entry or a trace row that is not
+    sqrt(1 / (2 d)) within 1e-9."""
     pinned = np.sqrt(1.0 / (2.0 * math.isqrt(stack.shape[1])))
     finite = np.isfinite(stack).all(axis=(1, 2))
     bad = np.flatnonzero(~finite | ~(np.abs(stack[:, -1] - pinned).max(axis=1) <= 1e-9))
     if bad.size:
-        k = bad[0]
-        fault = "unpinned trace components" if finite[k] else "a non-finite entry"
+        k = bad[0] % (len(times) + 1)
+        fault = "unpinned trace components" if finite[bad[0]] else "a non-finite entry"
         name = f"outputs[{times[k - 1]}]" if k else "inputs"
         raise ValueError(f"{name} has {fault}")
 
@@ -220,18 +222,19 @@ def _checked_gram_solve(
     return np.linalg.solve(mi @ mi.transpose(0, 2, 1), rhs)
 
 
-def _processes(states: np.ndarray, times: np.ndarray) -> tuple:
-    """Process matrices of a (T+1, d**2, N) state stack and its (T,) output times.
+def _processes(states: np.ndarray) -> np.ndarray:
+    """The (m, T, d**2, d**2) process matrices of each draw of an (m, T+1, d**2, N)
+    batch of state stacks, at its T output times.
 
-    Returns the pair (mats, times): the (T, d**2, d**2) process matrix at
-    each time, from one Gram solve of the inputs ``states[0]``, and
-    ``times``.
+    One checked Gram solve of the m input matrices ``states[:, 0]``, whose
+    right-hand sides are each draw's symmetrized outputs side by side.
     """
-    inputs, mo = states[0], states[1:]
-    # column block k of the right-hand side is (mo_k inputs^T)^T
-    rhs = inputs @ mo.transpose(2, 0, 1).reshape(inputs.shape[1], -1)
-    sol = _checked_gram_solve(inputs[None], rhs[None], lambda k: "inputs")[0]
-    return np.ascontiguousarray(sol.reshape(len(inputs), len(mo), -1).transpose(1, 2, 0)), times
+    inputs, mo = states[:, 0], states[:, 1:]
+    m, n_times, n2, n = mo.shape
+    # column block k of draw j's right-hand side is (mo_jk inputs_j^T)^T
+    rhs = inputs @ mo.transpose(0, 3, 1, 2).reshape(m, n, n_times * n2)
+    sol = _checked_gram_solve(inputs, rhs, lambda j: "inputs")
+    return np.ascontiguousarray(sol.reshape(m, n2, n_times, n2).transpose(0, 2, 3, 1))
 
 
 def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
@@ -254,8 +257,8 @@ def reconstruct_process(ts: TomographySet, t: float) -> ProcessMatrix:
     if not at.size:
         raise KeyError(f"no outputs measured at t = {t}; available times: {list(ts.times)}")
     k = at[0]
-    mats, _ = _processes(ts.states[[0, k + 1]], ts.times[k : k + 1])
-    return ProcessMatrix(dim=ts.dim, matrix=mats[0], duration_s=float(ts.times[k]))
+    mats = _processes(ts.states[None, [0, k + 1]])
+    return ProcessMatrix(dim=ts.dim, matrix=mats[0, 0], duration_s=float(ts.times[k]))
 
 
 def reconstruct_processes(ts: TomographySet) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +271,7 @@ def reconstruct_processes(ts: TomographySet) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         CompletenessError, IllConditionedError: as reconstruct_process.
     """
-    return _processes(ts.states, ts.times)
+    return _processes(ts.states[None])[0], ts.times
 
 
 def mean_log_liouvillian(processes: tuple[np.ndarray, np.ndarray]) -> Superoperator:
@@ -281,9 +284,13 @@ def mean_log_liouvillian(processes: tuple[np.ndarray, np.ndarray]) -> Superopera
     """
     dim = _process_dim(*processes)
     mats, durations = processes
-    return Superoperator(
-        dim=dim, matrix=np.mean(_log_stack(mats, durations) / durations[:, None, None], axis=0)
-    )
+    return Superoperator(dim=dim, matrix=_mean_logs(mats[None], durations)[0])
+
+
+def _mean_logs(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """The mean of log(P_t) / t of each draw of an (m, T, n, n) batch, (m, n, n); the
+    first inadmissible log raises (``_log_stack``)."""
+    return np.mean(_log_stack(mats, durations) / durations[:, None, None], axis=1)
 
 
 def direct_liouvillian(ts: TomographySet, t: float) -> Superoperator:
@@ -312,20 +319,28 @@ def stepwise_processes(ts: TomographySet) -> tuple[np.ndarray, np.ndarray]:
         CompletenessError, IllConditionedError: for the first failing step,
             named in the message as ``step n (t = a -> b)``.
     """
-    return _steps(ts.states, ts.times)
+    mats, durations = _steps(ts.states[None], ts.times)
+    return mats[0], durations
 
 
 def _steps(states: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``stepwise_processes`` of a (T+1, d**2, N) state stack and its (T,) output times."""
+    """``stepwise_processes`` of each draw of an (m, T+1, d**2, N) batch of state
+    stacks and their (T,) output times: the (m, T, d**2, d**2) steps, from one
+    checked Gram solve of all m T intervals, and the (T,) durations."""
     boundaries = np.concatenate([[0.0], times])
-    earlier, later = states[:-1], states[1:]  # (T, d**2, N) each
+    m, _, n2, n_states = states.shape
+    earlier, later = states[:, :-1], states[:, 1:]  # (m, T, d**2, N) each
+
+    def label(k: int) -> str:
+        n = k % len(times)  # the step of draw k // T
+        return (f"stepwise reconstruction failed at step {n} "
+                f"(t = {boundaries[n]} -> {boundaries[n + 1]})")
+
     # (M_n M_n^T) P_n^T = M_n M_{n+1}^T
     sol = _checked_gram_solve(
-        earlier,
-        earlier @ later.transpose(0, 2, 1),
-        lambda n: (
-            f"stepwise reconstruction failed at step {n} "
-            f"(t = {boundaries[n]} -> {boundaries[n + 1]})"
-        ),
+        earlier.reshape(-1, n2, n_states),
+        (earlier @ later.transpose(0, 1, 3, 2)).reshape(-1, n2, n2),
+        label,
     )
-    return np.ascontiguousarray(sol.transpose(0, 2, 1)), np.diff(boundaries)
+    steps = sol.reshape(m, len(times), n2, n2).transpose(0, 1, 3, 2)
+    return np.ascontiguousarray(steps), np.diff(boundaries)

@@ -136,13 +136,19 @@ def test_criterion_4_relaxation_pipeline(calibrated_sigma):
     rt_hat = Superoperator(dim=3, matrix=-mle.estimate.matrix)
     fit = fit_relaxation_model(rt_hat)
 
-    def draw_fit(dataset):
-        l_hat = mean_log_liouvillian(reconstruct_processes(dataset))
-        return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat.matrix)).params
+    def draw_fit(states, times):
+        params = []
+        for draw in states:
+            dataset = TomographySet(states=draw, times=times)
+            l_hat = mean_log_liouvillian(reconstruct_processes(dataset))
+            params.append(fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat.matrix)).params)
+        return np.array(params)
 
-    result = bootstrap(
-        draw_fit, lambda spec: generate_dataset(scenario, spec), noise, n_draws=1000
-    )
+    def draws(spec):
+        dataset = generate_dataset(scenario, spec)
+        return dataset.states, dataset.times
+
+    result = bootstrap(draw_fit, draws, noise, n_draws=1000)
     inside = result.contains(truth)
     assert inside.all(), (
         f"true parameters outside 68% intervals: "

@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import json
 import platform
 import re
+import tracemalloc
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import liouvlab.cli
 from liouvlab.basis import DensityMatrix, build_basis, vectorize
 from liouvlab.cli import _draw_params, build_parser, main
 from liouvlab.dynamics import ProcessMatrix, TimeGrid
-from liouvlab.estimation import derive_seed, fit_relaxation_model, frobenius_distance
+from liouvlab.estimation import bootstrap, derive_seed, fit_relaxation_model, frobenius_distance
 from liouvlab.exceptions import BranchCutError, CompletenessError
 from liouvlab.superop import Superoperator, hamiltonian_superop
 from liouvlab.synthlab import (
@@ -720,15 +722,16 @@ def _object_draw_params(ds) -> np.ndarray:
     return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat.matrix)).params
 
 
-def _relaxation_draw_params(draw: tuple) -> np.ndarray:
-    return _draw_params(SimpleNamespace(model="relaxation"), None, draw)
+def _relaxation_draw_params(states, times) -> np.ndarray:
+    """The params of a relaxation draw fitted alone, a batch of one."""
+    return _draw_params(SimpleNamespace(model="relaxation"), None, states[None], times)[0]
 
 
 def test_stack_draw_equals_the_object_pipeline(calibrated_sigma):
     sc = make_scenario("relaxation_only")
     for draw in range(50):
         spec = NoiseSpec(bloch_sigma=calibrated_sigma, seed=derive_seed(7, draw))
-        stacked = _relaxation_draw_params((_noisy_states(sc, spec), sc.grid.times))
+        stacked = _relaxation_draw_params(_noisy_states(sc, spec), sc.grid.times)
         assert np.array_equal(stacked, _object_draw_params(generate_dataset(sc, spec))), draw
 
 
@@ -752,7 +755,7 @@ def test_stack_draw_fails_like_the_object_pipeline(spoil, error):
     states = _noisy_states(sc, NoiseSpec(bloch_sigma=0.004, seed=3))
     spoil(states)
     with pytest.raises(error) as stacked:
-        _relaxation_draw_params((states, sc.grid.times))
+        _relaxation_draw_params(states, sc.grid.times)
     with pytest.raises(error) as objects:
         _object_draw_params(TomographySet(states=states, times=sc.grid.times))
     assert type(stacked.value) is type(objects.value)
@@ -775,7 +778,7 @@ def test_stack_draw_checks_the_pinned_trace_row():
     for model in _DRAW_FITS:  # every draw fit checks its stack as a set does
         args = SimpleNamespace(model=model, known_form=True)
         with pytest.raises(ValueError, match=r"outputs\[0.001\] has unpinned trace components"):
-            _draw_params(args, rt, (states, sc.grid.times))
+            _draw_params(args, rt, states[None], sc.grid.times)
 
 
 @pytest.mark.parametrize("model, known_form", [("hermitian", False), ("fields", True),
@@ -794,7 +797,7 @@ def test_draw_fit_of_a_dataset_is_its_direct_point_fit(tmp_path, model, known_fo
     ds = TomographySet.from_json(_read(out / "dataset.json"))
     args = SimpleNamespace(model=model, known_form=known_form, method="mle")
     rt = Superoperator.from_json(_read(rt_path))
-    params = _draw_params(args, rt, (ds.states, ds.times))
+    [params] = _draw_params(args, rt, ds.states[None], ds.times)
     assert np.array_equal(params, _read(fit / "fit_report.json")["params"])
 
 
@@ -841,6 +844,88 @@ def test_bootstrap_draws_build_no_dataset_objects(tmp_path, monkeypatch, model):
     with _objects_built(monkeypatch) as built:  # the count does see a dataset object
         generate_dataset(make_scenario("relaxation_only", n_times=2), NoiseSpec())
     assert built == ["TomographySet"]
+
+
+def _spoil_draw(monkeypatch, base_seed: int, draw: int):
+    """Zero the traceless input coordinates of one draw, so that its inputs span rank 1."""
+    spoiled = derive_seed(base_seed, draw)
+    real = liouvlab.cli._noisy_states
+
+    def spoil(scenario, noise):
+        states = real(scenario, noise)
+        if noise.seed == spoiled:
+            states[0, :-1] = 0.0
+        return states
+
+    monkeypatch.setattr(liouvlab.cli, "_noisy_states", spoil)
+
+
+@pytest.mark.parametrize("model", _DRAW_FITS)
+def test_bootstrap_report_does_not_depend_on_the_batches(tmp_path, monkeypatch, model):
+    # 20 draws: on one CPU draw 6 is fitted in the batch 4-7, on three CPUs in
+    # the batch 0, 3, 6, 9; a failure inside the fit of draw 6 refits its
+    # batch draw by draw and leaves every other draw's sample as it was
+    kind, flags = _DRAW_FITS[model]
+    out = _simulate(tmp_path, "--sigma", "0.004", kind=kind)
+    if flags[-1] == "--fixed-dissipator":
+        rt_path = tmp_path / "rt.json"
+        rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+        flags = [*flags, str(rt_path)]
+    real = liouvlab.cli.bootstrap
+    samples = {}
+
+    def kept_bootstrap(*args, **kwargs):
+        result = real(*args, **kwargs)
+        samples[run] = result.samples
+        return result
+
+    monkeypatch.setattr(liouvlab.cli, "bootstrap", kept_bootstrap)
+    reports = {}
+    for spoiled in (False, True):
+        if spoiled:
+            _spoil_draw(monkeypatch, _read(out / "dataset.json")["provenance"]["noise"]["seed"], 6)
+        for cpus in (1, 3):
+            run = spoiled, cpus
+            monkeypatch.setattr(liouvlab.estimation.os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)))
+            fit = tmp_path / f"fit-{spoiled}-{cpus}"
+            rc = main(["fit", "--dataset", str(out / "dataset.json"), *flags,
+                       "--bootstrap", "20", "-o", str(fit)])
+            assert rc == 0
+            reports[run] = (fit / "fit_report.json").read_bytes()
+    assert reports[False, 1] == reports[False, 3]
+    assert reports[True, 1] == reports[True, 3]
+    if model == "fields":
+        first = make_scenario("three_axis_time_dependent").grid.times[0]
+        where = f"stepwise reconstruction failed at step 0 (t = 0.0 -> {first})"
+    else:
+        where = "inputs"
+    assert json.loads(reports[True, 1])["bootstrap"] == {
+        "n_draws": 20,
+        "n_failed": 1,
+        "failures": [f"draw 6: {where}: input states span only rank 1 < 9"],
+    }
+    for cpus in (1, 3):
+        assert np.array_equal(samples[True, cpus], np.delete(samples[False, 1], 6, axis=0))
+
+
+def test_bootstrap_memory_does_not_grow_with_the_draw_count(monkeypatch):
+    # one process makes and fits its draws a batch at a time, so it holds one
+    # batch of state stacks, not its whole share of the draws; what grows is
+    # the params kept per draw
+    monkeypatch.setattr(liouvlab.estimation.os, "sched_getaffinity", lambda pid: {0})
+    sc = make_scenario("relaxation_only")
+    fit = functools.partial(_draw_params, SimpleNamespace(model="relaxation"), None)
+    peaks = []
+    for n_draws in (40, 400):
+        tracemalloc.start()
+        try:
+            bootstrap(fit, lambda spec: (_noisy_states(sc, spec), sc.grid.times),
+                      NoiseSpec(bloch_sigma=0.004, seed=89), n_draws=n_draws)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_report_relaxation_gate_row(tmp_path, calibrated_sigma, capsys):
@@ -1007,6 +1092,11 @@ _MALFORMED = {
         {"kind": "relaxation_only", "grid": {"times_s": [0.1, 0.2]}},
         "'grid.times_s' is inconsistent with the params",
     ),
+    "scenario-times-s-off-by-a-fraction-of-a-step": _scenario_case(
+        {"kind": "three_axis_time_dependent", "params": {"n_steps": 3},
+         "grid": {"times_s": [4.009e-6, 7.991e-6, 12.009e-6]}},
+        "'grid.times_s' is inconsistent with the params",
+    ),
     "dataset-list": _dataset_case(_RELAX, lambda d: [], "JSON object"),
     "dataset-inputs-string": _dataset_case(_PROCESS, lambda d: {**d, "inputs": "x"}, "'inputs'"),
     "dataset-seed-string": _dataset_case(_PROCESS, lambda d: {**d, "seed": "7"}, "'seed'"),
@@ -1053,6 +1143,18 @@ _MALFORMED = {
     "simulate-out-under-a-file": _unwritable_case("simulate"),
     "fit-out-is-a-file": _unwritable_case("fit"),
 }
+
+
+@pytest.mark.parametrize("kind", ["relaxation_only", "three_axis_time_dependent"])
+def test_scenario_grid_typed_as_decimals_is_accepted(tmp_path, kind):
+    # the decimals a user types differ from the scenario's own times by
+    # rounding only (9 * 0.0005 is 0.0045000000000000005 in binary)
+    times = make_scenario(kind).grid.times
+    typed = [float(f"{t:.6g}") for t in times]
+    assert typed != times.tolist()
+    rc, out = _simulate_file(tmp_path, {"kind": kind, "grid": {"times_s": typed}})
+    assert rc == 0
+    assert _read(out / "dataset.json")["times_s"] == times.tolist()
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))

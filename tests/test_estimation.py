@@ -44,6 +44,7 @@ from liouvlab.synthlab import (
     DEFAULT_RELAXATION,
     NoiseSpec,
     _input_coords,
+    _noisy_states,
     generate_dataset,
     make_scenario,
 )
@@ -63,12 +64,20 @@ def _pmeas_of(ds):
     return np.stack([reconstruct_process(ds, t).matrix for t in ds.times]), ds.times
 
 
-def _direct_rt_params(ds) -> np.ndarray:
-    from liouvlab.dynamics import principal_log
+def _direct_rt_params(states, times) -> np.ndarray:
+    """The direct relaxation fit of each draw of a bootstrap batch, through the object API."""
+    params = []
+    for draw in states:
+        ds = TomographySet(states=draw, times=times)
+        logs = [principal_log(reconstruct_process(ds, t)).matrix / t for t in ds.times]
+        rt_hat = Superoperator(dim=3, matrix=-np.mean(logs, axis=0))
+        params.append(fit_relaxation_model(rt_hat).params)
+    return np.array(params)
 
-    logs = [principal_log(reconstruct_process(ds, t)).matrix / t for t in ds.times]
-    rt_hat = Superoperator(dim=3, matrix=-np.mean(logs, axis=0))
-    return fit_relaxation_model(rt_hat).params
+
+def _draws_of(sc):
+    """A bootstrap dataset factory: the state stack and times of a dataset of ``sc``."""
+    return lambda spec: (_noisy_states(sc, spec), sc.grid.times)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +547,7 @@ def test_bootstrap_zero_noise_degenerate():
     sc = make_scenario("relaxation_only", n_times=6)
     result = bootstrap(
         _direct_rt_params,
-        lambda spec: generate_dataset(sc, spec),
+        _draws_of(sc),
         NoiseSpec(seed=80),
         n_draws=5,
     )
@@ -552,7 +561,7 @@ def test_bootstrap_deterministic(calibrated_sigma):
     # agree to LAPACK reproducibility (matrix logs may differ in the last
     # ulp between calls, depending on buffer alignment)
     sc = make_scenario("relaxation_only", n_times=6)
-    factory = lambda spec: generate_dataset(sc, spec)  # noqa: E731
+    factory = _draws_of(sc)
     noise = NoiseSpec(bloch_sigma=calibrated_sigma, seed=81)
     r1 = bootstrap(_direct_rt_params, factory, noise, n_draws=20)
     r2 = bootstrap(_direct_rt_params, factory, noise, n_draws=20)
@@ -561,14 +570,14 @@ def test_bootstrap_deterministic(calibrated_sigma):
 
 
 def test_bootstrap_failure_budget():
-    def failing_fit(ds):
+    def failing_fit(states, times):
         raise SingularProcessError("fit exploded")
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(BootstrapError):
         bootstrap(
             failing_fit,
-            lambda spec: generate_dataset(sc, spec),
+            _draws_of(sc),
             NoiseSpec(seed=82),
             n_draws=10,
         )
@@ -576,14 +585,14 @@ def test_bootstrap_failure_budget():
 
 def test_bootstrap_propagates_programming_errors():
     # only numeric failures count against the budget; a bug is not a draw
-    def buggy_fit(ds):
+    def buggy_fit(states, times):
         raise TypeError("unsupported operand")
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(TypeError, match="unsupported operand"):
         bootstrap(
             buggy_fit,
-            lambda spec: generate_dataset(sc, spec),
+            _draws_of(sc),
             NoiseSpec(seed=82),
             n_draws=10,
         )
@@ -605,7 +614,7 @@ def _failing_factory(sc, seed: int, failing_draws):
     def factory(spec):
         if spec.seed in failing:
             raise SingularProcessError(f"injected at draw {failing[spec.seed]}")
-        return generate_dataset(sc, spec)
+        return _noisy_states(sc, spec), sc.grid.times
 
     return factory
 
@@ -651,14 +660,14 @@ def test_bootstrap_propagates_programming_errors_from_workers(monkeypatch):
     _force_workers(monkeypatch, 3)
     caller = os.getpid()
 
-    def buggy_in_workers(ds):
+    def buggy_in_workers(states, times):
         if os.getpid() != caller:
             raise TypeError("unsupported operand in a worker")
-        return _direct_rt_params(ds)
+        return _direct_rt_params(states, times)
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(TypeError, match="unsupported operand in a worker") as info:
-        bootstrap(buggy_in_workers, lambda spec: generate_dataset(sc, spec),
+        bootstrap(buggy_in_workers, _draws_of(sc),
                   NoiseSpec(seed=85), n_draws=6)
     assert "buggy_in_workers" in str(info.value.__cause__)  # the worker's traceback
     _assert_no_worker_left()
@@ -674,14 +683,14 @@ def test_bootstrap_worker_error_that_does_not_pickle(monkeypatch):
     _force_workers(monkeypatch, 2)
     caller = os.getpid()
 
-    def fit(ds):
+    def fit(states, times):
         if os.getpid() != caller:
             raise _TwoArgError("odd failure", detail=1)
-        return _direct_rt_params(ds)
+        return _direct_rt_params(states, times)
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(RuntimeError, match="_TwoArgError: odd failure"):
-        bootstrap(fit, lambda spec: generate_dataset(sc, spec), NoiseSpec(seed=88), n_draws=4)
+        bootstrap(fit, _draws_of(sc), NoiseSpec(seed=88), n_draws=4)
     _assert_no_worker_left()
 
 
@@ -689,7 +698,7 @@ def test_bootstrap_stops_workers_when_the_caller_raises(monkeypatch):
     _force_workers(monkeypatch, 3)
     caller = os.getpid()
 
-    def fit(ds):
+    def fit(states, times):
         if os.getpid() == caller:
             raise TypeError("unsupported operand in the caller")
         time.sleep(30.0)  # a worker still running when the caller raises
@@ -697,7 +706,7 @@ def test_bootstrap_stops_workers_when_the_caller_raises(monkeypatch):
     sc = make_scenario("relaxation_only", n_times=2)
     start = time.monotonic()
     with pytest.raises(TypeError, match="unsupported operand in the caller"):
-        bootstrap(fit, lambda spec: generate_dataset(sc, spec), NoiseSpec(seed=86), n_draws=3)
+        bootstrap(fit, _draws_of(sc), NoiseSpec(seed=86), n_draws=3)
     assert time.monotonic() - start < 10.0
     _assert_no_worker_left()
 
@@ -706,14 +715,14 @@ def test_bootstrap_worker_killed_by_a_signal(monkeypatch):
     _force_workers(monkeypatch, 2)
     caller = os.getpid()
 
-    def fit(ds):
+    def fit(states, times):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return _direct_rt_params(ds)
+        return _direct_rt_params(states, times)
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(ChildProcessError, match=r"exit status -9 \(SIGKILL\); no draws returned"):
-        bootstrap(fit, lambda spec: generate_dataset(sc, spec), NoiseSpec(seed=87), n_draws=4)
+        bootstrap(fit, _draws_of(sc), NoiseSpec(seed=87), n_draws=4)
     _assert_no_worker_left()
 
 
@@ -734,7 +743,7 @@ def test_bootstrap_rate_interval_widths(calibrated_sigma):
     sc = make_scenario("relaxation_only")
     result = bootstrap(
         _direct_rt_params,
-        lambda spec: generate_dataset(sc, spec),
+        _draws_of(sc),
         NoiseSpec(bloch_sigma=calibrated_sigma, seed=401),
         n_draws=150,
     )
@@ -747,7 +756,7 @@ def test_bootstrap_rate_interval_widths(calibrated_sigma):
 def test_bootstrap_coverage_loose(calibrated_sigma):
     # 68% nominal intervals contain the truth well above half the time
     sc = make_scenario("relaxation_only")
-    factory = lambda spec: generate_dataset(sc, spec)  # noqa: E731
+    factory = _draws_of(sc)
     truth = DEFAULT_RELAXATION.params
     hits = []
     for meta in range(10):
