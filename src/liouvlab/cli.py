@@ -350,23 +350,15 @@ def _point_fit(args, rt, dataset: TomographySet) -> FitReport:
     """The FitReport of the fit of ``--model`` by ``--method`` to the dataset.
 
     With ``_draw_params``, the one place where the CLI picks an estimator;
-    ``relaxation`` always decomposes the free MLE generator.
+    ``relaxation`` and ``mle`` are MLE fits of their form.
     """
     if args.model == "fields":
         return estimate_fields(stepwise_processes(dataset), rt, args.known_form, args.method)
     processes = reconstruct_processes(dataset)
     if args.model == "hermitian" and args.method == "direct":
         return direct_hamiltonian(processes, rt)
-    if args.model != "relaxation":  # a free generator, or a Hermitian one by MLE
-        form = "free" if args.model == "mle" else "hermitian"
-        return mle_liouvillian(processes, dissipator=rt, form=form)
-    mle = mle_liouvillian(processes, form="free")
-    report = fit_relaxation_model(Superoperator(dim=mle.estimate.dim, matrix=-mle.estimate.matrix))
-    report.df_per_time = mle.df_per_time
-    report.converged = mle.converged
-    report.iterations = mle.iterations
-    report.extras["optimizer"] = mle.extras["optimizer"]
-    return report
+    form = "free" if args.model == "mle" else args.model
+    return mle_liouvillian(processes, dissipator=rt, form=form)
 
 
 def _draw_params(args, rt, states: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -394,6 +386,9 @@ def cmd_fit(args):
         raise LiouvlabError(f"--known-form does not apply to --model {args.model}")
     if args.fixed_dissipator and args.model == "relaxation":
         raise LiouvlabError("--fixed-dissipator does not apply to --model relaxation")
+    if args.method and args.model in ("relaxation", "mle"):
+        raise LiouvlabError(f"--method does not apply to --model {args.model}")
+    args.method = args.method or ("direct" if args.model in ("hermitian", "fields") else None)
     dataset, seed, source = _load_dataset(args.dataset)
     rt = _load_superop(args.fixed_dissipator, dataset.dim) if args.fixed_dissipator else None
     if args.model in ("hermitian", "fields") and rt is None:
@@ -536,9 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fields: fit the three Larmor frequencies per interval, not nine Hermitian params",
     )
     fit.add_argument(
-        "--method", choices=["direct", "mle"], default="direct",
-        help="point-fit estimator of hermitian and fields (relaxation always decomposes "
-        "the free MLE generator); every bootstrap draw uses the model's direct one",
+        "--method", choices=["direct", "mle"],
+        help="point-fit estimator of hermitian and fields [direct]; relaxation and mle "
+        "are always MLE fits and refuse it; every bootstrap draw uses the model's direct one",
     )
     fit.add_argument("--bootstrap", type=_draw_count, default=0, metavar="N")
     fit.add_argument("-o", "--out", required=True)

@@ -16,7 +16,8 @@ Two complementary estimators are provided throughout:
   construction.  The cost is a Pade ``expm`` per time.
 
 One damped Gauss-Newton solver fits every MLE problem: the fits of
-``mle_liouvillian`` (one problem of one or more times) and the
+``mle_liouvillian`` (one problem of one or more times, of a free, Hermitian
+or relaxation-model generator) and the
 per-interval field fits of ``estimate_fields`` (one problem of one time per
 interval, all intervals in lockstep on stacked arrays).  These are
 small-residual least-squares problems, where Gauss-Newton converges in a
@@ -107,11 +108,12 @@ GN_MAX_ITERS = 16
 # relative singular-value cut of the Gauss-Newton step
 GN_PINV_RCOND = 1e-10
 
-# names of the fitted columns: Larmor frequencies, RelaxationModel.params
-# and HermitianParams.h (the fields.csv headers of a field fit)
+# names of the fitted columns: Larmor frequencies, RelaxationModel.params and
+# HermitianParams.h (the fields.csv headers of a field fit); by constrained form
 FIELD_PARAM_NAMES = ("omega_x", "omega_y", "omega_z")
 RELAXATION_PARAM_NAMES = FIELD_PARAM_NAMES + ("gamma_x", "gamma_y", "gamma_z", "gamma_iso")
 HERMITIAN_PARAM_NAMES = tuple(f"h{i}" for i in range(1, 10))
+_FORM_PARAM_NAMES = {"hermitian": HERMITIAN_PARAM_NAMES, "relaxation": RELAXATION_PARAM_NAMES}
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +139,11 @@ class RelaxationModel:
             raise ValueError("relaxation rates must be non-negative")
         object.__setattr__(self, "omega_residual", _frozen_array(om))
         object.__setattr__(self, "gamma_dephase", _frozen_array(gk))
+
+    @classmethod
+    def from_params(cls, p) -> "RelaxationModel":
+        """The model of a parameter vector in the order of RELAXATION_PARAM_NAMES."""
+        return cls(omega_residual=p[:3], gamma_dephase=p[3:6], gamma_iso=float(p[6]))
 
     def superoperator(self) -> Superoperator:
         """Effective total relaxation matrix R_T (zero last row).
@@ -169,8 +176,10 @@ class FitReport:
 
     ``estimate`` is the model-specific object (Superoperator,
     HermitianParams, RelaxationModel, ...); ``params`` is the flat
-    parameter vector behind it; ``ci_low``/``ci_high`` are filled only
-    after a bootstrap run.  ``extras["optimizer"]``, set by
+    parameter vector behind it; ``cost`` is the Pade cost of an MLE fit, of
+    any form, and the squared projection residual of a direct one;
+    ``ci_low``/``ci_high`` are filled only after a bootstrap run.
+    ``extras["optimizer"]``, set by
     ``mle_liouvillian``, counts the Pade cost evaluations, the Gauss-Newton
     steps and those whose Jacobian took exact Frechet columns
     (``expm_frechet_evaluations``); set by
@@ -196,13 +205,7 @@ class FitReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        def _estimate_json(est):
-            if hasattr(est, "to_json"):
-                return est.to_json()
-            if isinstance(est, np.ndarray):
-                return est.tolist()
-            return est
-
+        est = self.estimate
         ci = None
         if self.ci_low is not None and self.ci_high is not None:
             names = self.param_names or tuple(f"p{i}" for i in range(len(self.params)))
@@ -212,7 +215,7 @@ class FitReport:
             }
         out = {
             "model": self.model,
-            "estimate": _estimate_json(self.estimate),
+            "estimate": est.to_json() if hasattr(est, "to_json") else np.asarray(est).tolist(),
             "params": np.asarray(self.params, dtype=float).tolist(),
             "cost": float(self.cost),
             "df_per_time": None
@@ -592,9 +595,11 @@ def mle_liouvillian(
             parameters describe the Hamiltonian generator B and the full
             generator is L = B - R_T; when absent, L itself is fitted.
         form: constraint on B --
-            ``"free"``       all d**4 entries free (no physical constraint);
-            ``"hermitian"``  B generated by a 3x3 Hermitian operator
-                             (9 parameters, Hermitian by construction).
+            ``"free"``        all d**4 entries free (no physical constraint);
+            ``"hermitian"``   B generated by a 3x3 Hermitian operator
+                              (9 parameters, Hermitian by construction);
+            ``"relaxation"``  B = -R_T of a ``RelaxationModel`` (7 parameters,
+                              rates >= 0); no dissipator (else ValueError).
             Field fits (B in the span of the spin-1 precession
             generators) run through ``estimate_fields``.
         x0: optional initial parameter vector; defaults to the direct
@@ -604,17 +609,21 @@ def mle_liouvillian(
             not see, is kept.
 
     The fit is one damped Gauss-Newton problem (``_gauss_newton``) from
-    ``x0``, with one time or many alike.
+    ``x0``, with one time or many alike.  A ``relaxation`` fit with a
+    negative rate is replaced by the least-cost fit with every rate >= 0
+    among the 15 fits with a set of rates held at 0.
 
     Returns:
-        FitReport whose ``estimate`` is the fitted generator L; a fit still
+        FitReport whose ``estimate`` is the fitted generator L (the
+        ``RelaxationModel`` of a ``relaxation`` fit); a fit still
         running after GN_MAX_ITERS steps, or from a start of non-finite
         cost, is reported (``converged=False``), never raised.
         ``iterations`` is the Gauss-Newton steps tried.
         ``extras["optimizer"]`` holds ``evaluations`` (every Pade cost
         evaluation, the start's included), ``gauss_newton_iterations`` and
         ``expm_frechet_evaluations`` (the steps whose Jacobian took exact
-        Frechet columns because the generator was near-defective).
+        Frechet columns because the generator was near-defective), summed
+        over every fit run.
     """
     dim = _process_dim(*processes)
     _check_dissipator(dim, dissipator)
@@ -625,12 +634,14 @@ def mle_liouvillian(
 
     if form == "free":
         design = None
-    elif form == "hermitian":
-        if dim != 3:
-            raise DimensionError("hermitian form is defined for qutrits only")
-        design = _hermitian_design()
-    else:
+    elif form not in _FORM_PARAM_NAMES:
         raise ValueError(f"unknown constraint form {form!r}")
+    elif dim != 3:
+        raise DimensionError(f"{form} form is defined for qutrits only")
+    elif form == "relaxation" and rt_mat is not None:
+        raise ValueError("the relaxation form fits the whole generator; it takes no dissipator")
+    else:
+        design = _hermitian_design() if form == "hermitian" else -_relaxation_design()
     n_params = n2 * n2 if design is None else design.shape[1]
 
     if x0 is None:
@@ -643,26 +654,38 @@ def mle_liouvillian(
     if x0.shape != (n_params,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({n_params},)")
 
-    thetas, gens, costs, exps, converged, counts = _gauss_newton(
-        design, rt_mat, ts[None], ps[None], x0[None]
-    )
+    fits = [_gauss_newton(design, rt_mat, ts[None], ps[None], x0[None])]
+    if form == "relaxation" and fits[0][0][0, 3:].min() < 0:
+        # refit with each set of rates held at 0, each left out of the design
+        # and the start (active sets; Lawson & Hanson, 1974, ch. 23)
+        for held in range(1, 16):
+            free = np.array([True] * 3 + [not held >> k & 1 for k in range(4)])
+            full = np.zeros((1, 7))
+            fit = _gauss_newton(design[:, free], None, ts[None], ps[None], x0[None, free])
+            full[:, free] = fit[0]
+            fits.append((full, *fit[1:]))
+    feasible = [fit for fit in fits if form != "relaxation" or fit[0][0, 3:].min() >= 0]
+    thetas, gens, costs, exps, converged, _ = min(feasible, key=lambda fit: fit[2][0])
     theta, l_hat = thetas[0], gens[0]
     dfs = _distances(ps, exps[0])
+    counts = {key: sum(fit[5][key] for fit in fits) for key in fits[0][5]}
     steps = counts["gauss_newton_iterations"]
-    extras = {"optimizer": {"evaluations": 1 + steps, **counts}}
+    extras = {"optimizer": {"evaluations": len(fits) + steps, **counts}}
     if rt_mat is not None:
         extras["hamiltonian_superop"] = Superoperator(
             dim=dim, matrix=l_hat + rt_mat
         )
     return FitReport(
         model=f"mle-{form}",
-        estimate=Superoperator(dim=dim, matrix=l_hat),
+        estimate=RelaxationModel.from_params(theta)
+        if form == "relaxation"
+        else Superoperator(dim=dim, matrix=l_hat),
         params=theta,
         cost=float(costs[0]),
         df_per_time=dfs,
         iterations=steps,
         converged=bool(converged[0]),
-        param_names=HERMITIAN_PARAM_NAMES if form == "hermitian" else None,
+        param_names=_FORM_PARAM_NAMES.get(form),
         extras=extras,
     )
 
@@ -680,37 +703,21 @@ def _relaxation_design() -> np.ndarray:
     return _frozen_array(np.column_stack([-_field_design(), *dephasing, iso]))
 
 
-def fit_relaxation_model(rt: Superoperator) -> FitReport:
-    """Decompose a relaxation matrix into the three-channel model.
+def fit_relaxation_model(rt: Superoperator) -> RelaxationModel:
+    """The three-channel model nearest a qutrit relaxation matrix R_T.
 
-    Linear least squares over (Omega_x, Omega_y, Omega_z, gamma_x, gamma_y,
-    gamma_z, gamma_iso): the model matrix is linear in all seven
-    parameters.  Rates are constrained non-negative by the exact
-    active-set solver (BVLS): the iterative default stops short, by about
-    1e-6 relative, when a rate sits on its bound.  The residual norm of the
-    non-representable component is reported, never raised.
+    Least squares over the seven parameters, in which R_T is linear, with
+    the rates >= 0 by the exact active-set solver (BVLS; the iterative
+    default stops about 1e-6 short when a rate sits on its bound).  Every
+    relaxation bootstrap draw fits its mean log generator by it.
     """
     if rt.dim != 3:
         raise DimensionError("relaxation model is defined for qutrits only")
-    a = _relaxation_design()
-    b = rt.matrix.ravel()
     lb = np.array([-np.inf] * 3 + [0.0] * 4)
-    ub = np.full(7, np.inf)
-    sol = scipy.optimize.lsq_linear(a, b, bounds=(lb, ub), method="bvls")
-    residual = float(np.linalg.norm(a @ sol.x - b))
-    model = RelaxationModel(
-        omega_residual=sol.x[:3], gamma_dephase=sol.x[3:6], gamma_iso=float(sol.x[6])
+    sol = scipy.optimize.lsq_linear(
+        _relaxation_design(), rt.matrix.ravel(), bounds=(lb, np.inf), method="bvls"
     )
-    return FitReport(
-        model="relaxation",
-        estimate=model,
-        params=sol.x,
-        cost=residual**2,
-        iterations=int(getattr(sol, "nit", 1) or 1),
-        converged=True,
-        param_names=RELAXATION_PARAM_NAMES,
-        extras={"residual": residual},
-    )
+    return RelaxationModel.from_params(sol.x)
 
 
 def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperator) -> FitReport:
@@ -739,10 +746,7 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
         iterations=1,
         converged=True,
         param_names=HERMITIAN_PARAM_NAMES,
-        extras={
-            "residual": fit.residual,
-            "skipped_times": skipped,
-        },
+        extras={"skipped_times": skipped},
     )
 
 

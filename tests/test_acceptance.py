@@ -18,6 +18,7 @@ import liouvlab
 from liouvlab.basis import build_basis, coords_of
 from liouvlab.dynamics import piecewise_propagator, principal_log
 from liouvlab.estimation import (
+    RELAXATION_PARAM_NAMES,
     bootstrap,
     direct_hamiltonian,
     estimate_fields,
@@ -122,19 +123,14 @@ def test_criterion_4_relaxation_pipeline(calibrated_sigma):
 
     # noiseless recovery to 0.1%
     clean = generate_dataset(scenario, NoiseSpec(seed=400))
-    mle_clean = mle_liouvillian(_pmeas_of(clean), form="free")
-    rt_clean = Superoperator(dim=3, matrix=-mle_clean.estimate.matrix)
-    fit_clean = fit_relaxation_model(rt_clean)
+    fit_clean = mle_liouvillian(_pmeas_of(clean), form="relaxation")
     rel = np.abs(fit_clean.params / truth - 1.0)
     assert rel.max() < 1e-3
 
     # noisy pipeline at the calibrated level
     noise = NoiseSpec(bloch_sigma=calibrated_sigma, seed=401)
     ds = generate_dataset(scenario, noise)
-    mle = mle_liouvillian(_pmeas_of(ds), form="free")
-    assert mle.converged
-    rt_hat = Superoperator(dim=3, matrix=-mle.estimate.matrix)
-    fit = fit_relaxation_model(rt_hat)
+    assert mle_liouvillian(_pmeas_of(ds), form="relaxation").converged
 
     def draw_fit(states, times):
         params = []
@@ -152,7 +148,7 @@ def test_criterion_4_relaxation_pipeline(calibrated_sigma):
     inside = result.contains(truth)
     assert inside.all(), (
         f"true parameters outside 68% intervals: "
-        f"{[n for n, ok in zip(fit.param_names, inside) if not ok]}"
+        f"{[n for n, ok in zip(RELAXATION_PARAM_NAMES, inside) if not ok]}"
     )
     _report(
         4,

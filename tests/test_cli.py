@@ -19,7 +19,14 @@ import liouvlab.cli
 from liouvlab.basis import DensityMatrix, build_basis, vectorize
 from liouvlab.cli import _draw_params, build_parser, main
 from liouvlab.dynamics import ProcessMatrix, TimeGrid
-from liouvlab.estimation import bootstrap, derive_seed, fit_relaxation_model, frobenius_distance
+from liouvlab.estimation import (
+    RelaxationModel,
+    _df_per_time,
+    bootstrap,
+    derive_seed,
+    fit_relaxation_model,
+    frobenius_distance,
+)
 from liouvlab.exceptions import BranchCutError, CompletenessError
 from liouvlab.superop import Superoperator, hamiltonian_superop
 from liouvlab.synthlab import (
@@ -469,7 +476,9 @@ def test_fit_fields_on_a_non_uniform_grid(tmp_path, method):
 @pytest.mark.parametrize("model, flag", [("relaxation", "--known-form"),
                                          ("hermitian", "--known-form"),
                                          ("mle", "--known-form"),
-                                         ("relaxation", "--fixed-dissipator")])
+                                         ("relaxation", "--fixed-dissipator"),
+                                         ("relaxation", "--method"),
+                                         ("mle", "--method")])
 def test_fit_flag_its_model_does_not_read_exits_2(tmp_path, capsys, model, flag):
     out = _simulate(tmp_path)
     rt_path = tmp_path / "rt.json"
@@ -477,6 +486,8 @@ def test_fit_flag_its_model_does_not_read_exits_2(tmp_path, capsys, model, flag)
     flags = ["--fixed-dissipator", str(rt_path)] if model != "relaxation" else []
     if flag == "--known-form":
         flags.append(flag)
+    elif flag == "--method":
+        flags += [flag, "mle"]
     else:
         flags += [flag, str(rt_path)]
     capsys.readouterr()
@@ -535,13 +546,14 @@ def test_fit_mle_writes_gauss_newton_counts(tmp_path):
     rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
     models = (
         ("relaxation_only", "relaxation", []),
-        ("static_quadratic_zeeman", "hermitian", ["--fixed-dissipator", str(rt_path)]),
+        ("static_quadratic_zeeman", "hermitian",
+         ["--method", "mle", "--fixed-dissipator", str(rt_path)]),
     )
     for kind, model, flags in models:
         out = _simulate(tmp_path / kind, "--sigma", "0.004", kind=kind)
         fit = tmp_path / model
         rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", model,
-                   "--method", "mle", *flags, "-o", str(fit)])
+                   *flags, "-o", str(fit)])
         assert rc == 0
         report = _read(fit / "fit_report.json")
         counts = report["optimizer"]
@@ -552,6 +564,49 @@ def test_fit_mle_writes_gauss_newton_counts(tmp_path):
         assert report["iterations"] == counts["gauss_newton_iterations"] > 0
         assert counts["evaluations"] == counts["gauss_newton_iterations"] + 1
         assert report["converged"] is True
+
+
+def test_fit_relaxation_reports_its_own_pade_fit(tmp_path):
+    # cost, df.csv and the optimizer counts all describe the seven-parameter
+    # fit whose params the report holds
+    out = _simulate(tmp_path, "--sigma", "0.004")
+    fit = tmp_path / "fit"
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
+               "-o", str(fit)])
+    assert rc == 0
+    report = _read(fit / "fit_report.json")
+    assert report["model"] == "mle-relaxation"
+    model = RelaxationModel.from_params(np.array(report["params"]))
+    assert report["estimate"] == model.to_json()
+    ps, ts = reconstruct_processes(TomographySet.from_json(_read(out / "dataset.json")))
+    r_t = model.superoperator().matrix
+    cost = sum(np.linalg.norm(scipy.linalg.expm(-r_t * t) - p) ** 2 for p, t in zip(ps, ts))
+    assert report["cost"] == pytest.approx(cost, rel=1e-12)
+    rows = np.loadtxt(fit / "df.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 0], ts)
+    np.testing.assert_allclose(rows[:, 1], _df_per_time((ps, ts), -r_t), rtol=1e-12, atol=0)
+    assert report["df_per_time"] == rows[:, 1].tolist()
+
+
+def test_fit_manifest_records_the_method_read(tmp_path):
+    # relaxation and mle read no --method and record none; hermitian and
+    # fields record the method they used, "direct" when it is not given
+    out = _simulate(tmp_path)
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    rt = ["--fixed-dissipator", str(rt_path)]
+    runs = {
+        "relaxation": ([], None),
+        "mle": ([], None),
+        "hermitian": (rt, "direct"),
+        "fields": ([*rt, "--method", "mle"], "mle"),
+    }
+    for model, (flags, method) in runs.items():
+        fit = tmp_path / model
+        rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", model, *flags,
+                   "-o", str(fit)])
+        assert rc == 0
+        assert _read(fit / "manifest.json")["config"]["method"] == method
 
 
 def test_fit_fields_df_labelled_with_midpoints(tmp_path):
@@ -572,7 +627,7 @@ def test_fit_fields_df_labelled_with_midpoints(tmp_path):
 
 
 def test_fit_relaxation_converged_at_the_calibrated_sigma(tmp_path):
-    # a noisy free-form fit at the calibrated noise level stops within a
+    # a noisy relaxation fit at the calibrated noise level stops within a
     # few Gauss-Newton steps and is reported converged
     out = _simulate(tmp_path, "--sigma", "0.004214459123596145", seed=44)
     rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",

@@ -258,20 +258,93 @@ def test_isotropic_only_decomposition():
     gamma = 11.0
     iso = np.eye(9)
     iso[8, 8] = 0.0
-    fit = fit_relaxation_model(Superoperator(dim=3, matrix=gamma * iso))
-    model = fit.estimate
+    model = fit_relaxation_model(Superoperator(dim=3, matrix=gamma * iso))
     assert model.gamma_iso == pytest.approx(gamma, abs=1e-9)
     assert np.abs(model.gamma_dephase).max() < 1e-9
     assert np.abs(model.omega_residual).max() < 1e-9
-    assert fit.extras["residual"] < 1e-9
+    assert np.linalg.norm(model.superoperator().matrix - gamma * iso) < 1e-9
 
 
 def test_forward_built_model_recovered_noiselessly():
     rt = DEFAULT_RELAXATION.superoperator()
-    fit = fit_relaxation_model(rt)
-    rel = np.abs(fit.params / DEFAULT_RELAXATION.params - 1.0)
+    model = fit_relaxation_model(rt)
+    rel = np.abs(model.params / DEFAULT_RELAXATION.params - 1.0)
     assert rel.max() < 1e-3  # well below 0.1%
-    assert fit.param_names == RELAXATION_PARAM_NAMES
+
+
+def _pade_cost(processes, model: RelaxationModel) -> float:
+    """sum_n ||exp(-R_T t_n) - P_n||_F^2 of a relaxation model."""
+    ps, ts = processes
+    return sum(
+        np.linalg.norm(scipy.linalg.expm(-model.superoperator().matrix * t) - p) ** 2
+        for p, t in zip(ps, ts)
+    )
+
+
+def test_relaxation_form_recovers_the_model_noiselessly():
+    processes = reconstruct_processes(
+        generate_dataset(make_scenario("relaxation_only"), NoiseSpec(seed=67))
+    )
+    report = mle_liouvillian(processes, form="relaxation")
+    assert report.model == "mle-relaxation"
+    assert report.converged
+    assert report.param_names == RELAXATION_PARAM_NAMES
+    assert isinstance(report.estimate, RelaxationModel)
+    assert np.array_equal(report.estimate.params, report.params)
+    np.testing.assert_allclose(report.params, DEFAULT_RELAXATION.params, rtol=1e-9, atol=0)
+    cost = _pade_cost(processes, report.estimate)
+    assert report.cost == pytest.approx(cost, rel=1e-12, abs=1e-28)
+
+
+# (held rates, seed): one to four true rates of 0 among gamma_x, gamma_y,
+# gamma_z and gamma_iso
+_PLANTED = [((k,), 70 + k) for k in range(4)] + [
+    ((0, 2), 74), ((1, 3), 75), ((0, 1, 3), 76), ((1, 2, 3), 77), ((0, 1, 2, 3), 78),
+    ((0, 1, 2, 3), 79),
+]
+
+
+@pytest.mark.parametrize("zeros, seed", _PLANTED)
+def test_relaxation_form_keeps_rates_non_negative(calibrated_sigma, zeros, seed):
+    # planted rates of 0: the full fit has negative rates about half the
+    # time, and the active-set fit is then no costlier than the two-step
+    # estimate (free MLE, then the bounded projection), which is feasible too
+    truth = DEFAULT_RELAXATION.params.copy()
+    truth[[3 + k for k in zeros]] = 0.0
+    sc = make_scenario("relaxation_only", n_times=8, relaxation=RelaxationModel.from_params(truth))
+    processes = reconstruct_processes(
+        generate_dataset(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=seed))
+    )
+    report = mle_liouvillian(processes, form="relaxation")
+    assert report.converged
+    assert report.params[3:].min() >= 0.0
+    l_free = mle_liouvillian(processes, form="free").estimate.matrix
+    two_step = fit_relaxation_model(Superoperator(dim=3, matrix=-l_free))
+    assert report.cost <= _pade_cost(processes, two_step) * (1 + 1e-9)
+    assert report.cost == pytest.approx(_pade_cost(processes, report.estimate), rel=1e-12)
+
+
+def test_relaxation_form_holds_negative_rates_at_zero(calibrated_sigma):
+    # every true rate 0: the full fit has a negative rate, so the report is
+    # a held-rate fit, with exact zeros, and counts all 16 fits it ran
+    truth = np.concatenate([DEFAULT_RELAXATION.params[:3], np.zeros(4)])
+    sc = make_scenario("relaxation_only", n_times=8, relaxation=RelaxationModel.from_params(truth))
+    processes = reconstruct_processes(
+        generate_dataset(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=79))
+    )
+    report = mle_liouvillian(processes, form="relaxation")
+    assert report.params[3:].min() == 0.0
+    counts = report.extras["optimizer"]
+    assert counts["evaluations"] == 16 + counts["gauss_newton_iterations"]
+    assert report.iterations == counts["gauss_newton_iterations"]
+
+
+def test_relaxation_form_takes_no_dissipator():
+    processes = reconstruct_processes(
+        generate_dataset(make_scenario("relaxation_only", n_times=3), NoiseSpec(seed=68))
+    )
+    with pytest.raises(ValueError, match="takes no dissipator"):
+        mle_liouvillian(processes, form="relaxation", dissipator=DEFAULT_RELAXATION.superoperator())
 
 
 def test_isotropic_equivalent_diagonal_decay():
@@ -290,7 +363,7 @@ def test_relaxation_rates_clipped_non_negative():
     noise = rng.normal(size=(9, 9)) * 0.5
     noise[8] = 0.0
     rt = Superoperator(dim=3, matrix=DEFAULT_RELAXATION.superoperator().matrix + noise)
-    model = fit_relaxation_model(rt).estimate
+    model = fit_relaxation_model(rt)
     assert model.gamma_dephase.min() >= 0.0
     assert model.gamma_iso >= 0.0
 
@@ -557,16 +630,15 @@ def test_bootstrap_zero_noise_degenerate():
 
 
 def test_bootstrap_deterministic(calibrated_sigma):
-    # datasets are bit-identical under a fixed seed; the fitted parameters
-    # agree to LAPACK reproducibility (matrix logs may differ in the last
-    # ulp between calls, depending on buffer alignment)
+    # datasets are bit-identical under a fixed seed, and so are the fits
     sc = make_scenario("relaxation_only", n_times=6)
     factory = _draws_of(sc)
     noise = NoiseSpec(bloch_sigma=calibrated_sigma, seed=81)
     r1 = bootstrap(_direct_rt_params, factory, noise, n_draws=20)
     r2 = bootstrap(_direct_rt_params, factory, noise, n_draws=20)
-    np.testing.assert_allclose(r1.samples, r2.samples, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(r1.low, r2.low, rtol=0, atol=1e-10)
+    assert np.array_equal(r1.samples, r2.samples)
+    assert np.array_equal(r1.low, r2.low)
+    assert np.array_equal(r1.high, r2.high)
 
 
 def test_bootstrap_failure_budget():
@@ -768,13 +840,14 @@ def test_bootstrap_coverage_loose(calibrated_sigma):
 
 
 def test_fit_report_json_round_trip():
-    rt = DEFAULT_RELAXATION.superoperator()
-    report = fit_relaxation_model(rt)
+    ds = generate_dataset(make_scenario("relaxation_only", n_times=3), NoiseSpec(seed=83))
+    report = mle_liouvillian(reconstruct_processes(ds), form="relaxation")
     report.ci_low = report.params - 1.0
     report.ci_high = report.params + 1.0
     obj = json.loads(json.dumps(report.to_json()))
-    assert obj["model"] == "relaxation"
+    assert obj["model"] == "mle-relaxation"
     assert obj["converged"] is True
+    assert obj["estimate"] == report.estimate.to_json()
     assert set(obj["ci"]) == set(RELAXATION_PARAM_NAMES)
     np.testing.assert_allclose(obj["params"], report.params)
 

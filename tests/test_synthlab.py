@@ -10,8 +10,8 @@ from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.exceptions import ZeroReferenceError
 from liouvlab.estimation import (
     BootstrapResult,
-    fit_relaxation_model,
     frobenius_distance,
+    mle_liouvillian,
 )
 from liouvlab.superop import (
     HermitianParams,
@@ -31,7 +31,7 @@ from liouvlab.synthlab import (
     make_scenario,
     state_fidelity,
 )
-from liouvlab.tomography import canonical_input_states, reconstruct_process
+from liouvlab.tomography import canonical_input_states, reconstruct_process, reconstruct_processes
 
 EXP_STATE_1 = np.array(
     [
@@ -439,7 +439,12 @@ _ARRAY_DATACLASSES = {
     "HermitianParams": lambda: HermitianParams(h=np.arange(9.0)),
     "KossakowskiMatrix": lambda: KossakowskiMatrix(dim=2, c=np.eye(4)),
     "RelaxationModel": lambda: DEFAULT_RELAXATION,
-    "FitReport": lambda: fit_relaxation_model(DEFAULT_RELAXATION.superoperator()),
+    "FitReport": lambda: mle_liouvillian(
+        reconstruct_processes(
+            generate_dataset(make_scenario("relaxation_only", n_times=2), NoiseSpec())
+        ),
+        form="relaxation",
+    ),
     "BootstrapResult": lambda: BootstrapResult(np.zeros(2), np.ones(2), np.zeros((3, 2)), 0, []),
     "Scenario": lambda: make_scenario("relaxation_only"),
     "TomographySet": lambda: generate_dataset(
