@@ -25,6 +25,7 @@ import platform
 import re
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -400,8 +401,7 @@ def cmd_fit(args):
     outdir = Path(args.out)
     report = _point_fit(args, rt, dataset)
     if args.bootstrap:
-        draw_fit = functools.partial(_draw_params, args, rt)
-        report = _attach_bootstrap(args, source, draw_fit, report)
+        report = _attach_bootstrap(args, rt, source, report)
 
     _write_json(outdir / "fit_report.json", _artifact(report.to_json(), seed))
     # a field fit's rows, one per interval, are labelled by interval midpoints
@@ -422,15 +422,18 @@ def cmd_fit(args):
     print(f"wrote {outdir / 'fit_report.json'} ({report.model}, {status})")
 
 
-def _attach_bootstrap(args, source, fit, report: FitReport) -> FitReport:
-    """``report`` with the bootstrap intervals of ``fit`` over draws from the provenance."""
-    scenario, base_noise = source
+def _attach_bootstrap(args, rt, source, report: FitReport) -> FitReport:
+    """``report`` with the bootstrap intervals of the draw fit over draws from the provenance."""
+    scenario, noise = source
     times = scenario.grid.times
     # the caches every draw reads, built once here and not in each forked worker
     scenario._propagator_stack, _input_coords()  # noqa: B018
-    result = bootstrap(
-        fit, lambda spec: (_noisy_states(scenario, spec), times), base_noise, args.bootstrap
-    )
+
+    def fit(seeds: list) -> np.ndarray:
+        states = [_noisy_states(scenario, replace(noise, seed=s)) for s in seeds]
+        return _draw_params(args, rt, np.stack(states), times)
+
+    result = bootstrap(fit, noise.seed, args.bootstrap)
     report.ci_low = result.low
     report.ci_high = result.high
     report.extras["bootstrap"] = {

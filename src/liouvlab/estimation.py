@@ -38,22 +38,23 @@ columns then come from the Frechet derivative of ``expm`` itself, exact
 without an eigendecomposition.  A problem still running
 after GN_MAX_ITERS steps is reported as not converged.
 
-Uncertainty is quantified by a percentile bootstrap over re-simulated
-noisy datasets.  Each draw is seeded by its index alone, so the draws are
-independent: on Linux, ``bootstrap`` runs them in one process per CPU in
-the process's affinity mask (the caller's own process and ``os.fork``ed
-workers, each on a strided share of the draw indices) and merges the
-results in draw order.  Elsewhere it runs every draw in process.  Each
-process fits its draws DRAW_BATCH at a time, with one fit of their stacked
-states; a batch that fails numerically is refitted draw by draw.  So the
-result is the same for any worker count and any batch composition.  The
-package caps no BLAS threads; keep ``OPENBLAS_NUM_THREADS=1`` so that the
-workers do not oversubscribe the CPUs.
+Uncertainty is quantified by a percentile bootstrap: ``bootstrap`` takes
+a fit of a list of per-draw seeds (the caller's simulation and fit of
+each draw) and a base seed.  Each draw is seeded by its index alone, so
+the draws are independent: on Linux, ``bootstrap`` runs them in one
+process per CPU in the process's affinity mask (the caller's own process
+and ``os.fork``ed workers, each on a strided share of the draw indices)
+and merges the results in draw order.  Elsewhere it runs every draw in
+process.  Each process fits its draws DRAW_BATCH seeds at a time; a batch
+that fails numerically, in its simulation or its fit, is refitted seed by
+seed.  So the result is the same for any worker count and any batch
+composition.  The package caps no BLAS threads; keep
+``OPENBLAS_NUM_THREADS=1`` so that the workers do not oversubscribe the
+CPUs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import os
@@ -101,7 +102,7 @@ __all__ = [
 ]
 
 CONVERGENCE_RTOL = 1e-10
-# bootstrap draws fitted as one stacked batch
+# bootstrap draws per call of the draw fit
 DRAW_BATCH = 4
 # Gauss-Newton steps tried per problem before the fit ends unconverged
 GN_MAX_ITERS = 16
@@ -187,7 +188,10 @@ class FitReport:
     intervals and lists the ``unconverged_intervals``.
     ``extras["bootstrap"]``, set by the CLI, records the draw count, the
     failed draws and the first few failure messages.  ``to_json`` writes
-    each of the two only when present.  ``extras["flagged"]``, set by
+    each of the two only when present.  ``extras["skipped_times"]``, set by
+    ``direct_hamiltonian``, lists the (time, error) of each time that it
+    left out; ``to_json`` writes it only when it is not empty.
+    ``extras["flagged"]``, set by
     ``estimate_fields``, marks the intervals of nearly vanishing total
     field; ``to_json`` leaves it out.
     """
@@ -228,6 +232,8 @@ class FitReport:
         for key in ("optimizer", "bootstrap"):
             if key in self.extras:
                 out[key] = self.extras[key]
+        if skipped := self.extras.get("skipped_times"):
+            out["skipped_times"] = [{"time_s": t, "error": msg} for t, msg in skipped]
         return out
 
 
@@ -904,41 +910,25 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index + 1]).generate_state(1)[0])
 
 
-def _draw_chunk(fit, dataset_factory, noise, draws) -> dict:
-    """``{draw: params or failure message}`` of the draws with indices ``draws``,
-    each made from its own seed and fitted DRAW_BATCH at a time (``_fit_batch``)."""
+def _draw_chunk(fit, seed: int, draws) -> dict:
+    """``{draw: params or failure message}`` of the draws with indices ``draws``:
+    one ``fit`` of the seeds of each DRAW_BATCH consecutive draws or, if that
+    raises a numeric error, one per seed, so that a draw's outcome does not
+    depend on its batch."""
     out = {}
     for start in range(0, len(draws), DRAW_BATCH):
-        batch = {}
-        for draw in draws[start : start + DRAW_BATCH]:
-            spec = dataclasses.replace(noise, seed=derive_seed(noise.seed, draw))
+        batch = draws[start : start + DRAW_BATCH]
+        seeds = [derive_seed(seed, draw) for draw in batch]
+        try:
+            out.update(zip(batch, np.asarray(fit(seeds), dtype=float)))
+            continue
+        except _DRAW_ERRORS:
+            pass
+        for draw, one in zip(batch, seeds):
             try:
-                batch[draw] = dataset_factory(spec)
+                out[draw] = np.asarray(fit([one]), dtype=float)[0]
             except _DRAW_ERRORS as err:
                 out[draw] = f"draw {draw}: {err}"
-        if batch:
-            out.update(_fit_batch(fit, batch))
-    return out
-
-
-def _fit_batch(fit, batch: dict) -> dict:
-    """``{draw: params or failure message}`` of a batch ``{draw: (states, times)}``:
-    one ``fit`` of the stacked states, or, if that raises a numeric error, one
-    per draw (m = 1), so a draw's outcome does not depend on its batch."""
-    times = next(iter(batch.values()))[1]
-    if any(not np.array_equal(t, times) for _, t in batch.values()):
-        raise ValueError("the draws of a bootstrap must share their times")
-    stacked = np.stack([states for states, _ in batch.values()])
-    try:
-        return dict(zip(batch, np.asarray(fit(stacked, times), dtype=float)))
-    except _DRAW_ERRORS:
-        pass
-    out = {}
-    for draw, one in zip(batch, stacked):
-        try:
-            out[draw] = np.asarray(fit(one[None], times), dtype=float)[0]
-        except _DRAW_ERRORS as err:
-            out[draw] = f"draw {draw}: {err}"
     return out
 
 
@@ -1001,27 +991,18 @@ def _worker_result(pid: int, data: bytes, status: int) -> dict:
     return result
 
 
-def bootstrap(
-    fit: Callable[..., np.ndarray],
-    dataset_factory: Callable,
-    noise,
-    n_draws: int = 1000,
-) -> BootstrapResult:
-    """Re-run a fit on ``n_draws`` re-simulated noisy datasets.
+def bootstrap(fit: Callable[[list], np.ndarray], seed: int, n_draws: int) -> BootstrapResult:
+    """Re-run a fit on ``n_draws`` seeded draws.
 
     Args:
-        fit: maps an (m, T+1, d**2, N) stack of the state stacks of m draws
-            and their (T,) times to an (m, P) array, the parameter vector of
-            each draw.  It is called once per batch of up to DRAW_BATCH
-            consecutive draws of a process; when that raises a numeric error,
-            once per draw of the batch (m = 1), so that each draw keeps the
-            params or the failure it has alone.
-        dataset_factory: maps a NoiseSpec (with a per-draw derived seed) to
-            a draw: its (T+1, d**2, N) state stack and (T,) times, the same
-            times for every draw (else ValueError).
-        noise: base NoiseSpec; its seed anchors the deterministic per-draw
-            seeds.
-        n_draws: number of bootstrap datasets (>= 2).
+        fit: maps a list of m per-draw seeds to an (m, P) array, the
+            parameter vector of each draw (its simulation and fit).  It is
+            called once per batch of up to DRAW_BATCH consecutive draws of
+            a process, with the seeds ``derive_seed(seed, draw)``; when that
+            raises a numeric error, once per seed of the batch (m = 1), so
+            that each draw keeps the params or the failure it has alone.
+        seed: anchor of the deterministic per-draw seeds.
+        n_draws: number of bootstrap draws (>= 2).
 
     Returns:
         BootstrapResult with asymmetric 16th/84th-percentile bounds, the
@@ -1032,8 +1013,8 @@ def bootstrap(
     where it is raised again with the worker's traceback as its cause.  The
     draws run in one process per CPU in the affinity mask (see the module
     docstring); no worker outlives the call.  The workers are forked, so
-    ``fit`` and ``dataset_factory`` may be closures, but a caller that runs
-    other threads risks a worker that inherits a held lock.
+    ``fit`` may be a closure, but a caller that runs other threads risks a
+    worker that inherits a held lock.
 
     Raises:
         BootstrapError: if more than 10% of draws fail.
@@ -1042,7 +1023,7 @@ def bootstrap(
     """
     if n_draws < 2:
         raise ValueError("bootstrap needs at least 2 draws")
-    run = functools.partial(_draw_chunk, fit, dataset_factory, noise)
+    run = functools.partial(_draw_chunk, fit, seed)
     n_workers = _worker_count(n_draws)
     workers = {}  # pid -> read end of its pipe, until the worker is reaped
     try:

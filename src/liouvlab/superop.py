@@ -77,7 +77,12 @@ class Superoperator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Superoperator":
-        return cls(dim=int(obj["dim"]), matrix=np.asarray(obj["matrix"], dtype=float))
+        """The superoperator of ``to_json``'s fields; ValueError for a NaN or
+        infinite entry of its matrix."""
+        matrix = np.asarray(obj["matrix"], dtype=float)
+        if not np.isfinite(matrix).all():
+            raise ValueError("'matrix' has a non-finite entry")
+        return cls(dim=int(obj["dim"]), matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,19 +133,15 @@ def test_criterion_4_relaxation_pipeline(calibrated_sigma):
     ds = generate_dataset(scenario, noise)
     assert mle_liouvillian(_pmeas_of(ds), form="relaxation").converged
 
-    def draw_fit(states, times):
+    def draw_fit(seeds):
         params = []
-        for draw in states:
-            dataset = TomographySet(states=draw, times=times)
+        for seed in seeds:
+            dataset = generate_dataset(scenario, replace(noise, seed=seed))
             l_hat = mean_log_liouvillian(reconstruct_processes(dataset))
             params.append(fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat.matrix)).params)
         return np.array(params)
 
-    def draws(spec):
-        dataset = generate_dataset(scenario, spec)
-        return dataset.states, dataset.times
-
-    result = bootstrap(draw_fit, draws, noise, n_draws=1000)
+    result = bootstrap(draw_fit, noise.seed, 1000)
     inside = result.contains(truth)
     assert inside.all(), (
         f"true parameters outside 68% intervals: "

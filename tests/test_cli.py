@@ -1,9 +1,9 @@
 import contextlib
-import functools
 import json
 import platform
 import re
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -728,6 +728,25 @@ def test_fit_hermitian_bootstrap_names_intervals_like_fields_csv(tmp_path, metho
     assert list(_read(fit / "fit_report.json")["ci"]) == [f"h{i}" for i in range(1, 10)]
 
 
+def test_fit_report_records_the_times_a_direct_fit_skipped(tmp_path):
+    # one time sits on the log branch cut (rotation angle pi), so the Hermitian
+    # direct fit leaves it out, and its artifact says so
+    none = RelaxationModel(omega_residual=np.zeros(3), gamma_dephase=np.zeros(3), gamma_iso=0.0)
+    t_hit = make_scenario("static_quadratic_zeeman").grid.times[4]
+    sc = make_scenario("static_quadratic_zeeman", q=np.pi / t_hit, relaxation=none)
+    ds = generate_dataset(sc, NoiseSpec(seed=67))
+    (tmp_path / "dataset.json").write_text(json.dumps(ds.to_json()))
+    (tmp_path / "rt.json").write_text(json.dumps(none.superoperator().to_json()))
+    fit = tmp_path / "fit"
+    with pytest.warns(UserWarning, match="skipping t"):
+        rc = main(["fit", "--dataset", str(tmp_path / "dataset.json"), "--model", "hermitian",
+                   "--fixed-dissipator", str(tmp_path / "rt.json"), "-o", str(fit)])
+    assert rc == 0
+    [skipped] = _read(fit / "fit_report.json")["skipped_times"]
+    assert skipped["time_s"] == pytest.approx(t_hit)
+    assert "branch cut" in skipped["error"]
+
+
 def test_fit_bootstrap_attaches_ci(tmp_path):
     out = _simulate(tmp_path, "--sigma", "0.004")
     fit = tmp_path / "fit"
@@ -970,13 +989,18 @@ def test_bootstrap_memory_does_not_grow_with_the_draw_count(monkeypatch):
     # the params kept per draw
     monkeypatch.setattr(liouvlab.estimation.os, "sched_getaffinity", lambda pid: {0})
     sc = make_scenario("relaxation_only")
-    fit = functools.partial(_draw_params, SimpleNamespace(model="relaxation"), None)
+    args = SimpleNamespace(model="relaxation")
+    noise = NoiseSpec(bloch_sigma=0.004, seed=89)
+
+    def fit(seeds):
+        states = [_noisy_states(sc, replace(noise, seed=seed)) for seed in seeds]
+        return _draw_params(args, None, np.stack(states), sc.grid.times)
+
     peaks = []
     for n_draws in (40, 400):
         tracemalloc.start()
         try:
-            bootstrap(fit, lambda spec: (_noisy_states(sc, spec), sc.grid.times),
-                      NoiseSpec(bloch_sigma=0.004, seed=89), n_draws=n_draws)
+            bootstrap(fit, noise.seed, n_draws)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1122,6 +1146,13 @@ def _unwritable_case(command):
     return build
 
 
+def _superop_with(entry: float) -> dict:
+    """The relaxation superoperator's JSON with ``entry`` as its first entry."""
+    obj = DEFAULT_RELAXATION.superoperator().to_json()
+    obj["matrix"][0][0] = entry
+    return obj
+
+
 _RELAX = ["fit", "--model", "relaxation"]
 _PROCESS = ["reconstruct", "--mode", "process"]
 _TIMES_RULE = "times must be finite, positive and strictly increasing"
@@ -1181,6 +1212,14 @@ _MALFORMED = {
     "superop-matrix-number": _dataset_case(
         ["reconstruct", "--mode", "liouvillian", "--reference"], lambda d: d, "'matrix'",
         superop={"dim": 3, "matrix": 5},
+    ),
+    "superop-nan-entry": _dataset_case(
+        ["fit", "--model", "hermitian", "--fixed-dissipator"], lambda d: d, "'matrix'",
+        "non-finite", superop=_superop_with(float("nan")),
+    ),
+    "superop-infinite-entry": _dataset_case(
+        ["reconstruct", "--mode", "liouvillian", "--reference"], lambda d: d, "'matrix'",
+        "non-finite", superop=_superop_with(float("inf")),
     ),
     "provenance-without-params": _dataset_case(
         [*_RELAX, "--bootstrap", "2"],

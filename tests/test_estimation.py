@@ -3,6 +3,7 @@ import os
 import signal
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,9 +76,20 @@ def _direct_rt_params(states, times) -> np.ndarray:
     return np.array(params)
 
 
-def _draws_of(sc):
-    """A bootstrap dataset factory: the state stack and times of a dataset of ``sc``."""
-    return lambda spec: (_noisy_states(sc, spec), sc.grid.times)
+def _seeded(sc, noise, fit=_direct_rt_params, failing=()):
+    """A bootstrap draw fit: ``fit`` of the stacked state stacks of datasets of
+    ``sc`` made with ``noise`` and each seed; the simulation of each draw with
+    an index in ``failing`` raises SingularProcessError."""
+    injected = {derive_seed(noise.seed, draw): draw for draw in failing}
+
+    def draw_fit(seeds):
+        for seed in seeds:
+            if seed in injected:
+                raise SingularProcessError(f"injected at draw {injected[seed]}")
+        states = [_noisy_states(sc, replace(noise, seed=seed)) for seed in seeds]
+        return fit(np.stack(states), sc.grid.times)
+
+    return draw_fit
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +401,7 @@ def test_direct_hamiltonian_noiseless_exact():
     k_hat = explicit_qutrit_superop(report.estimate)
     assert frobenius_distance(k_hat, k_true) < 1e-8
     assert report.extras["skipped_times"] == []
+    assert "skipped_times" not in report.to_json()  # a clean fit's artifact is unchanged
     assert len(report.df_per_time) == len(ds.times)
 
 
@@ -408,6 +421,11 @@ def test_direct_hamiltonian_skips_branch_failures():
     skipped = [t for t, _ in report.extras["skipped_times"]]
     assert skipped == [pytest.approx(t_hit)]
     assert report.converged
+    # the artifact records the time left out, so it does not read as a clean fit
+    [(t, msg)] = report.extras["skipped_times"]
+    assert "branch cut" in msg
+    obj = json.loads(json.dumps(report.to_json()))
+    assert obj["skipped_times"] == [{"time_s": t, "error": msg}]
 
 
 def _per_time_direct_hamiltonian(ds, rt):
@@ -618,12 +636,7 @@ def test_monotone_noise_response():
 
 def test_bootstrap_zero_noise_degenerate():
     sc = make_scenario("relaxation_only", n_times=6)
-    result = bootstrap(
-        _direct_rt_params,
-        _draws_of(sc),
-        NoiseSpec(seed=80),
-        n_draws=5,
-    )
+    result = bootstrap(_seeded(sc, NoiseSpec(seed=80)), 80, 5)
     np.testing.assert_allclose(result.low, result.high, atol=1e-12)
     np.testing.assert_allclose(result.low, DEFAULT_RELAXATION.params, rtol=1e-6)
     assert result.n_failed == 0
@@ -632,13 +645,37 @@ def test_bootstrap_zero_noise_degenerate():
 def test_bootstrap_deterministic(calibrated_sigma):
     # datasets are bit-identical under a fixed seed, and so are the fits
     sc = make_scenario("relaxation_only", n_times=6)
-    factory = _draws_of(sc)
-    noise = NoiseSpec(bloch_sigma=calibrated_sigma, seed=81)
-    r1 = bootstrap(_direct_rt_params, factory, noise, n_draws=20)
-    r2 = bootstrap(_direct_rt_params, factory, noise, n_draws=20)
+    fit = _seeded(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=81))
+    r1 = bootstrap(fit, 81, 20)
+    r2 = bootstrap(fit, 81, 20)
     assert np.array_equal(r1.samples, r2.samples)
     assert np.array_equal(r1.low, r2.low)
     assert np.array_equal(r1.high, r2.high)
+
+
+def test_bootstrap_fits_seed_batches_and_refits_a_failed_one_seed_by_seed(monkeypatch):
+    # one process: the fit gets the seeds of consecutive draws, DRAW_BATCH at
+    # a time; the batch holding draw 5 raises, so each of its seeds is refitted alone
+    _force_workers(monkeypatch, 1)
+    seeds = [derive_seed(90, draw) for draw in range(10)]
+    calls = []
+
+    def fit(batch):
+        calls.append(list(batch))
+        if seeds[5] in batch:
+            raise SingularProcessError("injected at draw 5")
+        return np.array([[seeds.index(seed)] for seed in batch], dtype=float)
+
+    result = bootstrap(fit, 90, 10)
+    expected = []
+    for start in range(0, 10, estimation.DRAW_BATCH):
+        batch = seeds[start : start + estimation.DRAW_BATCH]
+        expected.append(batch)
+        if seeds[5] in batch:
+            expected.extend([seed] for seed in batch)
+    assert calls == expected
+    assert result.failures == ["draw 5: injected at draw 5"]
+    assert result.samples[:, 0].tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9]
 
 
 def test_bootstrap_failure_budget():
@@ -647,12 +684,7 @@ def test_bootstrap_failure_budget():
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(BootstrapError):
-        bootstrap(
-            failing_fit,
-            _draws_of(sc),
-            NoiseSpec(seed=82),
-            n_draws=10,
-        )
+        bootstrap(_seeded(sc, NoiseSpec(seed=82), failing_fit), 82, 10)
 
 
 def test_bootstrap_propagates_programming_errors():
@@ -662,12 +694,7 @@ def test_bootstrap_propagates_programming_errors():
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(TypeError, match="unsupported operand"):
-        bootstrap(
-            buggy_fit,
-            _draws_of(sc),
-            NoiseSpec(seed=82),
-            n_draws=10,
-        )
+        bootstrap(_seeded(sc, NoiseSpec(seed=82), buggy_fit), 82, 10)
 
 
 def _force_workers(monkeypatch, n: int):
@@ -679,30 +706,17 @@ def _assert_no_worker_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _failing_factory(sc, seed: int, failing_draws):
-    """A dataset factory whose given draws raise SingularProcessError."""
-    failing = {derive_seed(seed, draw): draw for draw in failing_draws}
-
-    def factory(spec):
-        if spec.seed in failing:
-            raise SingularProcessError(f"injected at draw {failing[spec.seed]}")
-        return _noisy_states(sc, spec), sc.grid.times
-
-    return factory
-
-
 def test_bootstrap_same_result_for_any_worker_count(monkeypatch, calibrated_sigma):
     # draw 1 runs in the first worker and draw 5 in the second of three
     sc = make_scenario("relaxation_only", n_times=6)
-    factory = _failing_factory(sc, 83, (1, 5))
-    noise = NoiseSpec(bloch_sigma=calibrated_sigma, seed=83)
+    fit = _seeded(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=83), failing=(1, 5))
     results = []
     for n_workers in (1, 3, None):  # None: a platform without sched_getaffinity
         if n_workers is None:
             monkeypatch.delattr(estimation.os, "sched_getaffinity")
         else:
             _force_workers(monkeypatch, n_workers)
-        results.append(bootstrap(_direct_rt_params, factory, noise, n_draws=20))
+        results.append(bootstrap(fit, 83, 20))
         _assert_no_worker_left()
     serial, *others = results
     for other in others:
@@ -717,14 +731,12 @@ def test_bootstrap_numeric_failures_in_workers_count(monkeypatch):
     # with three workers, draws 1, 4, 7 run in the first and 2, 5, 8 in the second
     _force_workers(monkeypatch, 3)
     sc = make_scenario("relaxation_only", n_times=2)
-    result = bootstrap(_direct_rt_params, _failing_factory(sc, 84, (8, 1, 5)),
-                       NoiseSpec(seed=84), n_draws=30)
+    result = bootstrap(_seeded(sc, NoiseSpec(seed=84), failing=(8, 1, 5)), 84, 30)
     assert result.n_failed == 3 and len(result.samples) == 27
     assert result.failures == [f"draw {d}: injected at draw {d}" for d in (1, 5, 8)]
     _assert_no_worker_left()
     with pytest.raises(BootstrapError, match="4/30 bootstrap draws failed; first: draw 1: injected"):
-        bootstrap(_direct_rt_params, _failing_factory(sc, 84, (1, 2, 4, 5)),
-                  NoiseSpec(seed=84), n_draws=30)
+        bootstrap(_seeded(sc, NoiseSpec(seed=84), failing=(1, 2, 4, 5)), 84, 30)
     _assert_no_worker_left()
 
 
@@ -739,8 +751,7 @@ def test_bootstrap_propagates_programming_errors_from_workers(monkeypatch):
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(TypeError, match="unsupported operand in a worker") as info:
-        bootstrap(buggy_in_workers, _draws_of(sc),
-                  NoiseSpec(seed=85), n_draws=6)
+        bootstrap(_seeded(sc, NoiseSpec(seed=85), buggy_in_workers), 85, 6)
     assert "buggy_in_workers" in str(info.value.__cause__)  # the worker's traceback
     _assert_no_worker_left()
 
@@ -762,7 +773,7 @@ def test_bootstrap_worker_error_that_does_not_pickle(monkeypatch):
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(RuntimeError, match="_TwoArgError: odd failure"):
-        bootstrap(fit, _draws_of(sc), NoiseSpec(seed=88), n_draws=4)
+        bootstrap(_seeded(sc, NoiseSpec(seed=88), fit), 88, 4)
     _assert_no_worker_left()
 
 
@@ -778,7 +789,7 @@ def test_bootstrap_stops_workers_when_the_caller_raises(monkeypatch):
     sc = make_scenario("relaxation_only", n_times=2)
     start = time.monotonic()
     with pytest.raises(TypeError, match="unsupported operand in the caller"):
-        bootstrap(fit, _draws_of(sc), NoiseSpec(seed=86), n_draws=3)
+        bootstrap(_seeded(sc, NoiseSpec(seed=86), fit), 86, 3)
     assert time.monotonic() - start < 10.0
     _assert_no_worker_left()
 
@@ -794,7 +805,7 @@ def test_bootstrap_worker_killed_by_a_signal(monkeypatch):
 
     sc = make_scenario("relaxation_only", n_times=2)
     with pytest.raises(ChildProcessError, match=r"exit status -9 \(SIGKILL\); no draws returned"):
-        bootstrap(fit, _draws_of(sc), NoiseSpec(seed=87), n_draws=4)
+        bootstrap(_seeded(sc, NoiseSpec(seed=87), fit), 87, 4)
     _assert_no_worker_left()
 
 
@@ -813,12 +824,7 @@ def test_bootstrap_rate_interval_widths(calibrated_sigma):
     # frequencies are excluded (the isotropic coordinate-noise stand-in
     # spreads them differently than the real apparatus noise)
     sc = make_scenario("relaxation_only")
-    result = bootstrap(
-        _direct_rt_params,
-        _draws_of(sc),
-        NoiseSpec(bloch_sigma=calibrated_sigma, seed=401),
-        n_draws=150,
-    )
+    result = bootstrap(_seeded(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=401)), 401, 150)
     half = (result.high - result.low) / 2.0
     reference = np.array([1.0, 1.1, 1.3, 1.6])  # gamma_x, gamma_y, gamma_z, gamma_iso
     ratios = half[3:] / reference
@@ -828,12 +834,11 @@ def test_bootstrap_rate_interval_widths(calibrated_sigma):
 def test_bootstrap_coverage_loose(calibrated_sigma):
     # 68% nominal intervals contain the truth well above half the time
     sc = make_scenario("relaxation_only")
-    factory = _draws_of(sc)
     truth = DEFAULT_RELAXATION.params
     hits = []
     for meta in range(10):
         noise = NoiseSpec(bloch_sigma=calibrated_sigma, seed=9000 + meta)
-        result = bootstrap(_direct_rt_params, factory, noise, n_draws=40)
+        result = bootstrap(_seeded(sc, noise), noise.seed, 40)
         hits.append(result.contains(truth))
     coverage = np.mean(hits, axis=0)  # per parameter over meta-repetitions
     assert coverage.mean() >= 0.6
