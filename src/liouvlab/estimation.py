@@ -41,16 +41,18 @@ after GN_MAX_ITERS steps is reported as not converged.
 Uncertainty is quantified by a percentile bootstrap: ``bootstrap`` takes
 a fit of a list of per-draw seeds (the caller's simulation and fit of
 each draw) and a base seed.  Each draw is seeded by its index alone, so
-the draws are independent: on Linux, ``bootstrap`` runs them in one
-process per CPU in the process's affinity mask (the caller's own process
-and ``os.fork``ed workers, each on a strided share of the draw indices)
-and merges the results in draw order.  Elsewhere it runs every draw in
-process.  Each process fits its draws DRAW_BATCH seeds at a time; a batch
-that fails numerically, in its simulation or its fit, is refitted seed by
-seed.  So the result is the same for any worker count and any batch
-composition.  The package caps no BLAS threads; keep
-``OPENBLAS_NUM_THREADS=1`` so that the workers do not oversubscribe the
-CPUs.
+the draws are independent.  They are fitted in batches of DRAW_BATCH
+consecutive draws; a batch that fails numerically, in its simulation or
+its fit, is refitted seed by seed.  On Linux, ``bootstrap`` runs the
+batches in one process per CPU in the process's affinity mask (the
+caller's own process and ``os.fork``ed workers), at most one per batch:
+each process claims the next unclaimed batch from one queue whenever it
+is free, so a process on a slower or busier CPU takes fewer, and the
+results merge in draw order.  Elsewhere, or with one CPU, every batch
+runs in process.  So the result is the same for any worker count, any
+order of claims and any batch size.  The package caps no BLAS threads;
+keep ``OPENBLAS_NUM_THREADS=1`` so that the workers do not oversubscribe
+the CPUs.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import functools
 import math
 import os
 import pickle
+import select
 import signal
 import traceback
 import warnings
@@ -910,14 +913,14 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index + 1]).generate_state(1)[0])
 
 
-def _draw_chunk(fit, seed: int, draws) -> dict:
-    """``{draw: params or failure message}`` of the draws with indices ``draws``:
-    one ``fit`` of the seeds of each DRAW_BATCH consecutive draws or, if that
-    raises a numeric error, one per seed, so that a draw's outcome does not
-    depend on its batch."""
+def _draw_batches(fit, seed: int, n_draws: int, starts) -> dict:
+    """``{draw: params or failure message}`` of the batches of DRAW_BATCH
+    consecutive draws that begin at ``starts``: one ``fit`` of the seeds of
+    each batch or, if that raises a numeric error, one per seed, so that a
+    draw's outcome does not depend on its batch."""
     out = {}
-    for start in range(0, len(draws), DRAW_BATCH):
-        batch = draws[start : start + DRAW_BATCH]
+    for start in starts:
+        batch = range(start, min(start + DRAW_BATCH, n_draws))
         seeds = [derive_seed(seed, draw) for draw in batch]
         try:
             out.update(zip(batch, np.asarray(fit(seeds), dtype=float)))
@@ -932,10 +935,59 @@ def _draw_chunk(fit, seed: int, draws) -> dict:
     return out
 
 
-def _worker_count(n_draws: int) -> int:
-    """One worker per CPU this process may run on, at most one per draw."""
+class _ClaimQueue:
+    """The starts of the draw batches that no process has claimed yet.
+
+    They wait in a pipe that the caller and its forked workers read 4 bytes
+    (one start) at a time, so each batch is claimed once, by whichever
+    process is free first.  A pipe holds only so many bytes, so the starts
+    that do not fit wait in the caller, which moves them into the pipe
+    without blocking before each of its own claims, and closes the write end
+    once all are in: a reader then finds the end of the queue when the pipe
+    is empty.
+    """
+
+    def __init__(self, starts: range):
+        self._pending = memoryview(np.asarray(starts, dtype="<u4").tobytes())
+        self._read_fd, self._write_fd = os.pipe()
+        os.set_blocking(self._write_fd, False)
+        self._fill()
+
+    def _fill(self):
+        """Move pending starts into the pipe until they are all in or it is full."""
+        while self._pending:
+            try:  # a write of at most PIPE_BUF bytes is whole or refused
+                sent = os.write(self._write_fd, self._pending[: select.PIPE_BUF])
+            except BlockingIOError:
+                return
+            self._pending = self._pending[sent:]
+        self.close_writer()
+
+    def close_writer(self):
+        """Close this process's write end; a forked worker does so first."""
+        if self._write_fd is not None:
+            os.close(self._write_fd)
+            self._write_fd = None
+
+    def claims(self):
+        """The batch starts this process claims, until the queue is empty."""
+        while True:
+            if self._write_fd is not None:  # only the caller holds pending starts
+                self._fill()
+            start = os.read(self._read_fd, 4)
+            if not start:
+                return
+            yield int.from_bytes(start, "little")
+
+    def close(self):
+        self.close_writer()
+        os.close(self._read_fd)
+
+
+def _worker_count(n_batches: int) -> int:
+    """One worker per CPU this process may run on, at most one per batch."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return min(len(affinity(0)), n_draws) if affinity else 1
+    return min(len(affinity(0)), n_batches) if affinity else 1
 
 
 class _WorkerTraceback(Exception):
@@ -991,14 +1043,44 @@ def _worker_result(pid: int, data: bytes, status: int) -> dict:
     return result
 
 
+def _run_in_workers(run, starts: range, n_workers: int) -> dict:
+    """``run`` of the batches this process claims, merged with ``run`` of
+    those that ``n_workers - 1`` forked workers claim from the same queue."""
+    queue = _ClaimQueue(starts)
+
+    def in_worker():
+        queue.close_writer()  # else this worker never finds the end of the queue
+        return run(queue.claims())
+
+    workers = {}  # pid -> read end of its pipe, until the worker is reaped
+    try:
+        for _ in range(1, n_workers):
+            pid, pipe = _fork_worker(in_worker)
+            workers[pid] = pipe
+        results = run(queue.claims())
+        for pid, pipe in list(workers.items()):
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            results.update(_worker_result(pid, data, status))
+    finally:
+        queue.close()
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def bootstrap(fit: Callable[[list], np.ndarray], seed: int, n_draws: int) -> BootstrapResult:
     """Re-run a fit on ``n_draws`` seeded draws.
 
     Args:
         fit: maps a list of m per-draw seeds to an (m, P) array, the
             parameter vector of each draw (its simulation and fit).  It is
-            called once per batch of up to DRAW_BATCH consecutive draws of
-            a process, with the seeds ``derive_seed(seed, draw)``; when that
+            called once per batch of up to DRAW_BATCH consecutive draws,
+            with the seeds ``derive_seed(seed, draw)``; when that
             raises a numeric error, once per seed of the batch (m = 1), so
             that each draw keeps the params or the failure it has alone.
         seed: anchor of the deterministic per-draw seeds.
@@ -1011,7 +1093,8 @@ def bootstrap(fit: Callable[[list], np.ndarray], seed: int, n_draws: int) -> Boo
     Only numeric failures (package errors and LinAlgError) count as failed
     draws; any other exception is a bug and propagates, also from a worker,
     where it is raised again with the worker's traceback as its cause.  The
-    draws run in one process per CPU in the affinity mask (see the module
+    batches run in one process per CPU in the affinity mask, each process
+    claiming the next unclaimed batch when it is free (see the module
     docstring); no worker outlives the call.  The workers are forked, so
     ``fit`` may be a closure, but a caller that runs other threads risks a
     worker that inherits a held lock.
@@ -1023,25 +1106,10 @@ def bootstrap(fit: Callable[[list], np.ndarray], seed: int, n_draws: int) -> Boo
     """
     if n_draws < 2:
         raise ValueError("bootstrap needs at least 2 draws")
-    run = functools.partial(_draw_chunk, fit, seed)
-    n_workers = _worker_count(n_draws)
-    workers = {}  # pid -> read end of its pipe, until the worker is reaped
-    try:
-        for k in range(1, n_workers):
-            pid, pipe = _fork_worker(functools.partial(run, range(k, n_draws, n_workers)))
-            workers[pid] = pipe
-        results = run(range(0, n_draws, n_workers))
-        for pid, pipe in list(workers.items()):
-            data = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            del workers[pid]
-            results.update(_worker_result(pid, data, status))
-    finally:
-        for pid, pipe in workers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    run = functools.partial(_draw_batches, fit, seed, n_draws)
+    starts = range(0, n_draws, DRAW_BATCH)
+    n_workers = _worker_count(len(starts))
+    results = run(starts) if n_workers == 1 else _run_in_workers(run, starts, n_workers)
     outcomes = [results[draw] for draw in range(n_draws)]
     samples = [v for v in outcomes if not isinstance(v, str)]
     failures = [v for v in outcomes if isinstance(v, str)]

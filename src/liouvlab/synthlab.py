@@ -11,8 +11,10 @@ fields) are forward-evolved exactly and dressed with a minimal noise model:
   re-pinned exactly afterwards.
 
 Generation is deterministic: every state matrix derives its randomness
-from (seed, time-point index), so datasets are bit-identical for a given
-NoiseSpec regardless of evaluation order.
+from its own generator ``default_rng([seed, time-point index])``, so
+datasets are bit-identical for a given NoiseSpec regardless of evaluation
+order.  The generators are seeded from uint32 words equal to numpy's own
+split of those ints, built once per dataset.
 """
 
 from __future__ import annotations
@@ -362,6 +364,18 @@ def _input_coords() -> np.ndarray:
     )
 
 
+def _stream_entropy(seed: int, n_streams: int) -> np.ndarray:
+    """Row k is the uint32 entropy that ``SeedSequence([seed, k])`` reads:
+    numpy splits each non-negative Python int into its little-endian 32-bit
+    words, at least one, and joins those of the list's items."""
+    seed = int(seed)
+    n_words = max(1, -(-seed.bit_length() // 32))
+    words = np.empty((n_streams, n_words + 1), dtype=np.uint32)
+    words[:, :-1] = np.frombuffer(seed.to_bytes(4 * n_words, "little"), dtype="<u4")
+    words[:, -1] = np.arange(n_streams)
+    return words
+
+
 def _noisy_states(scenario: Scenario, noise: NoiseSpec) -> np.ndarray:
     """The (T+1, 9, N) state stack of a dataset: the reported inputs, then the outputs.
 
@@ -370,8 +384,10 @@ def _noisy_states(scenario: Scenario, noise: NoiseSpec) -> np.ndarray:
     prepared (pre-measurement-noise) states, all times from one stacked
     product.  Measurement noise is Gaussian on the traceless coordinates,
     applied independently to the reported input matrix and to each time
-    point with sub-seeds derived from (seed, time index), so any evaluation
-    order yields the same stack; the trace row is re-pinned exactly.
+    point k from its own generator ``default_rng([seed, k])``, so any
+    evaluation order yields the same stack; the trace row is re-pinned
+    exactly.  The entropy words of every ``[seed, k]`` are built once per
+    stack (``_stream_entropy``).
     """
     mm = np.zeros(9)
     mm[-1] = np.sqrt(1.0 / 6.0)
@@ -382,8 +398,8 @@ def _noisy_states(scenario: Scenario, noise: NoiseSpec) -> np.ndarray:
     if noise.bloch_sigma > 0:
         shape = (prepared.shape[0] - 1, prepared.shape[1])
         draws = np.stack([
-            np.random.default_rng([noise.seed, k]).normal(size=shape)
-            for k in range(len(states))
+            np.random.default_rng(words).normal(size=shape)
+            for words in _stream_entropy(noise.seed, len(states))
         ])
         states[:, :-1] += draws * noise.bloch_sigma
     states[:, -1] = mm[-1]

@@ -936,9 +936,10 @@ def _spoil_draw(monkeypatch, base_seed: int, draw: int):
 
 @pytest.mark.parametrize("model", _DRAW_FITS)
 def test_bootstrap_report_does_not_depend_on_the_batches(tmp_path, monkeypatch, model):
-    # 20 draws: on one CPU draw 6 is fitted in the batch 4-7, on three CPUs in
-    # the batch 0, 3, 6, 9; a failure inside the fit of draw 6 refits its
-    # batch draw by draw and leaves every other draw's sample as it was
+    # 20 draws: in batches of four draw 6 is fitted in the batch 4-7 (here on
+    # one CPU), in batches of three in the batch 6-8 (on three CPUs, claimed
+    # by any process); a failure inside the fit of draw 6 refits its batch
+    # draw by draw and leaves every other draw's sample as it was
     kind, flags = _DRAW_FITS[model]
     out = _simulate(tmp_path, "--sigma", "0.004", kind=kind)
     if flags[-1] == "--fixed-dissipator":
@@ -958,10 +959,11 @@ def test_bootstrap_report_does_not_depend_on_the_batches(tmp_path, monkeypatch, 
     for spoiled in (False, True):
         if spoiled:
             _spoil_draw(monkeypatch, _read(out / "dataset.json")["provenance"]["noise"]["seed"], 6)
-        for cpus in (1, 3):
+        for cpus, batch in ((1, 4), (3, 3)):
             run = spoiled, cpus
             monkeypatch.setattr(liouvlab.estimation.os, "sched_getaffinity",
                                 lambda pid, n=cpus: set(range(n)))
+            monkeypatch.setattr(liouvlab.estimation, "DRAW_BATCH", batch)
             fit = tmp_path / f"fit-{spoiled}-{cpus}"
             rc = main(["fit", "--dataset", str(out / "dataset.json"), *flags,
                        "--bootstrap", "20", "-o", str(fit)])

@@ -1,3 +1,5 @@
+import contextlib
+import fcntl
 import json
 import os
 import signal
@@ -706,8 +708,43 @@ def _assert_no_worker_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _after_a_worker_claims(tmp_path, in_caller, in_workers):
+    """A draw fit that runs ``in_workers`` in a forked worker and
+    ``in_caller`` in this process, but only once a worker has begun a batch,
+    so that the worker path runs whichever process claims first."""
+    caller = os.getpid()
+    claimed = tmp_path / "claimed"
+
+    def fit(states, times):
+        if os.getpid() != caller:
+            claimed.touch()
+            return in_workers(states, times)
+        deadline = time.monotonic() + 10.0
+        while not claimed.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return in_caller(states, times)
+
+    return fit
+
+
+@contextlib.contextmanager
+def _ends_within(seconds: int):
+    """Raise TimeoutError in this process if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_bootstrap_same_result_for_any_worker_count(monkeypatch, calibrated_sigma):
-    # draw 1 runs in the first worker and draw 5 in the second of three
+    # with three processes, draws 1 and 5 fail in whichever claims their batches
     sc = make_scenario("relaxation_only", n_times=6)
     fit = _seeded(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=83), failing=(1, 5))
     results = []
@@ -728,7 +765,7 @@ def test_bootstrap_same_result_for_any_worker_count(monkeypatch, calibrated_sigm
 
 
 def test_bootstrap_numeric_failures_in_workers_count(monkeypatch):
-    # with three workers, draws 1, 4, 7 run in the first and 2, 5, 8 in the second
+    # with three processes, the batches of draws 1, 5 and 8 may each be claimed by any
     _force_workers(monkeypatch, 3)
     sc = make_scenario("relaxation_only", n_times=2)
     result = bootstrap(_seeded(sc, NoiseSpec(seed=84), failing=(8, 1, 5)), 84, 30)
@@ -740,18 +777,16 @@ def test_bootstrap_numeric_failures_in_workers_count(monkeypatch):
     _assert_no_worker_left()
 
 
-def test_bootstrap_propagates_programming_errors_from_workers(monkeypatch):
+def test_bootstrap_propagates_programming_errors_from_workers(monkeypatch, tmp_path):
     _force_workers(monkeypatch, 3)
-    caller = os.getpid()
 
     def buggy_in_workers(states, times):
-        if os.getpid() != caller:
-            raise TypeError("unsupported operand in a worker")
-        return _direct_rt_params(states, times)
+        raise TypeError("unsupported operand in a worker")
 
     sc = make_scenario("relaxation_only", n_times=2)
+    fit = _after_a_worker_claims(tmp_path, _direct_rt_params, buggy_in_workers)
     with pytest.raises(TypeError, match="unsupported operand in a worker") as info:
-        bootstrap(_seeded(sc, NoiseSpec(seed=85), buggy_in_workers), 85, 6)
+        bootstrap(_seeded(sc, NoiseSpec(seed=85), fit), 85, 4 * estimation.DRAW_BATCH)
     assert "buggy_in_workers" in str(info.value.__cause__)  # the worker's traceback
     _assert_no_worker_left()
 
@@ -762,51 +797,104 @@ class _TwoArgError(Exception):
         self.detail = detail
 
 
-def test_bootstrap_worker_error_that_does_not_pickle(monkeypatch):
+def test_bootstrap_worker_error_that_does_not_pickle(monkeypatch, tmp_path):
     _force_workers(monkeypatch, 2)
-    caller = os.getpid()
 
-    def fit(states, times):
-        if os.getpid() != caller:
-            raise _TwoArgError("odd failure", detail=1)
-        return _direct_rt_params(states, times)
+    def in_workers(states, times):
+        raise _TwoArgError("odd failure", detail=1)
 
     sc = make_scenario("relaxation_only", n_times=2)
+    fit = _after_a_worker_claims(tmp_path, _direct_rt_params, in_workers)
     with pytest.raises(RuntimeError, match="_TwoArgError: odd failure"):
-        bootstrap(_seeded(sc, NoiseSpec(seed=88), fit), 88, 4)
+        bootstrap(_seeded(sc, NoiseSpec(seed=88), fit), 88, 4 * estimation.DRAW_BATCH)
     _assert_no_worker_left()
 
 
-def test_bootstrap_stops_workers_when_the_caller_raises(monkeypatch):
+def test_bootstrap_stops_workers_when_the_caller_raises(monkeypatch, tmp_path):
     _force_workers(monkeypatch, 3)
-    caller = os.getpid()
 
-    def fit(states, times):
-        if os.getpid() == caller:
-            raise TypeError("unsupported operand in the caller")
+    def in_caller(states, times):
+        raise TypeError("unsupported operand in the caller")
+
+    def in_workers(states, times):
         time.sleep(30.0)  # a worker still running when the caller raises
 
     sc = make_scenario("relaxation_only", n_times=2)
+    fit = _after_a_worker_claims(tmp_path, in_caller, in_workers)
     start = time.monotonic()
     with pytest.raises(TypeError, match="unsupported operand in the caller"):
-        bootstrap(_seeded(sc, NoiseSpec(seed=86), fit), 86, 3)
+        bootstrap(_seeded(sc, NoiseSpec(seed=86), fit), 86, 4 * estimation.DRAW_BATCH)
     assert time.monotonic() - start < 10.0
     _assert_no_worker_left()
 
 
-def test_bootstrap_worker_killed_by_a_signal(monkeypatch):
+def test_bootstrap_worker_killed_by_a_signal(monkeypatch, tmp_path):
     _force_workers(monkeypatch, 2)
-    caller = os.getpid()
 
-    def fit(states, times):
-        if os.getpid() != caller:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return _direct_rt_params(states, times)
+    def in_workers(states, times):
+        os.kill(os.getpid(), signal.SIGKILL)
 
     sc = make_scenario("relaxation_only", n_times=2)
+    fit = _after_a_worker_claims(tmp_path, _direct_rt_params, in_workers)
     with pytest.raises(ChildProcessError, match=r"exit status -9 \(SIGKILL\); no draws returned"):
-        bootstrap(_seeded(sc, NoiseSpec(seed=87), fit), 87, 4)
+        bootstrap(_seeded(sc, NoiseSpec(seed=87), fit), 87, 4 * estimation.DRAW_BATCH)
     _assert_no_worker_left()
+
+
+def test_bootstrap_caller_claims_the_batches_a_slow_worker_leaves(monkeypatch):
+    # the one worker sleeps through each batch it claims, so the caller, free
+    # sooner, claims most of the batches; the result is that of one process
+    caller = os.getpid()
+    sc = make_scenario("relaxation_only", n_times=2)
+    seeded = _seeded(sc, NoiseSpec(bloch_sigma=0.004, seed=91), failing=(3, 17))
+    in_caller = set()
+
+    def fit(seeds):
+        if os.getpid() == caller:
+            in_caller.update(seeds)
+        else:
+            time.sleep(0.2)
+        return seeded(seeds)
+
+    _force_workers(monkeypatch, 1)
+    alone = bootstrap(fit, 91, 40)
+    in_caller.clear()
+    _force_workers(monkeypatch, 2)
+    claimed = bootstrap(fit, 91, 40)
+    _assert_no_worker_left()
+    assert len(in_caller) > 40 / 2
+    for name in ("samples", "low", "high"):
+        assert np.array_equal(getattr(claimed, name), getattr(alone, name)), name
+    assert claimed.failures == alone.failures == [
+        "draw 3: injected at draw 3", "draw 17: injected at draw 17",
+    ]
+
+
+def test_bootstrap_with_more_batches_than_the_claim_queue_holds(monkeypatch):
+    # one draw per batch and more batch starts than a pipe holds at once: the
+    # caller moves the rest into the queue as it claims, and each draw is fitted once
+    monkeypatch.setattr(estimation, "DRAW_BATCH", 1)
+    read_fd, write_fd = os.pipe()
+    try:
+        held = fcntl.fcntl(write_fd, fcntl.F_GETPIPE_SZ) // 4
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    n_draws = held + 1000
+
+    def fit(seeds):
+        return np.array(seeds, dtype=float)[:, None]
+
+    results = []
+    for n_workers in (1, 2):
+        _force_workers(monkeypatch, n_workers)
+        with _ends_within(60):
+            results.append(bootstrap(fit, 92, n_draws))
+        _assert_no_worker_left()
+    alone, claimed = results
+    assert alone.samples[:, 0].tolist() == [derive_seed(92, draw) for draw in range(n_draws)]
+    for name in ("samples", "low", "high"):
+        assert np.array_equal(getattr(claimed, name), getattr(alone, name)), name
 
 
 def test_mle_relaxation_df_stays_small(calibrated_sigma):

@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from liouvlab.synthlab import (
     NoiseSpec,
     _direct_max_df,
     _input_coords,
+    _noisy_states,
     generate_dataset,
     make_scenario,
     state_fidelity,
@@ -296,6 +298,21 @@ def test_prep_fidelity_band():
         # fidelity formula for a depolarized pure state: p + (1 - p)/3
         assert f == pytest.approx(0.90 + 0.10 / 3.0, abs=1e-10)
         assert 0.88 <= f <= 0.94
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**97 + 5])
+def test_noise_of_time_k_is_drawn_from_default_rng_of_seed_and_k(seed):
+    # the generators are seeded from entropy words built once per stack; the
+    # streams, and so the dataset bits, are those of default_rng([seed, k])
+    sc = make_scenario("relaxation_only")
+    noise = NoiseSpec(bloch_sigma=0.004, seed=seed)
+    expected = _noisy_states(sc, replace(noise, bloch_sigma=0.0))
+    shape = (8, expected.shape[2])
+    draws = np.stack([
+        np.random.default_rng([seed, k]).normal(size=shape) for k in range(len(expected))
+    ])
+    expected[:, :-1] += draws * noise.bloch_sigma
+    assert np.array_equal(_noisy_states(sc, noise), expected)
 
 
 def test_determinism_bit_identical():
