@@ -46,22 +46,22 @@ consecutive draws; a batch that fails numerically, in its simulation or
 its fit, is refitted seed by seed.  On Linux, ``bootstrap`` runs the
 batches in one process per CPU in the process's affinity mask (the
 caller's own process and ``os.fork``ed workers), at most one per batch:
-each process claims the next unclaimed batch from one queue whenever it
-is free, so a process on a slower or busier CPU takes fewer, and the
-results merge in draw order.  Elsewhere, or with one CPU, every batch
-runs in process.  So the result is the same for any worker count, any
-order of claims and any batch size.  The package caps no BLAS threads;
-keep ``OPENBLAS_NUM_THREADS=1`` so that the workers do not oversubscribe
-the CPUs.
+each process claims the next unclaimed batch from one locked counter
+whenever it is free, so a process on a slower or busier CPU takes fewer,
+and the results merge in draw order.  Elsewhere, or with one CPU, every
+batch runs in process.  So the result is the same for any worker count,
+any order of claims and any batch size.  The package caps no BLAS
+threads; keep ``OPENBLAS_NUM_THREADS=1`` so that the workers do not
+oversubscribe the CPUs.
 """
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import math
 import os
 import pickle
-import select
 import signal
 import traceback
 import warnings
@@ -917,71 +917,47 @@ def _draw_batches(fit, seed: int, n_draws: int, starts) -> dict:
     """``{draw: params or failure message}`` of the batches of DRAW_BATCH
     consecutive draws that begin at ``starts``: one ``fit`` of the seeds of
     each batch or, if that raises a numeric error, one per seed, so that a
-    draw's outcome does not depend on its batch."""
+    draw's outcome does not depend on its batch.  A ``fit`` that returns
+    other than one row per seed is a bug: ValueError."""
+
+    def rows(draws: range) -> np.ndarray:
+        seeds = [derive_seed(seed, draw) for draw in draws]
+        out = np.asarray(fit(seeds), dtype=float)
+        if len(out) != len(seeds):
+            raise ValueError(f"fit of draws {list(draws)}: {len(out)} rows for {len(seeds)} seeds")
+        return out
+
     out = {}
     for start in starts:
         batch = range(start, min(start + DRAW_BATCH, n_draws))
-        seeds = [derive_seed(seed, draw) for draw in batch]
         try:
-            out.update(zip(batch, np.asarray(fit(seeds), dtype=float)))
+            out.update(zip(batch, rows(batch)))
             continue
         except _DRAW_ERRORS:
             pass
-        for draw, one in zip(batch, seeds):
+        for draw in batch:
             try:
-                out[draw] = np.asarray(fit([one]), dtype=float)[0]
+                out[draw] = rows(range(draw, draw + 1))[0]
             except _DRAW_ERRORS as err:
                 out[draw] = f"draw {draw}: {err}"
     return out
 
 
-class _ClaimQueue:
-    """The starts of the draw batches that no process has claimed yet.
-
-    They wait in a pipe that the caller and its forked workers read 4 bytes
-    (one start) at a time, so each batch is claimed once, by whichever
-    process is free first.  A pipe holds only so many bytes, so the starts
-    that do not fit wait in the caller, which moves them into the pipe
-    without blocking before each of its own claims, and closes the write end
-    once all are in: a reader then finds the end of the queue when the pipe
-    is empty.
-    """
-
-    def __init__(self, starts: range):
-        self._pending = memoryview(np.asarray(starts, dtype="<u4").tobytes())
-        self._read_fd, self._write_fd = os.pipe()
-        os.set_blocking(self._write_fd, False)
-        self._fill()
-
-    def _fill(self):
-        """Move pending starts into the pipe until they are all in or it is full."""
-        while self._pending:
-            try:  # a write of at most PIPE_BUF bytes is whole or refused
-                sent = os.write(self._write_fd, self._pending[: select.PIPE_BUF])
-            except BlockingIOError:
-                return
-            self._pending = self._pending[sent:]
-        self.close_writer()
-
-    def close_writer(self):
-        """Close this process's write end; a forked worker does so first."""
-        if self._write_fd is not None:
-            os.close(self._write_fd)
-            self._write_fd = None
-
-    def claims(self):
-        """The batch starts this process claims, until the queue is empty."""
-        while True:
-            if self._write_fd is not None:  # only the caller holds pending starts
-                self._fill()
-            start = os.read(self._read_fd, 4)
-            if not start:
-                return
-            yield int.from_bytes(start, "little")
-
-    def close(self):
-        self.close_writer()
-        os.close(self._read_fd)
+def _claims(counter: int, n_draws: int):
+    """The batch starts this process claims, each the next unclaimed one: read
+    from the file ``counter`` (empty reads as 0) and advanced by DRAW_BATCH
+    under a POSIX record lock, which belongs to the process, not to the file
+    description that a fork shares, and dies with it."""
+    while True:
+        fcntl.lockf(counter, fcntl.LOCK_EX)
+        try:
+            start = int.from_bytes(os.pread(counter, 8, 0), "little")
+            os.pwrite(counter, (start + DRAW_BATCH).to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(counter, fcntl.LOCK_UN)
+        if start >= n_draws:
+            return
+        yield start
 
 
 def _worker_count(n_batches: int) -> int:
@@ -1043,21 +1019,16 @@ def _worker_result(pid: int, data: bytes, status: int) -> dict:
     return result
 
 
-def _run_in_workers(run, starts: range, n_workers: int) -> dict:
+def _run_in_workers(run, n_draws: int, n_workers: int) -> dict:
     """``run`` of the batches this process claims, merged with ``run`` of
-    those that ``n_workers - 1`` forked workers claim from the same queue."""
-    queue = _ClaimQueue(starts)
-
-    def in_worker():
-        queue.close_writer()  # else this worker never finds the end of the queue
-        return run(queue.claims())
-
+    those that ``n_workers - 1`` forked workers claim from the same counter."""
+    counter = os.memfd_create("bootstrap-claims")
     workers = {}  # pid -> read end of its pipe, until the worker is reaped
     try:
         for _ in range(1, n_workers):
-            pid, pipe = _fork_worker(in_worker)
+            pid, pipe = _fork_worker(lambda: run(_claims(counter, n_draws)))
             workers[pid] = pipe
-        results = run(queue.claims())
+        results = run(_claims(counter, n_draws))
         for pid, pipe in list(workers.items()):
             data = pipe.read()
             pipe.close()
@@ -1065,7 +1036,7 @@ def _run_in_workers(run, starts: range, n_workers: int) -> dict:
             del workers[pid]
             results.update(_worker_result(pid, data, status))
     finally:
-        queue.close()
+        os.close(counter)
         for pid, pipe in workers.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
@@ -1101,6 +1072,7 @@ def bootstrap(fit: Callable[[list], np.ndarray], seed: int, n_draws: int) -> Boo
 
     Raises:
         BootstrapError: if more than 10% of draws fail.
+        ValueError: if ``fit`` returns other than one row per seed.
         ChildProcessError: if a worker dies (say, from a signal); its exit
             status is named and no samples are returned.
     """
@@ -1109,7 +1081,7 @@ def bootstrap(fit: Callable[[list], np.ndarray], seed: int, n_draws: int) -> Boo
     run = functools.partial(_draw_batches, fit, seed, n_draws)
     starts = range(0, n_draws, DRAW_BATCH)
     n_workers = _worker_count(len(starts))
-    results = run(starts) if n_workers == 1 else _run_in_workers(run, starts, n_workers)
+    results = run(starts) if n_workers == 1 else _run_in_workers(run, n_draws, n_workers)
     outcomes = [results[draw] for draw in range(n_draws)]
     samples = [v for v in outcomes if not isinstance(v, str)]
     failures = [v for v in outcomes if isinstance(v, str)]

@@ -1,7 +1,7 @@
 import contextlib
-import fcntl
 import json
 import os
+import re
 import signal
 import time
 import warnings
@@ -703,9 +703,21 @@ def _force_workers(monkeypatch, n: int):
     monkeypatch.setattr(estimation.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@contextlib.contextmanager
 def _assert_no_worker_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    """Assert that the block, whether it returns or raises, leaves no child
+    process and (where /proc is mounted) no more open fds than it found."""
+    fds = _open_fds()
+    try:
+        yield
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert _open_fds() == fds
 
 
 def _after_a_worker_claims(tmp_path, in_caller, in_workers):
@@ -753,8 +765,8 @@ def test_bootstrap_same_result_for_any_worker_count(monkeypatch, calibrated_sigm
             monkeypatch.delattr(estimation.os, "sched_getaffinity")
         else:
             _force_workers(monkeypatch, n_workers)
-        results.append(bootstrap(fit, 83, 20))
-        _assert_no_worker_left()
+        with _assert_no_worker_left():
+            results.append(bootstrap(fit, 83, 20))
     serial, *others = results
     for other in others:
         for name in ("samples", "low", "high"):
@@ -768,13 +780,15 @@ def test_bootstrap_numeric_failures_in_workers_count(monkeypatch):
     # with three processes, the batches of draws 1, 5 and 8 may each be claimed by any
     _force_workers(monkeypatch, 3)
     sc = make_scenario("relaxation_only", n_times=2)
-    result = bootstrap(_seeded(sc, NoiseSpec(seed=84), failing=(8, 1, 5)), 84, 30)
+    with _assert_no_worker_left():
+        result = bootstrap(_seeded(sc, NoiseSpec(seed=84), failing=(8, 1, 5)), 84, 30)
     assert result.n_failed == 3 and len(result.samples) == 27
     assert result.failures == [f"draw {d}: injected at draw {d}" for d in (1, 5, 8)]
-    _assert_no_worker_left()
-    with pytest.raises(BootstrapError, match="4/30 bootstrap draws failed; first: draw 1: injected"):
+    with (
+        pytest.raises(BootstrapError, match="4/30 bootstrap draws failed; first: draw 1: injected"),
+        _assert_no_worker_left(),
+    ):
         bootstrap(_seeded(sc, NoiseSpec(seed=84), failing=(1, 2, 4, 5)), 84, 30)
-    _assert_no_worker_left()
 
 
 def test_bootstrap_propagates_programming_errors_from_workers(monkeypatch, tmp_path):
@@ -785,10 +799,12 @@ def test_bootstrap_propagates_programming_errors_from_workers(monkeypatch, tmp_p
 
     sc = make_scenario("relaxation_only", n_times=2)
     fit = _after_a_worker_claims(tmp_path, _direct_rt_params, buggy_in_workers)
-    with pytest.raises(TypeError, match="unsupported operand in a worker") as info:
+    with (
+        pytest.raises(TypeError, match="unsupported operand in a worker") as info,
+        _assert_no_worker_left(),
+    ):
         bootstrap(_seeded(sc, NoiseSpec(seed=85), fit), 85, 4 * estimation.DRAW_BATCH)
     assert "buggy_in_workers" in str(info.value.__cause__)  # the worker's traceback
-    _assert_no_worker_left()
 
 
 class _TwoArgError(Exception):
@@ -805,9 +821,8 @@ def test_bootstrap_worker_error_that_does_not_pickle(monkeypatch, tmp_path):
 
     sc = make_scenario("relaxation_only", n_times=2)
     fit = _after_a_worker_claims(tmp_path, _direct_rt_params, in_workers)
-    with pytest.raises(RuntimeError, match="_TwoArgError: odd failure"):
+    with pytest.raises(RuntimeError, match="_TwoArgError: odd failure"), _assert_no_worker_left():
         bootstrap(_seeded(sc, NoiseSpec(seed=88), fit), 88, 4 * estimation.DRAW_BATCH)
-    _assert_no_worker_left()
 
 
 def test_bootstrap_stops_workers_when_the_caller_raises(monkeypatch, tmp_path):
@@ -822,10 +837,12 @@ def test_bootstrap_stops_workers_when_the_caller_raises(monkeypatch, tmp_path):
     sc = make_scenario("relaxation_only", n_times=2)
     fit = _after_a_worker_claims(tmp_path, in_caller, in_workers)
     start = time.monotonic()
-    with pytest.raises(TypeError, match="unsupported operand in the caller"):
+    with (
+        pytest.raises(TypeError, match="unsupported operand in the caller"),
+        _assert_no_worker_left(),
+    ):
         bootstrap(_seeded(sc, NoiseSpec(seed=86), fit), 86, 4 * estimation.DRAW_BATCH)
     assert time.monotonic() - start < 10.0
-    _assert_no_worker_left()
 
 
 def test_bootstrap_worker_killed_by_a_signal(monkeypatch, tmp_path):
@@ -836,9 +853,11 @@ def test_bootstrap_worker_killed_by_a_signal(monkeypatch, tmp_path):
 
     sc = make_scenario("relaxation_only", n_times=2)
     fit = _after_a_worker_claims(tmp_path, _direct_rt_params, in_workers)
-    with pytest.raises(ChildProcessError, match=r"exit status -9 \(SIGKILL\); no draws returned"):
+    with (
+        pytest.raises(ChildProcessError, match=r"exit status -9 \(SIGKILL\); no draws returned"),
+        _assert_no_worker_left(),
+    ):
         bootstrap(_seeded(sc, NoiseSpec(seed=87), fit), 87, 4 * estimation.DRAW_BATCH)
-    _assert_no_worker_left()
 
 
 def test_bootstrap_caller_claims_the_batches_a_slow_worker_leaves(monkeypatch):
@@ -860,8 +879,8 @@ def test_bootstrap_caller_claims_the_batches_a_slow_worker_leaves(monkeypatch):
     alone = bootstrap(fit, 91, 40)
     in_caller.clear()
     _force_workers(monkeypatch, 2)
-    claimed = bootstrap(fit, 91, 40)
-    _assert_no_worker_left()
+    with _assert_no_worker_left():
+        claimed = bootstrap(fit, 91, 40)
     assert len(in_caller) > 40 / 2
     for name in ("samples", "low", "high"):
         assert np.array_equal(getattr(claimed, name), getattr(alone, name)), name
@@ -870,17 +889,11 @@ def test_bootstrap_caller_claims_the_batches_a_slow_worker_leaves(monkeypatch):
     ]
 
 
-def test_bootstrap_with_more_batches_than_the_claim_queue_holds(monkeypatch):
-    # one draw per batch and more batch starts than a pipe holds at once: the
-    # caller moves the rest into the queue as it claims, and each draw is fitted once
+def test_bootstrap_with_many_more_batches_than_processes(monkeypatch):
+    # one draw per batch and many more batches than processes: each process
+    # claims again and again from the one counter, and each draw is fitted once
     monkeypatch.setattr(estimation, "DRAW_BATCH", 1)
-    read_fd, write_fd = os.pipe()
-    try:
-        held = fcntl.fcntl(write_fd, fcntl.F_GETPIPE_SZ) // 4
-    finally:
-        os.close(read_fd)
-        os.close(write_fd)
-    n_draws = held + 1000
+    n_draws = 17_384
 
     def fit(seeds):
         return np.array(seeds, dtype=float)[:, None]
@@ -888,13 +901,60 @@ def test_bootstrap_with_more_batches_than_the_claim_queue_holds(monkeypatch):
     results = []
     for n_workers in (1, 2):
         _force_workers(monkeypatch, n_workers)
-        with _ends_within(60):
+        with _ends_within(60), _assert_no_worker_left():
             results.append(bootstrap(fit, 92, n_draws))
-        _assert_no_worker_left()
     alone, claimed = results
     assert alone.samples[:, 0].tolist() == [derive_seed(92, draw) for draw in range(n_draws)]
     for name in ("samples", "low", "high"):
         assert np.array_equal(getattr(claimed, name), getattr(alone, name)), name
+
+
+def test_bootstrap_fits_each_seed_once_in_batches_of_consecutive_draws(monkeypatch, tmp_path):
+    # results merge by draw index, so only a log of the fits' calls shows a
+    # batch fitted twice; each call appends one line, whole, whichever process makes it
+    _force_workers(monkeypatch, 3)
+    log = tmp_path / "fits"
+    n_draws = 203
+
+    def fit(seeds):
+        time.sleep(0.005)  # long enough that the workers claim batches too
+        line = " ".join(map(str, [os.getpid(), *seeds])) + "\n"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, line.encode())
+        finally:
+            os.close(fd)
+        return np.array(seeds, dtype=float)[:, None]
+
+    with _assert_no_worker_left():
+        bootstrap(fit, 93, n_draws)
+    draw_of = {derive_seed(93, draw): draw for draw in range(n_draws)}
+    calls = [[int(word) for word in line.split()] for line in log.read_text().splitlines()]
+    assert len({pid for pid, *_ in calls}) > 1
+    batch = estimation.DRAW_BATCH
+    assert sorted([draw_of[seed] for seed in seeds] for _, *seeds in calls) == [
+        list(range(start, min(start + batch, n_draws))) for start in range(0, n_draws, batch)
+    ]
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_bootstrap_fit_with_other_than_one_row_per_seed_is_a_bug(monkeypatch, tmp_path, extra):
+    # too few or too many rows is no failed draw: ValueError propagates, also from a worker
+    batch = estimation.DRAW_BATCH
+    message = f"{batch + extra} rows for {batch} seeds"
+    _force_workers(monkeypatch, 1)
+    with pytest.raises(ValueError, match=re.escape(f"fit of draws {list(range(batch))}: {message}")):
+        bootstrap(lambda seeds: np.zeros((len(seeds) + extra, 1)), 94, 10)
+
+    def in_workers(states, times):
+        return np.zeros((len(states) + extra, 1))
+
+    _force_workers(monkeypatch, 2)
+    sc = make_scenario("relaxation_only", n_times=2)
+    fit = _after_a_worker_claims(tmp_path, _direct_rt_params, in_workers)
+    with pytest.raises(ValueError, match=message) as info, _assert_no_worker_left():
+        bootstrap(_seeded(sc, NoiseSpec(seed=94), fit), 94, 4 * batch)
+    assert "_draw_batches" in str(info.value.__cause__)  # the worker's traceback
 
 
 def test_mle_relaxation_df_stays_small(calibrated_sigma):
