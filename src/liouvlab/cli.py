@@ -19,7 +19,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import platform
 import re
@@ -37,13 +36,11 @@ from .estimation import (
     FIELD_PARAM_NAMES,
     HERMITIAN_PARAM_NAMES,
     FitReport,
-    _df_per_time,
-    _direct_field_rows,
-    _hamiltonian_fits,
     bootstrap,
+    df_per_time,
     direct_hamiltonian,
     estimate_fields,
-    fit_relaxation_model,
+    fit_draws,
     mle_liouvillian,
 )
 from .exceptions import (
@@ -53,10 +50,8 @@ from .exceptions import (
     LiouvlabError,
     SingularProcessError,
 )
-from .superop import Superoperator, _field_design, _hermitian_design
-from .synthlab import SCENARIO_DEFAULTS, NoiseSpec, generate_dataset, make_scenario
-from .synthlab import _input_coords, _noisy_states
-from .tomography import _check_stack, _mean_logs, _processes, _steps
+from .superop import Superoperator
+from .synthlab import SCENARIO_DEFAULTS, NoiseSpec, generate_dataset, make_scenario, noisy_states
 from .tomography import (
     TomographySet,
     mean_log_liouvillian,
@@ -145,8 +140,8 @@ def _manifest(outdir: Path, command: str, config: dict, seed: int):
 # JSON shapes: each key maps to its JSON type or, for an object, to the
 # shape of that object; a key ending in "?" may be left out
 _SCENARIO_FILE = {"kind": "string", "params?": {}, "noise?": {}, "grid?": {}}
-_DATASET = {"dim": "integer", "inputs": "array", "outputs": {}, "times_s?": "array",
-            "seed?": "integer", "provenance?": {"kind": "string", "params": {}, "noise": {}}}
+_DATASET = {"dim": "integer", "inputs": "array", "outputs": {}, "times_s?": "array", "seed?":
+            "integer", "provenance?": {"kind": "string", "params": {}, "noise": {}, "grid?": {}}}
 _SUPEROPERATOR = {"dim": "integer", "matrix": "array"}
 _FIT_REPORT = {"cost": "number", "converged": "boolean"}
 _REPORT_COLUMNS = ["run", "command", "seed", "max_df", "median_df", "cost", "converged"]
@@ -222,22 +217,28 @@ def _load_scenario(args) -> tuple:
         raise LiouvlabError(
             f"bad configuration: --kind {args.kind} disagrees with kind {spec['kind']!r} (in {path})"
         )
-    with _reading(path, "bad configuration"):
-        # make_scenario rejects a flag that the kind does not take
-        params = {**spec.get("params", {}), **_given(args, _SCENARIO_FLAGS)}
-        scenario = make_scenario(kind, **params)
-        seed = args.seed if env is None else int(env)
-        noise = NoiseSpec.from_json(
-            {**spec.get("noise", {}), **_given(args, _NOISE_FLAGS), "seed": seed}
-        )
-        stated = np.asarray(spec.get("grid", {}).get("times_s", []), dtype=float)
-        times = scenario.grid.times
-        # equal to rounding: within 1e-9 of the shortest step, on any time scale
-        atol = 1e-9 * scenario.grid.durations.min()
-        if stated.size and not (
-            stated.shape == times.shape and np.allclose(stated, times, rtol=0.0, atol=atol)
-        ):
-            raise ValueError("'grid.times_s' is inconsistent with the params")
+    # make_scenario rejects a flag that the kind does not take
+    params = {**spec.get("params", {}), **_given(args, _SCENARIO_FLAGS)}
+    seed = args.seed if env is None else int(env)
+    noise = {**spec.get("noise", {}), **_given(args, _NOISE_FLAGS), "seed": seed}
+    spec = {**spec, "kind": kind, "params": params, "noise": noise}
+    return _parse_scenario(spec, path, "bad configuration")
+
+
+def _parse_scenario(spec: dict, path, what: str, times=()) -> tuple:
+    """The (scenario, noise) of a scenario file's or a dataset provenance's ``spec``; its
+    ``grid.times_s`` and the dataset's ``times``, where given, must equal the grid of its
+    params to rounding (within 1e-9 of the shortest step, on any time scale)."""
+    with _reading(path, what):
+        scenario = make_scenario(spec["kind"], **spec.get("params", {}))
+        noise = NoiseSpec.from_json(spec.get("noise", {}))
+        t, atol = scenario.grid.times, 1e-9 * scenario.grid.durations.min()
+        stated = {"'grid.times_s'": spec.get("grid", {}).get("times_s", []),
+                  "the dataset's time grid": times}
+        for name, ts in stated.items():
+            ts = np.asarray(ts, dtype=float)
+            if ts.size and not (ts.shape == t.shape and np.allclose(ts, t, rtol=0.0, atol=atol)):
+                raise ValueError(f"{name} is inconsistent with the params")
     return scenario, noise
 
 
@@ -246,12 +247,8 @@ def _load_dataset(path: str) -> tuple:
     raw = _read_json(path, _DATASET)
     with _reading(path):
         dataset = TomographySet.from_json(raw)
-    provenance = raw.get("provenance")
-    with _reading(path, "bad dataset provenance"):
-        source = provenance and (
-            make_scenario(provenance["kind"], **provenance["params"]),
-            NoiseSpec.from_json(provenance["noise"]),
-        )
+    prov = raw.get("provenance")
+    source = prov and _parse_scenario(prov, path, "bad dataset provenance", dataset.times)
     return dataset, raw.get("seed", 0), source
 
 
@@ -313,7 +310,7 @@ def cmd_simulate(args):
 
 def _df_column(pms: tuple, generator: Superoperator | None) -> list:
     """Distance of each process matrix to exp(generator duration); empty without one."""
-    return [""] * len(pms[1]) if generator is None else list(_df_per_time(pms, generator.matrix))
+    return [""] * len(pms[1]) if generator is None else list(df_per_time(pms, generator.matrix))
 
 
 def cmd_reconstruct(args):
@@ -350,7 +347,7 @@ def cmd_reconstruct(args):
 def _point_fit(args, rt, dataset: TomographySet) -> FitReport:
     """The FitReport of the fit of ``--model`` by ``--method`` to the dataset.
 
-    With ``_draw_params``, the one place where the CLI picks an estimator;
+    The CLI's one estimator dispatch (every bootstrap draw takes ``fit_draws``);
     ``relaxation`` and ``mle`` are MLE fits of their form.
     """
     if args.model == "fields":
@@ -360,25 +357,6 @@ def _point_fit(args, rt, dataset: TomographySet) -> FitReport:
         return direct_hamiltonian(processes, rt)
     form = "free" if args.model == "mle" else args.model
     return mle_liouvillian(processes, dissipator=rt, form=form)
-
-
-def _draw_params(args, rt, states: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The (m, P) params of an (m, T+1, d**2, N) batch of bootstrap draws, checked as
-    a TomographySet checks its stack, by the model's direct estimator whatever
-    ``--method`` says: the kernels of the direct point fits, once per batch."""
-    _check_stack(states, times)
-    if args.model == "fields":
-        design = _field_design() if args.known_form else _hermitian_design()
-        rows, _ = _direct_field_rows(*_steps(states, times), rt, design)
-        return rows.reshape(len(rows), -1)
-    mats = _processes(states)
-    if args.model == "hermitian":
-        return np.array([fit.params.h for fit, _ in _hamiltonian_fits(mats, times, rt)])
-    dim = math.isqrt(states.shape[-2])
-    return np.array([
-        fit_relaxation_model(Superoperator(dim=dim, matrix=-l_hat)).params
-        for l_hat in _mean_logs(mats, times)
-    ])
 
 
 def cmd_fit(args):
@@ -425,17 +403,15 @@ def cmd_fit(args):
 def _attach_bootstrap(args, rt, source, report: FitReport) -> FitReport:
     """``report`` with the bootstrap intervals of the draw fit over draws from the provenance."""
     scenario, noise = source
-    times = scenario.grid.times
-    # the caches every draw reads, built once here and not in each forked worker
-    scenario._propagator_stack, _input_coords()  # noqa: B018
+    # read here, so that the propagators are built once and not in each forked worker
+    times, propagators = scenario.grid.times, scenario.propagators
 
     def fit(seeds: list) -> np.ndarray:
-        states = [_noisy_states(scenario, replace(noise, seed=s)) for s in seeds]
-        return _draw_params(args, rt, np.stack(states), times)
+        states = [noisy_states(propagators, replace(noise, seed=s)) for s in seeds]
+        return fit_draws(np.stack(states), times, args.model, rt, args.known_form)
 
     result = bootstrap(fit, noise.seed, args.bootstrap)
-    report.ci_low = result.low
-    report.ci_high = result.high
+    report.ci_low, report.ci_high = result.low, result.high
     report.extras["bootstrap"] = {
         "n_draws": args.bootstrap,
         "n_failed": result.n_failed,

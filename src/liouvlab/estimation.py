@@ -91,6 +91,7 @@ from .superop import (
     params_from_superop,
     spin1_operators,
 )
+from .tomography import _check_stack, _mean_logs, _processes, _steps
 
 __all__ = [
     "RelaxationModel",
@@ -101,6 +102,8 @@ __all__ = [
     "fit_relaxation_model",
     "direct_hamiltonian",
     "estimate_fields",
+    "df_per_time",
+    "fit_draws",
     "bootstrap",
 ]
 
@@ -218,7 +221,7 @@ class FitReport:
             names = self.param_names or tuple(f"p{i}" for i in range(len(self.params)))
             ci = {
                 name: [float(lo), float(hi)]
-                for name, lo, hi in zip(names, self.ci_low, self.ci_high)
+                for name, lo, hi in zip(names, self.ci_low, self.ci_high, strict=True)
             }
         out = {
             "model": self.model,
@@ -278,7 +281,7 @@ def _check_dissipator(dim: int, rt: Superoperator | None):
         )
 
 
-def _df_per_time(processes: tuple[np.ndarray, np.ndarray], generator: np.ndarray) -> np.ndarray:
+def df_per_time(processes: tuple[np.ndarray, np.ndarray], generator: np.ndarray) -> np.ndarray:
     """``frobenius_distance`` of each process matrix P_t to exp(G t).
 
     ``processes`` is a (mats, durations) pair, ``t`` the duration of P_t
@@ -751,7 +754,7 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
         estimate=fit.params,
         params=fit.params.h,
         cost=fit.residual**2,
-        df_per_time=_df_per_time(processes, k_hat - rt.matrix),
+        df_per_time=df_per_time(processes, k_hat - rt.matrix),
         iterations=1,
         converged=True,
         param_names=HERMITIAN_PARAM_NAMES,
@@ -843,7 +846,7 @@ def estimate_fields(
     if method == "direct":
         rows = theta0
         costs = np.linalg.norm(rows @ design.T - k_direct, axis=1) ** 2
-        dfs = _df_per_time(psteps, _generators(design, rt.matrix, rows))
+        dfs = df_per_time(psteps, _generators(design, rt.matrix, rows))
     else:
         rows, _, costs, exps, converged, counts = _gauss_newton(
             design, rt.matrix, dts[:, None], ps[:, None], theta0
@@ -882,6 +885,26 @@ def _direct_field_rows(steps: np.ndarray, dts: np.ndarray, rt: Superoperator, de
     k_direct = k_direct.reshape(*steps.shape[:2], -1)
     rows = np.stack([np.linalg.lstsq(design, k.T, rcond=None)[0] for k in k_direct])
     return rows.transpose(0, 2, 1), k_direct
+
+
+def fit_draws(states, times, model: str, rt: Superoperator | None = None, known_form: bool = True):
+    """The (m, P) params of an (m, T+1, d**2, N) batch of state stacks at ``times``, checked
+    as a TomographySet checks its stack, by the direct estimator of ``model`` (relaxation,
+    hermitian or fields): the kernels of its direct point fit, once per batch."""
+    _check_stack(states, times)
+    if model == "fields":
+        design = _field_design() if known_form else _hermitian_design()
+        rows, _ = _direct_field_rows(*_steps(states, times), rt, design)
+        return rows.reshape(len(rows), -1)
+    mats = _processes(states)
+    if model == "hermitian":
+        return np.array([fit.params.h for fit, _ in _hamiltonian_fits(mats, times, rt)])
+    if model != "relaxation":
+        raise ValueError(f"no draw fit of model {model!r}")
+    return np.array([
+        fit_relaxation_model(Superoperator(dim=math.isqrt(len(l_hat)), matrix=-l_hat)).params
+        for l_hat in _mean_logs(mats, times)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import scipy.linalg
 
 from .basis import DensityMatrix, _frozen_array, build_basis, coords_of
 from .dynamics import TimeGrid, _time_ordered
-from .estimation import RelaxationModel, _df_per_time
+from .estimation import RelaxationModel, df_per_time
 from .exceptions import DimensionError
 from .superop import Superoperator, _field_design, hamiltonian_superop, zeeman_hamiltonian
 from .tomography import (
@@ -46,6 +46,7 @@ __all__ = [
     "SCENARIO_DEFAULTS",
     "DEFAULT_RELAXATION",
     "make_scenario",
+    "noisy_states",
     "generate_dataset",
     "state_fidelity",
     "calibrate_bloch_sigma",
@@ -236,8 +237,8 @@ class Scenario:
         return [Superoperator(dim=3, matrix=g) for g in self._generators(self.grid.midpoints)]
 
     @functools.cached_property
-    def _propagator_stack(self) -> np.ndarray:
-        """Cumulative ground-truth propagators, one per grid time."""
+    def propagators(self) -> np.ndarray:
+        """(T, 9, 9) cumulative ground-truth propagators, one per grid time."""
         if self.is_static:
             mats = scipy.linalg.expm(self._fixed_generator * self.grid.times[:, None, None])
         else:
@@ -376,12 +377,12 @@ def _stream_entropy(seed: int, n_streams: int) -> np.ndarray:
     return words
 
 
-def _noisy_states(scenario: Scenario, noise: NoiseSpec) -> np.ndarray:
+def noisy_states(propagators: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     """The (T+1, 9, N) state stack of a dataset: the reported inputs, then the outputs.
 
     The prepared inputs are the canonical input states mixed down by
-    ``prep_fidelity``; outputs are the exact propagator images of those
-    prepared (pre-measurement-noise) states, all times from one stacked
+    ``prep_fidelity``; outputs are their images under the (T, 9, 9)
+    ``propagators`` before measurement noise, all times from one stacked
     product.  Measurement noise is Gaussian on the traceless coordinates,
     applied independently to the reported input matrix and to each time
     point k from its own generator ``default_rng([seed, k])``, so any
@@ -394,7 +395,7 @@ def _noisy_states(scenario: Scenario, noise: NoiseSpec) -> np.ndarray:
     prepared = noise.prep_fidelity * _input_coords() + (1.0 - noise.prep_fidelity) * mm[:, None]
 
     # states[0] is the reported input matrix, states[k] the outputs at time k
-    states = np.concatenate([prepared[None], scenario._propagator_stack @ prepared])
+    states = np.concatenate([prepared[None], propagators @ prepared])
     if noise.bloch_sigma > 0:
         shape = (prepared.shape[0] - 1, prepared.shape[1])
         draws = np.stack([
@@ -407,8 +408,8 @@ def _noisy_states(scenario: Scenario, noise: NoiseSpec) -> np.ndarray:
 
 
 def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:
-    """Forward-simulate a tomography dataset for a scenario (see ``_noisy_states``)."""
-    return TomographySet(states=_noisy_states(scenario, noise), times=scenario.grid.times)
+    """Forward-simulate a tomography dataset for a scenario (see ``noisy_states``)."""
+    return TomographySet(states=noisy_states(scenario.propagators, noise), times=scenario.grid.times)
 
 
 def state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -442,7 +443,7 @@ def state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
 def _direct_max_df(dataset: TomographySet) -> float:
     """Max relative process error of the averaged direct estimate."""
     pms = reconstruct_processes(dataset)
-    return float(_df_per_time(pms, mean_log_liouvillian(pms).matrix).max())
+    return float(df_per_time(pms, mean_log_liouvillian(pms).matrix).max())
 
 
 def calibrate_bloch_sigma() -> float:

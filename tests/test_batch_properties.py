@@ -4,10 +4,12 @@ The draw fits run the reconstruction and log kernels once over a batch of
 draws, with a leading draw axis.  Every matrix is treated by itself there,
 so each draw's slice must equal the kernel's result for that draw alone bit
 for bit, and a failing draw must fail the batch with the error it raises
-alone.  Random draws are noisy chains of propagators of random GKS
+alone.  The same holds for the draw fit of each model, ``fit_draws``.  Random draws are noisy chains of propagators of random GKS
 generators for d = 2..4, with singular, branch-cut, defective and
 near-defective matrices planted at random places.
 """
+
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 
 from liouvlab.basis import build_basis, coords_of
 from liouvlab.dynamics import _principal_logs
+from liouvlab.estimation import fit_draws
 from liouvlab.exceptions import LiouvlabError
+from liouvlab.synthlab import DEFAULT_RELAXATION
 from liouvlab.superop import LindbladModel
 from liouvlab.tomography import _processes, _steps
 
@@ -138,3 +142,44 @@ def test_batch_reconstruction_equals_each_draw(d, m, n_times, extra, data, seed)
         else:
             for j in range(m):
                 assert np.array_equal(batch[j], alone[j][0]), (name, j)
+
+
+# the draw fits: (model, known_form)
+DRAW_FITS = [("relaxation", True), ("hermitian", True), ("fields", True), ("fields", False)]
+
+
+def _draw_fit_outcome(states, times, model, known_form):
+    try:
+        with warnings.catch_warnings():  # a Hermitian fit warns of each time it skips
+            warnings.simplefilter("ignore")
+            return fit_draws(states, times, model, DEFAULT_RELAXATION.superoperator(), known_form)
+    except (LiouvlabError, np.linalg.LinAlgError) as err:
+        return err
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(m=draws, n_times=st.integers(min_value=1, max_value=4),
+       extra=st.integers(min_value=0, max_value=3), data=st.data(), seed=seeds)
+def test_batch_draw_fit_equals_each_draw_fitted_alone(m, n_times, extra, data, seed):
+    rng = np.random.default_rng(seed)
+    times = _times(rng, n_times)
+    states = _random_draws(rng, 3, m, times, extra)
+    plants = data.draw(st.lists(st.tuples(
+        st.sampled_from(["collapsed", "flipped"]),
+        st.integers(min_value=0, max_value=m - 1),
+        st.integers(min_value=0, max_value=n_times),
+    ), max_size=2), label="planted")
+    for kind, j, k in plants:
+        if kind == "collapsed":  # every state the same: rank 1
+            states[j, k] = states[j, k][:, :1]
+        else:  # the map from the inputs gets the eigenvalue -1, on the branch cut
+            states[j, k] = np.diag([-1.0] + [1.0] * 8) @ states[j, 0]
+    for model, known_form in DRAW_FITS:
+        batch = _draw_fit_outcome(states, times, model, known_form)
+        alone = [_draw_fit_outcome(states[j : j + 1], times, model, known_form) for j in range(m)]
+        failed = [out for out in alone if isinstance(out, Exception)]
+        if failed:  # the batch raises what its first failing draw raises alone
+            assert (type(batch), str(batch)) == (type(failed[0]), str(failed[0])), model
+        else:
+            for j in range(m):
+                assert np.array_equal(batch[j], alone[j][0]), (model, j)

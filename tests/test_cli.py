@@ -2,9 +2,6 @@ import contextlib
 import json
 import platform
 import re
-import tracemalloc
-from dataclasses import replace
-from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -17,26 +14,25 @@ from hypothesis import strategies as st
 import liouvlab
 import liouvlab.cli
 from liouvlab.basis import DensityMatrix, build_basis, vectorize
-from liouvlab.cli import _draw_params, build_parser, main
+from liouvlab.cli import build_parser, main
 from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.estimation import (
     RelaxationModel,
-    _df_per_time,
     bootstrap,
     derive_seed,
-    fit_relaxation_model,
+    df_per_time,
+    fit_draws,
     frobenius_distance,
 )
-from liouvlab.exceptions import BranchCutError, CompletenessError
+from liouvlab.exceptions import BranchCutError
 from liouvlab.superop import Superoperator, hamiltonian_superop
 from liouvlab.synthlab import (
     DEFAULT_RELAXATION,
     NoiseSpec,
-    _noisy_states,
     generate_dataset,
     make_scenario,
 )
-from liouvlab.tomography import TomographySet, mean_log_liouvillian, reconstruct_processes
+from liouvlab.tomography import TomographySet, reconstruct_processes
 
 
 def _read(path):
@@ -584,7 +580,7 @@ def test_fit_relaxation_reports_its_own_pade_fit(tmp_path):
     assert report["cost"] == pytest.approx(cost, rel=1e-12)
     rows = np.loadtxt(fit / "df.csv", delimiter=",", skiprows=1)
     np.testing.assert_array_equal(rows[:, 0], ts)
-    np.testing.assert_allclose(rows[:, 1], _df_per_time((ps, ts), -r_t), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rows[:, 1], df_per_time((ps, ts), -r_t), rtol=1e-12, atol=0)
     assert report["df_per_time"] == rows[:, 1].tolist()
 
 
@@ -704,6 +700,52 @@ def test_fit_bootstrap_negative_provenance_seed_exits_2(tmp_path, capsys):
     assert "bad dataset provenance: seed must be non-negative" in capsys.readouterr().err
 
 
+def _edited_provenance(tmp_path, out, params: dict, keep_grid=True):
+    """The dataset of ``out`` with its provenance params updated by ``params``."""
+    data = _read(out / "dataset.json")
+    data["provenance"]["params"].update(params)
+    if not keep_grid:
+        del data["provenance"]["grid"]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    return edited
+
+
+def test_fit_bootstrap_on_a_provenance_of_fewer_steps_exits_2(tmp_path, capsys):
+    # 10 steps of 50: the draws would have 30 params where the point fit has
+    # 150, and the report would name only 30 intervals
+    out = _simulate(tmp_path, "--ramp", "--sigma", "0.004", kind="three_axis")
+    edited = _edited_provenance(tmp_path, out, {"n_steps": 10})
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    rc = main(["fit", "--dataset", str(edited), "--model", "fields", "--known-form",
+               "--fixed-dissipator", str(rt_path), "--bootstrap", "20", "-o", str(tmp_path / "f")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "fit: bad dataset provenance: 'grid.times_s' is inconsistent with the params "
+        f"(in {edited})\n"
+    )
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("keep_grid, stated", [
+    (True, "'grid.times_s'"), (False, "the dataset's time grid"),
+])
+def test_fit_bootstrap_on_a_provenance_of_another_step_exits_2(tmp_path, capsys, keep_grid,
+                                                               stated):
+    # draws 4x as long as the dataset's times would give intervals that miss
+    # the point estimate
+    out = _simulate(tmp_path, "--sigma", "0.004")
+    edited = _edited_provenance(tmp_path, out, {"step": 0.002}, keep_grid)
+    rc = main(["fit", "--dataset", str(edited), "--model", "relaxation",
+               "--bootstrap", "20", "-o", str(tmp_path / "f")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"fit: bad dataset provenance: {stated} is inconsistent with the params (in {edited})\n"
+    )
+    assert not (tmp_path / "f").exists()
+
+
 @pytest.mark.parametrize("draws", ["1", "-3", "two"])
 def test_fit_bootstrap_draw_count_exits_2(tmp_path, capsys, draws):
     out = _simulate(tmp_path)
@@ -771,14 +813,14 @@ def test_fit_bootstrap_records_failed_draws(tmp_path, monkeypatch):
     out = _simulate(tmp_path, "--sigma", "0.004")
     base_seed = _read(out / "dataset.json")["provenance"]["noise"]["seed"]
     injected = {derive_seed(base_seed, draw): draw for draw in (4, 16)}
-    real = liouvlab.cli._noisy_states
+    real = liouvlab.cli.noisy_states
 
-    def flaky(scenario, noise):
+    def flaky(propagators, noise):
         if noise.seed in injected:
             raise BranchCutError(f"injected at draw {injected[noise.seed]}")
-        return real(scenario, noise)
+        return real(propagators, noise)
 
-    monkeypatch.setattr(liouvlab.cli, "_noisy_states", flaky)
+    monkeypatch.setattr(liouvlab.cli, "noisy_states", flaky)
     fit = tmp_path / "fit"
     rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
                "--bootstrap", "40", "-o", str(fit)])
@@ -790,69 +832,12 @@ def test_fit_bootstrap_records_failed_draws(tmp_path, monkeypatch):
     }
 
 
-def _object_draw_params(ds) -> np.ndarray:
-    """The relaxation draw fit through the object API, the reference of the stack draw."""
-    l_hat = mean_log_liouvillian(reconstruct_processes(ds))
-    return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat.matrix)).params
-
-
-def _relaxation_draw_params(states, times) -> np.ndarray:
-    """The params of a relaxation draw fitted alone, a batch of one."""
-    return _draw_params(SimpleNamespace(model="relaxation"), None, states[None], times)[0]
-
-
-def test_stack_draw_equals_the_object_pipeline(calibrated_sigma):
-    sc = make_scenario("relaxation_only")
-    for draw in range(50):
-        spec = NoiseSpec(bloch_sigma=calibrated_sigma, seed=derive_seed(7, draw))
-        stacked = _relaxation_draw_params(_noisy_states(sc, spec), sc.grid.times)
-        assert np.array_equal(stacked, _object_draw_params(generate_dataset(sc, spec))), draw
-
-
-def _rank_one_inputs(states):
-    states[0] = states[0][:, :1]  # every input state the same
-
-
-def _flip_at_fourth_time(states):
-    # the process at the fourth time has the eigenvalue -1, on the branch cut
-    flip = np.eye(9)
-    flip[0, 0] = -1.0
-    states[4] = flip @ states[0]
-
-
-@pytest.mark.parametrize(
-    "spoil, error", [(_rank_one_inputs, CompletenessError), (_flip_at_fourth_time, BranchCutError)]
-)
-def test_stack_draw_fails_like_the_object_pipeline(spoil, error):
-    # the same class and message, so a failed draw reads the same in fit_report.json
-    sc = make_scenario("relaxation_only", n_times=6)
-    states = _noisy_states(sc, NoiseSpec(bloch_sigma=0.004, seed=3))
-    spoil(states)
-    with pytest.raises(error) as stacked:
-        _relaxation_draw_params(states, sc.grid.times)
-    with pytest.raises(error) as objects:
-        _object_draw_params(TomographySet(states=states, times=sc.grid.times))
-    assert type(stacked.value) is type(objects.value)
-    assert str(stacked.value) == str(objects.value)
-
-
 _DRAW_FITS = {
     # the kind simulated, and the fit flags of its bootstrap
     "relaxation": ("relaxation_only", ["--model", "relaxation"]),
     "hermitian": ("static_quadratic_zeeman", ["--model", "hermitian", "--fixed-dissipator"]),
     "fields": ("three_axis", ["--model", "fields", "--known-form", "--fixed-dissipator"]),
 }
-
-
-def test_stack_draw_checks_the_pinned_trace_row():
-    sc = make_scenario("relaxation_only", n_times=3)
-    states = _noisy_states(sc, NoiseSpec(seed=3))
-    states[2, -1, 4] += 1e-6
-    rt = DEFAULT_RELAXATION.superoperator()
-    for model in _DRAW_FITS:  # every draw fit checks its stack as a set does
-        args = SimpleNamespace(model=model, known_form=True)
-        with pytest.raises(ValueError, match=r"outputs\[0.001\] has unpinned trace components"):
-            _draw_params(args, rt, states[None], sc.grid.times)
 
 
 @pytest.mark.parametrize("model, known_form", [("hermitian", False), ("fields", True),
@@ -869,9 +854,8 @@ def test_draw_fit_of_a_dataset_is_its_direct_point_fit(tmp_path, model, known_fo
                "--method", "direct", "--fixed-dissipator", str(rt_path), "-o", str(fit)])
     assert rc == 0
     ds = TomographySet.from_json(_read(out / "dataset.json"))
-    args = SimpleNamespace(model=model, known_form=known_form, method="mle")
     rt = Superoperator.from_json(_read(rt_path))
-    [params] = _draw_params(args, rt, ds.states[None], ds.times)
+    [params] = fit_draws(ds.states[None], ds.times, model, rt, known_form)
     assert np.array_equal(params, _read(fit / "fit_report.json")["params"])
 
 
@@ -923,15 +907,15 @@ def test_bootstrap_draws_build_no_dataset_objects(tmp_path, monkeypatch, model):
 def _spoil_draw(monkeypatch, base_seed: int, draw: int):
     """Zero the traceless input coordinates of one draw, so that its inputs span rank 1."""
     spoiled = derive_seed(base_seed, draw)
-    real = liouvlab.cli._noisy_states
+    real = liouvlab.cli.noisy_states
 
-    def spoil(scenario, noise):
-        states = real(scenario, noise)
+    def spoil(propagators, noise):
+        states = real(propagators, noise)
         if noise.seed == spoiled:
             states[0, :-1] = 0.0
         return states
 
-    monkeypatch.setattr(liouvlab.cli, "_noisy_states", spoil)
+    monkeypatch.setattr(liouvlab.cli, "noisy_states", spoil)
 
 
 @pytest.mark.parametrize("model", _DRAW_FITS)
@@ -983,30 +967,6 @@ def test_bootstrap_report_does_not_depend_on_the_batches(tmp_path, monkeypatch, 
     }
     for cpus in (1, 3):
         assert np.array_equal(samples[True, cpus], np.delete(samples[False, 1], 6, axis=0))
-
-
-def test_bootstrap_memory_does_not_grow_with_the_draw_count(monkeypatch):
-    # one process makes and fits its draws a batch at a time, so it holds one
-    # batch of state stacks, not its whole share of the draws; what grows is
-    # the params kept per draw
-    monkeypatch.setattr(liouvlab.estimation.os, "sched_getaffinity", lambda pid: {0})
-    sc = make_scenario("relaxation_only")
-    args = SimpleNamespace(model="relaxation")
-    noise = NoiseSpec(bloch_sigma=0.004, seed=89)
-
-    def fit(seeds):
-        states = [_noisy_states(sc, replace(noise, seed=seed)) for seed in seeds]
-        return _draw_params(args, None, np.stack(states), sc.grid.times)
-
-    peaks = []
-    for n_draws in (40, 400):
-        tracemalloc.start()
-        try:
-            bootstrap(fit, noise.seed, n_draws)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_report_relaxation_gate_row(tmp_path, calibrated_sigma, capsys):

@@ -4,6 +4,7 @@ import os
 import re
 import signal
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from liouvlab.estimation import (
     derive_seed,
     direct_hamiltonian,
     estimate_fields,
+    fit_draws,
     fit_relaxation_model,
     frobenius_distance,
     mle_liouvillian,
@@ -30,6 +32,7 @@ from liouvlab.estimation import (
 from liouvlab.exceptions import (
     BootstrapError,
     BranchCutError,
+    CompletenessError,
     DimensionError,
     SingularProcessError,
     ZeroReferenceError,
@@ -47,9 +50,9 @@ from liouvlab.synthlab import (
     DEFAULT_RELAXATION,
     NoiseSpec,
     _input_coords,
-    _noisy_states,
     generate_dataset,
     make_scenario,
+    noisy_states,
 )
 from liouvlab.tomography import (
     TomographySet,
@@ -88,7 +91,7 @@ def _seeded(sc, noise, fit=_direct_rt_params, failing=()):
         for seed in seeds:
             if seed in injected:
                 raise SingularProcessError(f"injected at draw {injected[seed]}")
-        states = [_noisy_states(sc, replace(noise, seed=seed)) for seed in seeds]
+        states = [noisy_states(sc.propagators, replace(noise, seed=seed)) for seed in seeds]
         return fit(np.stack(states), sc.grid.times)
 
     return draw_fit
@@ -115,7 +118,7 @@ def test_df_per_time_is_each_distance_in_input_order():
     g = 1e3 * rng.normal(size=(9, 9))
     times = np.array([3e-4, 1e-4, 2e-4])
     mats = np.stack([rng.normal(size=(9, 9)) for _ in times])
-    dfs = estimation._df_per_time((mats, times), g)
+    dfs = estimation.df_per_time((mats, times), g)
     expected = [frobenius_distance(m, scipy.linalg.expm(g * t)) for m, t in zip(mats, times)]
     assert dfs.shape == (3,)
     np.testing.assert_array_equal(dfs, expected)
@@ -632,6 +635,97 @@ def test_monotone_noise_response():
 
 
 # ---------------------------------------------------------------------------
+# bootstrap draw fit
+# ---------------------------------------------------------------------------
+
+
+def _object_draw_params(ds) -> np.ndarray:
+    """The relaxation draw fit through the object API, the reference of the stack draw."""
+    l_hat = mean_log_liouvillian(reconstruct_processes(ds))
+    return fit_relaxation_model(Superoperator(dim=3, matrix=-l_hat.matrix)).params
+
+
+def _relaxation_draw_params(states, times) -> np.ndarray:
+    """The params of a relaxation draw fitted alone, a batch of one."""
+    return fit_draws(states[None], times, "relaxation")[0]
+
+
+def test_stack_draw_equals_the_object_pipeline(calibrated_sigma):
+    sc = make_scenario("relaxation_only")
+    for draw in range(50):
+        spec = NoiseSpec(bloch_sigma=calibrated_sigma, seed=derive_seed(7, draw))
+        stacked = _relaxation_draw_params(noisy_states(sc.propagators, spec), sc.grid.times)
+        assert np.array_equal(stacked, _object_draw_params(generate_dataset(sc, spec))), draw
+
+
+def _rank_one_inputs(states):
+    states[0] = states[0][:, :1]  # every input state the same
+
+
+def _flip_at_fourth_time(states):
+    # the process at the fourth time has the eigenvalue -1, on the branch cut
+    flip = np.eye(9)
+    flip[0, 0] = -1.0
+    states[4] = flip @ states[0]
+
+
+@pytest.mark.parametrize(
+    "spoil, error", [(_rank_one_inputs, CompletenessError), (_flip_at_fourth_time, BranchCutError)]
+)
+def test_stack_draw_fails_like_the_object_pipeline(spoil, error):
+    # the same class and message, so a failed draw reads the same in fit_report.json
+    sc = make_scenario("relaxation_only", n_times=6)
+    states = noisy_states(sc.propagators, NoiseSpec(bloch_sigma=0.004, seed=3))
+    spoil(states)
+    with pytest.raises(error) as stacked:
+        _relaxation_draw_params(states, sc.grid.times)
+    with pytest.raises(error) as objects:
+        _object_draw_params(TomographySet(states=states, times=sc.grid.times))
+    assert type(stacked.value) is type(objects.value)
+    assert str(stacked.value) == str(objects.value)
+
+
+def test_stack_draw_checks_the_pinned_trace_row():
+    sc = make_scenario("relaxation_only", n_times=3)
+    states = noisy_states(sc.propagators, NoiseSpec(seed=3))
+    states[2, -1, 4] += 1e-6
+    rt = DEFAULT_RELAXATION.superoperator()
+    for model in ("relaxation", "hermitian", "fields"):  # each checks its stack as a set does
+        with pytest.raises(ValueError, match=r"outputs\[0.001\] has unpinned trace components"):
+            fit_draws(states[None], sc.grid.times, model, rt)
+
+
+def test_draw_fit_of_another_model_is_an_error():
+    sc = make_scenario("relaxation_only", n_times=3)
+    states = noisy_states(sc.propagators, NoiseSpec(seed=3))
+    with pytest.raises(ValueError, match="no draw fit of model 'mle'"):
+        fit_draws(states[None], sc.grid.times, "mle")
+
+
+def test_bootstrap_memory_does_not_grow_with_the_draw_count(monkeypatch):
+    # one process makes and fits its draws a batch at a time, so it holds one
+    # batch of state stacks, not its whole share of the draws; what grows is
+    # the params kept per draw
+    monkeypatch.setattr(estimation.os, "sched_getaffinity", lambda pid: {0})
+    sc = make_scenario("relaxation_only")
+    noise = NoiseSpec(bloch_sigma=0.004, seed=89)
+
+    def fit(seeds):
+        states = [noisy_states(sc.propagators, replace(noise, seed=seed)) for seed in seeds]
+        return fit_draws(np.stack(states), sc.grid.times, "relaxation")
+
+    peaks = []
+    for n_draws in (40, 400):
+        tracemalloc.start()
+        try:
+            bootstrap(fit, noise.seed, n_draws)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
 # bootstrap
 # ---------------------------------------------------------------------------
 
@@ -990,6 +1084,14 @@ def test_bootstrap_coverage_loose(calibrated_sigma):
         hits.append(result.contains(truth))
     coverage = np.mean(hits, axis=0)  # per parameter over meta-repetitions
     assert coverage.mean() >= 0.6
+
+
+def test_fit_report_json_with_other_than_one_interval_per_param_is_a_bug():
+    ds = generate_dataset(make_scenario("relaxation_only", n_times=3), NoiseSpec(seed=83))
+    report = mle_liouvillian(reconstruct_processes(ds), form="relaxation")
+    report.ci_low, report.ci_high = report.params[:3] - 1.0, report.params[:3] + 1.0
+    with pytest.raises(ValueError, match="zip"):
+        report.to_json()
 
 
 def test_fit_report_json_round_trip():

@@ -28,9 +28,9 @@ from liouvlab.synthlab import (
     NoiseSpec,
     _direct_max_df,
     _input_coords,
-    _noisy_states,
     generate_dataset,
     make_scenario,
+    noisy_states,
     state_fidelity,
 )
 from liouvlab.tomography import canonical_input_states, reconstruct_process, reconstruct_processes
@@ -99,7 +99,7 @@ def test_scenario_rebuilt_from_recorded_params(kind, params):
     again = make_scenario(recorded["kind"], **recorded["params"])
     assert again.params == sc.params == recorded["params"]
     assert set(sc.params) == set(SCENARIO_DEFAULTS[kind])
-    assert np.array_equal(again._propagator_stack, sc._propagator_stack)
+    assert np.array_equal(again.propagators, sc.propagators)
 
 
 @pytest.mark.parametrize("kind", sorted(SCENARIO_DEFAULTS))
@@ -266,7 +266,7 @@ def test_stacked_forward_model_equals_per_time_evolution(kind, params, seed):
 
     assert np.array_equal(ds.inputs, reported(prepared, 0))
     assert np.array_equal(ds.times, sc.grid.times) and len(ds.states) == len(ds.times) + 1
-    for k, p in enumerate(sc._propagator_stack):
+    for k, p in enumerate(sc.propagators):
         assert np.array_equal(ds.states[k + 1], reported(p @ prepared, k + 1))
 
 
@@ -306,13 +306,13 @@ def test_noise_of_time_k_is_drawn_from_default_rng_of_seed_and_k(seed):
     # streams, and so the dataset bits, are those of default_rng([seed, k])
     sc = make_scenario("relaxation_only")
     noise = NoiseSpec(bloch_sigma=0.004, seed=seed)
-    expected = _noisy_states(sc, replace(noise, bloch_sigma=0.0))
+    expected = noisy_states(sc.propagators, replace(noise, bloch_sigma=0.0))
     shape = (8, expected.shape[2])
     draws = np.stack([
         np.random.default_rng([seed, k]).normal(size=shape) for k in range(len(expected))
     ])
     expected[:, :-1] += draws * noise.bloch_sigma
-    assert np.array_equal(_noisy_states(sc, noise), expected)
+    assert np.array_equal(noisy_states(sc.propagators, noise), expected)
 
 
 def test_determinism_bit_identical():
