@@ -748,6 +748,8 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
     _check_dissipator(_process_dim(*processes), rt)
     ps, ts = processes
     [(fit, skipped)] = _hamiltonian_fits(ps[None], ts, rt)
+    for t, msg in skipped:
+        warnings.warn(f"skipping t = {t}: {msg}", stacklevel=2)
     k_hat = explicit_qutrit_superop(fit.params).matrix
     return FitReport(
         model="direct-hamiltonian",
@@ -764,14 +766,12 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
 
 def _hamiltonian_fits(mats: np.ndarray, ts: np.ndarray, rt: Superoperator) -> list:
     """The (ParamsFit, skipped times) of ``direct_hamiltonian`` for each draw of an
-    (m, T, 9, 9) batch: one ``_principal_logs`` pass, then the mean and the
-    projection per draw.  A draw with no admissible time raises BranchCutError."""
+    (m, T, 9, 9) batch, with no warning: one ``_principal_logs`` pass, then the mean
+    and the projection per draw.  A draw with no admissible time raises BranchCutError."""
     logs, errors = _principal_logs(mats, ts)
     fits = []
     for j, draw_logs in enumerate(logs):
         skipped = [(float(ts[k]), str(errors[j, k])) for k in range(len(ts)) if (j, k) in errors]
-        for t, msg in skipped:
-            warnings.warn(f"skipping t = {t}: {msg}", stacklevel=3)
         keep = [k for k in range(len(ts)) if (j, k) not in errors]
         if not keep:
             raise BranchCutError("no evolution time admits a principal logarithm")

@@ -2,7 +2,9 @@
 
 Stands in for the vapor-cell apparatus: ground-truth scenarios (free
 relaxation, static linear/quadratic Zeeman fields, three-axis time-varying
-fields) are forward-evolved exactly and dressed with a minimal noise model:
+fields), each exactly its recorded kind and params and all relaxing by
+``DEFAULT_RELAXATION``, are forward-evolved exactly and dressed with a
+minimal noise model:
 
 * preparation imperfection -- each input state is mixed with the maximally
   mixed state, ``rho -> p rho + (1 - p) I/d``;
@@ -13,8 +15,7 @@ fields) are forward-evolved exactly and dressed with a minimal noise model:
 Generation is deterministic: every state matrix derives its randomness
 from its own generator ``default_rng([seed, time-point index])``, so
 datasets are bit-identical for a given NoiseSpec regardless of evaluation
-order.  The generators are seeded from uint32 words equal to numpy's own
-split of those ints, built once per dataset.
+order.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -94,33 +94,19 @@ class NoiseSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def to_json(self) -> dict:
-        return {
-            "bloch_sigma": self.bloch_sigma,
-            "prep_fidelity": self.prep_fidelity,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseSpec":
-        """A spec from the fields of ``to_json``; a field left out takes its default.
+        """A spec from the fields of ``to_json``, resolved against ``NoiseSpec().to_json()``
+        by ``_resolved``, as the scenario params are: a field left out takes its default.
 
         Raises:
             ValueError: for an unknown field, a ``bloch_sigma`` or
                 ``prep_fidelity`` that is not a finite real number, or a
                 ``seed`` that is not an integer (a bool is neither).
         """
-        unknown = set(obj) - {"bloch_sigma", "prep_fidelity", "seed"}
-        if unknown:
-            raise ValueError(f"unknown noise fields: {sorted(unknown)}")
-        for name, like in (("bloch_sigma", 0.0), ("prep_fidelity", 1.0), ("seed", 0)):
-            if name in obj and not _has_type_of(obj[name], like):
-                kind = _type_name(like)
-                raise ValueError(f"noise field {name!r} must be {kind}, got {obj[name]!r}")
-        return cls(
-            bloch_sigma=float(obj.get("bloch_sigma", 0.0)),
-            prep_fidelity=float(obj.get("prep_fidelity", 1.0)),
-            seed=int(obj.get("seed", 0)),
-        )
+        return cls(**_resolved(obj, cls().to_json(), "noise fields", "noise field"))
 
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -154,27 +140,27 @@ SCENARIO_DEFAULTS = {
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Ground truth of one synthetic experiment: a kind and its params.
+    """Ground truth of one synthetic experiment: exactly a kind and its params.
 
     ``params`` are what ``make_scenario(kind, **params)`` takes and records;
     the grid, the Hamiltonian and the drive are derived from them, so they
-    cannot disagree with the record.  A static kind has a fixed
-    ``static_hamiltonian`` (zero for free decay); the driven kind has
-    per-axis Larmor drives, optionally ramped up over ``ramp_s`` seconds.
+    cannot disagree with the record.  Every generator is
+    K(H_static) + omega(t) . K(F) - R_T with R_T of ``DEFAULT_RELAXATION``:
+    a static kind has no drive, the driven kind a zero ``static_hamiltonian``
+    and per-axis Larmor drives, optionally ramped up over ``ramp_s`` seconds.
     The inputs are the canonical input states.  Derived quantities and the
     noiseless propagators are cached.
     """
 
     kind: str
     params: dict
-    relaxation: RelaxationModel
 
     @functools.cached_property
     def is_static(self) -> bool:
         return self.kind != "three_axis_time_dependent"
 
     @functools.cached_property
-    def ramp_s(self) -> Optional[float]:
+    def ramp_s(self) -> float | None:
         """Length of the settling ramp; None without one."""
         return self.params.get("ramp_s")
 
@@ -188,10 +174,8 @@ class Scenario:
         return TimeGrid(times=np.linspace(p["t_min"], p["t_max"], p["n_times"]))
 
     @functools.cached_property
-    def static_hamiltonian(self) -> Optional[np.ndarray]:
-        """The fixed Hamiltonian of a static kind (zero for free decay); None if driven."""
-        if not self.is_static:
-            return None
+    def static_hamiltonian(self) -> np.ndarray:
+        """The fixed Hamiltonian H_static; zero for free decay and for the driven kind."""
         p, omega = self.params, np.zeros(3)
         if "axis" in p:
             omega[_AXIS_INDEX[p["axis"]]] = p["omega"]
@@ -212,19 +196,16 @@ class Scenario:
         return self.omegas_nominal(times) * np.reshape(ramp, (-1, 1))
 
     def hamiltonian(self, t: float) -> np.ndarray:
-        if self.is_static:
-            return self.static_hamiltonian
-        return zeeman_hamiltonian(self.drive(t)[0])
+        return self.static_hamiltonian + zeeman_hamiltonian(self.drive(t)[0])
 
     @functools.cached_property
     def _fixed_generator(self) -> np.ndarray:
-        """K_static - R_T, built once per scenario; K_static is 0 for a driven one."""
-        basis = build_basis(3)
-        k = hamiltonian_superop(self.static_hamiltonian, basis).matrix if self.is_static else 0.0
-        return _frozen_array(k - self.relaxation.superoperator().matrix)
+        """K(H_static) - R_T, built once per scenario."""
+        k = hamiltonian_superop(self.static_hamiltonian, build_basis(3)).matrix
+        return _frozen_array(k - DEFAULT_RELAXATION.superoperator().matrix)
 
     def _generators(self, times) -> np.ndarray:
-        """K_static + omega(t) @ ``_field_design()``^T - R_T, (T, 9, 9), in one product."""
+        """K(H_static) + omega(t) @ ``_field_design()``^T - R_T, (T, 9, 9), in one product."""
         k = self.drive(times) @ _field_design().T
         return k.reshape(-1, 9, 9) + self._fixed_generator
 
@@ -281,25 +262,20 @@ def _type_name(like) -> str:
     return names[type(like)]
 
 
-def _resolved(kind: str, given: dict) -> dict:
-    """``{**defaults, **given}`` of a kind, each value cast to its default's type.
+def _resolved(given: dict, defaults: dict, plural: str, singular: str) -> dict:
+    """``{**defaults, **given}``, each value cast to the type of its default.
 
-    A given None stands for the default; any other value must have the
-    type of its default (``_has_type_of``).
+    Every given value must have the type of its default (``_has_type_of``);
+    ``plural`` and ``singular`` name the keys in the errors.
     """
-    try:
-        defaults = SCENARIO_DEFAULTS[kind]
-    except KeyError:
-        raise ValueError(f"unknown scenario kind {kind!r}") from None
     unknown = set(given) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown parameters for {kind!r}: {sorted(unknown)}")
-    given = {k: v for k, v in given.items() if v is not None}
+        raise ValueError(f"unknown {plural}: {sorted(unknown)}")
     for k, v in given.items():
         if not _has_type_of(v, defaults[k]):
-            raise ValueError(f"parameter {k!r} must be {_type_name(defaults[k])}, got {v!r}")
+            raise ValueError(f"{singular} {k!r} must be {_type_name(defaults[k])}, got {v!r}")
     return {
-        k: [float(a) for a in v] if k == "amplitudes" else type(defaults[k])(v)
+        k: [float(a) for a in v] if isinstance(v, (list, tuple)) else type(defaults[k])(v)
         for k, v in {**defaults, **given}.items()
     }
 
@@ -309,7 +285,7 @@ def make_scenario(kind: str, **params) -> Scenario:
 
     Kinds and their parameters (all optional; defaults in SCENARIO_DEFAULTS):
 
-    * ``relaxation_only``: free decay under the default relaxation model;
+    * ``relaxation_only``: free decay;
       ``step`` [0.5e-3], ``n_times`` [21].
     * ``static_quadratic_zeeman``: H = q F_y**2; ``q`` [2 pi 1000 rad/s],
       ``t_min`` [100e-6], ``t_max`` [180e-6], ``n_times`` [9].
@@ -322,12 +298,11 @@ def make_scenario(kind: str, **params) -> Scenario:
       supply-settling ramp (``ramp_s`` to override its length; recorded
       as None without the ramp).
 
-    All kinds accept ``relaxation`` (a RelaxationModel), which is not
-    recorded.  The resolved parameters are recorded as ``params``, so
-    ``make_scenario(s.kind, **s.params)`` rebuilds a scenario ``s`` (with
-    the default relaxation), also after a JSON round trip of ``params``.
-    The axis and the time grid are checked here, before the scenario is
-    returned.
+    Every kind relaxes by ``DEFAULT_RELAXATION``.  A None parameter takes
+    its default.  The resolved parameters are recorded as ``params``, so
+    ``make_scenario(s.kind, **s.params)`` rebuilds a scenario ``s``, also
+    after a JSON round trip of ``params``.  The axis and the time grid are
+    checked here, before the scenario is returned.
 
     Raises:
         ValueError: for an unknown kind, unknown parameter names, a
@@ -335,15 +310,15 @@ def make_scenario(kind: str, **params) -> Scenario:
             ``ramp``, an integer for ``n_times`` and ``n_steps``, a finite
             real number for the others, three of them for ``amplitudes``
             and a string for ``axis``), an axis other than x, y or z, a
-            ``ramp_s`` <= 0 with the ramp on, a
-            ``relaxation`` that is not a RelaxationModel, or grid
-            parameters that give no strictly increasing positive times.
+            ``ramp_s`` <= 0 with the ramp on, or grid parameters that
+            give no strictly increasing positive times.
         DimensionError: for a grid of no times.
     """
-    relaxation = params.pop("relaxation", DEFAULT_RELAXATION)
-    if not isinstance(relaxation, RelaxationModel):
-        raise ValueError(f"relaxation must be a RelaxationModel, got {relaxation!r}")
-    p = _resolved(kind, params)
+    defaults = SCENARIO_DEFAULTS.get(kind)
+    if defaults is None:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    given = {k: defaults.get(k) if v is None else v for k, v in params.items()}
+    p = _resolved(given, defaults, f"parameters for {kind!r}", "parameter")
     if "axis" in p and p["axis"] not in _AXIS_INDEX:
         raise ValueError(f"axis must be x, y or z, got {p['axis']!r}")
     if kind == "three_axis_time_dependent":
@@ -351,7 +326,7 @@ def make_scenario(kind: str, **params) -> Scenario:
             p["ramp_s"] = None
         elif p["ramp_s"] <= 0.0:
             raise ValueError(f"ramp_s must be positive with the ramp on, got {p['ramp_s']!r}")
-    scenario = Scenario(kind=kind, params=p, relaxation=relaxation)
+    scenario = Scenario(kind=kind, params=p)
     scenario.grid  # noqa: B018 - a bad grid raises here, not at first use
     return scenario
 
@@ -388,8 +363,12 @@ def noisy_states(propagators: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     point k from its own generator ``default_rng([seed, k])``, so any
     evaluation order yields the same stack; the trace row is re-pinned
     exactly.  The entropy words of every ``[seed, k]`` are built once per
-    stack (``_stream_entropy``).
+    stack (``_stream_entropy``).  Anything but a (T, 9, 9) stack with T >= 1
+    raises DimensionError.
     """
+    shape = np.shape(propagators)
+    if len(shape) != 3 or shape[0] < 1 or shape[1:] != (9, 9):
+        raise DimensionError(f"propagators must be a (T, 9, 9) stack with T >= 1, got {shape}")
     mm = np.zeros(9)
     mm[-1] = np.sqrt(1.0 / 6.0)
     prepared = noise.prep_fidelity * _input_coords() + (1.0 - noise.prep_fidelity) * mm[:, None]

@@ -5,6 +5,8 @@ import scipy.optimize
 
 from liouvlab import build_basis, calibrate_bloch_sigma
 from liouvlab.basis import DensityMatrix
+from liouvlab.synthlab import noisy_states
+from liouvlab.tomography import TomographySet
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +21,14 @@ def calibrated_sigma():
     Computed once per session; every noisy acceptance-style test uses it.
     """
     return calibrate_bloch_sigma()
+
+
+def planted_dataset(generator, times, noise) -> TomographySet:
+    """The dataset of a constant qutrit generator at ``times``, through the public
+    forward model ``noisy_states``: how a test plants a truth no scenario kind has."""
+    times = np.asarray(times, dtype=float)
+    propagators = scipy.linalg.expm(generator * times[:, None, None])
+    return TomographySet(states=noisy_states(propagators, noise), times=times)
 
 
 def random_density_matrix(rng, d=3) -> DensityMatrix:

@@ -2,6 +2,7 @@ import contextlib
 import json
 import platform
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import liouvlab
 import liouvlab.cli
+from conftest import planted_dataset
 from liouvlab.basis import DensityMatrix, build_basis, vectorize
 from liouvlab.cli import build_parser, main
 from liouvlab.dynamics import ProcessMatrix, TimeGrid
@@ -151,6 +153,31 @@ def test_scenario_file_with_ramp_flag_simulates_the_ramp(tmp_path):
         expected = generate_dataset(sc, NoiseSpec(seed=3))
         same = [np.array_equal(w, e) for w, e in zip(written.states[1:], expected.states[1:])]
         assert all(same) if ramp else not any(same)
+
+
+_SIMULATIONS = [
+    ("relaxation_only", []),
+    ("relaxation_only", ["--sigma", "0.004", "--prep-fidelity", "0.97"]),
+    ("static_quadratic_zeeman", ["--sigma", "0.004"]),
+    ("static_linear_zeeman", ["--axis", "y", "--prep-fidelity", "0.97"]),
+    ("three_axis_time_dependent", ["--n-steps", "8", "--sigma", "0.004"]),
+    ("three_axis_time_dependent", ["--n-steps", "8", "--ramp", "--prep-fidelity", "0.97"]),
+]
+
+
+@pytest.mark.parametrize("kind, flags", _SIMULATIONS)
+def test_simulated_dataset_is_rebuilt_from_its_own_provenance(tmp_path, kind, flags):
+    # a scenario is exactly its record: kind, params (ramp_s null without the
+    # ramp) and noise rebuild the dataset bit for bit
+    out = _simulate(tmp_path, *flags, kind=kind, seed=2**32)
+    data = _read(out / "dataset.json")
+    prov = data["provenance"]
+    scenario = make_scenario(prov["kind"], **prov["params"])
+    rebuilt = generate_dataset(scenario, NoiseSpec.from_json(prov["noise"]))
+    written = TomographySet.from_json(data)
+    assert np.array_equal(written.states, rebuilt.states)
+    assert np.array_equal(written.times, rebuilt.times)
+    assert data["seed"] == prov["noise"]["seed"] == 2**32
 
 
 def test_scenario_file_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys):
@@ -775,8 +802,9 @@ def test_fit_report_records_the_times_a_direct_fit_skipped(tmp_path):
     # direct fit leaves it out, and its artifact says so
     none = RelaxationModel(omega_residual=np.zeros(3), gamma_dephase=np.zeros(3), gamma_iso=0.0)
     t_hit = make_scenario("static_quadratic_zeeman").grid.times[4]
-    sc = make_scenario("static_quadratic_zeeman", q=np.pi / t_hit, relaxation=none)
-    ds = generate_dataset(sc, NoiseSpec(seed=67))
+    sc = make_scenario("static_quadratic_zeeman", q=np.pi / t_hit)
+    generator = hamiltonian_superop(sc.static_hamiltonian, build_basis(3)).matrix
+    ds = planted_dataset(generator, sc.grid.times, NoiseSpec(seed=67))
     (tmp_path / "dataset.json").write_text(json.dumps(ds.to_json()))
     (tmp_path / "rt.json").write_text(json.dumps(none.superoperator().to_json()))
     fit = tmp_path / "fit"
@@ -787,6 +815,31 @@ def test_fit_report_records_the_times_a_direct_fit_skipped(tmp_path):
     [skipped] = _read(fit / "fit_report.json")["skipped_times"]
     assert skipped["time_s"] == pytest.approx(t_hit)
     assert "branch cut" in skipped["error"]
+
+
+def test_hermitian_bootstrap_warns_only_for_the_point_fit(tmp_path, monkeypatch):
+    # q turns the rotation angle to pi at 140 us, so the point fit and the
+    # draws all skip that time; only the point fit warns, as its artifact
+    # records the time, and a draw computes only its params
+    out = _simulate(tmp_path, "--q", "22439.947525641375", "--sigma", "0.004",
+                    kind="static_quadratic_zeeman", seed=5)
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    # one worker, so every draw runs in this process, where its warnings are caught
+    monkeypatch.setattr(liouvlab.estimation.os, "sched_getaffinity", lambda pid: {0})
+    fit = tmp_path / "fit"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "hermitian",
+                   "--fixed-dissipator", str(rt_path), "--bootstrap", "8", "-o", str(fit)])
+    assert rc == 0
+    report = _read(fit / "fit_report.json")
+    assert report["bootstrap"]["n_failed"] == 0
+    [skipped] = report["skipped_times"]
+    assert skipped["time_s"] == pytest.approx(140e-6)
+    assert [str(w.message) for w in caught] == [
+        f"skipping t = {skipped['time_s']}: {skipped['error']}"
+    ]
 
 
 def test_fit_bootstrap_attaches_ci(tmp_path):

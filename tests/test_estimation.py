@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lbfgs_reference
+from conftest import lbfgs_reference, planted_dataset
 from liouvlab import estimation
 from liouvlab.dynamics import ProcessMatrix, TimeGrid, principal_log
 from liouvlab.estimation import (
@@ -328,9 +328,10 @@ def test_relaxation_form_keeps_rates_non_negative(calibrated_sigma, zeros, seed)
     # estimate (free MLE, then the bounded projection), which is feasible too
     truth = DEFAULT_RELAXATION.params.copy()
     truth[[3 + k for k in zeros]] = 0.0
-    sc = make_scenario("relaxation_only", n_times=8, relaxation=RelaxationModel.from_params(truth))
+    generator = -RelaxationModel.from_params(truth).superoperator().matrix
+    times = make_scenario("relaxation_only", n_times=8).grid.times
     processes = reconstruct_processes(
-        generate_dataset(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=seed))
+        planted_dataset(generator, times, NoiseSpec(bloch_sigma=calibrated_sigma, seed=seed))
     )
     report = mle_liouvillian(processes, form="relaxation")
     assert report.converged
@@ -345,9 +346,10 @@ def test_relaxation_form_holds_negative_rates_at_zero(calibrated_sigma):
     # every true rate 0: the full fit has a negative rate, so the report is
     # a held-rate fit, with exact zeros, and counts all 16 fits it ran
     truth = np.concatenate([DEFAULT_RELAXATION.params[:3], np.zeros(4)])
-    sc = make_scenario("relaxation_only", n_times=8, relaxation=RelaxationModel.from_params(truth))
+    generator = -RelaxationModel.from_params(truth).superoperator().matrix
+    times = make_scenario("relaxation_only", n_times=8).grid.times
     processes = reconstruct_processes(
-        generate_dataset(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=79))
+        planted_dataset(generator, times, NoiseSpec(bloch_sigma=calibrated_sigma, seed=79))
     )
     report = mle_liouvillian(processes, form="relaxation")
     assert report.params[3:].min() == 0.0
@@ -418,9 +420,10 @@ def test_direct_hamiltonian_skips_branch_failures():
         omega_residual=np.zeros(3), gamma_dephase=np.zeros(3), gamma_iso=0.0
     )
     t_hit = make_scenario("static_quadratic_zeeman").grid.times[4]
-    sc = make_scenario("static_quadratic_zeeman", q=np.pi / t_hit, relaxation=none)
+    sc = make_scenario("static_quadratic_zeeman", q=np.pi / t_hit)
     rt = none.superoperator()
-    ds = generate_dataset(sc, NoiseSpec(seed=67))
+    generator = hamiltonian_superop(sc.static_hamiltonian, __basis()).matrix
+    ds = planted_dataset(generator, sc.grid.times, NoiseSpec(seed=67))
     with pytest.warns(UserWarning):
         report = direct_hamiltonian(reconstruct_processes(ds), rt)
     skipped = [t for t, _ in report.extras["skipped_times"]]
@@ -455,9 +458,10 @@ def test_direct_hamiltonian_matches_per_time_logs(on_cut):
     )
     t_hit = make_scenario("static_quadratic_zeeman").grid.times[4]
     q = np.pi / t_hit if on_cut else 2.0 * np.pi * 1000.0
-    sc = make_scenario("static_quadratic_zeeman", q=q, relaxation=none)
+    sc = make_scenario("static_quadratic_zeeman", q=q)
     rt = none.superoperator()
-    ds = generate_dataset(sc, NoiseSpec(bloch_sigma=0.002, seed=68))
+    generator = hamiltonian_superop(sc.static_hamiltonian, __basis()).matrix
+    ds = planted_dataset(generator, sc.grid.times, NoiseSpec(bloch_sigma=0.002, seed=68))
     want_params, want_skipped = _per_time_direct_hamiltonian(ds, rt)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -503,7 +507,7 @@ def test_constant_field_tracked_exactly():
         "static_linear_zeeman", axis="z", omega=omega_z, t_min=4e-6, t_max=40e-6, n_times=10
     )
     ds = generate_dataset(sc, NoiseSpec(seed=68))
-    rt = sc.relaxation.superoperator()
+    rt = DEFAULT_RELAXATION.superoperator()
     report = estimate_fields(stepwise_processes(ds), rt, known_form=True)
     np.testing.assert_allclose(report.estimate[:, 2], omega_z, rtol=1e-8)
     np.testing.assert_allclose(report.estimate[:, :2], 0.0, atol=omega_z * 1e-8)
@@ -542,7 +546,7 @@ def test_constant_field_recovered_on_a_non_uniform_grid(n_intervals, shortest, s
 def test_three_axis_closed_loop_noiseless():
     sc = make_scenario("three_axis_time_dependent", n_steps=25)
     ds = generate_dataset(sc, NoiseSpec(seed=69))
-    rt = sc.relaxation.superoperator()
+    rt = DEFAULT_RELAXATION.superoperator()
     report = estimate_fields(stepwise_processes(ds), rt, known_form=True)
     truth = sc.omegas_nominal(sc.grid.midpoints)
     assert np.abs(report.estimate - truth).max() < 1e-6
@@ -551,7 +555,7 @@ def test_three_axis_closed_loop_noiseless():
 def test_unknown_form_returns_full_params():
     sc = make_scenario("three_axis_time_dependent", n_steps=6)
     ds = generate_dataset(sc, NoiseSpec(seed=70))
-    rt = sc.relaxation.superoperator()
+    rt = DEFAULT_RELAXATION.superoperator()
     report = estimate_fields(stepwise_processes(ds), rt, known_form=False)
     assert report.estimate.shape == (6, 9)
     assert report.param_names[:9] == tuple(f"h{i}[0]" for i in range(1, 10))
@@ -562,7 +566,7 @@ def test_known_form_never_worse_than_unknown_direct(calibrated_sigma):
     # so its distance to the truth cannot exceed the unconstrained one
     sc = make_scenario("three_axis_time_dependent", n_steps=20)
     ds = generate_dataset(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=71))
-    rt = sc.relaxation.superoperator()
+    rt = DEFAULT_RELAXATION.superoperator()
     steps = stepwise_processes(ds)
     known = estimate_fields(steps, rt, known_form=True, method="direct")
     unknown = estimate_fields(steps, rt, known_form=False, method="direct")
@@ -584,7 +588,7 @@ def test_known_form_never_worse_than_unknown_direct(calibrated_sigma):
 def test_fields_mle_matches_direct_on_clean_data():
     sc = make_scenario("three_axis_time_dependent", n_steps=6)
     ds = generate_dataset(sc, NoiseSpec(seed=72))
-    rt = sc.relaxation.superoperator()
+    rt = DEFAULT_RELAXATION.superoperator()
     steps = stepwise_processes(ds)
     direct = estimate_fields(steps, rt, known_form=True, method="direct")
     mle = estimate_fields(steps, rt, known_form=True, method="mle")
@@ -596,7 +600,7 @@ def test_recovered_frequency_content(calibrated_sigma):
     # recovered trace, within one frequency bin
     sc = make_scenario("three_axis_time_dependent", n_steps=100)
     ds = generate_dataset(sc, NoiseSpec(bloch_sigma=calibrated_sigma, seed=73))
-    rt = sc.relaxation.superoperator()
+    rt = DEFAULT_RELAXATION.superoperator()
     report = estimate_fields(stepwise_processes(ds), rt, known_form=True)
     omega_y = report.estimate[:, 1]
     spectrum = np.abs(np.fft.rfft(omega_y - omega_y.mean()))
@@ -609,7 +613,7 @@ def test_recovered_frequency_content(calibrated_sigma):
 def test_near_zero_field_flagging():
     sc = make_scenario("three_axis_time_dependent", n_steps=12)
     ds = generate_dataset(sc, NoiseSpec(seed=74))
-    rt = sc.relaxation.superoperator()
+    rt = DEFAULT_RELAXATION.superoperator()
     report = estimate_fields(stepwise_processes(ds), rt, known_form=True)
     mags = np.linalg.norm(report.estimate, axis=1)
     assert (report.extras["flagged"] == (mags < 0.1 * mags.max())).all()

@@ -1,14 +1,17 @@
 import copy
+import dataclasses
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import planted_dataset
 from liouvlab.basis import DensityMatrix, build_basis, coords_of, vectorize
 from liouvlab.dynamics import ProcessMatrix, TimeGrid
-from liouvlab.exceptions import ZeroReferenceError
+from liouvlab.exceptions import DimensionError, ZeroReferenceError
 from liouvlab.estimation import (
     BootstrapResult,
     frobenius_distance,
@@ -55,7 +58,6 @@ def test_relaxation_scenario_defaults():
     assert sc.grid.times[0] == pytest.approx(0.5e-3)
     assert sc.grid.times[-1] == pytest.approx(10.5e-3)
     assert sc.is_static
-    np.testing.assert_allclose(sc.relaxation.params, DEFAULT_RELAXATION.params)
     # generator is pure relaxation
     np.testing.assert_allclose(
         sc.liouvillian(0.0).matrix, -DEFAULT_RELAXATION.superoperator().matrix, atol=1e-12
@@ -98,6 +100,7 @@ def test_scenario_rebuilt_from_recorded_params(kind, params):
     recorded = json.loads(json.dumps(sc.to_json()))
     again = make_scenario(recorded["kind"], **recorded["params"])
     assert again.params == sc.params == recorded["params"]
+    assert [f.name for f in dataclasses.fields(sc)] == ["kind", "params"]  # nothing unrecorded
     assert set(sc.params) == set(SCENARIO_DEFAULTS[kind])
     assert np.array_equal(again.propagators, sc.propagators)
 
@@ -106,6 +109,9 @@ def test_scenario_rebuilt_from_recorded_params(kind, params):
 def test_unknown_parameter_rejected_for_every_kind(kind):
     with pytest.raises(ValueError, match="unknown parameters"):
         make_scenario(kind, bogus=1)
+    # every kind relaxes by DEFAULT_RELAXATION; its record could not rebuild another
+    with pytest.raises(ValueError, match=rf"unknown parameters for '{kind}': \['relaxation'\]"):
+        make_scenario(kind, relaxation=DEFAULT_RELAXATION)
     others = set().union(*SCENARIO_DEFAULTS.values()) - set(SCENARIO_DEFAULTS[kind])
     for name in sorted(others):
         with pytest.raises(ValueError, match=name):
@@ -146,8 +152,9 @@ def test_waveform_shapes():
     assert tri[2] == pytest.approx(0.0, abs=1e-12)
     # sine of phase pi: its quarter period is the negative peak
     assert sc.omegas_nominal(0.25 * period_y)[0, 1] == pytest.approx(-3.0)
-    # a static kind has no drive at any time
+    # a static kind has no drive at any time, and the driven kind no static Hamiltonian
     assert not make_scenario("static_linear_zeeman").omegas_nominal([0.0, 123.0]).any()
+    assert not make_scenario("three_axis_time_dependent").static_hamiltonian.any()
     with pytest.raises(ValueError):
         make_scenario("static_linear_zeeman", axis="w")
 
@@ -156,7 +163,7 @@ def test_waveform_shapes():
 def test_stacked_generators_match_each_midpoint_hamiltonian(ramp):
     # the one product over the grid equals K(H(t)) - R_T built time by time
     sc = make_scenario("three_axis_time_dependent", ramp=ramp)
-    rt = sc.relaxation.superoperator().matrix
+    rt = DEFAULT_RELAXATION.superoperator().matrix
     basis = build_basis(3)
     stacked = np.stack([l.matrix for l in sc.interval_liouvillians()])
     reference = np.stack([
@@ -283,6 +290,24 @@ def test_scenario_propagates_once(monkeypatch):
         for seed in range(3):
             generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, seed=seed))
         assert calls == [(4, 9, 9)]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.004])
+def test_planted_dataset_of_the_default_relaxation_is_generate_dataset(sigma):
+    # planted_dataset, with which tests plant truths that no kind has, gives
+    # generate_dataset's bits for the default cell
+    sc = make_scenario("relaxation_only")
+    noise = NoiseSpec(bloch_sigma=sigma, prep_fidelity=0.97, seed=7)
+    planted = planted_dataset(-DEFAULT_RELAXATION.superoperator().matrix, sc.grid.times, noise)
+    ds = generate_dataset(sc, noise)
+    assert np.array_equal(planted.states, ds.states)
+    assert np.array_equal(planted.times, ds.times)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (9, 9), (0, 9, 9)])
+def test_noisy_states_takes_only_a_qutrit_propagator_stack(shape):
+    with pytest.raises(DimensionError, match=rf"\(T, 9, 9\) stack .*got {re.escape(str(shape))}"):
+        noisy_states(np.zeros(shape), NoiseSpec())
 
 
 def test_prep_fidelity_band():
@@ -436,6 +461,7 @@ def test_numpy_scalars_are_taken_as_parameters():
         ({"prep_fidelity": "0.9"}, "'prep_fidelity' must be a real number"),
         ({"seed": 2.5}, "'seed' must be an integer"),
         ({"sigma": 0.1}, r"unknown noise fields: \['sigma'\]"),
+        ({"seed": None}, "'seed' must be an integer, got None"),  # unlike a scenario param
     ],
 )
 def test_noise_fields_are_type_checked(fields, message):
