@@ -2,10 +2,11 @@
 
 Two complementary estimators are provided throughout:
 
-* direct: take the principal log of each measured process matrix, average,
-  and (optionally) project onto a constrained model by linear least
-  squares.  Fast, no iteration, but noise can push the raw estimate off
-  the physical set.
+* direct: take the principal log of each measured process matrix over its
+  time, average over the admissible times (a field fit keeps one per
+  interval), and project onto the constrained form by linear least
+  squares (``_direct_rows``).  Fast, no iteration, but noise can push the
+  raw estimate off the physical set.
 * maximum-likelihood (MLE): find the least cumulative squared Frobenius
   deviation
 
@@ -13,7 +14,11 @@ Two complementary estimators are provided throughout:
 
   over a constrained parameter set, so physical structure (fixed
   dissipator, Hermitian Hamiltonian, parametric field form) holds by
-  construction.  The cost is a Pade ``expm`` per time.
+  construction, starting from the direct estimate of its form.  The cost
+  is a Pade ``expm`` per time.
+
+Every FitReport, direct or MLE, reports this Pade cost of its estimate,
+so the costs of two fits of one dataset compare on one scale.
 
 One damped Gauss-Newton solver fits every MLE problem: the fits of
 ``mle_liouvillian`` (one problem of one or more times, of a free, Hermitian
@@ -83,12 +88,12 @@ from .exceptions import (
     ZeroReferenceError,
 )
 from .superop import (
+    HermitianParams,
     Superoperator,
     _field_design,
     _hermitian_design,
     dissipator_superop,
     explicit_qutrit_superop,
-    params_from_superop,
     spin1_operators,
 )
 from .tomography import _check_stack, _mean_logs, _processes, _steps
@@ -183,8 +188,8 @@ class FitReport:
 
     ``estimate`` is the model-specific object (Superoperator,
     HermitianParams, RelaxationModel, ...); ``params`` is the flat
-    parameter vector behind it; ``cost`` is the Pade cost of an MLE fit, of
-    any form, and the squared projection residual of a direct one;
+    parameter vector behind it; ``cost`` is the Pade cost
+    sum_t ||exp(L t) - P_t||_F^2 of the fitted generator L, direct or MLE;
     ``ci_low``/``ci_high`` are filled only after a bootstrap run.
     ``extras["optimizer"]``, set by
     ``mle_liouvillian``, counts the Pade cost evaluations, the Gauss-Newton
@@ -289,9 +294,15 @@ def df_per_time(processes: tuple[np.ndarray, np.ndarray], generator: np.ndarray)
     process.  All exponentials come from one stacked ``expm``, whose slices
     equal separate calls bit for bit.
     """
+    return _expm_fit(processes, generator)[1]
+
+
+def _expm_fit(processes, generator) -> tuple[float, np.ndarray]:
+    """The Pade cost sum_t ||exp(G t) - P_t||_F^2 and the ``df_per_time`` of a
+    generator G (or stack), both from one stacked ``expm``."""
     ps, ts = processes
     exps = scipy.linalg.expm(generator * ts[:, None, None])
-    return _distances(ps, exps)
+    return float(np.sum(_squared_norms(exps - ps))), _distances(ps, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +342,6 @@ def _frechet_adjoint(v, vinv, t_phi, errs) -> np.ndarray:
     vh, vinv_h = v.conj().swapaxes(-1, -2), vinv.conj().swapaxes(-1, -2)
     inner = (t_phi.conj() * (vh[..., None, :, :] @ errs @ vinv_h[..., None, :, :])).sum(axis=-3)
     return (vinv_h @ inner @ vh).real
-
-
-def _direct_init(ts, ps, rt_mat: np.ndarray | None) -> np.ndarray:
-    """Generator estimate from the earliest time whose log is admissible.
-
-    ``ts`` (T,) and ``ps`` (T, n, n) are in time order.  The times are
-    logged one at a time, so the search stops at the first admissible one.
-    """
-    for k in range(len(ts)):
-        logs, errors = _principal_logs(ps[k : k + 1], ts[k : k + 1])
-        if not errors:
-            l_est = logs[0] / ts[k]
-            return l_est + rt_mat if rt_mat is not None else l_est
-    raise BranchCutError(
-        f"no evolution time admits a principal logarithm ({errors[0]}); "
-        "supply an explicit initial guess"
-    )
 
 
 def _generators(design, rt, thetas) -> np.ndarray:
@@ -614,11 +608,12 @@ def mle_liouvillian(
                               rates >= 0); no dissipator (else ValueError).
             Field fits (B in the span of the spin-1 precession
             generators) run through ``estimate_fields``.
-        x0: optional initial parameter vector; defaults to the direct
-            log-estimate at the earliest admissible time, projected onto
-            the parameter space.  Its component along the null space of
-            the ``hermitian`` design (the trace of H), which the cost does
-            not see, is kept.
+        x0: optional initial parameter vector; defaults to the form's
+            direct estimate (``_direct_rows``): the mean of log(P_t)/t
+            (+ R_T) over the admissible times, projected onto the
+            parameter space.  Its component along the null space of the
+            ``hermitian`` design (the trace of H), which the cost does not
+            see, is kept.
 
     The fit is one damped Gauss-Newton problem (``_gauss_newton``) from
     ``x0``, with one time or many alike.  A ``relaxation`` fit with a
@@ -657,11 +652,7 @@ def mle_liouvillian(
     n_params = n2 * n2 if design is None else design.shape[1]
 
     if x0 is None:
-        b0 = _direct_init(ts, ps, rt_mat)
-        if design is None:
-            x0 = b0.ravel()
-        else:
-            x0, _, _, _ = np.linalg.lstsq(design, b0.ravel(), rcond=None)
+        x0 = _direct_rows(ps[None], ts, rt_mat, design)[0][0]
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n_params,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({n_params},)")
@@ -684,9 +675,7 @@ def mle_liouvillian(
     steps = counts["gauss_newton_iterations"]
     extras = {"optimizer": {"evaluations": len(fits) + steps, **counts}}
     if rt_mat is not None:
-        extras["hamiltonian_superop"] = Superoperator(
-            dim=dim, matrix=l_hat + rt_mat
-        )
+        extras["hamiltonian_superop"] = Superoperator(dim=dim, matrix=l_hat + rt_mat)
     return FitReport(
         model=f"mle-{form}",
         estimate=RelaxationModel.from_params(theta)
@@ -740,45 +729,47 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
     the known relaxation matrix is added back (isolating the Hamiltonian
     part), and the per-time estimates are averaged; a final least-squares
     projection onto the Hermitian parametrization enforces physicality
-    (``_hamiltonian_fits``, the kernel of every bootstrap draw).
+    (``_direct_rows``).  ``cost`` is the Pade cost of the estimate.
     Times where the logarithm hits the branch cut are skipped with a
-    warning and listed in ``extras["skipped_times"]``.  An ``rt`` of
-    another dimension than the processes raises DimensionError.
+    warning and listed in ``extras["skipped_times"]``.  Processes of another
+    dimension than 3, or an ``rt`` of another dimension than the processes,
+    raise DimensionError.
     """
-    _check_dissipator(_process_dim(*processes), rt)
+    dim = _process_dim(*processes)
+    _check_dissipator(dim, rt)
+    if dim != 3:
+        raise DimensionError("hermitian form is defined for qutrits only")
     ps, ts = processes
-    [(fit, skipped)] = _hamiltonian_fits(ps[None], ts, rt)
+    [h], errors = _direct_rows(ps[None], ts, rt.matrix, _hermitian_design())
+    skipped = [(float(ts[k]), str(errors[0, k])) for k in range(len(ts)) if (0, k) in errors]
     for t, msg in skipped:
         warnings.warn(f"skipping t = {t}: {msg}", stacklevel=2)
-    k_hat = explicit_qutrit_superop(fit.params).matrix
+    estimate = HermitianParams(h=h)
+    cost, dfs = _expm_fit(processes, explicit_qutrit_superop(estimate).matrix - rt.matrix)
     return FitReport(
-        model="direct-hamiltonian",
-        estimate=fit.params,
-        params=fit.params.h,
-        cost=fit.residual**2,
-        df_per_time=df_per_time(processes, k_hat - rt.matrix),
-        iterations=1,
-        converged=True,
-        param_names=HERMITIAN_PARAM_NAMES,
+        model="direct-hamiltonian", estimate=estimate, params=estimate.h, cost=cost,
+        df_per_time=dfs, iterations=1, param_names=HERMITIAN_PARAM_NAMES,
         extras={"skipped_times": skipped},
     )
 
 
-def _hamiltonian_fits(mats: np.ndarray, ts: np.ndarray, rt: Superoperator) -> list:
-    """The (ParamsFit, skipped times) of ``direct_hamiltonian`` for each draw of an
-    (m, T, 9, 9) batch, with no warning: one ``_principal_logs`` pass, then the mean
-    and the projection per draw.  A draw with no admissible time raises BranchCutError."""
+def _direct_rows(mats: np.ndarray, ts: np.ndarray, rt_mat, design) -> tuple[np.ndarray, dict]:
+    """The (m, P) direct estimates of an (m, T, n, n) batch of processes at ``ts``,
+    and the ``_principal_logs`` errors of the times left out: per draw, the mean of
+    log(P_t) / t + ``rt_mat`` (None: no dissipator) over its admissible times, projected
+    onto ``design`` by least squares (None, the free form: the flattened mean).  A draw
+    with no admissible time raises BranchCutError naming its earliest time's error."""
     logs, errors = _principal_logs(mats, ts)
-    fits = []
+    rows = []
     for j, draw_logs in enumerate(logs):
-        skipped = [(float(ts[k]), str(errors[j, k])) for k in range(len(ts)) if (j, k) in errors]
         keep = [k for k in range(len(ts)) if (j, k) not in errors]
         if not keep:
-            raise BranchCutError("no evolution time admits a principal logarithm")
-        per_time = draw_logs[keep] / ts[keep, None, None] + rt.matrix
-        hs = Superoperator(dim=rt.dim, matrix=np.mean(per_time, axis=0))
-        fits.append((params_from_superop(hs), skipped))
-    return fits
+            earliest = errors[j, int(np.argmin(ts))]
+            raise BranchCutError(f"no evolution time admits a principal logarithm ({earliest})")
+        per_time = draw_logs[keep] / ts[keep, None, None]
+        mean = np.mean(per_time if rt_mat is None else per_time + rt_mat, axis=0).ravel()
+        rows.append(mean if design is None else np.linalg.lstsq(design, mean, rcond=None)[0])
+    return np.array(rows), errors
 
 
 # ---------------------------------------------------------------------------
@@ -811,17 +802,18 @@ def estimate_fields(
         FitReport whose ``estimate`` has one row per interval, in the order
         of ``psteps``, with columns FIELD_PARAM_NAMES when the field form
         is known and HERMITIAN_PARAM_NAMES otherwise; ``params`` is its
-        flattening, named ``<column>[<interval>]``.
-        ``extras["flagged"]`` marks the intervals whose total field is
-        below a tenth of the largest: the normalized error metric diverges
-        there, an artifact of the normalization rather than of the
-        reconstruction.
+        flattening, named ``<column>[<interval>]``; ``cost`` is the Pade
+        cost of its rows, sum_k ||exp(G_k dt_k) - P_k||_F^2, for either
+        method.  ``extras["flagged"]`` marks the intervals whose total
+        field is below a tenth of the largest: the normalized error metric
+        diverges there, an artifact of the normalization rather than of
+        the reconstruction.
 
     Both methods start from the direct estimate: the principal log of each
     step, with ``rt`` added back, projected onto the parameters by least
-    squares.  ``"mle"`` then lowers each interval's Pade cost
-    ||exp(G dt) - P||_F^2 by damped Gauss-Newton, all intervals in
-    lockstep as one-time problems of ``_gauss_newton``.
+    squares.  ``"mle"`` then lowers each interval's Pade cost by damped
+    Gauss-Newton, all intervals in lockstep as one-time problems of
+    ``_gauss_newton``.
     ``extras["optimizer"]`` then holds ``gauss_newton_iterations``
     (steps summed over intervals, also ``iterations``),
     ``expm_frechet_evaluations`` (the steps of near-defective generators)
@@ -842,16 +834,15 @@ def estimate_fields(
         raise DimensionError("field tracking is defined for qutrits only")
     design = _field_design() if known_form else _hermitian_design()
     columns = FIELD_PARAM_NAMES if known_form else HERMITIAN_PARAM_NAMES
-    [theta0], [k_direct] = _direct_field_rows(ps[None], dts, rt, design)
+    [theta0] = _direct_field_rows(ps[None], dts, rt, design)
     if method == "direct":
         rows = theta0
-        costs = np.linalg.norm(rows @ design.T - k_direct, axis=1) ** 2
-        dfs = df_per_time(psteps, _generators(design, rt.matrix, rows))
+        cost, dfs = _expm_fit(psteps, _generators(design, rt.matrix, rows))
     else:
         rows, _, costs, exps, converged, counts = _gauss_newton(
             design, rt.matrix, dts[:, None], ps[:, None], theta0
         )
-        dfs = _distances(ps, exps[:, 0])
+        cost, dfs = float(np.sum(costs)), _distances(ps, exps[:, 0])
 
     # |Omega| times a constant for the known form: the field design's columns
     # are orthogonal with one norm
@@ -861,7 +852,7 @@ def estimate_fields(
         model=f"fields-{method}-{'known' if known_form else 'unknown'}",
         estimate=rows,
         params=rows.ravel(),
-        cost=float(np.sum(costs)),
+        cost=cost,
         df_per_time=dfs,
         iterations=1,
         param_names=tuple(f"{c}[{k}]" for k in range(len(rows)) for c in columns),
@@ -877,14 +868,14 @@ def estimate_fields(
     return report
 
 
-def _direct_field_rows(steps: np.ndarray, dts: np.ndarray, rt: Superoperator, design) -> tuple:
+def _direct_field_rows(steps: np.ndarray, dts: np.ndarray, rt: Superoperator, design) -> np.ndarray:
     """The (m, T, P) direct rows of ``design`` of each draw of an (m, T, 9, 9) batch
-    of steps, and the (m, T, 81) log-estimates log(P) / dt + rt they fit: one
-    ``_log_stack`` pass, then the least-squares projection per draw."""
+    of steps, the log-estimates log(P) / dt + rt projected by least squares: one
+    ``_log_stack`` pass, then one projection per draw."""
     k_direct = _log_stack(steps, dts) / dts[:, None, None] + rt.matrix
     k_direct = k_direct.reshape(*steps.shape[:2], -1)
     rows = np.stack([np.linalg.lstsq(design, k.T, rcond=None)[0] for k in k_direct])
-    return rows.transpose(0, 2, 1), k_direct
+    return rows.transpose(0, 2, 1)
 
 
 def fit_draws(states, times, model: str, rt: Superoperator | None = None, known_form: bool = True):
@@ -894,11 +885,11 @@ def fit_draws(states, times, model: str, rt: Superoperator | None = None, known_
     _check_stack(states, times)
     if model == "fields":
         design = _field_design() if known_form else _hermitian_design()
-        rows, _ = _direct_field_rows(*_steps(states, times), rt, design)
+        rows = _direct_field_rows(*_steps(states, times), rt, design)
         return rows.reshape(len(rows), -1)
     mats = _processes(states)
     if model == "hermitian":
-        return np.array([fit.params.h for fit, _ in _hamiltonian_fits(mats, times, rt)])
+        return _direct_rows(mats, times, rt.matrix, _hermitian_design())[0]
     if model != "relaxation":
         raise ValueError(f"no draw fit of model {model!r}")
     return np.array([

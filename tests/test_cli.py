@@ -589,6 +589,27 @@ def test_fit_mle_writes_gauss_newton_counts(tmp_path):
         assert report["converged"] is True
 
 
+@pytest.mark.parametrize("model", [
+    ["relaxation"], ["mle"], ["hermitian"], ["hermitian", "--method", "mle"],
+])
+def test_fit_with_no_admissible_time_exits_3_naming_the_earliest_time(tmp_path, capsys, model):
+    # every process of the set is singular; the one line names the first
+    rc, out = _simulate_file(tmp_path, {"kind": "relaxation_only",
+                                        "params": {"step": 3.0, "n_times": 3}})
+    assert rc == 0
+    rt_path = tmp_path / "rt.json"
+    rt_path.write_text(json.dumps(DEFAULT_RELAXATION.superoperator().to_json()))
+    rt = ["--fixed-dissipator", str(rt_path)] if model[0] == "hermitian" else []
+    capsys.readouterr()
+    rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", *model, *rt,
+               "-o", str(tmp_path / "fit")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "fit: numeric failure: no evolution time admits a principal logarithm (process "
+        "matrix at t = 3.0 s is singular; the generator cannot be recovered)\n"
+    )
+
+
 def test_fit_relaxation_reports_its_own_pade_fit(tmp_path):
     # cost, df.csv and the optimizer counts all describe the seven-parameter
     # fit whose params the report holds

@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lbfgs_reference, planted_dataset
+from conftest import lbfgs_reference, pade_cost, planted_dataset
 from liouvlab import estimation
 from liouvlab.dynamics import ProcessMatrix, TimeGrid, principal_log
 from liouvlab.estimation import (
@@ -223,6 +223,131 @@ def test_mle_rejects_bad_inputs():
         mle_liouvillian(_pmeas_of(ds), form="diagonal")
     with pytest.raises(ValueError):
         mle_liouvillian((np.eye(9)[None], np.array([0.0])), form="free")
+
+
+# ---------------------------------------------------------------------------
+# one start and one cost: every MLE fit starts from its form's direct
+# estimate, and every fit reports the Pade cost of its estimate
+# ---------------------------------------------------------------------------
+
+
+def _singular_scenario():
+    """A relaxation_only scenario whose every process (t = 3, 6, 9 s) is singular."""
+    return make_scenario("relaxation_only", step=3.0, n_times=3)
+
+
+_NO_ADMISSIBLE_TIME = (
+    r"^no evolution time admits a principal logarithm \(process matrix at t = 3\.0 s "
+    r"is singular; the generator cannot be recovered\)$"
+)
+
+# every fit that runs the direct kernel on its processes
+_DIRECT_STARTS = {
+    "direct_hamiltonian": direct_hamiltonian,
+    "mle-free": lambda pms, rt: mle_liouvillian(pms, form="free"),
+    "mle-hermitian": lambda pms, rt: mle_liouvillian(pms, dissipator=rt, form="hermitian"),
+    "mle-relaxation": lambda pms, rt: mle_liouvillian(pms, form="relaxation"),
+}
+
+
+@pytest.mark.parametrize("name", _DIRECT_STARTS)
+def test_no_admissible_time_names_the_earliest_time(name):
+    processes = reconstruct_processes(generate_dataset(_singular_scenario(), NoiseSpec(seed=7)))
+    with pytest.raises(BranchCutError, match=_NO_ADMISSIBLE_TIME):
+        _DIRECT_STARTS[name](processes, DEFAULT_RELAXATION.superoperator())
+
+
+def test_hermitian_draws_with_no_admissible_time_name_the_earliest_time():
+    sc = _singular_scenario()
+    states = np.stack([noisy_states(sc.propagators, NoiseSpec(seed=s)) for s in (1, 2)])
+    with pytest.raises(BranchCutError, match=_NO_ADMISSIBLE_TIME):
+        fit_draws(states, sc.grid.times, "hermitian", DEFAULT_RELAXATION.superoperator())
+
+
+@pytest.mark.parametrize("on_cut", [False, True])
+def test_hermitian_mle_starts_from_the_direct_fit(monkeypatch, on_cut):
+    # with no Gauss-Newton step the fit is its start: direct_hamiltonian's
+    # params, the time at the branch cut left out of both
+    t_hit = make_scenario("static_quadratic_zeeman").grid.times[4]
+    q = np.pi / t_hit if on_cut else 2.0 * np.pi * 1000.0
+    sc = make_scenario("static_quadratic_zeeman", q=q)
+    rt = Superoperator(dim=3, matrix=np.zeros((9, 9)))
+    generator = hamiltonian_superop(sc.static_hamiltonian, __basis()).matrix
+    ds = planted_dataset(generator, sc.grid.times, NoiseSpec(bloch_sigma=0.004, seed=71))
+    processes = reconstruct_processes(ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        direct = direct_hamiltonian(processes, rt)
+    monkeypatch.setattr(estimation, "GN_MAX_ITERS", 0)
+    report = mle_liouvillian(processes, dissipator=rt, form="hermitian")
+    assert np.array_equal(report.params, direct.params)
+
+
+@pytest.mark.parametrize("form", ["free", "relaxation"])
+def test_mle_starts_from_the_projected_mean_log(monkeypatch, form):
+    sc = make_scenario("relaxation_only", n_times=8)
+    processes = reconstruct_processes(generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, seed=72)))
+    mean = mean_log_liouvillian(processes).matrix.ravel()
+    if form == "relaxation":
+        mean = np.linalg.lstsq(-estimation._relaxation_design(), mean, rcond=None)[0]
+    monkeypatch.setattr(estimation, "GN_MAX_ITERS", 0)
+    assert np.array_equal(mle_liouvillian(processes, form=form).params, mean)
+
+
+def _field_pade_cost(rows, design, rt, steps) -> float:
+    """sum_k ||exp(G_k dt_k) - P_k||_F^2 of a field fit's rows."""
+    gens = [(design @ row).reshape(9, 9) - rt.matrix for row in rows]
+    return sum(pade_cost(g, [dt], [p]) for g, p, dt in zip(gens, *steps))
+
+
+def test_direct_costs_are_pade_costs():
+    rt = DEFAULT_RELAXATION.superoperator()
+    ds = generate_dataset(
+        make_scenario("static_quadratic_zeeman"), NoiseSpec(bloch_sigma=0.004, seed=73)
+    )
+    ps, ts = reconstruct_processes(ds)
+    report = direct_hamiltonian((ps, ts), rt)
+    lmat = explicit_qutrit_superop(report.estimate).matrix - rt.matrix
+    assert report.cost == pytest.approx(pade_cost(lmat, ts, ps), rel=1e-12)
+    sc = make_scenario("three_axis_time_dependent", n_steps=8)
+    steps = stepwise_processes(generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, seed=74)))
+    for known_form, design in ((True, _field_design()), (False, _hermitian_design())):
+        report = estimate_fields(steps, rt, known_form=known_form)
+        want = _field_pade_cost(report.estimate, design, rt, steps)
+        assert report.cost == pytest.approx(want, rel=1e-12)
+
+
+# (kind, fit): Hermitian fits of both static kinds and field fits of both forms
+_DIRECT_AND_MLE = [
+    ("static_quadratic_zeeman", "hermitian"),
+    ("static_linear_zeeman", "hermitian"),
+    ("three_axis_time_dependent", "known"),
+    ("three_axis_time_dependent", "unknown"),
+]
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    case=st.sampled_from(_DIRECT_AND_MLE),
+    sigma=st.floats(min_value=1e-3, max_value=8e-3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mle_cost_is_no_more_than_the_direct_cost(case, sigma, seed):
+    # the MLE fit starts from the direct estimate and never takes a step
+    # that raises the cost, and both report the Pade cost, on one scale
+    kind, fit = case
+    rt = DEFAULT_RELAXATION.superoperator()
+    noise = NoiseSpec(bloch_sigma=sigma, seed=seed)
+    if fit == "hermitian":
+        processes = reconstruct_processes(generate_dataset(make_scenario(kind), noise))
+        direct = direct_hamiltonian(processes, rt)
+        mle = mle_liouvillian(processes, dissipator=rt, form="hermitian")
+    else:
+        steps = stepwise_processes(generate_dataset(make_scenario(kind, n_steps=8), noise))
+        direct, mle = (estimate_fields(steps, rt, fit == "known", method)
+                       for method in ("direct", "mle"))
+    assert mle.cost <= direct.cost * (1 + 1e-12)
+    assert direct.cost < 10 * mle.cost
 
 
 # every estimator over a (mats, durations) pair, on the pair it is given
