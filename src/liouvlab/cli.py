@@ -24,7 +24,6 @@ import platform
 import re
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +50,13 @@ from .exceptions import (
     SingularProcessError,
 )
 from .superop import Superoperator
-from .synthlab import SCENARIO_DEFAULTS, NoiseSpec, generate_dataset, make_scenario, noisy_states
+from .synthlab import (
+    SCENARIO_DEFAULTS,
+    NoiseSpec,
+    generate_dataset,
+    make_scenario,
+    noisy_state_batch,
+)
 from .tomography import (
     TomographySet,
     mean_log_liouvillian,
@@ -407,8 +412,8 @@ def _attach_bootstrap(args, rt, source, report: FitReport) -> FitReport:
     times, propagators = scenario.grid.times, scenario.propagators
 
     def fit(seeds: list) -> np.ndarray:
-        states = [noisy_states(propagators, replace(noise, seed=s)) for s in seeds]
-        return fit_draws(np.stack(states), times, args.model, rt, args.known_form)
+        states = noisy_state_batch(propagators, noise, seeds)
+        return fit_draws(states, times, args.model, rt, args.known_form)
 
     result = bootstrap(fit, noise.seed, args.bootstrap)
     report.ci_low, report.ci_high = result.low, result.high

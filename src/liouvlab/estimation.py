@@ -82,7 +82,6 @@ from .basis import build_basis, _frozen_array
 from .dynamics import _eigvec_inverse, _log_stack, _principal_logs, _process_dim
 from .exceptions import (
     BootstrapError,
-    BranchCutError,
     DimensionError,
     LiouvlabError,
     ZeroReferenceError,
@@ -758,14 +757,15 @@ def _direct_rows(mats: np.ndarray, ts: np.ndarray, rt_mat, design) -> tuple[np.n
     and the ``_principal_logs`` errors of the times left out: per draw, the mean of
     log(P_t) / t + ``rt_mat`` (None: no dissipator) over its admissible times, projected
     onto ``design`` by least squares (None, the free form: the flattened mean).  A draw
-    with no admissible time raises BranchCutError naming its earliest time's error."""
+    with no admissible time raises its earliest time's error class (SingularProcessError or
+    BranchCutError), with a message that names that error."""
     logs, errors = _principal_logs(mats, ts)
     rows = []
     for j, draw_logs in enumerate(logs):
         keep = [k for k in range(len(ts)) if (j, k) not in errors]
         if not keep:
             earliest = errors[j, int(np.argmin(ts))]
-            raise BranchCutError(f"no evolution time admits a principal logarithm ({earliest})")
+            raise type(earliest)(f"no evolution time admits a principal logarithm ({earliest})")
         per_time = draw_logs[keep] / ts[keep, None, None]
         mean = np.mean(per_time if rt_mat is None else per_time + rt_mat, axis=0).ravel()
         rows.append(mean if design is None else np.linalg.lstsq(design, mean, rcond=None)[0])

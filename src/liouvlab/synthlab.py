@@ -13,9 +13,14 @@ minimal noise model:
   re-pinned exactly afterwards.
 
 Generation is deterministic: every state matrix derives its randomness
-from its own generator ``default_rng([seed, time-point index])``, so
-datasets are bit-identical for a given NoiseSpec regardless of evaluation
-order.
+from its own stream, the bits of ``default_rng([seed, time-point index])``,
+so datasets are bit-identical for a given NoiseSpec regardless of
+evaluation order or batch.  The forward model is batch-first:
+``noisy_state_batch`` builds the stacks of many seeds at once and seeds all
+their streams in one pass of array operations, running the seeding
+algorithms that numpy fixes (NEP 19): ``SeedSequence``'s hash (O'Neill,
+"Developing a seed_seq Alternative", 2015) and PCG64's ``srandom`` (O'Neill,
+HMC-CS-2014-0905).
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
     "SCENARIO_DEFAULTS",
     "DEFAULT_RELAXATION",
     "make_scenario",
+    "noisy_state_batch",
     "noisy_states",
     "generate_dataset",
     "state_fidelity",
@@ -340,31 +346,110 @@ def _input_coords() -> np.ndarray:
     )
 
 
-def _stream_entropy(seed: int, n_streams: int) -> np.ndarray:
-    """Row k is the uint32 entropy that ``SeedSequence([seed, k])`` reads:
-    numpy splits each non-negative Python int into its little-endian 32-bit
-    words, at least one, and joins those of the list's items."""
-    seed = int(seed)
-    n_words = max(1, -(-seed.bit_length() // 32))
-    words = np.empty((n_streams, n_words + 1), dtype=np.uint32)
-    words[:, :-1] = np.frombuffer(seed.to_bytes(4 * n_words, "little"), dtype="<u4")
-    words[:, -1] = np.arange(n_streams)
-    return words
+# numpy's SeedSequence (O'Neill's seed_seq hash, fixed by NEP 19): the hash
+# constants, the multipliers of its mix and its 4-word pool
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+# the multiplier of PCG64's 128-bit LCG (O'Neill, HMC-CS-2014-0905)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
 
 
-def noisy_states(propagators: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """The (T+1, 9, N) state stack of a dataset: the reported inputs, then the outputs.
+def _stream_entropy(seeds, n_streams: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 entropy that ``SeedSequence([seed, k])`` reads, one row per
+    seed and k < ``n_streams`` (seed-major), zero-padded to one width of at
+    least the pool's, and each row's own word count.  numpy splits each
+    non-negative Python int into its little-endian 32-bit words, at least
+    one, and joins those of the list's items."""
+    seeds = [int(seed) for seed in seeds]
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
+    n_words = [max(1, -(-seed.bit_length() // 32)) for seed in seeds]
+    width = max([_POOL_SIZE, *(n + 1 for n in n_words)])
+    words = np.zeros((len(seeds), n_streams, width), dtype=np.uint32)
+    for rows, seed, n in zip(words, seeds, n_words):
+        rows[:, :n] = np.frombuffer(seed.to_bytes(4 * n, "little"), dtype="<u4")
+        rows[:, n] = np.arange(n_streams)
+    return words.reshape(-1, width), np.repeat(np.array(n_words, dtype=int) + 1, n_streams)
+
+
+def _hash_constants(init: int, mult: int):
+    """The endless (before, after) pairs of a SeedSequence hash constant: each
+    hash of a word xors it with ``before`` and multiplies it by ``after``."""
+    const = init
+    while True:
+        after = const * mult & 0xFFFFFFFF
+        yield const, after
+        const = after
+
+
+def _hashed(words: np.ndarray, constants) -> np.ndarray:
+    """SeedSequence's hash of the (n, c) ``words``, column j by the j-th of the
+    next c pairs of ``constants``."""
+    pairs = [next(constants) for _ in range(words.shape[1])]
+    before, after = np.array(pairs, dtype=np.uint32).T
+    v = (words ^ before) * after
+    return v ^ (v >> np.uint32(16))
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return v ^ (v >> np.uint32(16))
+
+
+def _pcg64_states(words: np.ndarray, widths: np.ndarray) -> list[tuple[int, int]]:
+    """The (state, inc) of ``PCG64(SeedSequence(row))`` for every row of the
+    ``_stream_entropy`` pair, in one pass of array operations.
+
+    SeedSequence's pool mixing and ``generate_state(4, uint64)`` run on the
+    (n, 4) pools of all rows at once: the hash constants depend on the count
+    of words hashed only, and a row of w <= 4 words hashes as if zero-padded
+    to 4.  A row of w > 4 words mixes each word past the pool into every pool
+    word (``mix_entropy``'s tail loop), so such a word applies to the rows
+    that have it.  PCG64's ``srandom`` then runs on 128-bit Python ints."""
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = _hashed(words[:, :_POOL_SIZE], constants)
+    for src in range(_POOL_SIZE):
+        # every other pool word, in order, mixed with a hash of this one
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[:, dst] = _mixed(pool[:, dst], _hashed(pool[:, [src] * len(dst)], constants))
+    for src in range(_POOL_SIZE, words.shape[1]):
+        mixed = _mixed(pool, _hashed(words[:, [src] * _POOL_SIZE], constants))
+        pool = np.where((widths > src)[:, None], mixed, pool)
+
+    # generate_state(4, uint64): 8 words cycling over the pool, read in
+    # little-endian pairs as the uint64 seed high, seed low, inc high, inc low
+    state = _hashed(pool[:, list(range(_POOL_SIZE)) * 2], _hash_constants(_INIT_B, _MULT_B))
+    quads = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64).tolist()
+    out = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in quads:
+        # srandom: state 0, one step, add the seed, one more step
+        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+        seed = (seed_hi << 64) | seed_lo
+        out.append((((inc + seed) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def noisy_state_batch(propagators: np.ndarray, noise: NoiseSpec, seeds) -> np.ndarray:
+    """The (m, T+1, 9, N) state stacks of m datasets, one per seed: each the
+    reported inputs, then the outputs.  ``noise.seed`` is not used.
 
     The prepared inputs are the canonical input states mixed down by
     ``prep_fidelity``; outputs are their images under the (T, 9, 9)
     ``propagators`` before measurement noise, all times from one stacked
-    product.  Measurement noise is Gaussian on the traceless coordinates,
-    applied independently to the reported input matrix and to each time
-    point k from its own generator ``default_rng([seed, k])``, so any
-    evaluation order yields the same stack; the trace row is re-pinned
-    exactly.  The entropy words of every ``[seed, k]`` are built once per
-    stack (``_stream_entropy``).  Anything but a (T, 9, 9) stack with T >= 1
-    raises DimensionError.
+    product, computed once for the batch.  Measurement noise is Gaussian on
+    the traceless coordinates, applied independently to the reported input
+    matrix and to each time point k of each seed from its own stream, the
+    bits of ``default_rng([seed, k]).normal``, so any evaluation order and
+    any batch yields the same stacks; the trace row is re-pinned exactly.
+    Every stream of the batch is seeded in one pass (``_pcg64_states``) and
+    drawn by one reused generator; with ``bloch_sigma`` 0 none is built.
+
+    Raises:
+        DimensionError: for anything but a (T, 9, 9) stack with T >= 1.
+        ValueError: for a negative seed.
     """
     shape = np.shape(propagators)
     if len(shape) != 3 or shape[0] < 1 or shape[1:] != (9, 9):
@@ -373,17 +458,32 @@ def noisy_states(propagators: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     mm[-1] = np.sqrt(1.0 / 6.0)
     prepared = noise.prep_fidelity * _input_coords() + (1.0 - noise.prep_fidelity) * mm[:, None]
 
-    # states[0] is the reported input matrix, states[k] the outputs at time k
-    states = np.concatenate([prepared[None], propagators @ prepared])
+    # states[:, 0] is the reported input matrix, states[:, k] the outputs at time k
+    noiseless = np.concatenate([prepared[None], propagators @ prepared])
+    states = np.repeat(noiseless[None], len(seeds), axis=0)
     if noise.bloch_sigma > 0:
+        streams = _pcg64_states(*_stream_entropy(seeds, len(noiseless)))
+        bit_generator = np.random.PCG64(0)  # seeded, so that it reads no OS entropy
+        generator = np.random.Generator(bit_generator)
         shape = (prepared.shape[0] - 1, prepared.shape[1])
-        draws = np.stack([
-            np.random.default_rng(words).normal(size=shape)
-            for words in _stream_entropy(noise.seed, len(states))
-        ])
-        states[:, :-1] += draws * noise.bloch_sigma
-    states[:, -1] = mm[-1]
+        draws = np.empty((len(streams), *shape))
+        for k, (state, inc) in enumerate(streams):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            draws[k] = generator.normal(size=shape)
+        states[:, :, :-1] += draws.reshape(states[:, :, :-1].shape) * noise.bloch_sigma
+    states[:, :, -1] = mm[-1]
     return states
+
+
+def noisy_states(propagators: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """The (T+1, 9, N) state stack of one dataset: ``noisy_state_batch`` of
+    the one seed ``noise.seed``."""
+    return noisy_state_batch(propagators, noise, [noise.seed])[0]
 
 
 def generate_dataset(scenario: Scenario, noise: NoiseSpec) -> TomographySet:

@@ -887,14 +887,15 @@ def test_fit_bootstrap_records_failed_draws(tmp_path, monkeypatch):
     out = _simulate(tmp_path, "--sigma", "0.004")
     base_seed = _read(out / "dataset.json")["provenance"]["noise"]["seed"]
     injected = {derive_seed(base_seed, draw): draw for draw in (4, 16)}
-    real = liouvlab.cli.noisy_states
+    real = liouvlab.cli.noisy_state_batch
 
-    def flaky(propagators, noise):
-        if noise.seed in injected:
-            raise BranchCutError(f"injected at draw {injected[noise.seed]}")
-        return real(propagators, noise)
+    def flaky(propagators, noise, seeds):
+        hit = [injected[seed] for seed in seeds if seed in injected]
+        if hit:
+            raise BranchCutError(f"injected at draw {hit[0]}")
+        return real(propagators, noise, seeds)
 
-    monkeypatch.setattr(liouvlab.cli, "noisy_states", flaky)
+    monkeypatch.setattr(liouvlab.cli, "noisy_state_batch", flaky)
     fit = tmp_path / "fit"
     rc = main(["fit", "--dataset", str(out / "dataset.json"), "--model", "relaxation",
                "--bootstrap", "40", "-o", str(fit)])
@@ -981,15 +982,16 @@ def test_bootstrap_draws_build_no_dataset_objects(tmp_path, monkeypatch, model):
 def _spoil_draw(monkeypatch, base_seed: int, draw: int):
     """Zero the traceless input coordinates of one draw, so that its inputs span rank 1."""
     spoiled = derive_seed(base_seed, draw)
-    real = liouvlab.cli.noisy_states
+    real = liouvlab.cli.noisy_state_batch
 
-    def spoil(propagators, noise):
-        states = real(propagators, noise)
-        if noise.seed == spoiled:
-            states[0, :-1] = 0.0
+    def spoil(propagators, noise, seeds):
+        states = real(propagators, noise, seeds)
+        for draw_states, seed in zip(states, seeds):
+            if seed == spoiled:
+                draw_states[0, :-1] = 0.0
         return states
 
-    monkeypatch.setattr(liouvlab.cli, "noisy_states", spoil)
+    monkeypatch.setattr(liouvlab.cli, "noisy_state_batch", spoil)
 
 
 @pytest.mark.parametrize("model", _DRAW_FITS)

@@ -52,6 +52,7 @@ from liouvlab.synthlab import (
     _input_coords,
     generate_dataset,
     make_scenario,
+    noisy_state_batch,
     noisy_states,
 )
 from liouvlab.tomography import (
@@ -252,16 +253,32 @@ _DIRECT_STARTS = {
 
 @pytest.mark.parametrize("name", _DIRECT_STARTS)
 def test_no_admissible_time_names_the_earliest_time(name):
+    # every process is singular, so the error is the earliest time's class
     processes = reconstruct_processes(generate_dataset(_singular_scenario(), NoiseSpec(seed=7)))
-    with pytest.raises(BranchCutError, match=_NO_ADMISSIBLE_TIME):
+    with pytest.raises(SingularProcessError, match=_NO_ADMISSIBLE_TIME):
         _DIRECT_STARTS[name](processes, DEFAULT_RELAXATION.superoperator())
 
 
 def test_hermitian_draws_with_no_admissible_time_name_the_earliest_time():
     sc = _singular_scenario()
-    states = np.stack([noisy_states(sc.propagators, NoiseSpec(seed=s)) for s in (1, 2)])
-    with pytest.raises(BranchCutError, match=_NO_ADMISSIBLE_TIME):
+    states = noisy_state_batch(sc.propagators, NoiseSpec(), [1, 2])
+    with pytest.raises(SingularProcessError, match=_NO_ADMISSIBLE_TIME):
         fit_draws(states, sc.grid.times, "hermitian", DEFAULT_RELAXATION.superoperator())
+
+
+@pytest.mark.parametrize("first, error", [("cut", BranchCutError), ("singular", SingularProcessError)])
+def test_no_admissible_time_raises_the_earliest_times_class(first, error):
+    # one time on the branch cut, one singular: the earlier one names the class
+    sc = make_scenario("relaxation_only", n_times=2)
+    states = noisy_states(sc.propagators, NoiseSpec(bloch_sigma=0.004, seed=3))
+    flip = np.eye(9)
+    flip[0, 0] = -1.0
+    cut, singular = (1, 2) if first == "cut" else (2, 1)
+    states[cut] = flip @ states[0]
+    states[singular, :-1] = 0.0
+    with pytest.raises(error, match=r"^no evolution time admits a principal logarithm \(.*"
+                                    r"t = 0\.0005 s"):
+        fit_draws(states[None], sc.grid.times, "hermitian", DEFAULT_RELAXATION.superoperator())
 
 
 @pytest.mark.parametrize("on_cut", [False, True])

@@ -7,8 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import planted_dataset
+from liouvlab import synthlab
 from liouvlab.basis import DensityMatrix, build_basis, coords_of, vectorize
 from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.exceptions import DimensionError, ZeroReferenceError
@@ -33,6 +36,7 @@ from liouvlab.synthlab import (
     _input_coords,
     generate_dataset,
     make_scenario,
+    noisy_state_batch,
     noisy_states,
     state_fidelity,
 )
@@ -327,8 +331,8 @@ def test_prep_fidelity_band():
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**97 + 5])
 def test_noise_of_time_k_is_drawn_from_default_rng_of_seed_and_k(seed):
-    # the generators are seeded from entropy words built once per stack; the
-    # streams, and so the dataset bits, are those of default_rng([seed, k])
+    # the streams are seeded in one pass over the stack; they, and so the
+    # dataset bits, are those of default_rng([seed, k])
     sc = make_scenario("relaxation_only")
     noise = NoiseSpec(bloch_sigma=0.004, seed=seed)
     expected = noisy_states(sc.propagators, replace(noise, bloch_sigma=0.0))
@@ -338,6 +342,80 @@ def test_noise_of_time_k_is_drawn_from_default_rng_of_seed_and_k(seed):
     ])
     expected[:, :-1] += draws * noise.bloch_sigma
     assert np.array_equal(noisy_states(sc.propagators, noise), expected)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    # == treats -0.0 and 0.0 as equal; the bit patterns do not
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _reference_batch(propagators, noise, seeds) -> np.ndarray:
+    """The stacks of ``seeds``, each stream drawn by ``default_rng([seed, k]).normal``."""
+    mm = np.zeros(9)
+    mm[-1] = np.sqrt(1.0 / 6.0)
+    prepared = noise.prep_fidelity * _input_coords() + (1.0 - noise.prep_fidelity) * mm[:, None]
+    out = []
+    for seed in seeds:
+        states = np.concatenate([prepared[None], propagators @ prepared])
+        for k in range(len(states)):
+            states[k, :-1] += np.random.default_rng([seed, k]).normal(size=(8, 15)) * noise.bloch_sigma
+        states[:, -1] = mm[-1]
+        out.append(states)
+    return np.array(out)
+
+
+# the widths of SeedSequence's entropy: 1 to 4 words of seed and one of k;
+# past 2**96 a row outgrows the 4-word pool
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**96 - 1, 2**96, 2**97 + 5, 2**200 + 7]
+_seeds = st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64), st.integers(0, 2**260))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seeds=st.lists(_seeds, min_size=1, max_size=9),
+    n_times=st.integers(1, 4),
+    sigma=st.floats(1e-4, 0.2),
+    prep_fidelity=st.floats(0.5, 1.0),
+)
+def test_noisy_state_batch_draws_default_rng_of_seed_and_k(seeds, n_times, sigma, prep_fidelity):
+    # any mix of entropy widths, duplicates included, in batches of 1 to 9
+    sc = make_scenario("relaxation_only", n_times=n_times)
+    noise = NoiseSpec(bloch_sigma=sigma, prep_fidelity=prep_fidelity, seed=3)
+    batch = noisy_state_batch(sc.propagators, noise, seeds)
+    assert batch.shape == (len(seeds), n_times + 1, 9, 15)
+    assert np.array_equal(_bits(batch), _bits(_reference_batch(sc.propagators, noise, seeds)))
+    alone = [noisy_states(sc.propagators, replace(noise, seed=seed)) for seed in seeds]
+    assert np.array_equal(_bits(batch), _bits(np.array(alone)))
+
+
+def test_noisy_state_batch_of_every_entropy_width_at_once():
+    sc = make_scenario("three_axis_time_dependent", n_steps=5)
+    noise = NoiseSpec(bloch_sigma=0.004, prep_fidelity=0.97)
+    seeds = [2**97 + 5, 0, 2**64 + 3, 2**32, 2**97 + 5, 2**32 - 1]
+    batch = noisy_state_batch(sc.propagators, noise, seeds)
+    assert np.array_equal(_bits(batch), _bits(_reference_batch(sc.propagators, noise, seeds)))
+    assert np.array_equal(_bits(batch[0]), _bits(batch[4]))  # a duplicate seed, the same stack
+
+
+def test_noisy_state_batch_without_noise_builds_no_generator(monkeypatch):
+    sc = make_scenario("relaxation_only", n_times=3)
+    noise = NoiseSpec(prep_fidelity=0.9)
+    expected = _reference_batch(sc.propagators, noise, [0, 1])
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    for name in ("PCG64", "Generator", "SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, unexpected)
+    monkeypatch.setattr(synthlab, "_pcg64_states", unexpected)
+    batch = noisy_state_batch(sc.propagators, noise, [0, 2**97 + 5])
+    assert np.array_equal(_bits(batch), _bits(expected))
+
+
+def test_noisy_state_batch_takes_no_negative_seed():
+    sc = make_scenario("relaxation_only", n_times=1)
+    with pytest.raises(ValueError, match="seeds must be non-negative, got -1"):
+        noisy_state_batch(sc.propagators, NoiseSpec(bloch_sigma=0.004), [0, -1])
 
 
 def test_determinism_bit_identical():
