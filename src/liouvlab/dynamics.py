@@ -7,6 +7,12 @@ sampled at each interval midpoint for second-order accuracy.  The inverse
 operation -- recovering L from a measured propagator -- is the principal
 matrix logarithm, well-defined only while all rotation angles stay below
 pi; proximity to that branch cut is surfaced as an explicit error.
+
+A process matrix with ||P - I||_1 <= GREGORY_RADIUS is logged by the
+Gregory series log P = 2 sum_j Y^(2j+1) / (2j+1), Y = (P + I)^-1 (P - I),
+cut by a tail bound after j = GREGORY_TERMS; it needs no eigenvectors and
+cannot fail (``_gregory_logs``).  Every other matrix takes
+the guarded eigen-log, with a Schur-form ``logm`` fallback and named errors.
 """
 
 from __future__ import annotations
@@ -38,6 +44,12 @@ __all__ = [
 ]
 
 BRANCH_TOL = 1e-6  # radians from the negative real axis
+# ||P - I||_1 up to which a log takes the Gregory series; there
+# ||Y||_1 <= r = GREGORY_RADIUS / (2 - GREGORY_RADIUS), and GREGORY_TERMS is the
+# least K with r**(2K+3) / ((2K+3) (1 - r**2)) <= 2**-53 r, so the tail after
+# Y^(2K+1) / (2K+1) is below unit roundoff relative to ||Y||_1
+GREGORY_RADIUS = 0.7
+GREGORY_TERMS = 26
 SPECTRAL_RADIUS_SLACK = 1e-6
 # limit on the Frobenius condition ||V||_F ||V^-1||_F of an eigenvector
 # matrix V below which an eigendecomposition is used (logs, gradients and
@@ -137,10 +149,11 @@ def propagator(liouvillian: Superoperator, t: float) -> ProcessMatrix:
     """exp(L t) via scaling-and-squaring Pade approximation.
 
     Raises:
-        ValueError: for negative times or non-finite generator entries.
+        ValueError: for negative or non-finite times, or non-finite
+            generator entries.
     """
-    if t < 0:
-        raise ValueError(f"evolution time must be non-negative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"evolution time must be finite and non-negative, got {t}")
     if not np.all(np.isfinite(liouvillian.matrix)):
         raise ValueError("generator has non-finite entries")
     pm = ProcessMatrix(
@@ -197,15 +210,19 @@ def principal_log(pm: ProcessMatrix) -> Superoperator:
     """Real principal matrix logarithm of a process matrix.
 
     Dividing the result by ``pm.duration_s`` yields the generator estimate.
-    Eigenvalues are screened first so branch ambiguity surfaces as an
-    error instead of a silently wrong sheet.  When the matrix is safely
-    diagonalizable (Frobenius eigenvector condition ||V||_F ||V^-1||_F, an
-    upper bound on cond_2(V), below EIGVEC_COND_MAX, and a faithful
-    reconstruction residual) its log is taken on the eigendecomposition as
-    (V log E) V^-1, which is bit-reproducible across runs; otherwise it
-    falls back to the inverse scaling-and-squaring algorithm on the Schur
-    form (``_principal_logs``, which logs whole stacks with the same guards
-    per matrix).  Errors name the ``duration_s``.
+    A matrix with ||P - I||_1 <= GREGORY_RADIUS is logged by the Gregory
+    series, cut after j = GREGORY_TERMS, which cannot fail there: such a
+    matrix is nonsingular and at least pi/2 from the branch cut (see
+    ``_gregory_logs``).  Any other matrix has its eigenvalues screened
+    first so branch ambiguity surfaces as an error instead of a silently
+    wrong sheet.  When it is safely diagonalizable (Frobenius eigenvector
+    condition ||V||_F ||V^-1||_F, an upper bound on cond_2(V), below
+    EIGVEC_COND_MAX, and a faithful reconstruction residual) its log is
+    taken on the eigendecomposition as (V log E) V^-1, which is
+    bit-reproducible across runs; otherwise it falls back to the inverse
+    scaling-and-squaring algorithm on the Schur form (``_principal_logs``,
+    which logs whole stacks with the same paths and guards per matrix).
+    Errors name the ``duration_s``.
 
     Raises:
         SingularProcessError: if the process matrix is numerically singular.
@@ -276,15 +293,82 @@ def _principal_logs(
     Returns (logs, errors): ``errors`` maps the index of every matrix without
     an admissible log (k in a stack, (draw, k) in a batch) to its
     SingularProcessError or BranchCutError, those of the eigenvalue screen
-    first, and that matrix's slice of ``logs`` is NaN.  The eigen-log of
-    every matrix comes from one pass over all of them; the screen, cond_F
-    and faithful-residual masks only choose, per matrix, between that log,
-    the Schur-form ``logm`` and NaN.  So each matrix's log and error do not
-    depend on the others, and a batch equals its draws logged alone.
+    first, and that matrix's slice of ``logs`` is NaN.  Each matrix takes one
+    of two paths by its distance ||P - I||_1 alone: up to GREGORY_RADIUS the
+    Gregory series (``_gregory_logs``), which raises nothing, and beyond it,
+    or for a NaN or infinite matrix, the guarded eigen-log (``_eigen_logs``).
+    Each path logs its matrices in one pass, and neither lets a matrix's log
+    or error depend on the others, so a batch equals its draws logged alone.
     """
     lead, n = mats.shape[:-2], mats.shape[-1]
     labels = np.broadcast_to(np.asarray(durations), lead).ravel()
     mats = mats.reshape(-1, n, n)
+    # ||P - I||_1 is the largest column sum; a NaN one compares False, so
+    # such a matrix takes the eigen path
+    near = (np.ones(n) @ np.abs(mats - np.eye(n))).max(axis=1) <= GREGORY_RADIUS
+    if not near.any():
+        logs, errors = _eigen_logs(mats, labels)
+    else:
+        logs, errors = np.empty(mats.shape), {}
+        logs[near] = _gregory_logs(mats[near])
+        far = np.flatnonzero(~near)
+        if far.size:
+            logs[far], far_errors = _eigen_logs(mats[far], labels[far])
+            errors = {int(far[k]): err for k, err in far_errors.items()}
+    if len(lead) == 2:  # a batch's keys are (draw, k) pairs
+        errors = {divmod(k, lead[1]): err for k, err in errors.items()}
+    return logs.reshape(*lead, n, n), errors
+
+
+def _gregory_logs(mats: np.ndarray) -> np.ndarray:
+    """Real principal logs of an (m, n, n) stack with every ||P - I||_1 <= GREGORY_RADIUS.
+
+    log P = 2 Y p(Y^2) with Y = (P + I)^-1 (P - I), one batched ``solve``,
+    and p(Z) = sum_{j <= GREGORY_TERMS} Z^j / (2j + 1) by Paterson-Stockmeyer
+    (Higham, Functions of Matrices, SIAM 2008, ch. 4 and 11; Kenney & Laub,
+    SIAM J. Matrix Anal. Appl. 10, 191 (1989)).  Stacked ``solve`` and
+    ``matmul`` act per matrix, so each log is that of its matrix alone.
+
+    This path needs no guard.  ||P - I||_1 <= GREGORY_RADIUS = theta < 1 puts
+    every eigenvalue in |lambda - 1| <= theta, so P is nonsingular
+    (|lambda| >= 1 - theta), every |arg lambda| <= arcsin(theta) < pi/2 lies at
+    least pi/2 from the branch cut, and the principal log of the real P is
+    real.  P + I = 2 (I + (P - I) / 2) is nonsingular with ||(P + I)^-1||_1 <=
+    1 / (2 - theta), so ||Y||_1 <= theta / (2 - theta) < 1 and the series
+    converges; GREGORY_TERMS holds its tail below unit roundoff.  So no
+    matrix of this path is screened, falls back or raises.  A defective
+    matrix needs no special case: the series never forms eigenvectors.
+    """
+    eye = np.eye(mats.shape[-1])
+    y = np.linalg.solve(mats + eye, mats - eye)
+    z = y @ y
+    # the factor 2 of log P = 2 Y p(Y^2) rides on the coefficients
+    coeffs = 2.0 / (2.0 * np.arange(GREGORY_TERMS + 1) + 1.0)
+    s = math.isqrt(GREGORY_TERMS) + 1  # block size
+    powers = [eye, z]
+    while len(powers) <= s:
+        powers.append(powers[-1] @ z)
+    # p(Z) = B_0 + Z^s (B_1 + Z^s (B_2 + ...)), each B_k = sum_i c_(ks+i) Z^i
+    p, term = None, np.empty_like(z)
+    for start in reversed(range(0, GREGORY_TERMS + 1, s)):
+        block = np.zeros_like(z) if p is None else powers[s] @ p
+        block += coeffs[start] * eye
+        for c, zi in zip(coeffs[start + 1 : start + s], powers[1:]):
+            block += np.multiply(zi, c, out=term)
+        p = block
+    return y @ p
+
+
+def _eigen_logs(mats: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Guarded eigen-logs of a (K, n, n) stack labelled by its (K,) durations.
+
+    Returns (logs, errors) as ``_principal_logs`` does for a stack.  The
+    eigen-log of every matrix comes from one pass over all of them; the
+    screen, cond_F and faithful-residual masks only choose, per matrix,
+    between that log, the Schur-form ``logm`` and NaN, so each matrix's log
+    and error do not depend on the others.
+    """
+    n = mats.shape[-1]
     eigs, vecs = np.linalg.eig(mats)
     mags = np.abs(eigs)
     scale = mags.max(axis=1)
@@ -323,6 +407,4 @@ def _principal_logs(
             f"matrix logarithm at t = {labels[k]} s has imaginary residue "
             f"{resid[k]:.3e}; the principal branch is not real here"
         )
-    if len(lead) == 2:  # a batch's keys are (draw, k) pairs
-        errors = {divmod(k, lead[1]): err for k, err in errors.items()}
-    return np.ascontiguousarray(logs.real).reshape(*lead, n, n), errors
+    return np.ascontiguousarray(logs.real), errors

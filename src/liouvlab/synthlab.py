@@ -474,7 +474,7 @@ def noisy_state_batch(propagators: np.ndarray, noise: NoiseSpec, seeds) -> np.nd
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-            draws[k] = generator.normal(size=shape)
+            generator.standard_normal(out=draws[k])
         states[:, :, :-1] += draws.reshape(states[:, :, :-1].shape) * noise.bloch_sigma
     states[:, :, -1] = mm[-1]
     return states

@@ -6,6 +6,8 @@ import scipy.linalg
 
 from liouvlab.basis import DensityMatrix, vectorize
 from liouvlab.dynamics import (
+    GREGORY_RADIUS,
+    GREGORY_TERMS,
     ProcessMatrix,
     TimeGrid,
     _eigvec_inverse,
@@ -104,6 +106,15 @@ def test_negative_time_rejected():
     zero = Superoperator(dim=3, matrix=np.zeros((9, 9)))
     with pytest.raises(ValueError):
         propagator(zero, -1e-6)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_non_finite_time_rejected(t):
+    zero = Superoperator(dim=3, matrix=np.zeros((9, 9)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"evolution time must be finite and non-negative, got {t}"):
+            propagator(zero, t)
 
 
 def test_non_finite_generator_rejected():
@@ -333,16 +344,49 @@ def test_singular_process_rejected():
         principal_log(ProcessMatrix(dim=3, matrix=m, duration_s=1.0))
 
 
+def test_near_identity_jordan_block_gets_its_exact_log_without_eig(monkeypatch):
+    # P = lam I + N on a 3x3 Jordan block, N nilpotent: log P = log(lam) I + N / lam
+    # - N^2 / (2 lam^2) there; ||P - I||_1 = 0.35 puts it on the Gregory series
+    lam, m = 0.85, np.eye(9)
+    m[:3, :3] = lam * np.eye(3) + 0.2 * np.eye(3, k=1)
+    assert np.abs(m - np.eye(9)).sum(axis=0).max() <= GREGORY_RADIUS
+    expected = np.zeros((9, 9))
+    nil = 0.2 * np.eye(3, k=1)
+    expected[:3, :3] = np.log(lam) * np.eye(3) + nil / lam - nil @ nil / (2 * lam**2)
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("eig called"))
+    monkeypatch.setattr(scipy.linalg, "logm", lambda a: pytest.fail("logm called"))
+    log = principal_log(ProcessMatrix(dim=3, matrix=m, duration_s=1.0)).matrix
+    np.testing.assert_allclose(log, expected, rtol=0, atol=2e-16)
+
+
+def test_gregory_terms_are_the_least_the_tail_bound_allows():
+    # on the series path ||Y||_1 <= r; the tail after Y^(2K+1) / (2K+1) is at most
+    # 2 r^(2K+3) / ((2K+3)(1 - r^2)), against a log of about 2 r
+    r = GREGORY_RADIUS / (2 - GREGORY_RADIUS)
+
+    def tail_bound_met(k):
+        return r ** (2 * k + 3) / ((2 * k + 3) * (1 - r**2)) <= 2.0**-53 * r
+
+    assert tail_bound_met(GREGORY_TERMS) and not tail_bound_met(GREGORY_TERMS - 1)
+    # the worst case: the eigenvalue 1 - GREGORY_RADIUS, where |Y| = r
+    m = np.eye(9)
+    m[0, 0] = 1.0 - GREGORY_RADIUS
+    log = principal_log(ProcessMatrix(dim=3, matrix=m, duration_s=1.0)).matrix
+    np.testing.assert_allclose(log[0, 0], np.log1p(-GREGORY_RADIUS), rtol=4e-16)
+
+
 def test_stacked_log_matches_per_matrix_calls(monkeypatch, basis3):
-    # one stack with every branch of the masked log kernel: each matrix gets
-    # exactly the log, or the error, of a one-matrix call
+    # one stack with every branch of the masked log kernel and the Gregory
+    # series: each matrix gets exactly the log, or the error, of a one-matrix call
     rng = np.random.default_rng(38)
     singular = np.eye(9)
     singular[3, 3] = 0.0
     t_cut = 50e-6
     at_cut = propagator(hamiltonian_superop(np.pi / t_cut * spin1_operators().fz, basis3), t_cut)
     defective = np.eye(9)
-    defective[0, 1] = 0.5  # a Jordan block: eigenvectors are parallel
+    # a Jordan block: eigenvectors are parallel; ||P - I||_1 = 1 puts it beyond
+    # the Gregory series, on the eigen path
+    defective[0, 1] = 1.0
     near_defective = defective.copy()
     near_defective[1, 1] += 1e-9  # diagonalizable, with cond_F(V) near 1e9
     vinv_ok = _eigvec_inverse(np.linalg.eig(np.stack([defective, near_defective]))[1])[1]
@@ -354,9 +398,12 @@ def test_stacked_log_matches_per_matrix_calls(monkeypatch, basis3):
         ProcessMatrix(dim=3, matrix=defective, duration_s=3e-4),
         propagator(random_stable_liouvillian(rng), 4e-4),
         ProcessMatrix(dim=3, matrix=near_defective, duration_s=5e-4),
+        propagator(random_stable_liouvillian(rng), 1e-6),  # the Gregory series
     ]
     mats = np.stack([pm.matrix for pm in stack])
     durations = np.array([pm.duration_s for pm in stack])
+    distances = np.abs(mats - np.eye(9)).sum(axis=1).max(axis=1)
+    assert (distances[:-1] > GREGORY_RADIUS).all() and distances[-1] <= GREGORY_RADIUS
     singles = [_principal_logs(mats[k : k + 1], durations[k : k + 1]) for k in range(len(stack))]
     logm_calls = []
     logm = scipy.linalg.logm
@@ -374,9 +421,9 @@ def test_stacked_log_matches_per_matrix_calls(monkeypatch, basis3):
     assert len(logm_calls) == 2
     assert np.array_equal(logm_calls[0], defective) and np.array_equal(logm_calls[1], near_defective)
     expected = np.zeros((9, 9))
-    expected[0, 1] = 0.5
+    expected[0, 1] = 1.0
     np.testing.assert_allclose(logs[3], expected, atol=1e-12)
-    admissible = [0, 3, 4, 5]
+    admissible = [0, 3, 4, 5, 6]
     np.testing.assert_array_equal(_log_stack(mats[admissible], durations[admissible]),
                                   logs[admissible])
     for k in admissible:

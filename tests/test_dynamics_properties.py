@@ -16,6 +16,7 @@ from liouvlab.basis import build_basis
 from liouvlab.dynamics import (
     BRANCH_TOL,
     EIGVEC_COND_MAX,
+    GREGORY_RADIUS,
     _eigvec_inverse,
     _log_stack,
     principal_log,
@@ -77,15 +78,50 @@ def test_frobenius_condition_bounds_the_two_norm_condition(d, seed, defect):
     assert ok[0] == (cond_f < EIGVEC_COND_MAX)
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=4),
+    seed=seeds,
+    n_near=st.integers(min_value=1, max_value=3),
+    n_far=st.integers(min_value=1, max_value=3),
+)
+def test_stack_across_the_gregory_radius_logs_each_matrix_alone(d, seed, n_near, n_far):
+    rng = np.random.default_rng(seed)
+    l = _random_gks(rng, d)
+    # near: ||L t||_1 <= log(1 + theta) bounds ||P - I||_1 by exp(||L t||_1) - 1 <= theta.
+    # far: |lambda t| in [2, 3] for the largest eigenvalue, which has Re <= 0, gives
+    # ||P - I||_1 >= |exp(lambda t) - 1| >= 1 - exp(-2) > theta, with every rotation
+    # angle at most 3 < pi - MIN_MARGIN.  Near times stay above a tenth of t_near:
+    # below that, logm's own error reaches 1e-12 of the log (a 40-digit log shows it)
+    t_near = np.log1p(GREGORY_RADIUS) / np.abs(l.matrix).sum(axis=0).max()
+    t_far = 1.0 / np.abs(np.linalg.eigvals(l.matrix)).max()
+    times = rng.permutation(np.concatenate([
+        t_near * rng.uniform(0.1, 1.0, n_near),
+        t_far * rng.uniform(2.0, 3.0, n_far),
+    ]))
+    mats = np.stack([propagator(l, t).matrix for t in times])
+    near = np.abs(mats - np.eye(d * d)).sum(axis=1).max(axis=1) <= GREGORY_RADIUS
+    assert near.sum() == n_near
+    logs = _log_stack(mats, times)
+    for m, t, log in zip(mats, times, logs):
+        np.testing.assert_array_equal(log, _log_stack(m[None], np.array([t]))[0])
+        want = scipy.linalg.logm(m).real
+        np.testing.assert_allclose(log, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(scipy.linalg.expm(log), m, rtol=0, atol=1e-13)
+
+
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(seed=seeds, size=st.integers(min_value=2, max_value=6), data=st.data())
 def test_singular_eigenvectors_send_only_their_matrix_to_logm(seed, size, data):
     rng = np.random.default_rng(seed)
     planted = data.draw(st.integers(min_value=0, max_value=size - 1))
-    stack = [
-        propagator(_random_gks(rng, 3), t)
-        for t in 0.2 * np.arange(1, size + 1) / size
-    ]
+    # |lambda t| in [2, 3) for each generator's largest eigenvalue, which has Re <= 0,
+    # gives ||P - I||_1 >= 1 - exp(-2) > theta: every matrix takes the eigen path
+    stack = []
+    for scale in 2.0 + np.arange(size) / size:
+        l = _random_gks(rng, 3)
+        stack.append(propagator(l, scale / np.abs(np.linalg.eigvals(l.matrix)).max()))
+    assert all(np.abs(pm.matrix - np.eye(9)).sum(axis=0).max() > GREGORY_RADIUS for pm in stack)
     singles = [principal_log(pm).matrix for pm in stack]
     real_eig, real_logm = np.linalg.eig, scipy.linalg.logm
     logm_calls = []
