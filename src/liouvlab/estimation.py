@@ -43,6 +43,13 @@ columns then come from the Frechet derivative of ``expm`` itself, exact
 without an eigendecomposition.  A problem still running
 after GN_MAX_ITERS steps is reported as not converged.
 
+``fit_relaxation_model``, least squares over the seven relaxation params
+with the four rates >= 0, is solved exactly with no iteration: of the fits
+with each of the 2^4 = 16 sets of rates held at 0, one cached
+pseudo-inverse each, it takes the least-cost one with every rate >= 0.  The
+relaxation bootstrap draws run it a batch at a time, and a ``relaxation``
+MLE fit with a negative rate refits over the same sets.
+
 Uncertainty is quantified by a percentile bootstrap: ``bootstrap`` takes
 a fit of a list of per-draw seeds (the caller's simulation and fit of
 each draw) and a base seed.  Each draw is seeded by its index alone, so
@@ -75,7 +82,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
+import scipy.optimize  # unused; bench/run.py --trace 1 times its import (ROADMAP items 1-2)
 from numpy.typing import NDArray
 
 from .basis import build_basis, _frozen_array
@@ -660,8 +667,7 @@ def mle_liouvillian(
     if form == "relaxation" and fits[0][0][0, 3:].min() < 0:
         # refit with each set of rates held at 0, each left out of the design
         # and the start (active sets; Lawson & Hanson, 1974, ch. 23)
-        for held in range(1, 16):
-            free = np.array([True] * 3 + [not held >> k & 1 for k in range(4)])
+        for free in _free_relaxation_params()[1:]:
             full = np.zeros((1, 7))
             fit = _gauss_newton(design[:, free], None, ts[None], ps[None], x0[None, free])
             full[:, free] = fit[0]
@@ -703,21 +709,59 @@ def _relaxation_design() -> np.ndarray:
     return _frozen_array(np.column_stack([-_field_design(), *dephasing, iso]))
 
 
+@functools.cache
+def _free_relaxation_params() -> np.ndarray:
+    """(16, 7) masks of the free relaxation params, one per set of rates held at 0:
+    set h holds rate k of (gamma_x, gamma_y, gamma_z, gamma_iso) when bit k of h is
+    set, so set 0 holds none and set 15 all four (active sets; Lawson & Hanson,
+    Solving Least Squares Problems, 1974, ch. 23)."""
+    held = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    return _frozen_array(np.hstack([np.ones((16, 3), dtype=bool), held == 0]))
+
+
+@functools.cache
+def _held_pinvs() -> np.ndarray:
+    """(16, 81, 7): per set of ``_free_relaxation_params``, the transposed
+    pseudo-inverse of the relaxation design's free columns, zero at the held rates."""
+    design = _relaxation_design()
+    pinvs = np.zeros((16, 7, 81))
+    for pinv, free in zip(pinvs, _free_relaxation_params()):
+        pinv[free] = np.linalg.pinv(design[:, free])
+    return _frozen_array(pinvs.transpose(0, 2, 1).copy())
+
+
+def _bounded_relaxation_rows(targets: np.ndarray) -> np.ndarray:
+    """The (m, 7) relaxation params nearest each row of an (m, 81) stack of
+    flattened relaxation matrices R_T, by least squares with every rate >= 0.
+
+    The design has full column rank, so the bound fit is unique, and it is
+    the unbounded fit with its rates at 0 held there: the least-cost fit with
+    every rate >= 0 among the 16 fits of ``_free_relaxation_params``, each one
+    pseudo-inverse (``_held_pinvs``).  Every product is stacked per row, so a
+    row gets the bits it gets alone.  Rows of another length than 81 (not a
+    qutrit's) raise DimensionError.
+    """
+    if targets.shape[-1] != 81:
+        raise DimensionError("relaxation model is defined for qutrits only")
+    fits = (targets[:, None, None, :] @ _held_pinvs())[:, :, 0]
+    resid = fits @ _relaxation_design().T - targets[:, None, :]
+    costs = np.where(fits[..., 3:].min(axis=-1) >= 0, (resid * resid).sum(axis=-1), np.inf)
+    return fits[np.arange(len(fits)), np.argmin(costs, axis=1)]
+
+
 def fit_relaxation_model(rt: Superoperator) -> RelaxationModel:
     """The three-channel model nearest a qutrit relaxation matrix R_T.
 
     Least squares over the seven parameters, in which R_T is linear, with
-    the rates >= 0 by the exact active-set solver (BVLS; the iterative
-    default stops about 1e-6 short when a rate sits on its bound).  Every
-    relaxation bootstrap draw fits its mean log generator by it.
+    the rates >= 0, solved exactly by enumerating the 16 sets of rates held
+    at 0 (``_bounded_relaxation_rows``, of which this is the one-row call;
+    every relaxation bootstrap draw fits its mean log generator by the same
+    kernel, a batch at a time).  An R_T with a NaN or infinite entry raises
+    ValueError, and one of another dimension than 3 DimensionError.
     """
-    if rt.dim != 3:
-        raise DimensionError("relaxation model is defined for qutrits only")
-    lb = np.array([-np.inf] * 3 + [0.0] * 4)
-    sol = scipy.optimize.lsq_linear(
-        _relaxation_design(), rt.matrix.ravel(), bounds=(lb, np.inf), method="bvls"
-    )
-    return RelaxationModel.from_params(sol.x)
+    if not np.isfinite(rt.matrix).all():
+        raise ValueError("relaxation matrix has a non-finite entry")
+    return RelaxationModel.from_params(_bounded_relaxation_rows(rt.matrix.reshape(1, -1))[0])
 
 
 def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperator) -> FitReport:
@@ -892,10 +936,7 @@ def fit_draws(states, times, model: str, rt: Superoperator | None = None, known_
         return _direct_rows(mats, times, rt.matrix, _hermitian_design())[0]
     if model != "relaxation":
         raise ValueError(f"no draw fit of model {model!r}")
-    return np.array([
-        fit_relaxation_model(Superoperator(dim=math.isqrt(len(l_hat)), matrix=-l_hat)).params
-        for l_hat in _mean_logs(mats, times)
-    ])
+    return _bounded_relaxation_rows(-_mean_logs(mats, times).reshape(len(mats), -1))
 
 
 # ---------------------------------------------------------------------------

@@ -529,6 +529,19 @@ def test_relaxation_rates_clipped_non_negative():
     assert model.gamma_iso >= 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_relaxation_model_of_a_non_finite_matrix_is_an_error(bad):
+    matrix = DEFAULT_RELAXATION.superoperator().matrix.copy()
+    matrix[2, 5] = bad
+    with pytest.raises(ValueError, match="relaxation matrix has a non-finite entry"):
+        fit_relaxation_model(Superoperator(dim=3, matrix=matrix))
+
+
+def test_relaxation_model_of_a_non_qutrit_matrix_is_an_error():
+    with pytest.raises(DimensionError, match="relaxation model is defined for qutrits only"):
+        fit_relaxation_model(Superoperator(dim=2, matrix=np.eye(4)))
+
+
 def test_relaxation_model_validation():
     with pytest.raises(ValueError):
         RelaxationModel(
