@@ -12,15 +12,10 @@ minimal noise model:
   Bloch coordinates of every reported state, with the trace coordinate
   re-pinned exactly afterwards.
 
-Generation is deterministic: every state matrix derives its randomness
-from its own stream, the bits of ``default_rng([seed, time-point index])``,
-so datasets are bit-identical for a given NoiseSpec regardless of
-evaluation order or batch.  The forward model is batch-first:
-``noisy_state_batch`` builds the stacks of many seeds at once and seeds all
-their streams in one pass of array operations, running the seeding
-algorithms that numpy fixes (NEP 19): ``SeedSequence``'s hash (O'Neill,
-"Developing a seed_seq Alternative", 2015) and PCG64's ``srandom`` (O'Neill,
-HMC-CS-2014-0905).
+Generation is deterministic: a dataset's noise is drawn by one
+``default_rng(seed)``, so its bits are a function of the seed alone, in any
+batch and any evaluation order.  The forward model is batch-first:
+``noisy_state_batch`` builds the stacks of many seeds at once.
 """
 
 from __future__ import annotations
@@ -346,92 +341,6 @@ def _input_coords() -> np.ndarray:
     )
 
 
-# numpy's SeedSequence (O'Neill's seed_seq hash, fixed by NEP 19): the hash
-# constants, the multipliers of its mix and its 4-word pool
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL_SIZE = 4
-# the multiplier of PCG64's 128-bit LCG (O'Neill, HMC-CS-2014-0905)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
-
-
-def _stream_entropy(seeds, n_streams: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uint32 entropy that ``SeedSequence([seed, k])`` reads, one row per
-    seed and k < ``n_streams`` (seed-major), zero-padded to one width of at
-    least the pool's, and each row's own word count.  numpy splits each
-    non-negative Python int into its little-endian 32-bit words, at least
-    one, and joins those of the list's items."""
-    seeds = [int(seed) for seed in seeds]
-    if any(seed < 0 for seed in seeds):
-        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
-    n_words = [max(1, -(-seed.bit_length() // 32)) for seed in seeds]
-    width = max([_POOL_SIZE, *(n + 1 for n in n_words)])
-    words = np.zeros((len(seeds), n_streams, width), dtype=np.uint32)
-    for rows, seed, n in zip(words, seeds, n_words):
-        rows[:, :n] = np.frombuffer(seed.to_bytes(4 * n, "little"), dtype="<u4")
-        rows[:, n] = np.arange(n_streams)
-    return words.reshape(-1, width), np.repeat(np.array(n_words, dtype=int) + 1, n_streams)
-
-
-def _hash_constants(init: int, mult: int):
-    """The endless (before, after) pairs of a SeedSequence hash constant: each
-    hash of a word xors it with ``before`` and multiplies it by ``after``."""
-    const = init
-    while True:
-        after = const * mult & 0xFFFFFFFF
-        yield const, after
-        const = after
-
-
-def _hashed(words: np.ndarray, constants) -> np.ndarray:
-    """SeedSequence's hash of the (n, c) ``words``, column j by the j-th of the
-    next c pairs of ``constants``."""
-    pairs = [next(constants) for _ in range(words.shape[1])]
-    before, after = np.array(pairs, dtype=np.uint32).T
-    v = (words ^ before) * after
-    return v ^ (v >> np.uint32(16))
-
-
-def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    v = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return v ^ (v >> np.uint32(16))
-
-
-def _pcg64_states(words: np.ndarray, widths: np.ndarray) -> list[tuple[int, int]]:
-    """The (state, inc) of ``PCG64(SeedSequence(row))`` for every row of the
-    ``_stream_entropy`` pair, in one pass of array operations.
-
-    SeedSequence's pool mixing and ``generate_state(4, uint64)`` run on the
-    (n, 4) pools of all rows at once: the hash constants depend on the count
-    of words hashed only, and a row of w <= 4 words hashes as if zero-padded
-    to 4.  A row of w > 4 words mixes each word past the pool into every pool
-    word (``mix_entropy``'s tail loop), so such a word applies to the rows
-    that have it.  PCG64's ``srandom`` then runs on 128-bit Python ints."""
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = _hashed(words[:, :_POOL_SIZE], constants)
-    for src in range(_POOL_SIZE):
-        # every other pool word, in order, mixed with a hash of this one
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[:, dst] = _mixed(pool[:, dst], _hashed(pool[:, [src] * len(dst)], constants))
-    for src in range(_POOL_SIZE, words.shape[1]):
-        mixed = _mixed(pool, _hashed(words[:, [src] * _POOL_SIZE], constants))
-        pool = np.where((widths > src)[:, None], mixed, pool)
-
-    # generate_state(4, uint64): 8 words cycling over the pool, read in
-    # little-endian pairs as the uint64 seed high, seed low, inc high, inc low
-    state = _hashed(pool[:, list(range(_POOL_SIZE)) * 2], _hash_constants(_INIT_B, _MULT_B))
-    quads = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64).tolist()
-    out = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in quads:
-        # srandom: state 0, one step, add the seed, one more step
-        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
-        seed = (seed_hi << 64) | seed_lo
-        out.append((((inc + seed) * _PCG_MULT + inc) & _MASK128, inc))
-    return out
-
-
 def noisy_state_batch(propagators: np.ndarray, noise: NoiseSpec, seeds) -> np.ndarray:
     """The (m, T+1, 9, N) state stacks of m datasets, one per seed: each the
     reported inputs, then the outputs.  ``noise.seed`` is not used.
@@ -440,20 +349,26 @@ def noisy_state_batch(propagators: np.ndarray, noise: NoiseSpec, seeds) -> np.nd
     ``prep_fidelity``; outputs are their images under the (T, 9, 9)
     ``propagators`` before measurement noise, all times from one stacked
     product, computed once for the batch.  Measurement noise is Gaussian on
-    the traceless coordinates, applied independently to the reported input
-    matrix and to each time point k of each seed from its own stream, the
-    bits of ``default_rng([seed, k]).normal``, so any evaluation order and
-    any batch yields the same stacks; the trace row is re-pinned exactly.
-    Every stream of the batch is seeded in one pass (``_pcg64_states``) and
-    drawn by one reused generator; with ``bloch_sigma`` 0 none is built.
+    the traceless coordinates: a seed's stack gets ``bloch_sigma`` times
+    ``default_rng(seed).standard_normal((T+1, 8, N))``, and the trace row is
+    re-pinned exactly.  So a stack is a function of its seed alone, in any
+    batch and any order; and as the draw fills in C order, the noise of
+    times 0..k does not depend on how many times follow.  With
+    ``bloch_sigma`` 0 no generator is built.
 
     Raises:
         DimensionError: for anything but a (T, 9, 9) stack with T >= 1.
-        ValueError: for a negative seed.
+        ValueError: for a seed that is not a non-negative integer (a bool
+            is not one), at any ``bloch_sigma``.
     """
     shape = np.shape(propagators)
     if len(shape) != 3 or shape[0] < 1 or shape[1:] != (9, 9):
         raise DimensionError(f"propagators must be a (T, 9, 9) stack with T >= 1, got {shape}")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"seeds must be integers, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"seeds must be non-negative, got {seed}")
     mm = np.zeros(9)
     mm[-1] = np.sqrt(1.0 / 6.0)
     prepared = noise.prep_fidelity * _input_coords() + (1.0 - noise.prep_fidelity) * mm[:, None]
@@ -462,20 +377,9 @@ def noisy_state_batch(propagators: np.ndarray, noise: NoiseSpec, seeds) -> np.nd
     noiseless = np.concatenate([prepared[None], propagators @ prepared])
     states = np.repeat(noiseless[None], len(seeds), axis=0)
     if noise.bloch_sigma > 0:
-        streams = _pcg64_states(*_stream_entropy(seeds, len(noiseless)))
-        bit_generator = np.random.PCG64(0)  # seeded, so that it reads no OS entropy
-        generator = np.random.Generator(bit_generator)
-        shape = (prepared.shape[0] - 1, prepared.shape[1])
-        draws = np.empty((len(streams), *shape))
-        for k, (state, inc) in enumerate(streams):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            generator.standard_normal(out=draws[k])
-        states[:, :, :-1] += draws.reshape(states[:, :, :-1].shape) * noise.bloch_sigma
+        for stack, seed in zip(states, seeds):
+            draws = np.random.default_rng(seed).standard_normal(stack[:, :-1].shape)
+            stack[:, :-1] += noise.bloch_sigma * draws
     states[:, :, -1] = mm[-1]
     return states
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import planted_dataset
-from liouvlab import synthlab
 from liouvlab.basis import DensityMatrix, build_basis, coords_of, vectorize
 from liouvlab.dynamics import ProcessMatrix, TimeGrid
 from liouvlab.exceptions import DimensionError, ZeroReferenceError
@@ -239,10 +238,11 @@ def test_dataset_bit_identical_to_uncached_propagation(kind, params):
     mixed[-1] = np.sqrt(1.0 / 6.0)
     prepared = noise.prep_fidelity * pure + (1.0 - noise.prep_fidelity) * mixed[:, None]
 
-    def noisy(columns, stream):
+    draws = np.random.default_rng(noise.seed).standard_normal((len(sc.grid.times) + 1, 8, 15))
+
+    def noisy(columns, k):
         out = columns.copy()
-        rng = np.random.default_rng([noise.seed, stream])
-        out[:-1, :] += rng.normal(size=(8, columns.shape[1])) * noise.bloch_sigma
+        out[:-1, :] += noise.bloch_sigma * draws[k]
         out[-1, :] = np.sqrt(1.0 / 6.0)
         return out
 
@@ -258,8 +258,8 @@ def test_dataset_bit_identical_to_uncached_propagation(kind, params):
     "kind, params", [("relaxation_only", {}), ("three_axis_time_dependent", {"ramp": True})]
 )
 def test_stacked_forward_model_equals_per_time_evolution(kind, params, seed):
-    # generate_dataset evolves every time in one stacked product and adds all
-    # noise at once; the reference takes one product and one draw per time
+    # generate_dataset evolves every time in one stacked product; the
+    # reference takes one product per time and adds that time's slice of the draw
     sc = make_scenario(kind, **params)
     noise = NoiseSpec(bloch_sigma=0.0042, prep_fidelity=0.98, seed=seed)
     ds = generate_dataset(sc, noise)
@@ -269,9 +269,11 @@ def test_stacked_forward_model_equals_per_time_evolution(kind, params, seed):
         noise.prep_fidelity * _input_coords() + (1.0 - noise.prep_fidelity) * mixed[:, None]
     )
 
-    def reported(columns, stream):
+    draws = np.random.default_rng(seed).standard_normal((len(ds.times) + 1, 8, 15))
+
+    def reported(columns, k):
         out = columns.copy()
-        out[:-1] += np.random.default_rng([seed, stream]).normal(size=(8, 15)) * 0.0042
+        out[:-1] += 0.0042 * draws[k]
         out[-1] = np.sqrt(1.0 / 6.0)
         return out
 
@@ -329,93 +331,88 @@ def test_prep_fidelity_band():
         assert 0.88 <= f <= 0.94
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**97 + 5])
-def test_noise_of_time_k_is_drawn_from_default_rng_of_seed_and_k(seed):
-    # the streams are seeded in one pass over the stack; they, and so the
-    # dataset bits, are those of default_rng([seed, k])
-    sc = make_scenario("relaxation_only")
-    noise = NoiseSpec(bloch_sigma=0.004, seed=seed)
-    expected = noisy_states(sc.propagators, replace(noise, bloch_sigma=0.0))
-    shape = (8, expected.shape[2])
-    draws = np.stack([
-        np.random.default_rng([seed, k]).normal(size=shape) for k in range(len(expected))
-    ])
-    expected[:, :-1] += draws * noise.bloch_sigma
-    assert np.array_equal(noisy_states(sc.propagators, noise), expected)
-
-
 def _bits(a: np.ndarray) -> np.ndarray:
     # == treats -0.0 and 0.0 as equal; the bit patterns do not
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _reference_batch(propagators, noise, seeds) -> np.ndarray:
-    """The stacks of ``seeds``, each stream drawn by ``default_rng([seed, k]).normal``."""
+def _noiseless(propagators, noise) -> np.ndarray:
+    """The (T+1, 9, 15) prepared inputs and their images, by one product per
+    time, with the trace row pinned."""
     mm = np.zeros(9)
     mm[-1] = np.sqrt(1.0 / 6.0)
     prepared = noise.prep_fidelity * _input_coords() + (1.0 - noise.prep_fidelity) * mm[:, None]
-    out = []
-    for seed in seeds:
-        states = np.concatenate([prepared[None], propagators @ prepared])
-        for k in range(len(states)):
-            states[k, :-1] += np.random.default_rng([seed, k]).normal(size=(8, 15)) * noise.bloch_sigma
-        states[:, -1] = mm[-1]
-        out.append(states)
-    return np.array(out)
+    out = np.stack([prepared, *(p @ prepared for p in propagators)])
+    out[:, -1] = mm[-1]
+    return out
 
 
-# the widths of SeedSequence's entropy: 1 to 4 words of seed and one of k;
-# past 2**96 a row outgrows the 4-word pool
-_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**96 - 1, 2**96, 2**97 + 5, 2**200 + 7]
-_seeds = st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64), st.integers(0, 2**260))
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3, 2**97 + 5])
+def test_stack_is_the_noiseless_part_plus_one_draw_of_default_rng_of_seed(seed):
+    sc = make_scenario("three_axis_time_dependent", n_steps=5)
+    noise = NoiseSpec(bloch_sigma=0.004, prep_fidelity=0.97, seed=seed)
+    expected = _noiseless(sc.propagators, noise)
+    draws = np.random.default_rng(seed).standard_normal((6, 8, 15))
+    expected[:, :-1] += noise.bloch_sigma * draws
+    assert np.array_equal(_bits(noisy_states(sc.propagators, noise)), _bits(expected))
+
+
+_seeds = st.one_of(st.integers(0, 2**64), st.integers(0, 2**200))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
-    seeds=st.lists(_seeds, min_size=1, max_size=9),
+    seeds=st.lists(_seeds, min_size=1, max_size=9).flatmap(
+        lambda s: st.permutations(s + s[:1])  # a duplicate, anywhere in the batch
+    ),
     n_times=st.integers(1, 4),
     sigma=st.floats(1e-4, 0.2),
     prep_fidelity=st.floats(0.5, 1.0),
 )
-def test_noisy_state_batch_draws_default_rng_of_seed_and_k(seeds, n_times, sigma, prep_fidelity):
-    # any mix of entropy widths, duplicates included, in batches of 1 to 9
+def test_noisy_state_batch_equals_each_seed_alone(seeds, n_times, sigma, prep_fidelity):
     sc = make_scenario("relaxation_only", n_times=n_times)
     noise = NoiseSpec(bloch_sigma=sigma, prep_fidelity=prep_fidelity, seed=3)
     batch = noisy_state_batch(sc.propagators, noise, seeds)
     assert batch.shape == (len(seeds), n_times + 1, 9, 15)
-    assert np.array_equal(_bits(batch), _bits(_reference_batch(sc.propagators, noise, seeds)))
     alone = [noisy_states(sc.propagators, replace(noise, seed=seed)) for seed in seeds]
     assert np.array_equal(_bits(batch), _bits(np.array(alone)))
 
 
-def test_noisy_state_batch_of_every_entropy_width_at_once():
-    sc = make_scenario("three_axis_time_dependent", n_steps=5)
-    noise = NoiseSpec(bloch_sigma=0.004, prep_fidelity=0.97)
-    seeds = [2**97 + 5, 0, 2**64 + 3, 2**32, 2**97 + 5, 2**32 - 1]
-    batch = noisy_state_batch(sc.propagators, noise, seeds)
-    assert np.array_equal(_bits(batch), _bits(_reference_batch(sc.propagators, noise, seeds)))
-    assert np.array_equal(_bits(batch[0]), _bits(batch[4]))  # a duplicate seed, the same stack
+@pytest.mark.parametrize("k", [1, 4])
+def test_noise_of_the_first_times_does_not_depend_on_the_times_that_follow(k):
+    # the draw fills in C order: the inputs and first k times of a 21-time
+    # dataset are the k-time dataset of the same seed
+    propagators = make_scenario("relaxation_only").propagators
+    noise = NoiseSpec(bloch_sigma=0.004, seed=2**64 + 3)
+    head = noisy_states(propagators, noise)[: k + 1]
+    assert np.array_equal(_bits(head), _bits(noisy_states(propagators[:k], noise)))
 
 
 def test_noisy_state_batch_without_noise_builds_no_generator(monkeypatch):
     sc = make_scenario("relaxation_only", n_times=3)
     noise = NoiseSpec(prep_fidelity=0.9)
-    expected = _reference_batch(sc.propagators, noise, [0, 1])
 
     def unexpected(*args, **kwargs):
         raise AssertionError("a generator was built")
 
-    for name in ("PCG64", "Generator", "SeedSequence", "default_rng"):
-        monkeypatch.setattr(np.random, name, unexpected)
-    monkeypatch.setattr(synthlab, "_pcg64_states", unexpected)
+    monkeypatch.setattr(np.random, "default_rng", unexpected)
     batch = noisy_state_batch(sc.propagators, noise, [0, 2**97 + 5])
-    assert np.array_equal(_bits(batch), _bits(expected))
+    assert np.array_equal(_bits(batch), _bits(np.array([_noiseless(sc.propagators, noise)] * 2)))
 
 
-def test_noisy_state_batch_takes_no_negative_seed():
+@pytest.mark.parametrize(
+    "seed, sigma, message",
+    [
+        (-1, 0.004, "seeds must be non-negative, got -1"),
+        (-1, 0.0, "seeds must be non-negative, got -1"),  # checked with no noise to draw
+        (1.5, 0.004, "seeds must be integers, got 1.5"),
+        (True, 0.004, "seeds must be integers, got True"),
+    ],
+)
+def test_noisy_state_batch_takes_only_non_negative_integer_seeds(seed, sigma, message):
     sc = make_scenario("relaxation_only", n_times=1)
-    with pytest.raises(ValueError, match="seeds must be non-negative, got -1"):
-        noisy_state_batch(sc.propagators, NoiseSpec(bloch_sigma=0.004), [0, -1])
+    with pytest.raises(ValueError, match=message):
+        noisy_state_batch(sc.propagators, NoiseSpec(bloch_sigma=sigma), [0, seed])
 
 
 def test_determinism_bit_identical():
