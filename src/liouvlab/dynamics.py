@@ -403,6 +403,7 @@ def _eigen_logs(mats: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, dict]
     # screened slices are NaN and compare False here
     resid = np.abs(logs.imag).max(axis=(1, 2))
     for k in np.flatnonzero(resid > 1e-9 * np.maximum(1.0, np.abs(logs.real).max(axis=(1, 2)))):
+        logs[k] = np.nan
         errors[int(k)] = BranchCutError(
             f"matrix logarithm at t = {labels[k]} s has imaginary residue "
             f"{resid[k]:.3e}; the principal branch is not real here"

@@ -4,9 +4,9 @@ Two complementary estimators are provided throughout:
 
 * direct: take the principal log of each measured process matrix over its
   time, average over the admissible times (a field fit keeps one per
-  interval), and project onto the constrained form by linear least
-  squares (``_direct_rows``).  Fast, no iteration, but noise can push the
-  raw estimate off the physical set.
+  interval), and project onto the constrained form by least squares, in
+  one kernel (``tomography._direct_rows``).  Fast, no iteration, but noise
+  can push the raw estimate off the physical set.
 * maximum-likelihood (MLE): find the least cumulative squared Frobenius
   deviation
 
@@ -18,7 +18,8 @@ Two complementary estimators are provided throughout:
   is a Pade ``expm`` per time.
 
 Every FitReport, direct or MLE, reports this Pade cost of its estimate,
-so the costs of two fits of one dataset compare on one scale.
+from one evaluator (``_stacked_costs``), so the costs of two fits of one
+dataset compare on one scale.
 
 One damped Gauss-Newton solver fits every MLE problem: the fits of
 ``mle_liouvillian`` (one problem of one or more times, of a free, Hermitian
@@ -47,8 +48,8 @@ after GN_MAX_ITERS steps is reported as not converged.
 with the four rates >= 0, is solved exactly with no iteration: of the fits
 with each of the 2^4 = 16 sets of rates held at 0, one cached
 pseudo-inverse each, it takes the least-cost one with every rate >= 0.  The
-relaxation bootstrap draws run it a batch at a time, and a ``relaxation``
-MLE fit with a negative rate refits over the same sets.
+relaxation bootstrap draws run it a batch at a time on the direct kernel's
+mean logs; a ``relaxation`` MLE fit with a negative rate refits those sets.
 
 Uncertainty is quantified by a percentile bootstrap: ``bootstrap`` takes
 a fit of a list of per-draw seeds (the caller's simulation and fit of
@@ -86,7 +87,7 @@ import scipy.optimize  # unused; bench/run.py --trace 1 times its import (ROADMA
 from numpy.typing import NDArray
 
 from .basis import build_basis, _frozen_array
-from .dynamics import _eigvec_inverse, _log_stack, _principal_logs, _process_dim
+from .dynamics import _eigvec_inverse, _process_dim
 from .exceptions import (
     BootstrapError,
     DimensionError,
@@ -98,11 +99,11 @@ from .superop import (
     Superoperator,
     _field_design,
     _hermitian_design,
+    _projection,
     dissipator_superop,
-    explicit_qutrit_superop,
     spin1_operators,
 )
-from .tomography import _check_stack, _mean_logs, _processes, _steps
+from .tomography import _check_stack, _direct_rows, _processes, _steps
 
 __all__ = [
     "RelaxationModel",
@@ -300,15 +301,8 @@ def df_per_time(processes: tuple[np.ndarray, np.ndarray], generator: np.ndarray)
     process.  All exponentials come from one stacked ``expm``, whose slices
     equal separate calls bit for bit.
     """
-    return _expm_fit(processes, generator)[1]
-
-
-def _expm_fit(processes, generator) -> tuple[float, np.ndarray]:
-    """The Pade cost sum_t ||exp(G t) - P_t||_F^2 and the ``df_per_time`` of a
-    generator G (or stack), both from one stacked ``expm``."""
     ps, ts = processes
-    exps = scipy.linalg.expm(generator * ts[:, None, None])
-    return float(np.sum(_squared_norms(exps - ps))), _distances(ps, exps)
+    return _distances(ps, _stacked_expm(np.broadcast_to(generator, ps.shape), ts[:, None])[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +609,7 @@ def mle_liouvillian(
             Field fits (B in the span of the spin-1 precession
             generators) run through ``estimate_fields``.
         x0: optional initial parameter vector; defaults to the form's
-            direct estimate (``_direct_rows``): the mean of log(P_t)/t
+            direct estimate (``_skipping_rows``): the mean of log(P_t)/t
             (+ R_T) over the admissible times, projected onto the
             parameter space.  Its component along the null space of the
             ``hermitian`` design (the trace of H), which the cost does not
@@ -642,11 +636,10 @@ def mle_liouvillian(
     _check_dissipator(dim, dissipator)
     order = np.argsort(processes[1], kind="stable")
     ps, ts = processes[0][order], processes[1][order]
-    n2 = dim * dim
     rt_mat = None if dissipator is None else dissipator.matrix
 
     if form == "free":
-        design = None
+        design = projection = None
     elif form not in _FORM_PARAM_NAMES:
         raise ValueError(f"unknown constraint form {form!r}")
     elif dim != 3:
@@ -654,11 +647,11 @@ def mle_liouvillian(
     elif form == "relaxation" and rt_mat is not None:
         raise ValueError("the relaxation form fits the whole generator; it takes no dissipator")
     else:
-        design = _hermitian_design() if form == "hermitian" else -_relaxation_design()
-    n_params = n2 * n2 if design is None else design.shape[1]
+        design, projection = _form_design(form)
+    n_params = dim**4 if design is None else design.shape[1]
 
     if x0 is None:
-        x0 = _direct_rows(ps[None], ts, rt_mat, design)[0][0]
+        x0 = _skipping_rows(ps[None], ts, rt_mat, projection)[0][0]
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n_params,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({n_params},)")
@@ -675,24 +668,17 @@ def mle_liouvillian(
     feasible = [fit for fit in fits if form != "relaxation" or fit[0][0, 3:].min() >= 0]
     thetas, gens, costs, exps, converged, _ = min(feasible, key=lambda fit: fit[2][0])
     theta, l_hat = thetas[0], gens[0]
-    dfs = _distances(ps, exps[0])
     counts = {key: sum(fit[5][key] for fit in fits) for key in fits[0][5]}
     steps = counts["gauss_newton_iterations"]
     extras = {"optimizer": {"evaluations": len(fits) + steps, **counts}}
     if rt_mat is not None:
         extras["hamiltonian_superop"] = Superoperator(dim=dim, matrix=l_hat + rt_mat)
+    estimate = (RelaxationModel.from_params(theta) if form == "relaxation"
+                else Superoperator(dim=dim, matrix=l_hat))
     return FitReport(
-        model=f"mle-{form}",
-        estimate=RelaxationModel.from_params(theta)
-        if form == "relaxation"
-        else Superoperator(dim=dim, matrix=l_hat),
-        params=theta,
-        cost=float(costs[0]),
-        df_per_time=dfs,
-        iterations=steps,
-        converged=bool(converged[0]),
-        param_names=_FORM_PARAM_NAMES.get(form),
-        extras=extras,
+        model=f"mle-{form}", estimate=estimate, params=theta, cost=float(costs[0]),
+        df_per_time=_distances(ps, exps[0]), iterations=steps, converged=bool(converged[0]),
+        param_names=_FORM_PARAM_NAMES.get(form), extras=extras,
     )
 
 
@@ -707,6 +693,17 @@ def _relaxation_design() -> np.ndarray:
     dephasing = [dissipator_superop([f], basis).matrix.ravel() for f in spin1_operators()]
     iso = np.diag([1.0] * 8 + [0.0]).ravel()
     return _frozen_array(np.column_stack([-_field_design(), *dephasing, iso]))
+
+
+@functools.cache
+def _form_design(form: str) -> tuple[np.ndarray, np.ndarray]:
+    """The design of a constrained form (hermitian, fields or relaxation), the map
+    B(theta) = design @ theta, and its ``_projection``, once per form; the
+    relaxation form's are those of the generator -R_T."""
+    if form == "relaxation":
+        return _frozen_array(-_relaxation_design()), _frozen_array(-_held_pinvs()[0])
+    design = _hermitian_design if form == "hermitian" else _field_design
+    return design(), _projection(design)
 
 
 @functools.cache
@@ -768,52 +765,40 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
     """Averaged direct estimate of a static Hamiltonian generator.
 
     ``processes`` is the (mats, durations) pair of ``reconstruct_processes``.
-    For each admissible process matrix the generator log-estimate is taken,
-    the known relaxation matrix is added back (isolating the Hamiltonian
-    part), and the per-time estimates are averaged; a final least-squares
-    projection onto the Hermitian parametrization enforces physicality
-    (``_direct_rows``).  ``cost`` is the Pade cost of the estimate.
-    Times where the logarithm hits the branch cut are skipped with a
-    warning and listed in ``extras["skipped_times"]``.  Processes of another
-    dimension than 3, or an ``rt`` of another dimension than the processes,
-    raise DimensionError.
+    The mean of log(P_t) / t + R_T (the Hamiltonian part) over the admissible
+    times is projected onto the Hermitian parametrization by least squares
+    (``_skipping_rows``); ``cost`` and ``df_per_time`` are those an MLE fit of
+    no step from it reports, bit for bit.  Times where the logarithm hits the
+    branch cut are skipped with a warning and listed in
+    ``extras["skipped_times"]``.  Processes of another dimension than 3, or an
+    ``rt`` of another dimension than the processes, raise DimensionError.
     """
     dim = _process_dim(*processes)
     _check_dissipator(dim, rt)
     if dim != 3:
         raise DimensionError("hermitian form is defined for qutrits only")
     ps, ts = processes
-    [h], errors = _direct_rows(ps[None], ts, rt.matrix, _hermitian_design())
-    skipped = [(float(ts[k]), str(errors[0, k])) for k in range(len(ts)) if (0, k) in errors]
+    design, projection = _form_design("hermitian")
+    rows, errors = _skipping_rows(ps[None], ts, rt.matrix, projection)
+    skipped = [(float(ts[k]), str(errors[0, k])) for _, k in sorted(errors)]
     for t, msg in skipped:
         warnings.warn(f"skipping t = {t}: {msg}", stacklevel=2)
-    estimate = HermitianParams(h=h)
-    cost, dfs = _expm_fit(processes, explicit_qutrit_superop(estimate).matrix - rt.matrix)
+    exps = _stacked_expm(_generators(design, rt.matrix, rows), ts[None])
     return FitReport(
-        model="direct-hamiltonian", estimate=estimate, params=estimate.h, cost=cost,
-        df_per_time=dfs, iterations=1, param_names=HERMITIAN_PARAM_NAMES,
-        extras={"skipped_times": skipped},
+        model="direct-hamiltonian", estimate=HermitianParams(h=rows[0]), params=rows[0],
+        cost=float(_stacked_costs(exps, ps[None])[0]), df_per_time=_distances(ps, exps[0]),
+        iterations=1, param_names=HERMITIAN_PARAM_NAMES, extras={"skipped_times": skipped},
     )
 
 
-def _direct_rows(mats: np.ndarray, ts: np.ndarray, rt_mat, design) -> tuple[np.ndarray, dict]:
-    """The (m, P) direct estimates of an (m, T, n, n) batch of processes at ``ts``,
-    and the ``_principal_logs`` errors of the times left out: per draw, the mean of
-    log(P_t) / t + ``rt_mat`` (None: no dissipator) over its admissible times, projected
-    onto ``design`` by least squares (None, the free form: the flattened mean).  A draw
-    with no admissible time raises its earliest time's error class (SingularProcessError or
-    BranchCutError), with a message that names that error."""
-    logs, errors = _principal_logs(mats, ts)
-    rows = []
-    for j, draw_logs in enumerate(logs):
-        keep = [k for k in range(len(ts)) if (j, k) not in errors]
-        if not keep:
-            earliest = errors[j, int(np.argmin(ts))]
-            raise type(earliest)(f"no evolution time admits a principal logarithm ({earliest})")
-        per_time = draw_logs[keep] / ts[keep, None, None]
-        mean = np.mean(per_time if rt_mat is None else per_time + rt_mat, axis=0).ravel()
-        rows.append(mean if design is None else np.linalg.lstsq(design, mean, rcond=None)[0])
-    return np.array(rows), errors
+def _skipping_rows(mats: np.ndarray, ts: np.ndarray, shift, projection) -> tuple[np.ndarray, dict]:
+    """``_direct_rows`` with each inadmissible time left out: a draw with none raises
+    its earliest time's error class, with a message that names that error."""
+    rows, errors = _direct_rows(mats, ts, shift, projection)
+    if (lost := np.isnan(rows).all(axis=1)).any():  # the NaN row of a draw with none
+        earliest = errors[int(np.argmax(lost)), int(np.argmin(ts))]
+        raise type(earliest)(f"no evolution time admits a principal logarithm ({earliest})")
+    return rows, errors
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +838,8 @@ def estimate_fields(
         diverges there, an artifact of the normalization rather than of
         the reconstruction.
 
-    Both methods start from the direct estimate: the principal log of each
-    step, with ``rt`` added back, projected onto the parameters by least
-    squares.  ``"mle"`` then lowers each interval's Pade cost by damped
+    Both methods start from the direct estimate: log(P_k) / dt_k + ``rt``
+    projected by least squares.  ``"mle"`` then lowers each interval's Pade cost by damped
     Gauss-Newton, all intervals in lockstep as one-time problems of
     ``_gauss_newton``.
     ``extras["optimizer"]`` then holds ``gauss_newton_iterations``
@@ -876,50 +860,36 @@ def estimate_fields(
     _check_dissipator(dim, rt)
     if dim != 3:
         raise DimensionError("field tracking is defined for qutrits only")
-    design = _field_design() if known_form else _hermitian_design()
+    design, projection = _form_design("fields" if known_form else "hermitian")
     columns = FIELD_PARAM_NAMES if known_form else HERMITIAN_PARAM_NAMES
-    [theta0] = _direct_field_rows(ps[None], dts, rt, design)
+    # one time per interval: the direct chain without the mean
+    rows, errors = _direct_rows(ps[:, None], dts[:, None], rt.matrix, projection)
+    if errors:
+        raise next(iter(errors.values()))
     if method == "direct":
-        rows = theta0
-        cost, dfs = _expm_fit(psteps, _generators(design, rt.matrix, rows))
+        exps = _stacked_expm(_generators(design, rt.matrix, rows), dts[:, None])
+        costs = _stacked_costs(exps, ps[:, None])
     else:
         rows, _, costs, exps, converged, counts = _gauss_newton(
-            design, rt.matrix, dts[:, None], ps[:, None], theta0
+            design, rt.matrix, dts[:, None], ps[:, None], rows
         )
-        cost, dfs = float(np.sum(costs)), _distances(ps, exps[:, 0])
 
     # |Omega| times a constant for the known form: the field design's columns
     # are orthogonal with one norm
     magnitudes = np.linalg.norm(rows @ design.T, axis=1)
     flagged = (magnitudes < 0.1 * magnitudes.max()) | (magnitudes.max() == 0)
     report = FitReport(
-        model=f"fields-{method}-{'known' if known_form else 'unknown'}",
-        estimate=rows,
-        params=rows.ravel(),
-        cost=cost,
-        df_per_time=dfs,
-        iterations=1,
-        param_names=tuple(f"{c}[{k}]" for k in range(len(rows)) for c in columns),
+        model=f"fields-{method}-{'known' if known_form else 'unknown'}", estimate=rows,
+        params=rows.ravel(), cost=float(np.sum(costs)), df_per_time=_distances(ps, exps[:, 0]),
+        iterations=1, param_names=tuple(f"{c}[{k}]" for k in range(len(rows)) for c in columns),
         extras={"flagged": flagged},
     )
     if method == "mle":
         report.iterations = counts["gauss_newton_iterations"]
         report.converged = bool(converged.all())
-        report.extras["optimizer"] = {
-            **counts,
-            "unconverged_intervals": np.flatnonzero(~converged).tolist(),
-        }
+        unconverged = np.flatnonzero(~converged).tolist()
+        report.extras["optimizer"] = {**counts, "unconverged_intervals": unconverged}
     return report
-
-
-def _direct_field_rows(steps: np.ndarray, dts: np.ndarray, rt: Superoperator, design) -> np.ndarray:
-    """The (m, T, P) direct rows of ``design`` of each draw of an (m, T, 9, 9) batch
-    of steps, the log-estimates log(P) / dt + rt projected by least squares: one
-    ``_log_stack`` pass, then one projection per draw."""
-    k_direct = _log_stack(steps, dts) / dts[:, None, None] + rt.matrix
-    k_direct = k_direct.reshape(*steps.shape[:2], -1)
-    rows = np.stack([np.linalg.lstsq(design, k.T, rcond=None)[0] for k in k_direct])
-    return rows.transpose(0, 2, 1)
 
 
 def fit_draws(states, times, model: str, rt: Superoperator | None = None, known_form: bool = True):
@@ -927,16 +897,21 @@ def fit_draws(states, times, model: str, rt: Superoperator | None = None, known_
     as a TomographySet checks its stack, by the direct estimator of ``model`` (relaxation,
     hermitian or fields): the kernels of its direct point fit, once per batch."""
     _check_stack(states, times)
-    if model == "fields":
-        design = _field_design() if known_form else _hermitian_design()
-        rows = _direct_field_rows(*_steps(states, times), rt, design)
-        return rows.reshape(len(rows), -1)
-    mats = _processes(states)
     if model == "hermitian":
-        return _direct_rows(mats, times, rt.matrix, _hermitian_design())[0]
-    if model != "relaxation":
+        return _skipping_rows(_processes(states), times, rt.matrix, _form_design(model)[1])[0]
+    if model == "fields":
+        steps, dts = _steps(states, times)
+        # one time per interval: the direct chain without the mean
+        projection = _form_design("fields" if known_form else "hermitian")[1]
+        rows, errors = _direct_rows(steps.reshape(-1, 1, *steps.shape[2:]),
+                                    np.tile(dts, len(steps))[:, None], rt.matrix, projection)
+    elif model == "relaxation":
+        rows, errors = _direct_rows(_processes(states), times)
+    else:
         raise ValueError(f"no draw fit of model {model!r}")
-    return _bounded_relaxation_rows(-_mean_logs(mats, times).reshape(len(mats), -1))
+    if errors:
+        raise next(iter(errors.values()))
+    return rows.reshape(len(states), -1) if model == "fields" else _bounded_relaxation_rows(-rows)
 
 
 # ---------------------------------------------------------------------------

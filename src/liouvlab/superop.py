@@ -292,6 +292,14 @@ def _field_design() -> np.ndarray:
     return _qutrit_design(spin1_operators())
 
 
+@functools.cache
+def _projection(design) -> np.ndarray:
+    """(81, P) transposed pseudo-inverse of a cached ``design()``, once per design: a
+    flattened generator row times it is the min-norm least-squares fit.  Its explicit
+    cut, 81 eps relative, drops the Hermitian design's trace-of-H direction at any numpy."""
+    return _frozen_array(np.linalg.pinv(design(), rcond=81 * np.finfo(float).eps).T.copy())
+
+
 def explicit_qutrit_superop(params: HermitianParams) -> Superoperator:
     """Qutrit Hamiltonian generator as a linear function of the nine parameters.
 
@@ -311,9 +319,9 @@ def params_from_superop(hs: Superoperator) -> ParamsFit:
     """Least-squares Hermitian parameters of a 9x9 generator.
 
     Equates ``hs`` with the linear qutrit form over all 81 entries and
-    solves the overdetermined linear system; the returned residual is the
-    Frobenius norm of the non-representable component.  Never raises on a
-    poor fit -- the residual carries that information.
+    solves the overdetermined linear system (``_projection``); the returned
+    residual is the Frobenius norm of the non-representable component.
+    Never raises on a poor fit -- the residual carries that information.
 
     The identity component of a Hamiltonian is unobservable (it commutes
     with everything), so the parameter-to-generator map has a one-
@@ -322,9 +330,9 @@ def params_from_superop(hs: Superoperator) -> ParamsFit:
     """
     if hs.dim != 3:
         raise DimensionError("Hermitian parametrization is defined for dim 3 only")
-    a = _hermitian_design()
-    sol, _, _, _ = np.linalg.lstsq(a, hs.matrix.ravel(), rcond=None)
-    resid = float(np.linalg.norm(a @ sol - hs.matrix.ravel()))
+    row = hs.matrix.ravel()
+    sol = row @ _projection(_hermitian_design)
+    resid = float(np.linalg.norm(_hermitian_design() @ sol - row))
     return ParamsFit(params=HermitianParams(h=sol), residual=resid)
 
 

@@ -76,10 +76,10 @@ class NoiseSpec:
 
     Attributes:
         bloch_sigma: Gaussian sigma applied to each traceless Bloch
-            coordinate of every reported state.
+            coordinate of every reported state (finite, non-negative).
         prep_fidelity: weight of the intended state in the prepared
             mixture (1.0 = perfect preparation).
-        seed: anchor for all derived randomness (non-negative).
+        seed: anchor for all derived randomness (a non-negative integer).
     """
 
     bloch_sigma: float = 0.0
@@ -87,10 +87,12 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bloch_sigma < 0:
-            raise ValueError("bloch_sigma must be non-negative")
+        if not 0.0 <= self.bloch_sigma < math.inf:
+            raise ValueError(f"bloch_sigma must be finite and non-negative, got {self.bloch_sigma}")
         if not 0.0 < self.prep_fidelity <= 1.0:
             raise ValueError("prep_fidelity must lie in (0, 1]")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -10,7 +10,9 @@ per-time ones and the per-interval stepwise ones alike, goes through one
 kernel that checks a whole stack of input matrices from one batched SVD
 and solves all their Gram systems at once.  The reconstruction is purely
 linear-algebraic: it is exact for any full-rank input set, pure or mixed,
-and does not project onto the physical set.
+and does not project onto the physical set.  Every direct generator
+estimate, here and in ``estimation``, reads one loop-free kernel
+(``_direct_rows``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .basis import DensityMatrix, _frozen_array
-from .dynamics import ProcessMatrix, _checked_times, _log_stack, _process_dim, principal_log
+from .dynamics import ProcessMatrix, _checked_times, _principal_logs, _process_dim, principal_log
 from .exceptions import CompletenessError, DimensionError, IllConditionedError
 from .superop import Superoperator
 
@@ -279,18 +281,30 @@ def mean_log_liouvillian(processes: tuple[np.ndarray, np.ndarray]) -> Superopera
 
     ``processes`` is a (mats, durations) pair, as ``reconstruct_processes``
     returns.  Each process matrix contributes its principal log divided by
-    its duration, averaged over the stacked logs; branch-cut and
-    singularity errors propagate.
+    its duration, averaged over the stacked logs (``_direct_rows``); the
+    first branch-cut or singularity error is raised.
     """
     dim = _process_dim(*processes)
-    mats, durations = processes
-    return Superoperator(dim=dim, matrix=_mean_logs(mats[None], durations)[0])
+    rows, errors = _direct_rows(processes[0][None], processes[1])
+    if errors:
+        raise next(iter(errors.values()))
+    return Superoperator(dim=dim, matrix=rows.reshape(dim * dim, dim * dim))
 
 
-def _mean_logs(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """The mean of log(P_t) / t of each draw of an (m, T, n, n) batch, (m, n, n); the
-    first inadmissible log raises (``_log_stack``)."""
-    return np.mean(_log_stack(mats, durations) / durations[:, None, None], axis=1)
+def _direct_rows(mats: np.ndarray, ts: np.ndarray, shift=None, projection=None):
+    """Direct rows of an (m, T, n, n) batch of processes at ``ts`` ((T,) or (m, T)), and
+    the ``_principal_logs`` errors, whose rule each caller applies.  Row j is the
+    mean of log(P_jk) / t_k + ``shift`` over draw j's admissible times k (``np.mean``
+    bit for bit; NaN if none), flattened, times ``projection`` (a ``_projection``)
+    per row (None: no shift, no projection).  An inadmissible log is NaN, which
+    masks it.  A batch of one time per draw, (m T, 1, n, n), keeps each log alone."""
+    logs, errors = _principal_logs(mats, ts)
+    per_time = logs / np.asarray(ts)[..., None, None] + (0.0 if shift is None else shift)
+    keep = ~np.isnan(per_time).any(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        sums = per_time.sum(axis=1, where=keep[..., None, None])
+        rows = (sums / keep.sum(axis=1)[:, None, None]).reshape(len(mats), -1)
+    return (rows if projection is None else (rows[:, None] @ projection)[:, 0]), errors
 
 
 def direct_liouvillian(ts: TomographySet, t: float) -> Superoperator:

@@ -298,6 +298,9 @@ def test_hermitian_mle_starts_from_the_direct_fit(monkeypatch, on_cut):
     monkeypatch.setattr(estimation, "GN_MAX_ITERS", 0)
     report = mle_liouvillian(processes, dissipator=rt, form="hermitian")
     assert np.array_equal(report.params, direct.params)
+    # one Pade cost evaluator: the same cost, summed in time order, and distances
+    assert report.cost == direct.cost
+    assert np.array_equal(report.df_per_time, direct.df_per_time)
 
 
 @pytest.mark.parametrize("form", ["free", "relaxation"])
@@ -305,10 +308,14 @@ def test_mle_starts_from_the_projected_mean_log(monkeypatch, form):
     sc = make_scenario("relaxation_only", n_times=8)
     processes = reconstruct_processes(generate_dataset(sc, NoiseSpec(bloch_sigma=0.004, seed=72)))
     mean = mean_log_liouvillian(processes).matrix.ravel()
-    if form == "relaxation":
-        mean = np.linalg.lstsq(-estimation._relaxation_design(), mean, rcond=None)[0]
     monkeypatch.setattr(estimation, "GN_MAX_ITERS", 0)
-    assert np.array_equal(mle_liouvillian(processes, form=form).params, mean)
+    start = mle_liouvillian(processes, form=form).params
+    if form == "relaxation":
+        # the mean log times the form's cached pseudo-inverse, the least-squares fit
+        oracle = np.linalg.lstsq(-estimation._relaxation_design(), mean, rcond=None)[0]
+        mean = (mean[None] @ estimation._form_design("relaxation")[1])[0]
+        assert np.linalg.norm(start - oracle) <= 1e-13 * np.linalg.norm(oracle)
+    assert np.array_equal(start, mean)
 
 
 def _field_pade_cost(rows, design, rt, steps) -> float:

@@ -545,6 +545,24 @@ def test_noise_fields_are_type_checked(fields, message):
     assert NoiseSpec.from_json({"seed": np.int64(3), "bloch_sigma": 1}) == NoiseSpec(1.0, 1.0, 3)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        # NaN adds no noise (nan > 0 is False) and to_json would write NaN, not JSON
+        ({"bloch_sigma": float("nan")}, "bloch_sigma must be finite and non-negative, got nan"),
+        ({"bloch_sigma": float("inf")}, "bloch_sigma must be finite and non-negative, got inf"),
+        ({"bloch_sigma": -0.1}, r"bloch_sigma must be finite and non-negative, got -0\.1"),
+    ],
+)
+def test_noise_spec_checks_its_own_fields(fields, message):
+    # the constructor refuses what from_json and the CLI refuse
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NoiseSpec(**fields)
+
+
 # one instance of every dataclass with an array or dict field, by class name
 _ARRAY_DATACLASSES = {
     "OperatorBasis": lambda: build_basis(3),
