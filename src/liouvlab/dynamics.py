@@ -158,7 +158,7 @@ def propagator(liouvillian: Superoperator, t: float) -> ProcessMatrix:
         raise ValueError("generator has non-finite entries")
     pm = ProcessMatrix(
         dim=liouvillian.dim,
-        matrix=scipy.linalg.expm(liouvillian.matrix * t),
+        matrix=_expm(liouvillian.matrix, t),
         duration_s=float(t),
     )
     _check_physical(pm)
@@ -198,12 +198,21 @@ def _time_ordered(gens: np.ndarray, durations: np.ndarray) -> np.ndarray:
     exponentials come from one stacked ``expm`` (which equals K separate
     calls bit for bit), and later factors multiply on the left.
     """
-    steps = scipy.linalg.expm(gens * durations[:, None, None])
+    steps = _expm(gens, durations)
     out = np.empty_like(steps)
     total = np.eye(steps.shape[-1])
     for k, step in enumerate(steps):
         total = out[k] = step @ total
     return out
+
+
+def _expm(mats: np.ndarray, ts) -> np.ndarray:
+    """exp(M t) of each matrix M of an (..., n, n) stack times its t of ``ts`` (...),
+    broadcast: the package's one matrix exponential, one stacked scaling-and-squaring
+    Pade call (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) on the (k, n, n)
+    stack of the products M t, whose slices equal separate calls bit for bit."""
+    args = mats * np.asarray(ts)[..., None, None]
+    return scipy.linalg.expm(args.reshape(-1, *args.shape[-2:])).reshape(args.shape)
 
 
 def principal_log(pm: ProcessMatrix) -> Superoperator:

@@ -17,32 +17,33 @@ Two complementary estimators are provided throughout:
   construction, starting from the direct estimate of its form.  The cost
   is a Pade ``expm`` per time.
 
-Every FitReport, direct or MLE, reports this Pade cost of its estimate,
-from one evaluator (``_stacked_costs``), so the costs of two fits of one
-dataset compare on one scale.
-
-One damped Gauss-Newton solver fits every MLE problem: the fits of
-``mle_liouvillian`` (one problem of one or more times, of a free, Hermitian
-or relaxation-model generator) and the
-per-interval field fits of ``estimate_fields`` (one problem of one time per
-interval, all intervals in lockstep on stacked arrays).  These are
-small-residual least-squares problems, where Gauss-Newton converges in a
-few steps.  Each step takes one batched eigendecomposition
-G = V diag(lambda) V^-1, the Jacobian of exp(G t) from Daleckii-Krein
-divided differences (Najfeld & Havel, Adv. Appl. Math. 16 (1995)) and the
-min-norm least-squares step.  A problem stops, converged, when a step
-changes its Pade cost by less than CONVERGENCE_RTOL relative (or than the
-rounding of a cost near 0; a linearly converging problem goes on to a
-hundredth of that).  A step that raises the cost by more is not taken and
-is tried again with Levenberg damping (Levenberg 1944; Marquardt 1963;
-More, Lecture Notes in Math. 630 (1978)), which starts at 0, so an
-undamped step is the plain Gauss-Newton step.  A generator is
-near-defective when its eigenvector matrix V has a Frobenius condition
-||V||_F ||V^-1||_F >= EIGVEC_COND_MAX, an upper bound on the 2-norm
-condition that costs the one inverse the step needs anyway; its Jacobian
-columns then come from the Frechet derivative of ``expm`` itself, exact
-without an eigendecomposition.  A problem still running
-after GN_MAX_ITERS steps is reported as not converged.
+Every point fit is one check of its inputs (``_fit_dim``), one start from
+the direct kernel and one call of the damped Gauss-Newton solver
+(``_gauss_newton``) with a step budget: GN_MAX_ITERS for an MLE fit and 0
+for a direct fit, whose cost, exponentials and ``df_per_time`` are the
+solver's start evaluation.  So every FitReport, direct or MLE, reports the
+Pade cost of its estimate from one evaluator, and the costs of two fits of
+one dataset compare on one scale.  ``mle_liouvillian`` fits one problem of
+one or more times (a free, Hermitian or relaxation-model generator) and
+``estimate_fields`` one problem of one time per interval, all intervals in
+lockstep on stacked arrays; only the relaxation form's refits with rates
+held at 0 (below) call the solver again.  These are small-residual
+least-squares problems, where Gauss-Newton converges in a few steps.  Each
+step takes one batched eigendecomposition G = V diag(lambda) V^-1, the
+Jacobian of exp(G t) from Daleckii-Krein divided differences (Najfeld &
+Havel, Adv. Appl. Math. 16 (1995)) and the min-norm least-squares step.  A
+problem stops, converged, when a step changes its Pade cost by less than
+CONVERGENCE_RTOL relative (or than the rounding of a cost near 0; a linearly
+converging problem goes on to a hundredth of that).  A step that raises the
+cost by more is not taken and is tried again with Levenberg damping
+(Levenberg 1944; Marquardt 1963; More, Lecture Notes in Math. 630 (1978)),
+which starts at 0, so an undamped step is the plain Gauss-Newton step.  A
+generator is near-defective when its eigenvector matrix V has a Frobenius
+condition ||V||_F ||V^-1||_F >= EIGVEC_COND_MAX, an upper bound on the
+2-norm condition that costs the one inverse the step needs anyway; its
+Jacobian columns then come from the Frechet derivative of ``expm`` itself,
+exact without an eigendecomposition.  A problem still running after its
+budget is reported as not converged.
 
 ``fit_relaxation_model``, least squares over the seven relaxation params
 with the four rates >= 0, is solved exactly with no iteration: of the fits
@@ -82,12 +83,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize  # unused; bench/run.py --trace 1 times its import (ROADMAP items 1-2)
 from numpy.typing import NDArray
 
 from .basis import build_basis, _frozen_array
-from .dynamics import _eigvec_inverse, _process_dim
+from .dynamics import _eigvec_inverse, _expm, _process_dim
 from .exceptions import (
     BootstrapError,
     DimensionError,
@@ -104,6 +103,8 @@ from .superop import (
     spin1_operators,
 )
 from .tomography import _check_stack, _direct_rows, _processes, _steps
+
+__import__("scipy.optimize")  # unused: bench/run.py --trace 1 times its import (ROADMAP 1-2)
 
 __all__ = [
     "RelaxationModel",
@@ -285,12 +286,18 @@ def _distances(ps, exps) -> np.ndarray:
     return np.array([frobenius_distance(p, e) for p, e in zip(ps, exps)])
 
 
-def _check_dissipator(dim: int, rt: Superoperator | None):
-    """Raise DimensionError unless ``rt`` (None passes) is of the processes' ``dim``."""
+def _fit_dim(processes, rt: Superoperator | None, qutrits_only: str | None) -> int:
+    """The d of a fit's (mats, durations) pair (``_process_dim``), with its dissipator
+    ``rt`` (None passes) of that d and, unless ``qutrits_only`` is None, d = 3: else
+    DimensionError, which names ``qutrits_only``, the form that needs qutrits."""
+    dim = _process_dim(*processes)
     if rt is not None and rt.dim != dim:
         raise DimensionError(
             f"relaxation matrix has dim {rt.dim}, but the process matrices have dim {dim}"
         )
+    if qutrits_only is not None and dim != 3:
+        raise DimensionError(f"{qutrits_only} is defined for qutrits only")
+    return dim
 
 
 def df_per_time(processes: tuple[np.ndarray, np.ndarray], generator: np.ndarray) -> np.ndarray:
@@ -302,7 +309,7 @@ def df_per_time(processes: tuple[np.ndarray, np.ndarray], generator: np.ndarray)
     equal separate calls bit for bit.
     """
     ps, ts = processes
-    return _distances(ps, _stacked_expm(np.broadcast_to(generator, ps.shape), ts[:, None])[:, 0])
+    return _distances(ps, _expm(generator, ts))
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +372,6 @@ def _directions(design, n: int) -> np.ndarray:
     return np.eye(n * n).reshape(-1, n, n) if design is None else design.T.reshape(-1, n, n)
 
 
-def _stacked_expm(gens, ts) -> np.ndarray:
-    """exp(G_k t_kn), (K, T, n, n), from one stacked Pade ``expm`` call."""
-    n = gens.shape[-1]
-    args = (gens[:, None] * ts[:, :, None, None]).reshape(-1, n, n)
-    return scipy.linalg.expm(args).reshape(*ts.shape, n, n)
-
-
 def _stacked_costs(exps, ps) -> np.ndarray:
     """Pade cost sum_n ||E_kn - P_kn||_F^2 per problem, summed in time order."""
     n = ps.shape[-1]
@@ -411,11 +411,10 @@ def _frechet_jacobian(dirs, gens, ts) -> np.ndarray:
     """
     n_prob, n_times = ts.shape
     n = gens.shape[-1]
-    gt = gens[:, None, None] * ts[:, :, None, None, None]
-    blocks = np.zeros((n_prob, n_times, len(dirs), 2 * n, 2 * n))
-    blocks[..., :n, :n] = blocks[..., n:, n:] = gt
-    blocks[..., :n, n:] = dirs * ts[:, :, None, None, None]
-    jac = scipy.linalg.expm(blocks.reshape(-1, 2 * n, 2 * n))[:, :n, n:]
+    blocks = np.zeros((n_prob, 1, len(dirs), 2 * n, 2 * n))
+    blocks[..., :n, :n] = blocks[..., n:, n:] = gens[:, None, None]
+    blocks[..., :n, n:] = dirs
+    jac = _expm(blocks, ts[:, :, None])[..., :n, n:]
     jac = jac.reshape(n_prob, n_times, len(dirs), -1).transpose(0, 1, 3, 2)
     return jac.reshape(n_prob, -1, len(dirs))
 
@@ -503,19 +502,22 @@ def _gauss_newton_step(design, gens, ts, resid, damping):
     return step, defective
 
 
-def _gauss_newton(design, rt, ts, ps, theta0):
+def _gauss_newton(design, rt, ts, ps, theta0, max_steps: int):
     """Lockstep damped Gauss-Newton fits of K problems of T times each.
 
     Problem k seeks the least Pade cost sum_n ||exp(G_k t_kn) - P_kn||_F^2
     of ``mle_liouvillian``, with G_k = B(theta_k) - rt (``_generators``),
     starting from ``theta0[k]``; ``ts`` is (K, T) and ``ps`` (K, T, n, n).
+    Every point fit is one call, with at most ``max_steps`` steps: GN_MAX_ITERS
+    for an MLE fit and 0 for a direct fit, which reports its start's evaluation.
     All problems step together on stacked arrays (``_gauss_newton_step``;
     theta never moves along the design's null space, such as the trace of
     H).  Each problem has its own Levenberg damping factor, 0 at the start.
     A step is judged by its cost change against tol = CONVERGENCE_RTOL
-    cost + (n eps)^2 sum_t ||P_t||_F^2, the second term the rounding level
-    of a cost near 0, an error of n eps ||P|| in each n x n ``expm`` (a
-    noiseless or one-time free-form fit reaches it):
+    cost + (n eps)^2 sum_t (1 + ||G_0 t||_F)^2 ||P_t||_F^2, the second term
+    the rounding level of a cost near 0: an error of n eps ||P_t|| in each
+    n x n ``expm``, grown by the norm of its argument, taken at the start
+    generator G_0 (a noiseless or one-time free-form fit reaches it):
 
     * a drop of at least tol is taken and the damping falls tenfold;
     * a change below tol either way (a small rise included) ends the
@@ -531,7 +533,7 @@ def _gauss_newton(design, rt, ts, ps, theta0):
     faster, is not affected.
 
     A problem whose start has a non-finite cost, or that is still running
-    after GN_MAX_ITERS steps, is not converged.
+    after ``max_steps`` steps (every problem of a direct fit), is not converged.
 
     Returns:
         (thetas, gens, costs, exps, converged, counts): parameters (K, P),
@@ -544,15 +546,18 @@ def _gauss_newton(design, rt, ts, ps, theta0):
     """
     thetas = np.array(theta0, dtype=float)
     gens = _generators(design, rt, thetas)
-    exps = _stacked_expm(gens, ts)
+    exps = _expm(gens[:, None], ts)
     costs = _stacked_costs(exps, ps)
-    floor = (ps.shape[-1] * np.finfo(float).eps) ** 2 * _squared_norms(ps)
+    n = ps.shape[-1]
+    growth = 1.0 + np.linalg.norm(gens, axis=(1, 2))[:, None] * ts
+    sq = _squared_norms(ps.reshape(-1, n, n)).reshape(ps.shape[:2])
+    floor = (n * np.finfo(float).eps) ** 2 * (growth * growth * sq).sum(axis=1)
     damping = np.zeros(len(thetas))
     running = np.isfinite(costs)
     converged = np.zeros(len(thetas), dtype=bool)
     last_drop = np.full(len(thetas), np.inf)
     steps = frechet = 0
-    for _ in range(GN_MAX_ITERS):
+    for _ in range(max_steps):
         idx = np.flatnonzero(running)
         if not idx.size:
             break
@@ -561,7 +566,7 @@ def _gauss_newton(design, rt, ts, ps, theta0):
         )
         trial = thetas[idx] - step
         trial_gens = _generators(design, rt, trial)
-        trial_exps = _stacked_expm(trial_gens, ts[idx])
+        trial_exps = _expm(trial_gens[:, None], ts[idx])
         trial_costs = _stacked_costs(trial_exps, ps[idx])
         steps += len(idx)
         frechet += int(defective.sum())
@@ -588,7 +593,6 @@ def mle_liouvillian(
     *,
     dissipator: Superoperator | None = None,
     form: str = "free",
-    x0: np.ndarray | None = None,
 ) -> FitReport:
     """Maximum-likelihood generator from process matrices at one or more times.
 
@@ -608,17 +612,15 @@ def mle_liouvillian(
                               rates >= 0); no dissipator (else ValueError).
             Field fits (B in the span of the spin-1 precession
             generators) run through ``estimate_fields``.
-        x0: optional initial parameter vector; defaults to the form's
-            direct estimate (``_skipping_rows``): the mean of log(P_t)/t
-            (+ R_T) over the admissible times, projected onto the
-            parameter space.  Its component along the null space of the
-            ``hermitian`` design (the trace of H), which the cost does not
-            see, is kept.
 
-    The fit is one damped Gauss-Newton problem (``_gauss_newton``) from
-    ``x0``, with one time or many alike.  A ``relaxation`` fit with a
-    negative rate is replaced by the least-cost fit with every rate >= 0
-    among the 15 fits with a set of rates held at 0.
+    The fit is one damped Gauss-Newton problem (``_gauss_newton``, at most
+    GN_MAX_ITERS steps), with one time or many alike, from the form's direct
+    estimate (``_skipping_rows``): the mean of log(P_t)/t (+ R_T) over the
+    admissible times, projected onto the parameter space, whose component
+    along the null space of the ``hermitian`` design (the trace of H), which
+    the cost does not see, is kept.  A ``relaxation`` fit with a negative
+    rate is replaced by the least-cost fit with every rate >= 0 among the 15
+    fits with a set of rates held at 0.
 
     Returns:
         FitReport whose ``estimate`` is the fitted generator L (the
@@ -632,37 +634,24 @@ def mle_liouvillian(
         Frechet columns because the generator was near-defective), summed
         over every fit run.
     """
-    dim = _process_dim(*processes)
-    _check_dissipator(dim, dissipator)
-    order = np.argsort(processes[1], kind="stable")
-    ps, ts = processes[0][order], processes[1][order]
-    rt_mat = None if dissipator is None else dissipator.matrix
-
-    if form == "free":
-        design = projection = None
-    elif form not in _FORM_PARAM_NAMES:
+    if form != "free" and form not in _FORM_PARAM_NAMES:
         raise ValueError(f"unknown constraint form {form!r}")
-    elif dim != 3:
-        raise DimensionError(f"{form} form is defined for qutrits only")
-    elif form == "relaxation" and rt_mat is not None:
+    dim = _fit_dim(processes, dissipator, None if form == "free" else f"{form} form")
+    if form == "relaxation" and dissipator is not None:
         raise ValueError("the relaxation form fits the whole generator; it takes no dissipator")
-    else:
-        design, projection = _form_design(form)
-    n_params = dim**4 if design is None else design.shape[1]
+    design, projection = (None, None) if form == "free" else _form_design(form)
+    order = np.argsort(processes[1], kind="stable")
+    ps, ts = processes[0][order][None], processes[1][order][None]  # one problem
+    rt_mat = None if dissipator is None else dissipator.matrix
+    theta0 = _skipping_rows(ps, ts[0], rt_mat, projection)[0]
 
-    if x0 is None:
-        x0 = _skipping_rows(ps[None], ts, rt_mat, projection)[0][0]
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n_params,):
-        raise DimensionError(f"x0 has shape {x0.shape}, expected ({n_params},)")
-
-    fits = [_gauss_newton(design, rt_mat, ts[None], ps[None], x0[None])]
+    fits = [_gauss_newton(design, rt_mat, ts, ps, theta0, GN_MAX_ITERS)]
     if form == "relaxation" and fits[0][0][0, 3:].min() < 0:
         # refit with each set of rates held at 0, each left out of the design
         # and the start (active sets; Lawson & Hanson, 1974, ch. 23)
         for free in _free_relaxation_params()[1:]:
             full = np.zeros((1, 7))
-            fit = _gauss_newton(design[:, free], None, ts[None], ps[None], x0[None, free])
+            fit = _gauss_newton(design[:, free], None, ts, ps, theta0[:, free], GN_MAX_ITERS)
             full[:, free] = fit[0]
             fits.append((full, *fit[1:]))
     feasible = [fit for fit in fits if form != "relaxation" or fit[0][0, 3:].min() >= 0]
@@ -677,7 +666,7 @@ def mle_liouvillian(
                 else Superoperator(dim=dim, matrix=l_hat))
     return FitReport(
         model=f"mle-{form}", estimate=estimate, params=theta, cost=float(costs[0]),
-        df_per_time=_distances(ps, exps[0]), iterations=steps, converged=bool(converged[0]),
+        df_per_time=_distances(ps[0], exps[0]), iterations=steps, converged=bool(converged[0]),
         param_names=_FORM_PARAM_NAMES.get(form), extras=extras,
     )
 
@@ -767,26 +756,23 @@ def direct_hamiltonian(processes: tuple[np.ndarray, np.ndarray], rt: Superoperat
     ``processes`` is the (mats, durations) pair of ``reconstruct_processes``.
     The mean of log(P_t) / t + R_T (the Hamiltonian part) over the admissible
     times is projected onto the Hermitian parametrization by least squares
-    (``_skipping_rows``); ``cost`` and ``df_per_time`` are those an MLE fit of
-    no step from it reports, bit for bit.  Times where the logarithm hits the
-    branch cut are skipped with a warning and listed in
+    (``_skipping_rows``), and reported as the ``_gauss_newton`` fit of no step
+    from it, with an MLE fit's cost and ``df_per_time``.  Times where the
+    logarithm hits the branch cut are skipped with a warning and listed in
     ``extras["skipped_times"]``.  Processes of another dimension than 3, or an
     ``rt`` of another dimension than the processes, raise DimensionError.
     """
-    dim = _process_dim(*processes)
-    _check_dissipator(dim, rt)
-    if dim != 3:
-        raise DimensionError("hermitian form is defined for qutrits only")
+    _fit_dim(processes, rt, "hermitian form")
     ps, ts = processes
     design, projection = _form_design("hermitian")
     rows, errors = _skipping_rows(ps[None], ts, rt.matrix, projection)
     skipped = [(float(ts[k]), str(errors[0, k])) for _, k in sorted(errors)]
     for t, msg in skipped:
         warnings.warn(f"skipping t = {t}: {msg}", stacklevel=2)
-    exps = _stacked_expm(_generators(design, rt.matrix, rows), ts[None])
+    rows, _, costs, exps, _, _ = _gauss_newton(design, rt.matrix, ts[None], ps[None], rows, 0)
     return FitReport(
         model="direct-hamiltonian", estimate=HermitianParams(h=rows[0]), params=rows[0],
-        cost=float(_stacked_costs(exps, ps[None])[0]), df_per_time=_distances(ps, exps[0]),
+        cost=float(costs[0]), df_per_time=_distances(ps, exps[0]),
         iterations=1, param_names=HERMITIAN_PARAM_NAMES, extras={"skipped_times": skipped},
     )
 
@@ -838,41 +824,31 @@ def estimate_fields(
         diverges there, an artifact of the normalization rather than of
         the reconstruction.
 
-    Both methods start from the direct estimate: log(P_k) / dt_k + ``rt``
-    projected by least squares.  ``"mle"`` then lowers each interval's Pade cost by damped
-    Gauss-Newton, all intervals in lockstep as one-time problems of
-    ``_gauss_newton``.
-    ``extras["optimizer"]`` then holds ``gauss_newton_iterations``
-    (steps summed over intervals, also ``iterations``),
-    ``expm_frechet_evaluations`` (the steps of near-defective generators)
-    and ``unconverged_intervals``, the indices of the intervals still
-    running after GN_MAX_ITERS steps; ``converged`` is True when that list
-    is empty.
+    Both methods are one ``_gauss_newton`` call, all intervals in lockstep as
+    one-time problems, from the direct estimate (``_interval_rows``):
+    log(P_k) / dt_k + ``rt`` projected by least squares.  ``"direct"`` takes
+    no step, so it reports its start; ``"mle"`` lowers each interval's Pade
+    cost by damped Gauss-Newton, and ``extras["optimizer"]`` then holds
+    ``gauss_newton_iterations`` (steps summed over intervals, also
+    ``iterations``), ``expm_frechet_evaluations`` (the steps of
+    near-defective generators) and ``unconverged_intervals``, the intervals
+    still running after GN_MAX_ITERS steps; ``converged`` is True when that
+    list is empty.
 
     Branch-cut errors propagate per step.  Steps of another dimension than
     3, or an ``rt`` of another dimension than the steps, raise
     DimensionError.
     """
-    ps, dts = psteps
     if method not in ("direct", "mle"):
         raise ValueError(f"unknown method {method!r}")
-    dim = _process_dim(ps, dts)
-    _check_dissipator(dim, rt)
-    if dim != 3:
-        raise DimensionError("field tracking is defined for qutrits only")
+    _fit_dim(psteps, rt, "field tracking")
+    ps, dts = psteps
     design, projection = _form_design("fields" if known_form else "hermitian")
     columns = FIELD_PARAM_NAMES if known_form else HERMITIAN_PARAM_NAMES
-    # one time per interval: the direct chain without the mean
-    rows, errors = _direct_rows(ps[:, None], dts[:, None], rt.matrix, projection)
-    if errors:
-        raise next(iter(errors.values()))
-    if method == "direct":
-        exps = _stacked_expm(_generators(design, rt.matrix, rows), dts[:, None])
-        costs = _stacked_costs(exps, ps[:, None])
-    else:
-        rows, _, costs, exps, converged, counts = _gauss_newton(
-            design, rt.matrix, dts[:, None], ps[:, None], rows
-        )
+    start = _interval_rows(ps, dts, rt.matrix, projection)
+    rows, _, costs, exps, converged, counts = _gauss_newton(
+        design, rt.matrix, dts[:, None], ps[:, None], start, GN_MAX_ITERS if method == "mle" else 0
+    )
 
     # |Omega| times a constant for the known form: the field design's columns
     # are orthogonal with one norm
@@ -892,26 +868,38 @@ def estimate_fields(
     return report
 
 
+def _interval_rows(steps: np.ndarray, dts: np.ndarray, rt, projection) -> np.ndarray:
+    """The direct rows of a (..., T, n, n) stack of interval processes at their (T,)
+    durations, one row per interval in the stack's order: the direct chain with one time
+    per row, so no mean.  The first inadmissible log raises its error."""
+    n = steps.shape[-1]
+    durations = np.broadcast_to(dts, steps.shape[:-2]).reshape(-1, 1)
+    rows, errors = _direct_rows(steps.reshape(-1, 1, n, n), durations, rt, projection)
+    if errors:
+        raise next(iter(errors.values()))
+    return rows
+
+
 def fit_draws(states, times, model: str, rt: Superoperator | None = None, known_form: bool = True):
     """The (m, P) params of an (m, T+1, d**2, N) batch of state stacks at ``times``, checked
     as a TomographySet checks its stack, by the direct estimator of ``model`` (relaxation,
-    hermitian or fields): the kernels of its direct point fit, once per batch."""
+    hermitian or fields): the kernels of its direct point fit, once per batch.  The
+    hermitian and fields models need the dissipator ``rt`` (else ValueError)."""
     _check_stack(states, times)
+    if model not in ("relaxation", "hermitian", "fields"):
+        raise ValueError(f"no draw fit of model {model!r}")
+    if model != "relaxation" and rt is None:
+        raise ValueError(f"the {model} draw fit needs a dissipator rt")
     if model == "hermitian":
         return _skipping_rows(_processes(states), times, rt.matrix, _form_design(model)[1])[0]
     if model == "fields":
-        steps, dts = _steps(states, times)
-        # one time per interval: the direct chain without the mean
         projection = _form_design("fields" if known_form else "hermitian")[1]
-        rows, errors = _direct_rows(steps.reshape(-1, 1, *steps.shape[2:]),
-                                    np.tile(dts, len(steps))[:, None], rt.matrix, projection)
-    elif model == "relaxation":
-        rows, errors = _direct_rows(_processes(states), times)
-    else:
-        raise ValueError(f"no draw fit of model {model!r}")
+        rows = _interval_rows(*_steps(states, times), rt.matrix, projection)
+        return rows.reshape(len(states), -1)
+    rows, errors = _direct_rows(_processes(states), times)
     if errors:
         raise next(iter(errors.values()))
-    return rows.reshape(len(states), -1) if model == "fields" else _bounded_relaxation_rows(-rows)
+    return _bounded_relaxation_rows(-rows)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,9 @@ import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import DensityMatrix, _frozen_array, build_basis, coords_of
-from .dynamics import TimeGrid, _time_ordered
+from .dynamics import TimeGrid, _expm, _time_ordered
 from .estimation import RelaxationModel, df_per_time
 from .exceptions import DimensionError
 from .superop import Superoperator, _field_design, hamiltonian_superop, zeeman_hamiltonian
@@ -224,7 +223,7 @@ class Scenario:
     def propagators(self) -> np.ndarray:
         """(T, 9, 9) cumulative ground-truth propagators, one per grid time."""
         if self.is_static:
-            mats = scipy.linalg.expm(self._fixed_generator * self.grid.times[:, None, None])
+            mats = _expm(self._fixed_generator, self.grid.times)
         else:
             mats = _time_ordered(self._generators(self.grid.midpoints), self.grid.durations)
         return _frozen_array(mats)

@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 
-from liouvlab import build_basis, calibrate_bloch_sigma
+from liouvlab import build_basis, calibrate_bloch_sigma, estimation
 from liouvlab.basis import DensityMatrix
+from liouvlab.superop import Superoperator
 from liouvlab.synthlab import noisy_states
 from liouvlab.tomography import TomographySet
 
@@ -74,4 +78,33 @@ def lbfgs_reference(design, rt, ts, ps, x0):
     return scipy.optimize.minimize(
         fun, x0, jac=True, method="L-BFGS-B",
         options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-14},
+    )
+
+
+def gauss_newton_fit(design, rt, ts, ps, x0):
+    """The one ``_gauss_newton`` problem of an MLE fit, with its step budget, from ``x0``.
+
+    ``mle_liouvillian`` always starts from its form's direct estimate; a test
+    that needs another start calls the solver itself.  The result reads as
+    the fit's FitReport: ``params``, ``estimate`` (the generator),
+    ``cost``, ``converged``, ``iterations`` and
+    ``extras["optimizer"]``, whose ``evaluations`` counts the solver's Pade
+    cost evaluations (its calls of ``_stacked_costs``).
+    """
+    calls = []
+    stacked_costs = estimation._stacked_costs
+
+    def counted(exps, ps):
+        calls.append(len(ps))
+        return stacked_costs(exps, ps)
+
+    with mock.patch.object(estimation, "_stacked_costs", counted):
+        thetas, gens, costs, _, converged, counts = estimation._gauss_newton(
+            design, rt, np.asarray(ts, dtype=float)[None], np.asarray(ps)[None],
+            np.asarray(x0, dtype=float)[None], estimation.GN_MAX_ITERS,
+        )
+    return SimpleNamespace(
+        params=thetas[0], estimate=Superoperator(dim=3, matrix=gens[0]), cost=float(costs[0]),
+        converged=bool(converged[0]), iterations=counts["gauss_newton_iterations"],
+        extras={"optimizer": {"evaluations": len(calls), **counts}},
     )

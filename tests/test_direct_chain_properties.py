@@ -20,11 +20,16 @@ from hypothesis import strategies as st
 
 from liouvlab import estimation
 from liouvlab.dynamics import _log_stack, _principal_logs
-from liouvlab.estimation import direct_hamiltonian, fit_draws, mle_liouvillian
+from liouvlab.estimation import direct_hamiltonian, estimate_fields, fit_draws, mle_liouvillian
 from liouvlab.exceptions import BranchCutError, SingularProcessError
 from liouvlab.superop import Superoperator, params_from_superop
 from liouvlab.synthlab import DEFAULT_RELAXATION, NoiseSpec, generate_dataset, make_scenario
-from liouvlab.tomography import _direct_rows, mean_log_liouvillian, reconstruct_processes
+from liouvlab.tomography import (
+    _direct_rows,
+    mean_log_liouvillian,
+    reconstruct_processes,
+    stepwise_processes,
+)
 
 from test_batch_properties import PLANTED, _random_draws, _random_gks, _times
 
@@ -175,5 +180,22 @@ def test_direct_fit_reports_what_the_zero_step_mle_fit_reports(seed):
     with mock.patch.object(estimation, "GN_MAX_ITERS", 0):
         start = mle_liouvillian(processes, dissipator=rt, form="hermitian")
     assert np.array_equal(start.params, direct.params)
+    assert start.cost == direct.cost
+    assert np.array_equal(start.df_per_time, direct.df_per_time)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16), known_form=st.booleans())
+def test_direct_field_fit_reports_what_the_zero_step_lockstep_fit_reports(seed, known_form):
+    # the fields twin: a direct field fit is the lockstep fit of no step, so
+    # its rows, cost and distances are those of the MLE fit with no step budget
+    rt = DEFAULT_RELAXATION.superoperator()
+    sc = make_scenario("three_axis_time_dependent", n_steps=8, ramp=True)
+    steps = stepwise_processes(generate_dataset(sc, NoiseSpec(0.004, seed=seed)))
+    direct = estimate_fields(steps, rt, known_form, method="direct")
+    with mock.patch.object(estimation, "GN_MAX_ITERS", 0):
+        start = estimate_fields(steps, rt, known_form, method="mle")
+    assert start.extras["optimizer"]["gauss_newton_iterations"] == 0
+    assert np.array_equal(start.estimate, direct.estimate)
     assert start.cost == direct.cost
     assert np.array_equal(start.df_per_time, direct.df_per_time)

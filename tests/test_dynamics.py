@@ -430,6 +430,39 @@ def test_stacked_log_matches_per_matrix_calls(monkeypatch, basis3):
         np.testing.assert_array_equal(principal_log(stack[k]).matrix, logs[k])
 
 
+def test_complex_fallback_log_is_nan_and_names_its_time(monkeypatch):
+    # a Schur-form log with an imaginary residue has no real principal branch:
+    # its slice is NaN, its BranchCutError names its duration, and the rest of
+    # the batch is each matrix logged alone
+    rng = np.random.default_rng(39)
+    near_defective = np.eye(9)
+    near_defective[0, 1] = 1.0  # ||P - I||_1 = 1: beyond the Gregory series
+    near_defective[1, 1] += 1e-9  # cond_F(V) near 1e9: the logm fallback
+    durations = np.array([1e-6, 2e-4, 4e-4])
+    mats = np.stack([
+        [propagator(random_stable_liouvillian(rng), t).matrix for t in durations]
+        for _ in range(2)
+    ])
+    mats[1, 1] = near_defective
+    singles = {
+        (j, k): _principal_logs(mats[j, k][None], durations[k : k + 1])
+        for j in range(2) for k in range(3) if (j, k) != (1, 1)
+    }
+    logm_calls = []
+    logm = scipy.linalg.logm
+    monkeypatch.setattr(scipy.linalg, "logm", lambda m: logm_calls.append(m) or logm(m) + 1e-3j)
+    logs, errors = _principal_logs(mats, durations)
+    assert len(logm_calls) == 1 and np.array_equal(logm_calls[0], near_defective)
+    assert list(errors) == [(1, 1)] and isinstance(errors[1, 1], BranchCutError)
+    assert str(errors[1, 1]).startswith(
+        "matrix logarithm at t = 0.0002 s has imaginary residue 1.000e-03;"
+    )
+    assert np.isnan(logs[1, 1]).all()
+    for (j, k), (alone, alone_errors) in singles.items():
+        assert not alone_errors
+        np.testing.assert_array_equal(logs[j, k], alone[0])
+
+
 def test_stacked_log_names_the_time_at_the_cut(basis3):
     f = spin1_operators()
     t = 50e-6

@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lbfgs_reference, pade_cost, planted_dataset
+from conftest import gauss_newton_fit, lbfgs_reference, pade_cost, planted_dataset
 from liouvlab import estimation
 from liouvlab.dynamics import ProcessMatrix, TimeGrid, principal_log
 from liouvlab.estimation import (
@@ -156,7 +156,7 @@ def test_mle_cost_zero_at_truth_and_below_init():
     assert cost_of(truth.matrix, clean) < 1e-18
     # MLE never ends above its initialization
     init = direct_liouvillian(ds, ds.times[0])
-    report = mle_liouvillian(pmeas, form="free", x0=init.matrix.ravel())
+    report = gauss_newton_fit(None, None, pmeas[1], pmeas[0], init.matrix.ravel())
     assert report.cost <= cost_of(init.matrix) + 1e-12
 
 
@@ -264,6 +264,14 @@ def test_hermitian_draws_with_no_admissible_time_name_the_earliest_time():
     states = noisy_state_batch(sc.propagators, NoiseSpec(), [1, 2])
     with pytest.raises(SingularProcessError, match=_NO_ADMISSIBLE_TIME):
         fit_draws(states, sc.grid.times, "hermitian", DEFAULT_RELAXATION.superoperator())
+
+
+@pytest.mark.parametrize("model", ["hermitian", "fields"])
+def test_draw_fit_without_a_dissipator_names_the_model(model):
+    sc = make_scenario("static_quadratic_zeeman")
+    states = noisy_state_batch(sc.propagators, NoiseSpec(bloch_sigma=0.004), [1, 2])
+    with pytest.raises(ValueError, match=f"^the {model} draw fit needs a dissipator rt$"):
+        fit_draws(states, sc.grid.times, model)
 
 
 @pytest.mark.parametrize("first, error", [("cut", BranchCutError), ("singular", SingularProcessError)])
@@ -1387,7 +1395,7 @@ def test_mle_damped_steps_keep_the_null_space_component_of_x0(monkeypatch):
         return steps[-1][None]
 
     monkeypatch.setattr(estimation, "_lm_solve", recorded)
-    report = mle_liouvillian(pmeas, form="hermitian", x0=x0)
+    report = gauss_newton_fit(design, None, times, pmeas[0], x0)
     assert report.converged
     # a damped step was taken: the damping fell after it rose
     assert any(0 < d > e for d, e in zip(dampings, dampings[1:]))

@@ -1,10 +1,11 @@
-"""The damped Gauss-Newton fits of ``mle_liouvillian``.
+"""The damped Gauss-Newton fits of ``mle_liouvillian``, and of its solver from other starts.
 
 On random noisy problems (free and Hermitian forms) the Gauss-Newton cost
 is never above an L-BFGS reference built in the tests from ``expm`` and
 ``expm_frechet``; a defective start takes the exact Frechet columns and
 converges to that reference; the Hermitian fit never moves the trace of H;
-and an exhausted step budget is reported as not converged.
+a noiseless fit stops, converged, at its rounding level; and an exhausted
+step budget is reported as not converged.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lbfgs_reference, pade_cost
+from conftest import gauss_newton_fit, lbfgs_reference, pade_cost
 from liouvlab import estimation
 from liouvlab.dynamics import ProcessMatrix
 from liouvlab.estimation import mle_liouvillian
@@ -39,12 +40,11 @@ def _problem(free, n_times, noise, seed):
     return design, rt, ts, ps
 
 
-def _fit(design, rt, ts, ps, **kwargs):
+def _fit(design, rt, ts, ps):
     return mle_liouvillian(
         (ps, ts),
         form="free" if design is None else "hermitian",
         dissipator=None if rt is None else Superoperator(dim=3, matrix=rt),
-        **kwargs,
     )
 
 
@@ -68,7 +68,7 @@ problems = {
 def test_gauss_newton_cost_never_above_lbfgs(free, n_times, noise, seed):
     design, rt, ts, ps = _problem(free, n_times, noise, seed)
     x0 = _start(design, rt, ts, ps)
-    report = _fit(design, rt, ts, ps, x0=x0)
+    report = gauss_newton_fit(design, rt, ts, ps, x0)
     optimizer = report.extras["optimizer"]
     assert report.converged
     assert optimizer["expm_frechet_evaluations"] == 0
@@ -94,7 +94,7 @@ def test_defective_start_converges_on_frechet_columns(free, n_times, noise, seed
         rt, x0 = None, jordan.ravel()
     else:  # B(0) = 0, so the start's generator is -rt
         rt, x0 = -jordan, np.zeros(9)
-    report = _fit(design, rt, ts, ps, x0=x0)
+    report = gauss_newton_fit(design, rt, ts, ps, x0)
     optimizer = report.extras["optimizer"]
     assert report.converged
     assert optimizer["expm_frechet_evaluations"] > 0
@@ -120,9 +120,26 @@ def test_hermitian_fit_keeps_the_null_space_component_of_x0(n_times, noise, seed
     null = vt[s < 1e-10 * s[0]]
     assert null.shape == (1, 9)
     x0 = _start(design, rt, ts, ps) + trace * null[0]
-    report = _fit(design, rt, ts, ps, x0=x0)
+    report = gauss_newton_fit(design, rt, ts, ps, x0)
     assert report.converged
     np.testing.assert_allclose(null @ report.params, null @ x0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [[60, 10], [60, 19]])
+def test_noiseless_fit_at_its_rounding_level_converges(seed):
+    # noiseless data with ||G t||_F near 20 at t = 2: the cost levels off near
+    # 1e-25, the rounding of expm at that norm, not of ||P||; a floor without
+    # the growth in ||G t|| kept both fits stepping to the end of the budget
+    design = _hermitian_design()
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=9)
+    x0 = theta + 3.0 * rng.normal(size=9)
+    ts = np.array([0.5, 1.0, 2.0])
+    ps = scipy.linalg.expm((design @ theta).reshape(9, 9) * ts[:, None, None])
+    report = gauss_newton_fit(design, None, ts, ps, x0)
+    assert report.cost < 1e-20
+    assert report.converged
+    assert report.iterations < estimation.GN_MAX_ITERS
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
